@@ -1,13 +1,15 @@
 // Microbenchmarks (§IV-A): GF(2^w) region-multiply and XOR kernels — the
-// arithmetic inner loops of checkpoint encoding. The BM_Xor/BM_GfMul
-// families run on the dispatched (active) kernels; the <isa> variants
-// registered in main() pin each supported ISA so scalar-vs-SIMD speedup is
-// visible in one run (see EXPERIMENTS.md for a reference table).
+// arithmetic inner loops of checkpoint encoding — and the CRC64 that
+// checksums every wire frame. The BM_Xor/BM_GfMul/BM_Crc64 families run on
+// the dispatched (active) kernels; the <isa> variants registered in main()
+// pin each supported ISA so scalar-vs-SIMD speedup is visible in one run
+// (see EXPERIMENTS.md for a reference table).
 #include <benchmark/benchmark.h>
 
 #include <string>
 
 #include "bench/gbench_json.hpp"
+#include "common/crc64.hpp"
 #include "common/rng.hpp"
 #include "gf/galois.hpp"
 #include "gf/simd.hpp"
@@ -74,6 +76,20 @@ void BM_GfScalarMul(benchmark::State& state) {
 }
 BENCHMARK(BM_GfScalarMul);
 
+void BM_Crc64(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Buffer a(n, Buffer::Init::kUninitialized);
+  fill_random(a.span(), 6);
+  std::uint64_t crc = 0;
+  for (auto _ : state) {
+    crc = crc64(a.span(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_Crc64)->Arg(4096)->Arg(65536)->Arg(1 << 20);
+
 // --- per-ISA variants -------------------------------------------------------
 // Pinned-kernel runs registered per supported ISA; labels carry the ISA name
 // ("BM_XorRegionIsa<avx2>/65536") so bench_compare tracks each path
@@ -110,6 +126,20 @@ void BM_GfMulRegionIsa(benchmark::State& state, gf::simd::Isa isa) {
                           static_cast<std::int64_t>(n));
 }
 
+void BM_Crc64Isa(benchmark::State& state, gf::simd::Isa isa) {
+  const gf::simd::Kernels& k = gf::simd::kernels_for(isa);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Buffer a(n, Buffer::Init::kUninitialized);
+  fill_random(a.span(), 6);
+  std::uint64_t crc = 0;
+  for (auto _ : state) {
+    crc = k.crc64(crc, a.data(), n);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
 void register_isa_benchmarks() {
   for (gf::simd::Isa isa : gf::simd::supported_isas()) {
     const std::string tag = gf::simd::isa_name(isa);
@@ -121,6 +151,11 @@ void register_isa_benchmarks() {
         ("BM_GfMulRegionIsa<" + tag + ">").c_str(), BM_GfMulRegionIsa, isa);
     mul->Args({4, 65536})->Args({8, 65536})->Args({16, 65536});
     mul->Args({8, 1 << 20});
+    benchmark::RegisterBenchmark(("BM_Crc64Isa<" + tag + ">").c_str(),
+                                 BM_Crc64Isa, isa)
+        ->Arg(4096)
+        ->Arg(65536)
+        ->Arg(1 << 20);
   }
 }
 

@@ -1,39 +1,11 @@
 #include "common/crc64.hpp"
 
-#include <array>
+#include "gf/simd.hpp"
 
 namespace eccheck {
-namespace {
-
-constexpr std::uint64_t kPoly = 0x42f0e1eba9ea3693ULL;  // ECMA-182
-
-std::array<std::uint64_t, 256> make_table() {
-  std::array<std::uint64_t, 256> t{};
-  for (int i = 0; i < 256; ++i) {
-    std::uint64_t crc = static_cast<std::uint64_t>(i) << 56;
-    for (int b = 0; b < 8; ++b)
-      crc = (crc & (1ULL << 63)) ? (crc << 1) ^ kPoly : (crc << 1);
-    t[static_cast<std::size_t>(i)] = crc;
-  }
-  return t;
-}
-
-const std::array<std::uint64_t, 256>& table() {
-  static const auto t = make_table();
-  return t;
-}
-
-}  // namespace
 
 std::uint64_t crc64(ByteSpan data, std::uint64_t seed) {
-  const auto& t = table();
-  std::uint64_t crc = ~seed;
-  for (std::byte b : data) {
-    auto idx = static_cast<std::size_t>(
-        ((crc >> 56) ^ static_cast<std::uint64_t>(b)) & 0xff);
-    crc = (crc << 8) ^ t[idx];
-  }
-  return ~crc;
+  return ~gf::simd::active().crc64(~seed, data.data(), data.size());
 }
 
 }  // namespace eccheck

@@ -1,7 +1,19 @@
-// CRC64 (ECMA-182 polynomial) for checkpoint integrity verification.
+// CRC64 for checkpoint integrity verification.
 //
 // Every tensor carries a CRC so tests can assert bit-exact recovery without
 // holding a second copy of multi-megabyte payloads.
+//
+// The variant is CRC-64/WE: the ECMA-182 polynomial 0x42f0e1eba9ea3693,
+// MSB-first (not reflected), register initialised to ~seed and the result
+// complemented (seed 0 gives init = xorout = ~0; check value of "123456789"
+// is 0x62ec59e3f1a4f00a). Because of the complements, a result can seed
+// the next call to continue the same stream:
+//
+//   crc64(b, crc64(a)) == crc64(a ‖ b)
+//
+// The checksum runs on the dispatched gf::simd kernel (PCLMULQDQ folding on
+// avx2 hosts, slice-by-8 tables elsewhere); every path returns the same
+// value for every (data, seed).
 #pragma once
 
 #include <cstdint>

@@ -3,9 +3,15 @@
 // what a broadcast 16-entry table wants). XOR gets an aligned fast path —
 // eccheck::Buffer allocations are 64-byte aligned, so whole-packet calls
 // peel at most a strip prefix and then run aligned loads/stores.
+//
+// CRC64 uses carry-less multiplication (PCLMULQDQ, compiled in with
+// -mpclmul; the dispatcher only offers avx2 when the CPU reports both
+// features): Intel's "Fast CRC Computation for Generic Polynomials Using
+// PCLMULQDQ" in its non-reflected form.
 #include "gf/simd.hpp"
 
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__AVX2__)
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__AVX2__) && \
+    defined(__PCLMUL__)
 
 #include <immintrin.h>
 
@@ -148,7 +154,78 @@ void mul_w16(const MulTables& t, const std::byte* src, std::byte* dst,
     mul_w16_impl<false>(t, src, dst, n);
 }
 
-const Kernels kAvx2Kernels{Isa::kAvx2, &xor_into_avx2, &mul_b, &mul_w16};
+/// x^n mod P, n >= 64: the folding constants.
+constexpr std::uint64_t xpow_mod(unsigned n) {
+  std::uint64_t v = kCrc64Poly;  // x^64 mod P
+  for (unsigned i = 64; i < n; ++i)
+    v = (v << 1) ^ ((v >> 63) ? kCrc64Poly : 0);
+  return v;
+}
+
+/// Constants that move a 128-bit accumulator `Bits` further down the
+/// message: high qword x^(Bits+64) mod P, low qword x^Bits mod P (both
+/// evaluated at compile time).
+template <unsigned Bits>
+inline __m128i fold_constants() {
+  constexpr std::uint64_t hi = xpow_mod(Bits + 64), lo = xpow_mod(Bits);
+  return _mm_set_epi64x(static_cast<long long>(hi),
+                        static_cast<long long>(lo));
+}
+
+/// acc·x^Bits + next (mod P), for the `Bits` behind fold_constants():
+/// each 64-bit half times its constant is a 127-bit product, so the result
+/// stays a 128-bit value congruent to the whole prefix.
+inline __m128i fold(__m128i acc, __m128i k, __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(acc, k, 0x11),
+                                     _mm_clmulepi64_si128(acc, k, 0x00)),
+                       next);
+}
+
+/// 16 message bytes as one polynomial: the first byte's MSB is x^127.
+inline __m128i load_be128(const unsigned char* p, __m128i bswap) {
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), bswap);
+}
+
+std::uint64_t crc64_pclmul(std::uint64_t crc, const std::byte* p,
+                           std::size_t n) {
+  if (n < 16) return crc64_scalar(crc, p, n);
+  const auto* s = reinterpret_cast<const unsigned char*>(p);
+  const __m128i bswap =
+      _mm_setr_epi8(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+  const __m128i k128 = fold_constants<128>();
+  // The register contributes state·x^(8n), which is the state XORed over
+  // the message's first 64 bits.
+  __m128i x0 = _mm_xor_si128(load_be128(s, bswap),
+                             _mm_set_epi64x(static_cast<long long>(crc), 0));
+  std::size_t i = 16;
+  if (n >= 64) {
+    // Four independent accumulators hide the multiply latency; each
+    // advances 512 bits per step.
+    const __m128i k512 = fold_constants<512>();
+    __m128i x1 = load_be128(s + 16, bswap);
+    __m128i x2 = load_be128(s + 32, bswap);
+    __m128i x3 = load_be128(s + 48, bswap);
+    for (i = 64; i + 64 <= n; i += 64) {
+      x0 = fold(x0, k512, load_be128(s + i, bswap));
+      x1 = fold(x1, k512, load_be128(s + i + 16, bswap));
+      x2 = fold(x2, k512, load_be128(s + i + 32, bswap));
+      x3 = fold(x3, k512, load_be128(s + i + 48, bswap));
+    }
+    x0 = fold(fold(fold(x0, k128, x1), k128, x2), k128, x3);
+  }
+  for (; i + 16 <= n; i += 16) x0 = fold(x0, k128, load_be128(s + i, bswap));
+  // x0 ≡ the message so far (mod P), so the register after it is the CRC
+  // of x0's 16 bytes from a zero state — exact, no Barrett step needed.
+  alignas(16) unsigned char rem[16];
+  _mm_store_si128(reinterpret_cast<__m128i*>(rem),
+                  _mm_shuffle_epi8(x0, bswap));
+  crc = crc64_scalar(0, reinterpret_cast<const std::byte*>(rem), 16);
+  return crc64_scalar(crc, p + i, n - i);
+}
+
+const Kernels kAvx2Kernels{Isa::kAvx2, &xor_into_avx2, &mul_b, &mul_w16,
+                           &crc64_pclmul};
 
 }  // namespace
 
@@ -156,7 +233,7 @@ const Kernels* avx2_kernels() { return &kAvx2Kernels; }
 
 }  // namespace eccheck::gf::simd::detail
 
-#else  // not x86 / no AVX2
+#else  // not x86 / no AVX2 or PCLMUL
 
 namespace eccheck::gf::simd::detail {
 const Kernels* avx2_kernels() { return nullptr; }

@@ -102,7 +102,8 @@ void mul_w16(const MulTables& t, const std::byte* src, std::byte* dst,
     mul_w16_impl<false>(t, src, dst, n);
 }
 
-const Kernels kNeonKernels{Isa::kNeon, &xor_into_neon, &mul_b, &mul_w16};
+const Kernels kNeonKernels{Isa::kNeon, &xor_into_neon, &mul_b, &mul_w16,
+                           &crc64_scalar};
 
 }  // namespace
 

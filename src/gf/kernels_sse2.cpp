@@ -1,7 +1,8 @@
 // SSE2 kernels: 128-bit XOR. SSE2 has no byte shuffle, so the multiply
 // entries point at the scalar split-table loops — selecting "sse2" still
 // vectorizes XOR-reduce (the dominant primitive of bitmatrix schedules)
-// while multiplies run the cached-table scalar path.
+// while multiplies run the cached-table scalar path. CRC64 stays on the
+// scalar slice-by-8 loop (carry-less folding needs PCLMULQDQ).
 #include "gf/simd.hpp"
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__SSE2__)
@@ -44,7 +45,7 @@ void xor_into_sse2(std::byte* dst, const std::byte* src, std::size_t n) {
 
 namespace {
 const Kernels kSse2Kernels{Isa::kSse2, &xor_into_sse2, &mul_region_b_scalar,
-                           &mul_region_w16_scalar};
+                           &mul_region_w16_scalar, &crc64_scalar};
 }  // namespace
 
 const Kernels* sse2_kernels() { return &kSse2Kernels; }

@@ -99,7 +99,8 @@ void mul_w16(const MulTables& t, const std::byte* src, std::byte* dst,
     mul_w16_impl<false>(t, src, dst, n);
 }
 
-const Kernels kSsse3Kernels{Isa::kSsse3, &xor_into_sse2, &mul_b, &mul_w16};
+const Kernels kSsse3Kernels{Isa::kSsse3, &xor_into_sse2, &mul_b, &mul_w16,
+                            &crc64_scalar};
 
 }  // namespace
 

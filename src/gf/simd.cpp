@@ -1,5 +1,7 @@
 #include "gf/simd.hpp"
 
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,8 +54,59 @@ void mul_region_w16_scalar(const MulTables& t, const std::byte* src,
 }
 
 namespace {
+
+/// Slice-by-8 tables: kCrcTab[k][b] = b·x^(64+8k) mod P, i.e. the register
+/// contribution of byte b followed by k more bytes. kCrcTab[0] is the
+/// classic byte-at-a-time table.
+using CrcTables = std::array<std::array<std::uint64_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::size_t b = 0; b < 256; ++b) {
+    std::uint64_t crc = static_cast<std::uint64_t>(b) << 56;
+    for (int i = 0; i < 8; ++i)
+      crc = (crc & (1ULL << 63)) ? (crc << 1) ^ kCrc64Poly : (crc << 1);
+    t[0][b] = crc;
+  }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t b = 0; b < 256; ++b)
+      t[k][b] = (t[k - 1][b] << 8) ^ t[0][t[k - 1][b] >> 56];
+  return t;
+}
+
+constexpr CrcTables kCrcTab = make_crc_tables();
+
+inline std::uint64_t load_be64(const unsigned char* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::little)
+    v = __builtin_bswap64(v);
+  return v;
+}
+
+}  // namespace
+
+std::uint64_t crc64_scalar(std::uint64_t crc, const std::byte* p,
+                           std::size_t n) {
+  const auto* s = reinterpret_cast<const unsigned char*>(p);
+  std::size_t i = 0;
+  // Eight bytes per step: fold them into the register (MSB-first, so the
+  // first byte meets the top byte), then each byte of the sum contributes
+  // its table entry for the number of bytes still to follow it.
+  for (; i + 8 <= n; i += 8) {
+    const std::uint64_t v = crc ^ load_be64(s + i);
+    crc = kCrcTab[7][v >> 56] ^ kCrcTab[6][(v >> 48) & 0xff] ^
+          kCrcTab[5][(v >> 40) & 0xff] ^ kCrcTab[4][(v >> 32) & 0xff] ^
+          kCrcTab[3][(v >> 24) & 0xff] ^ kCrcTab[2][(v >> 16) & 0xff] ^
+          kCrcTab[1][(v >> 8) & 0xff] ^ kCrcTab[0][v & 0xff];
+  }
+  for (; i < n; ++i) crc = (crc << 8) ^ kCrcTab[0][(crc >> 56) ^ s[i]];
+  return crc;
+}
+
+namespace {
 const Kernels kScalarKernels{Isa::kScalar, &xor_scalar, &mul_region_b_scalar,
-                             &mul_region_w16_scalar};
+                             &mul_region_w16_scalar, &crc64_scalar};
 }  // namespace
 
 }  // namespace detail
@@ -101,7 +154,10 @@ bool cpu_has(Isa isa) {
   switch (isa) {
     case Isa::kSse2: return __builtin_cpu_supports("sse2") != 0;
     case Isa::kSsse3: return __builtin_cpu_supports("ssse3") != 0;
-    case Isa::kAvx2: return __builtin_cpu_supports("avx2") != 0;
+    // The avx2 vtable's CRC64 folds with PCLMULQDQ, a separate feature bit.
+    case Isa::kAvx2:
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("pclmul") != 0;
     default: return false;
   }
 #elif defined(__aarch64__)

@@ -1,20 +1,28 @@
-// Runtime-dispatched XOR / GF(2^w) region kernels.
+// Runtime-dispatched XOR / GF(2^w) region kernels and the CRC64 checksum.
 //
 // The encode hot path is two byte-level primitives: dst ^= src (XOR-reduce,
 // bitmatrix schedules) and dst (^)= c·src over packed GF(2^w) symbols
-// (Cauchy-RS partial products). This layer provides vectorized
-// implementations of both behind a one-time-probed dispatch table:
+// (Cauchy-RS partial products). Every wire frame, remote chunk and commit
+// row is additionally checksummed with CRC-64 (common/crc64.hpp). This
+// layer provides vectorized implementations of all three behind a
+// one-time-probed dispatch table:
 //
-//   scalar — portable uint64/table loops, the bit-exact reference
+//   scalar — portable uint64/table loops, the bit-exact reference;
+//            CRC64 is a slice-by-8 table loop
 //   sse2   — 128-bit XOR; multiplies stay on the scalar table loop
 //            (no byte shuffle before SSSE3)
 //   ssse3  — 128-bit XOR + 4-bit split-table multiply via pshufb
 //            (GF-Complete / ISA-L style)
-//   avx2   — the same with 256-bit registers
+//   avx2   — the same with 256-bit registers, plus a carry-less-multiply
+//            (PCLMULQDQ) CRC64: fold-by-4 over 64-byte blocks, fold-by-1,
+//            then an exact table reduction of the last 128-bit remainder
 //   neon   — aarch64 vtbl/veor equivalents
 //
+// sse2, ssse3 and neon share the scalar slice-by-8 CRC64.
+//
 // The active ISA is probed once per process (cpuid via
-// __builtin_cpu_supports on x86, unconditional NEON on aarch64) and can be
+// __builtin_cpu_supports on x86 — avx2 additionally requires the pclmul
+// feature bit — unconditional NEON on aarch64) and can be
 // pinned for testing with ECCHECK_SIMD=scalar|sse2|ssse3|avx2|neon; an
 // unknown or unsupported request warns once on stderr and falls back to the
 // probed best. Every ISA is bit-exact with scalar — tests/test_gf_simd
@@ -77,6 +85,10 @@ struct Kernels {
   void (*mul_region_w16)(const MulTables& t, const std::byte* src,
                          std::byte* dst, std::size_t n, bool accumulate) =
       nullptr;
+  /// Advance a raw CRC-64/WE register (MSB-first, poly 0x42f0e1eba9ea3693,
+  /// no init/xorout applied — eccheck::crc64 wraps those) over n bytes.
+  std::uint64_t (*crc64)(std::uint64_t state, const std::byte* p,
+                         std::size_t n) = nullptr;
 };
 
 const char* isa_name(Isa isa);
@@ -111,6 +123,9 @@ const char* active_isa_name();
 std::string isa_span_name(const char* base);
 
 namespace detail {
+/// CRC-64/WE generator polynomial (ECMA-182), x^64 implicit.
+inline constexpr std::uint64_t kCrc64Poly = 0x42f0e1eba9ea3693ULL;
+
 // Per-ISA vtables; null when the ISA is not compiled into this binary
 // (wrong architecture or the compiler rejected the target flag). Host
 // support is checked separately by supported().
@@ -125,6 +140,8 @@ void mul_region_b_scalar(const MulTables& t, const std::byte* src,
                          std::byte* dst, std::size_t n, bool accumulate);
 void mul_region_w16_scalar(const MulTables& t, const std::byte* src,
                            std::byte* dst, std::size_t n, bool accumulate);
+std::uint64_t crc64_scalar(std::uint64_t state, const std::byte* p,
+                           std::size_t n);
 }  // namespace detail
 
 }  // namespace eccheck::gf::simd

@@ -1,10 +1,13 @@
 // Differential tests for the runtime-dispatched SIMD kernels: every ISA the
 // host supports must be bit-exact with the scalar reference for xor_into and
 // mul_region, across odd/prime region sizes, misaligned buffers, accumulate
-// on/off, and all three symbol widths. Also covers the dispatch machinery
-// (probe/override sanity) and the per-constant table cache.
+// on/off, and all three symbol widths, and with a byte-at-a-time oracle for
+// crc64 across every short length/offset, long random buffers and chained
+// calls. Also covers the dispatch machinery (probe/override sanity) and the
+// per-constant table cache.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -44,6 +47,7 @@ TEST_P(SimdIsaTest, KernelsForReturnsRequestedIsa) {
   EXPECT_NE(k().xor_into, nullptr);
   EXPECT_NE(k().mul_region_b, nullptr);
   EXPECT_NE(k().mul_region_w16, nullptr);
+  EXPECT_NE(k().crc64, nullptr);
 }
 
 TEST_P(SimdIsaTest, XorIntoMatchesScalar) {
@@ -156,6 +160,81 @@ TEST_P(SimdIsaTest, MulRegionMatchesScalarSymbolMultiply) {
         }
       }
     }
+  }
+}
+
+// Byte-at-a-time CRC-64/WE on the raw register — the original table loop,
+// kept here as the oracle every dispatched crc64 kernel must match.
+std::uint64_t crc64_oracle(std::uint64_t crc, const std::byte* p,
+                           std::size_t n) {
+  static const auto table = [] {
+    std::array<std::uint64_t, 256> t{};
+    for (int i = 0; i < 256; ++i) {
+      std::uint64_t c = static_cast<std::uint64_t>(i) << 56;
+      for (int b = 0; b < 8; ++b)
+        c = (c & (1ULL << 63)) ? (c << 1) ^ 0x42f0e1eba9ea3693ULL : (c << 1);
+      t[static_cast<std::size_t>(i)] = c;
+    }
+    return t;
+  }();
+  for (std::size_t i = 0; i < n; ++i) {
+    auto idx = static_cast<std::size_t>(
+        ((crc >> 56) ^ static_cast<std::uint64_t>(p[i])) & 0xff);
+    crc = (crc << 8) ^ table[idx];
+  }
+  return crc;
+}
+
+TEST_P(SimdIsaTest, Crc64CheckValue) {
+  const char* msg = "123456789";
+  const auto* p = reinterpret_cast<const std::byte*>(msg);
+  EXPECT_EQ(~crc64_oracle(~0ULL, p, 9), 0x62ec59e3f1a4f00aULL);
+  EXPECT_EQ(~k().crc64(~0ULL, p, 9), 0x62ec59e3f1a4f00aULL);
+}
+
+TEST_P(SimdIsaTest, Crc64MatchesOracleEveryShortLengthAndOffset) {
+  // Lengths 0..300 cross the 16-byte (fold-by-1) and 64-byte (fold-by-4)
+  // thresholds with every tail; offsets 0..63 cover every alignment.
+  constexpr std::size_t kMaxLen = 300;
+  Buffer buf(64 + kMaxLen, Buffer::Init::kUninitialized);
+  fill_random(buf.span(), 31);
+  SplitMix64 rng(32);
+  for (std::size_t off = 0; off < 64; ++off) {
+    for (std::size_t n = 0; n <= kMaxLen; ++n) {
+      const std::uint64_t state = rng.next();
+      const std::byte* p = buf.data() + off;
+      ASSERT_EQ(k().crc64(state, p, n), crc64_oracle(state, p, n))
+          << simd::isa_name(GetParam()) << " off=" << off << " n=" << n;
+    }
+  }
+}
+
+TEST_P(SimdIsaTest, Crc64MatchesOracleRandomLengths) {
+  constexpr std::size_t kMax = std::size_t{1} << 20;
+  Buffer buf(kMax + 64, Buffer::Init::kUninitialized);
+  fill_random(buf.span(), 33);
+  SplitMix64 rng(34);
+  for (int trial = 0; trial < 48; ++trial) {
+    const std::size_t n = rng.next_below(kMax + 1);
+    const std::size_t off = rng.next_below(64);
+    const std::uint64_t state = rng.next();
+    const std::byte* p = buf.data() + off;
+    ASSERT_EQ(k().crc64(state, p, n), crc64_oracle(state, p, n))
+        << simd::isa_name(GetParam()) << " off=" << off << " n=" << n;
+  }
+}
+
+TEST_P(SimdIsaTest, Crc64ChainsAcrossSplits) {
+  constexpr std::size_t kLen = 4099;
+  Buffer buf(kLen, Buffer::Init::kUninitialized);
+  fill_random(buf.span(), 35);
+  const std::uint64_t whole = k().crc64(~0ULL, buf.data(), kLen);
+  for (std::size_t cut : {std::size_t{0}, std::size_t{1}, std::size_t{15},
+                          std::size_t{16}, std::size_t{63}, std::size_t{64},
+                          std::size_t{1000}, std::size_t{4096}, kLen}) {
+    const std::uint64_t head = k().crc64(~0ULL, buf.data(), cut);
+    EXPECT_EQ(k().crc64(head, buf.data() + cut, kLen - cut), whole)
+        << simd::isa_name(GetParam()) << " cut=" << cut;
   }
 }
 

@@ -393,7 +393,9 @@ TEST(SelfHealService, AdmissionQueueBoundsAndIdempotencyTokens) {
   for (int i = 0; i < busy.load(); ++i) {
     // Busy replies carry the queue bound so clients can back off sensibly.
     const svc::ControlReply br = request("status", "");
-    if (!br.ok) EXPECT_NE(br.body.find("busy"), std::string::npos);
+    if (!br.ok) {
+      EXPECT_NE(br.body.find("busy"), std::string::npos);
+    }
   }
 
   // The rejected counter made it into status.
