@@ -63,7 +63,9 @@ class Fabric {
   virtual void net_send(int src, int dst, std::size_t bytes,
                         const std::string& label = "send") = 0;
 
-  /// Copy store(src)[src_key] into store(dst)[dst_key].
+  /// Copy store(src)[src_key] into store(dst)[dst_key]. The receiver may
+  /// overwrite a same-size buffer already stored under dst_key in place, so
+  /// after a failed transfer dst_key may be absent.
   virtual void send_buffer(int src, int dst, const std::string& src_key,
                            const std::string& dst_key) = 0;
 
@@ -91,7 +93,8 @@ class Fabric {
   virtual void all_gather(const std::vector<int>& nodes,
                           const std::function<std::string(int)>& key_of) = 0;
 
-  /// XOR all-reduce of equal-size buffers store(node)[key].
+  /// XOR all-reduce of equal-size buffers store(node)[key] (the stripe
+  /// protocol's reduction; fabric_save sends partials point to point).
   virtual void ring_all_reduce_xor(const std::vector<int>& nodes,
                                    const std::string& key) = 0;
 

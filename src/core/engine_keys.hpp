@@ -9,6 +9,8 @@
 //   <ns>ec/<version>/sums                per-packet CRC64s of this node's row
 //   <ns>ec/<version>/commit              version marker: the save completed
 //   <ns>tmp/<version>/local/<w>/<b>      staging copy of worker w's packet b
+//   <ns>tmp/<version>/partial/<j>/<r>/<s> site s's GF partial of parity row
+//                                        r, group j (reused across slots b)
 //
 // Everything under "<ns>ec/<version>/" is the durable footprint of one
 // version (version_prefix); "<ns>tmp/<version>/" holds transient staging

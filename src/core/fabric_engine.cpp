@@ -530,88 +530,133 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   }
   if (cfg.delta.enabled && !delta_used) fabric.stats().add("delta.fallback.count");
 
-  // ---- Step 3a: relocate data packets to their data nodes ----------------
+  // ---- Step 3: data packets to their data nodes, parity to parity nodes --
   // A row homed on a dead rank is skipped entirely: the degraded stripe
   // keeps the n_alive ≥ k rows hosted by survivors (reduced redundancy —
   // any k of them still decode), rather than blocking the save.
   if (!delta_used) {
-  for (int j = 0; j < per_chunk; ++j) {
-    for (int b = 0; b < static_cast<int>(B); ++b) {
-      for (int c = 0; c < cfg.k; ++c) {
+    using KeyPairs = std::vector<std::pair<std::string, std::string>>;
+
+    // 3a: every data packet not yet on its data node, one batch per
+    // (src, dst) edge. Packets already home move into their rows after 3b,
+    // which still encodes from them.
+    std::map<std::pair<int, int>, KeyPairs> relocate;
+    for (int c = 0; c < cfg.k; ++c) {
+      const int dst = plan.data_nodes[static_cast<std::size_t>(c)];
+      if (!members.is_alive(dst)) continue;
+      for (int j = 0; j < per_chunk; ++j) {
         const int wsrc = c * per_chunk + j;
         const int src = members.site(wsrc / g);
-        const int dst = plan.data_nodes[static_cast<std::size_t>(c)];
-        if (!members.is_alive(dst)) continue;
-        const std::string lk = local_key(ns, version, wsrc, b);
-        const std::string rk = row_key(ns, version, c, j, b);
-        if (src == dst) {
-          if (fabric.drives(src))
-            fabric.store(src).put(rk, fabric.store(src).get(lk).clone());
-        } else {
-          fabric.send_buffer(src, dst, lk, rk);
-        }
+        if (src == dst) continue;
+        KeyPairs& batch = relocate[{src, dst}];
+        for (int b = 0; b < static_cast<int>(B); ++b)
+          batch.emplace_back(local_key(ns, version, wsrc, b),
+                             row_key(ns, version, c, j, b));
       }
     }
-  }
+    for (const auto& [edge, batch] : relocate)
+      fabric.send_buffers(edge.first, edge.second, batch);
 
-  // ---- Step 3b: parity = XOR all-reduce of per-participant partials ------
-  // Each participant computes its GF partial product locally; the XOR
-  // all-reduce folds them (GF addition is XOR, so this is bit-identical to
-  // the simulator's serial accumulation); the node hosting the reduction
-  // target forwards the finished packet to its parity node.
-  for (int j = 0; j < per_chunk; ++j) {
+    // 3b: parity, one packet slot b at a time. Every participant site
+    // computes its GF partial and ships it straight to the parity node,
+    // which takes the first partial as the row and XOR-folds the rest in.
+    // GF addition is XOR, so the row is bit-identical to the simulator's
+    // chain accumulation, and each reduction moves one packet per remote
+    // participant site — exactly actual_comm_volume. Participants sited
+    // together (adoption can fold several dead participants onto one
+    // survivor) pre-accumulate locally. A reduction whose parity node is
+    // dead has nowhere to land and is skipped.
+    struct Reduction {
+      const ReductionOp* op;
+      std::vector<int> sites;                 // first-appearance order
+      std::vector<std::vector<int>> chunks;   // per site: its chunks c
+      std::vector<std::string> keys;          // per site: staging key
+    };
+    // Staging keys name (j, r, site) but not b, so each slot's partials
+    // overwrite the previous slot's buffers instead of allocating afresh.
+    std::vector<Reduction> reductions;
+    std::map<std::pair<int, int>, KeyPairs> ship;  // the same every slot
+    for (const ReductionOp& op : plan.reductions) {
+      if (!members.is_alive(op.dest_node)) continue;
+      Reduction red{&op, {}, {}, {}};
+      for (int c = 0; c < cfg.k; ++c) {
+        const int ps =
+            members.site(op.participants[static_cast<std::size_t>(c)] / g);
+        auto it = std::find(red.sites.begin(), red.sites.end(), ps);
+        if (it == red.sites.end()) {
+          red.sites.push_back(ps);
+          red.chunks.emplace_back();
+          red.keys.push_back(tmp_prefix(ns, version) + "partial/" +
+                             std::to_string(op.group) + "/" +
+                             std::to_string(op.parity_row) + "/" +
+                             std::to_string(ps));
+          it = red.sites.end() - 1;
+        }
+        red.chunks[static_cast<std::size_t>(it - red.sites.begin())]
+            .push_back(c);
+      }
+      for (std::size_t s = 0; s < red.sites.size(); ++s)
+        if (red.sites[s] != op.dest_node)
+          ship[{red.sites[s], op.dest_node}].emplace_back(red.keys[s],
+                                                          red.keys[s]);
+      reductions.push_back(std::move(red));
+    }
     for (int b = 0; b < static_cast<int>(B); ++b) {
-      for (int r = 0; r < cfg.m; ++r) {
-        const auto& op =
-            plan.reductions[static_cast<std::size_t>(j * cfg.m + r)];
-        const std::string pkey = tmp_prefix(ns, version) + "partial/" +
-                                 std::to_string(j) + "/" + std::to_string(b) +
-                                 "/" + std::to_string(r);
-        // Participants sited together (adoption can fold several dead
-        // participants onto one survivor) pre-accumulate their GF partials
-        // locally before the ring — XOR is commutative and associative, so
-        // the grouping cannot change the reduced bytes. Under full
-        // membership every participant is its own site and this is the
-        // historical one-partial-per-node behaviour.
-        std::vector<int> psites;  // deduped, first-appearance order
-        std::map<int, Buffer> partials;  // site → local accumulation
-        for (int c = 0; c < cfg.k; ++c) {
-          const int pw = op.participants[static_cast<std::size_t>(c)];
-          const int ps = members.site(pw / g);
-          const bool seen =
-              std::find(psites.begin(), psites.end(), ps) != psites.end();
-          if (!seen) psites.push_back(ps);
-          if (fabric.drives(ps)) {
-            auto it = partials.find(ps);
-            if (it == partials.end())
-              it = partials.emplace(ps, Buffer(P, Buffer::Init::kUninitialized))
-                       .first;
+      for (const Reduction& red : reductions) {
+        const ReductionOp& op = *red.op;
+        for (std::size_t s = 0; s < red.sites.size(); ++s) {
+          if (!fabric.drives(red.sites[s])) continue;
+          cluster::Store& store = fabric.store(red.sites[s]);
+          Buffer part = store.contains(red.keys[s])
+                            ? store.take(red.keys[s])
+                            : Buffer(P, Buffer::Init::kUninitialized);
+          bool accumulate = false;
+          for (int c : red.chunks[s]) {
+            const int pw = op.participants[static_cast<std::size_t>(c)];
             codec.encode_partial(
-                cfg.k + r, c,
-                fabric.store(ps).get(local_key(ns, version, pw, b)).span(),
-                it->second.span(), /*accumulate=*/seen);
+                cfg.k + op.parity_row, c,
+                store.get(local_key(ns, version, pw, b)).span(), part.span(),
+                accumulate);
+            accumulate = true;
           }
+          store.put(red.keys[s], std::move(part));
         }
-        for (auto& [ps, part] : partials)
-          fabric.store(ps).put(pkey, std::move(part));
-        if (psites.size() > 1) fabric.ring_all_reduce_xor(psites, pkey);
-
-        const int tsite = members.site(op.target_worker / g);
-        if (members.is_alive(op.dest_node)) {
-          const std::string rk = row_key(ns, version, cfg.k + r, j, b);
-          if (tsite == op.dest_node) {
-            if (fabric.drives(tsite))
-              fabric.store(tsite).put(rk,
-                                      fabric.store(tsite).get(pkey).clone());
-          } else {
-            fabric.send_buffer(tsite, op.dest_node, pkey, rk);
-          }
-        }
-        for (int ps : psites)
-          if (fabric.drives(ps)) fabric.store(ps).erase(pkey);
+      }
+      for (const auto& [edge, batch] : ship)
+        fabric.send_buffers(edge.first, edge.second, batch);
+      for (const Reduction& red : reductions) {
+        const ReductionOp& op = *red.op;
+        if (!fabric.drives(op.dest_node)) continue;
+        cluster::Store& store = fabric.store(op.dest_node);
+        Buffer row = store.take(red.keys[0]);
+        for (std::size_t s = 1; s < red.keys.size(); ++s)
+          xor_into(row.span(), store.get(red.keys[s]).span());
+        store.put(row_key(ns, version, cfg.k + op.parity_row, op.group, b),
+                  std::move(row));
       }
     }
-  }
+    for (int node : act)
+      if (fabric.drives(node))
+        for (const std::string& key : fabric.store(node).keys_with_prefix(
+                 tmp_prefix(ns, version) + "partial/"))
+          fabric.store(node).erase(key);
+
+    // 3a's home packets: moved into their rows, or copied when the base
+    // cache below still needs them.
+    for (int c = 0; c < cfg.k; ++c) {
+      const int dst = plan.data_nodes[static_cast<std::size_t>(c)];
+      if (!members.is_alive(dst) || !fabric.drives(dst)) continue;
+      cluster::Store& store = fabric.store(dst);
+      for (int j = 0; j < per_chunk; ++j) {
+        const int wsrc = c * per_chunk + j;
+        if (members.site(wsrc / g) != dst) continue;
+        for (int b = 0; b < static_cast<int>(B); ++b) {
+          const std::string lk = local_key(ns, version, wsrc, b);
+          store.put(row_key(ns, version, c, j, b),
+                    delta_wanted ? store.get(lk).clone() : store.take(lk));
+        }
+      }
+    }
   }  // if (!delta_used)
 
   // Retire the staging copies — into the base cache when incremental saves

@@ -14,7 +14,10 @@
 // XOR-reduces its k encoded packets into m parity packets. The reduction
 // *target* of each parity row is chosen so results land on parity nodes
 // whenever possible (§IV-B2: direct assignment / ⌊k/m⌋ spacing / round
-// robin, by the relation of k and m).
+// robin, by the relation of k and m). The target only orders the
+// simulator engine's chain reduce; the fabric engine (core/fabric_engine)
+// ships every partial straight to the parity node. Both move exactly
+// actual_comm_volume.
 #pragma once
 
 #include <vector>
@@ -100,7 +103,11 @@ Placement plan_placement(const PlacementConfig& cfg);
 /// Communication volume (bytes) for one checkpoint, with per-worker shard
 /// size `s`. `nominal` uses the paper's accounting (every reduction hop and
 /// every packet relocation counted, = m·s·W with optimal placement);
-/// `actual` drops hops between co-located workers.
+/// `actual` drops hops between co-located workers. A reduction's actual
+/// hops are k − [dest_node hosts a participant], whether they run as the
+/// simulator's chain or as the fabric engine's direct sends to dest_node,
+/// so a full fabric_save puts exactly actual.total() bytes of packets on
+/// the wire (tests/test_engine_fabric pins this).
 struct CommVolume {
   double xor_reduction_bytes = 0;
   double p2p_bytes = 0;

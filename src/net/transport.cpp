@@ -503,7 +503,8 @@ void SocketTransport::pump_frames(std::vector<PumpFrame> frames,
 }
 
 SocketTransport::Received SocketTransport::recv_frame(int src,
-                                                      FrameType expect) {
+                                                      FrameType expect,
+                                                      cluster::Store* reuse) {
   obs::ScopedSpan span(std::string("net.recv[") + tag() + "]");
   const std::string ctx = who(std::string("recv ") + frame_type_name(expect) +
                                   " from",
@@ -532,7 +533,11 @@ SocketTransport::Received SocketTransport::recv_frame(int src,
       r.header.key.resize(key_len);
       buffered_read(c, r.header.key.data(), key_len, ctx);
     }
-    r.payload = Buffer(r.header.payload_len, Buffer::Init::kUninitialized);
+    if (reuse != nullptr && reuse->contains(r.header.key) &&
+        reuse->get(r.header.key).size() == r.header.payload_len)
+      r.payload = reuse->take(r.header.key);
+    else
+      r.payload = Buffer(r.header.payload_len, Buffer::Init::kUninitialized);
     if (!r.payload.empty())
       buffered_read(c, r.payload.data(), r.payload.size(), ctx);
     ECC_CHECK_MSG(crc64(r.payload.span()) == r.header.payload_crc,
@@ -580,7 +585,7 @@ void SocketTransport::send_buffer(int src, int dst, const std::string& src_key,
     send_frame(dst, FrameType::kPut, dst_key, 0, store_.get(src_key).span(),
                opts_.ack_window);
   } else if (rank_ == dst) {
-    Received r = recv_frame(src, FrameType::kPut);
+    Received r = recv_frame(src, FrameType::kPut, &store_);
     ECC_CHECK(r.header.key == dst_key);
     store_.put(r.header.key, std::move(r.payload));
   }
@@ -601,8 +606,11 @@ void SocketTransport::send_buffers(
     // rather than to whatever touches the peer next.
     flush_acks(dst);
   } else if (rank_ == dst) {
+    // A key received again (a staging key reused per packet slot) lands
+    // in its existing buffer: the receiver allocates nothing in steady
+    // state, instead of freeing a buffer between live rows per frame.
     for (const auto& [src_key, dst_key] : pairs) {
-      Received r = recv_frame(src, FrameType::kPut);
+      Received r = recv_frame(src, FrameType::kPut, &store_);
       ECC_CHECK(r.header.key == dst_key);
       store_.put(r.header.key, std::move(r.payload));
     }

@@ -252,8 +252,11 @@ class SocketTransport final : public cluster::Fabric {
     Buffer payload;
   };
   /// One data frame from `src`: CRC-verify, ack, return. `expect` guards
-  /// protocol desynchronisation.
-  Received recv_frame(int src, FrameType expect);
+  /// protocol desynchronisation. With `reuse`, a buffer already stored
+  /// there under the frame's key with the payload's size is taken and
+  /// overwritten instead of allocating a new one.
+  Received recv_frame(int src, FrameType expect,
+                      cluster::Store* reuse = nullptr);
 
   std::string remote_path(const std::string& remote_key) const;
 

@@ -37,6 +37,7 @@
 #include "ec/parallel_codec.hpp"
 #include "net/transport.hpp"
 #include "runtime/thread_pool.hpp"
+#include "tests/send_buffers_tap.hpp"
 
 namespace eccheck {
 namespace {
@@ -557,80 +558,6 @@ TEST(DeltaEngine, SocketDeltaSessionMatchesVirtualFabricByteExact) {
 // poison the base cache.
 // ---------------------------------------------------------------------------
 
-/// Decorator that throws CheckFailure (the dead-peer signal) on the Nth
-/// send_buffers call — the delta path's Δ-transfer primitive — while
-/// passing everything else through.
-class SendBuffersBomb final : public cluster::Fabric {
- public:
-  explicit SendBuffersBomb(cluster::Fabric& inner) : inner_(&inner) {}
-
-  void arm(int fuse) {
-    armed_ = true;
-    fuse_ = fuse;
-  }
-  void disarm() { armed_ = false; }
-
-  std::string fabric_name() const override { return inner_->fabric_name(); }
-  int world_size() const override { return inner_->world_size(); }
-  bool drives(int node) const override { return inner_->drives(node); }
-  int self_rank() const override { return inner_->self_rank(); }
-  cluster::Store& store(int node) override { return inner_->store(node); }
-  void net_send(int src, int dst, std::size_t bytes,
-                const std::string& label) override {
-    inner_->net_send(src, dst, bytes, label);
-  }
-  void send_buffer(int src, int dst, const std::string& src_key,
-                   const std::string& dst_key) override {
-    inner_->send_buffer(src, dst, src_key, dst_key);
-  }
-  void send_buffers(
-      int src, int dst,
-      const std::vector<std::pair<std::string, std::string>>& pairs) override {
-    if (armed_ && fuse_-- <= 0)
-      throw CheckFailure("injected peer death mid-delta transfer");
-    inner_->send_buffers(src, dst, pairs);
-  }
-  void broadcast(const std::vector<int>& nodes, int root,
-                 const std::string& key) override {
-    inner_->broadcast(nodes, root, key);
-  }
-  void all_gather(const std::vector<int>& nodes,
-                  const std::function<std::string(int)>& key_of) override {
-    inner_->all_gather(nodes, key_of);
-  }
-  void ring_all_reduce_xor(const std::vector<int>& nodes,
-                           const std::string& key) override {
-    inner_->ring_all_reduce_xor(nodes, key);
-  }
-  void remote_write(int node, const std::string& key,
-                    const std::string& remote_key) override {
-    inner_->remote_write(node, key, remote_key);
-  }
-  void remote_read(int node, const std::string& remote_key,
-                   const std::string& key) override {
-    inner_->remote_read(node, remote_key, key);
-  }
-  bool remote_contains(int node, const std::string& remote_key) override {
-    return inner_->remote_contains(node, remote_key);
-  }
-  std::vector<std::string> remote_list(int node,
-                                       const std::string& prefix) override {
-    return inner_->remote_list(node, prefix);
-  }
-  void remote_erase(int node, const std::string& remote_key) override {
-    inner_->remote_erase(node, remote_key);
-  }
-  obs::StatsRegistry& stats() override { return inner_->stats(); }
-  void barrier(const std::vector<int>& nodes) override {
-    inner_->barrier(nodes);
-  }
-
- private:
-  cluster::Fabric* inner_;
-  bool armed_ = false;
-  int fuse_ = 0;
-};
-
 TEST(DeltaEngine, TornDeltaSaveRollsBackAndRecoversBitExact) {
   const int g = 1, W = kNodes * g;
   const dnn::SparseUpdateSpec spec = sparse_spec(0.01);
@@ -638,7 +565,11 @@ TEST(DeltaEngine, TornDeltaSaveRollsBackAndRecoversBitExact) {
 
   cluster::VirtualCluster vc(vc_config(g));
   cluster::VirtualFabric inner(vc);
-  SendBuffersBomb fabric(inner);
+  testutil::SendBuffersTap fabric(inner);
+  bool armed = false;  // the Δ transfer is the delta path's send_buffers
+  fabric.before_send_buffers = [&](int, int, const testutil::KeyPairs&) {
+    if (armed) throw CheckFailure("injected peer death mid-delta transfer");
+  };
   core::FabricSession session(fabric, delta_config(true), g, 2);
 
   session.save(pointers(shards));  // v1: full
@@ -652,9 +583,9 @@ TEST(DeltaEngine, TornDeltaSaveRollsBackAndRecoversBitExact) {
   // and the base rows cloned, i.e. genuinely mid-delta.
   for (int w = 0; w < W; ++w)
     dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)], spec, w, 2);
-  fabric.arm(0);
+  armed = true;
   EXPECT_THROW(session.save(pointers(shards)), CheckFailure);
-  fabric.disarm();
+  armed = false;
 
   // Rollback scrubbed the torn version and all transient delta keys; the
   // base cache (still marked at v2, whose commit survives) is intact.

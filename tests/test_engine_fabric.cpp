@@ -6,7 +6,9 @@
 //  * over net::SocketTransport (one OS thread per rank here; one process
 //    per rank in examples/transport_cli), compared against VirtualFabric.
 // Also covers the torn-save contract (peer death mid-save fails fast and
-// rolls the attempted version back) and FabricSession version retention.
+// rolls the attempted version back), FabricSession version retention, and
+// the step-3 schedule: exact wire volume, degraded reductions, and rollback
+// at every step-3 batch.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -17,16 +19,23 @@
 #include <latch>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/fabric.hpp"
 #include "core/eccheck_engine.hpp"
+#include "core/engine_keys.hpp"
 #include "core/fabric_engine.hpp"
+#include "core/placement.hpp"
+#include "core/protocol.hpp"
 #include "core/session.hpp"
 #include "dnn/checkpoint_gen.hpp"
+#include "dnn/sparse_update.hpp"
 #include "net/transport.hpp"
+#include "tests/send_buffers_tap.hpp"
 
 namespace eccheck {
 namespace {
@@ -85,9 +94,9 @@ void run_ranks(int n, const RankBody& body) {
 
 using StoreImage = std::map<std::string, Buffer>;
 
-StoreImage snapshot(cluster::Store& s) {
+StoreImage snapshot(cluster::Store& s, const std::string& prefix = "") {
   StoreImage img;
-  for (const std::string& key : s.keys_with_prefix(""))
+  for (const std::string& key : s.keys_with_prefix(prefix))
     img.emplace(key, s.get(key).clone());
   return img;
 }
@@ -196,6 +205,227 @@ TEST(FabricEngine, VirtualFabricSaveMatchesSimulatorEngineByteExact) {
   for (int node = 0; node < kNodes; ++node)
     expect_identical(snapshot(fab_vc.host(node)), snapshot(sim.host(node)),
                      "node " + std::to_string(node) + " after load");
+}
+
+// ---------------------------------------------------------------------------
+// Step 3 schedule: data packets relocate in one batch per (src, dst) edge,
+// GF partials travel straight to their parity node in one batch per edge
+// and packet slot. SendBuffersTap observes (or, by throwing, kills) every
+// batch.
+// ---------------------------------------------------------------------------
+
+using testutil::KeyPairs;
+using testutil::SendBuffersTap;
+
+/// W small uniform shards (~41 KiB each: three 16 KiB packets), distinct per
+/// seed — keeps the per-batch loops below fast.
+std::vector<dnn::StateDict> small_shards(int W, std::uint64_t seed) {
+  dnn::SparseUpdateSpec spec;
+  spec.embedding_rows = 160;
+  spec.embedding_dim = 64;
+  spec.dense_tensors = 1;
+  spec.dense_elems = 100;
+  spec.seed = seed;
+  std::vector<dnn::StateDict> shards;
+  for (int w = 0; w < W; ++w)
+    shards.push_back(dnn::make_sparse_model_shard(spec, w));
+  return shards;
+}
+
+// A full save puts exactly the paper's volume on the wire (§IV-B2,
+// core::actual_comm_volume): each data packet away from its data node
+// crosses once, each parity packet once per remote participant — and no
+// collective runs in step 3. Stores stay byte-identical to the simulator
+// engine and load back bit-exact.
+TEST(FabricEngine, FullSaveMovesExactlyThePlannedVolume) {
+  struct Shape {
+    int n, g, k, m;
+  };
+  for (const Shape s : {Shape{4, 4, 2, 2}, Shape{4, 3, 3, 1},
+                        Shape{5, 2, 2, 3}}) {
+    SCOPED_TRACE("n=" + std::to_string(s.n) + " g=" + std::to_string(s.g) +
+                 " k=" + std::to_string(s.k) + " m=" + std::to_string(s.m));
+    const auto shards = small_shards(s.n * s.g, 5);
+    core::ECCheckConfig cfg;
+    cfg.k = s.k;
+    cfg.m = s.m;
+    cfg.packet_size = kib(16);
+    cluster::ClusterConfig cc;
+    cc.num_nodes = s.n;
+    cc.gpus_per_node = s.g;
+    cluster::VirtualCluster vc(cc);
+    cluster::VirtualFabric inner(vc);
+    SendBuffersTap fabric(inner);
+    const ckpt::SaveReport rep =
+        core::fabric_save(fabric, cfg, pointers(shards), 1);
+
+    std::size_t B = 0;
+    for (const auto& sd : shards)
+      B = std::max(B, core::packets_needed(sd.tensor_bytes(), cfg.packet_size));
+    core::PlacementConfig pc;
+    pc.num_nodes = s.n;
+    pc.gpus_per_node = s.g;
+    pc.k = s.k;
+    pc.m = s.m;
+    const double want = core::actual_comm_volume(
+        core::plan_placement(pc), static_cast<double>(B * cfg.packet_size))
+                            .total();
+    EXPECT_EQ(rep.stats.at("net.send.bytes"), static_cast<std::uint64_t>(want));
+    EXPECT_EQ(fabric.ring_calls, 0);
+
+    cluster::VirtualCluster sim(cc);
+    core::ECCheckEngine engine(cfg);
+    engine.save(sim, shards, 1);
+    for (int node = 0; node < s.n; ++node)
+      expect_identical(snapshot(vc.host(node)), snapshot(sim.host(node)),
+                       "node " + std::to_string(node));
+
+    std::vector<dnn::StateDict> out;
+    const auto l = core::fabric_load(fabric, cfg, 1, out);
+    ASSERT_TRUE(l.success) << l.detail;
+    EXPECT_EQ(digests_of(out), digests_of(shards));
+  }
+}
+
+// Degraded save with ranks 2 (data node of chunk 1) and 3 (parity row 1)
+// dead: rank 0 adopts both, so in groups j = 0, 1 it holds two
+// participants and folds them into one partial. Step 3 must address no
+// bytes to a dead rank and stage no partial for the dead parity row; the
+// surviving parity row must equal a full save's, and after replacement the
+// two surviving rows decode bit-exact.
+TEST(FabricEngine, DegradedSaveSkipsDeadParityRowAndFoldsAdoptedPartials) {
+  const int g = 2, W = kNodes * g;
+  const auto shards = dnn::make_sharded_checkpoint(gen_config(W, 13));
+  const core::ECCheckConfig cfg = engine_config();
+
+  cluster::VirtualCluster vc(vc_config(g));
+  vc.kill(2);
+  vc.kill(3);
+  cluster::VirtualFabric inner(vc);
+  SendBuffersTap fabric(inner);
+  std::vector<std::pair<int, int>> edges;
+  std::set<std::string> staged;  // partial keys held at any batch
+  fabric.before_send_buffers = [&](int src, int dst, const KeyPairs& pairs) {
+    edges.emplace_back(src, dst);
+    for (int node : {0, 1})
+      for (const auto& key : vc.host(node).keys_with_prefix("tmp/1/partial/"))
+        staged.insert(key);
+    if (pairs.front().first.find("/partial/") != std::string::npos) {
+      // Both groups' single (folded) partials, one key per group.
+      EXPECT_EQ(src, 0);
+      EXPECT_EQ(dst, 1);
+      EXPECT_EQ(pairs.size(), 4u);
+    }
+  };
+  const ckpt::SaveReport rep = core::fabric_save(
+      fabric, cfg, pointers(shards), 1, core::Membership::of({0, 1}));
+
+  for (const auto& [src, dst] : edges) {
+    EXPECT_TRUE(src == 0 || src == 1) << src << "->" << dst;
+    EXPECT_TRUE(dst == 0 || dst == 1) << src << "->" << dst;
+  }
+  // "tmp/1/partial/<j>/<r>/<site>": parity row r = 0 only.
+  ASSERT_FALSE(staged.empty());
+  for (const auto& key : staged)
+    EXPECT_EQ(key.substr(key.find('/', 14) + 1, 2), "0/") << key;
+  const std::size_t B =
+      vc.host(0).keys_with_prefix(core::keys::version_prefix("", 1) +
+                                  "row/0/0/")
+          .size();
+  ASSERT_GT(B, 0u);
+  // Two relocated data packets (workers 2, 3) plus four partials per slot.
+  EXPECT_EQ(rep.stats.at("net.send.bytes"), 6 * B * cfg.packet_size);
+  for (int node : {0, 1}) {
+    EXPECT_TRUE(vc.host(node).keys_with_prefix("tmp/").empty());
+    EXPECT_TRUE(vc.host(node).keys_with_prefix("ec/1/row/3/").empty());
+  }
+
+  // The surviving parity row equals the one a full-membership save builds.
+  cluster::VirtualCluster full(vc_config(g));
+  cluster::VirtualFabric full_fabric(full);
+  core::fabric_save(full_fabric, cfg, pointers(shards), 1);
+  expect_identical(snapshot(vc.host(1), "ec/1/row/2/"),
+                   snapshot(full.host(1), "ec/1/row/2/"), "parity row 2");
+
+  vc.replace(2);
+  vc.replace(3);
+  std::vector<dnn::StateDict> out;
+  const auto l = core::fabric_load(fabric, cfg, 1, out);
+  ASSERT_TRUE(l.success) << l.detail;
+  EXPECT_NE(l.detail.find("workflow B"), std::string::npos) << l.detail;
+  EXPECT_EQ(digests_of(out), digests_of(shards));
+}
+
+// A peer dying at any step-3 batch — data relocation or any slot's partials
+// — must leave no staging key behind after FabricSession's rollback, keep
+// the previous version loadable bit-exact, and let the retried save commit
+// exactly once.
+TEST(FabricEngine, TornStep3SaveRollsBackAtEveryBatch) {
+  const int g = 2, W = kNodes * g;
+  const auto v1 = small_shards(W, 31);
+  const auto v2 = small_shards(W, 32);
+  const core::ECCheckConfig cfg = engine_config();
+
+  int batches = 0;
+  {
+    cluster::VirtualCluster vc(vc_config(g));
+    cluster::VirtualFabric inner(vc);
+    SendBuffersTap fabric(inner);
+    fabric.before_send_buffers = [&](int, int, const KeyPairs&) { ++batches; };
+    core::fabric_save(fabric, cfg, pointers(v2), 1);
+  }
+  ASSERT_GT(batches, 2);
+
+  for (int fuse = 0; fuse < batches; ++fuse) {
+    SCOPED_TRACE("batch " + std::to_string(fuse) + " of " +
+                 std::to_string(batches));
+    cluster::VirtualCluster vc(vc_config(g));
+    cluster::VirtualFabric inner(vc);
+    SendBuffersTap fabric(inner);
+    core::FabricSession session(fabric, cfg, g, 2);
+    session.save(pointers(v1));
+    std::vector<std::vector<std::string>> committed;
+    for (int node = 0; node < kNodes; ++node)
+      committed.push_back(vc.host(node).keys_with_prefix(""));
+
+    int seen = 0;
+    fabric.before_send_buffers = [&](int, int, const KeyPairs&) {
+      if (seen++ == fuse)
+        throw CheckFailure("injected peer death mid step 3");
+    };
+    EXPECT_THROW(session.save(pointers(v2)), CheckFailure);
+    fabric.before_send_buffers = nullptr;
+    // Rollback restores exactly the key set version 1 committed.
+    for (int node = 0; node < kNodes; ++node) {
+      EXPECT_TRUE(vc.host(node).keys_with_prefix("tmp/").empty())
+          << "node " << node;
+      EXPECT_EQ(vc.host(node).keys_with_prefix(""),
+                committed[static_cast<std::size_t>(node)])
+          << "node " << node;
+    }
+
+    core::FabricSession fresh(fabric, cfg, g, 2);
+    std::vector<dnn::StateDict> out;
+    const auto l1 = fresh.load(out);
+    ASSERT_TRUE(l1.report.success) << l1.report.detail;
+    EXPECT_EQ(l1.version, 1);
+    EXPECT_EQ(digests_of(out), digests_of(v1));
+
+    fresh.save(pointers(v2));
+    EXPECT_EQ(fresh.latest_version(), 2);
+    for (int node = 0; node < kNodes; ++node) {
+      EXPECT_TRUE(vc.host(node).contains(core::keys::commit_key("", 2)))
+          << "node " << node;
+      EXPECT_TRUE(vc.host(node).keys_with_prefix("ec/3/").empty())
+          << "node " << node;
+      EXPECT_TRUE(vc.host(node).keys_with_prefix("tmp/").empty())
+          << "node " << node;
+    }
+    const auto l2 = fresh.load(out);
+    ASSERT_TRUE(l2.report.success) << l2.report.detail;
+    EXPECT_EQ(l2.version, 2);
+    EXPECT_EQ(digests_of(out), digests_of(v2));
+  }
 }
 
 TEST(FabricEngine, EngineInterfaceDispatchesFabricOverloads) {
