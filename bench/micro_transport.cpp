@@ -119,18 +119,15 @@ BENCHMARK(BM_UdsRoundTrip)->Arg(64)->Arg(4096)->Arg(1 << 16)->UseRealTime();
 /// A 2-rank pair moving one batch of back-to-back 64 KiB frames per round
 /// (send_buffers), A/B over the ack window: W=1 is stop-and-wait (one RTT
 /// per frame), wider windows keep W frames in flight so the acks overlap
-/// the next frames' writes. The scatter_gather=false leg at W=1 is the
-/// full pre-pipelining data plane, the blocking baseline the scale bench
-/// measures against.
+/// the next frames' writes.
 class BatchRig {
  public:
   static constexpr int kFrames = 16;
   static constexpr std::size_t kFrameBytes = 64 * 1024;
 
-  BatchRig(int window, bool scatter_gather) {
+  explicit BatchRig(int window) {
     net::TransportOptions opts = bench_opts(/*nodelay=*/true);
     opts.ack_window = window;
-    opts.scatter_gather = scatter_gather;
     char tmpl[] = "/tmp/eccheck-netbench-XXXXXX";
     dir_ = ::mkdtemp(tmpl) ? tmpl : "/tmp";
     std::vector<net::Endpoint> eps;
@@ -178,21 +175,14 @@ class BatchRig {
 
 void BM_UdsBatchedFrames(benchmark::State& state) {
   const int window = static_cast<int>(state.range(0));
-  const bool scatter_gather = state.range(1) != 0;
-  BatchRig rig(window, scatter_gather);
+  BatchRig rig(window);
   for (auto _ : state) rig.batch();
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(BatchRig::kFrames * BatchRig::kFrameBytes));
-  state.SetLabel("W=" + std::to_string(window) +
-                 (scatter_gather ? "/writev" : "/copy"));
+  state.SetLabel("W=" + std::to_string(window));
 }
-BENCHMARK(BM_UdsBatchedFrames)
-    ->Args({1, 0})  // blocking baseline: stop-and-wait + copy framing
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Args({16, 1})
-    ->UseRealTime();
+BENCHMARK(BM_UdsBatchedFrames)->Arg(1)->Arg(4)->Arg(16)->UseRealTime();
 
 }  // namespace
 

@@ -1,26 +1,29 @@
 // Many-rank transport scaling bench: fork one real process per rank (UDS
 // loopback, 32 by default — the shape of a rack-local training job) and
-// drive whole erasure-stripe save cycles through the fabric, A/B over the
-// transport data plane:
+// drive whole checkpoint save cycles through core::fabric_save, A/B over
+// the transport's ack window:
 //
-//   blocking   ack_window=1 + scatter_gather=false — the pre-pipelining
-//              plane: copy framing, one CRC-echo RTT per frame;
-//   pipelined  ack_window=W + writev framing — up to W frames in flight
-//              per connection, acks reconciled at flush/barrier points,
-//              multi-peer fan-outs through the epoll SendPump.
+//   blocking   ack_window=1 — stop-and-wait, one CRC-echo RTT per frame;
+//   pipelined  ack_window=W — up to W frames in flight per connection,
+//              acks reconciled at flush/barrier points, multi-peer
+//              fan-outs through the epoll SendPump.
 //
-// Workloads (--workload):
-//   stripe   rounds × core::stripe_encode on a k+m = ranks stripe — the
-//            paper's encode protocol: metadata broadcast, m parity rows
-//            XOR-reduced around the data ring, parity shipped, barrier.
-//   engine   rounds × core::fabric_save of a sharded DNN checkpoint — the
-//            full engine save cycle (slice exchange, encode, commit).
+// Both legs use writev framing. Workloads (--workload) differ only in the
+// shards each rank saves:
+//   stripe   one raw-buffer shard per rank (a single u8 tensor of
+//            --chunk-kib bytes, one packet) on a k = m = ranks/2 stripe —
+//            the paper's encode protocol at its frame-rate-bound extreme:
+//            slice exchange, GF partials shipped to parity nodes, commit.
+//   engine   a tiny sharded DNN checkpoint, saved whole by every rank —
+//            the full engine save cycle over model-shaped tensors.
 //
-// Per leg the parent aggregates the ranks' wall time (max), wire bytes and
-// ack-stall time (sum), prints a table, and appends BENCH JSON-lines when
-// ECCHECK_BENCH_JSON is set (bench/baselines/scale_transport.json holds the
-// checked-in reference). The final "speedup" record is the headline:
-// pipelined over blocking stripe-save throughput at scale.
+// Each leg runs one warm-up save (connect storm + caches) plus --rounds
+// timed saves. Per leg the parent aggregates the ranks' wall time (max),
+// wire bytes and ack-stall time (sum), prints a table, and appends BENCH
+// JSON-lines when ECCHECK_BENCH_JSON is set
+// (bench/baselines/scale_transport.json holds the checked-in reference).
+// The final "speedup" record is the headline: pipelined over blocking
+// save throughput at scale.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -32,14 +35,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/harness.hpp"
+#include "common/rng.hpp"
 #include "core/fabric_engine.hpp"
-#include "core/fabric_protocol.hpp"
 #include "dnn/checkpoint_gen.hpp"
 #include "net/transport.hpp"
 #include "obs/json.hpp"
@@ -52,9 +54,9 @@ using Clock = std::chrono::steady_clock;
 struct Options {
   int ranks = 32;      // 32–128 forked processes
   int rounds = 3;      // timed save cycles per leg
-  int chunk_kib = 1;   // stripe chunk size: small chunks make the stripe
+  int chunk_kib = 1;   // stripe shard size: small shards make the save
                        // frame-rate-bound, which is what the pipelined
-                       // plane improves (large chunks are memcpy-bound on
+                       // plane improves (large shards are memcpy-bound on
                        // loopback and flatten both legs equally)
   int window = 16;     // pipelined leg's ack window
   std::string workload = "stripe";  // stripe | engine
@@ -63,7 +65,6 @@ struct Options {
 struct LegResult {
   double wall_s = 0;               // max over ranks (the collective's span)
   std::uint64_t send_bytes = 0;    // Σ net.send.bytes
-  std::uint64_t writev_bytes = 0;  // Σ net.send.writev_bytes
   std::uint64_t frames = 0;        // Σ net.send.count
   std::uint64_t ack_wait_us = 0;   // Σ net.ack.wait_us (sender stall)
 };
@@ -76,7 +77,6 @@ net::TransportOptions leg_opts(const Options& o, bool pipelined) {
   t.backoff_max = net::Millis(50);
   t.io_timeout = net::Millis(30000);  // stop-and-wait at scale is slow
   t.ack_window = pipelined ? o.window : 1;
-  t.scatter_gather = pipelined;
   return t;
 }
 
@@ -86,50 +86,42 @@ void run_rank(int rank, const Options& o,
               const std::vector<net::Endpoint>& eps,
               const std::string& out_dir, bool pipelined) {
   net::SocketTransport fabric(rank, eps, leg_opts(o, pipelined));
-  std::vector<int> all(static_cast<std::size_t>(o.ranks));
-  std::iota(all.begin(), all.end(), 0);
-
-  double wall_s = 0;
+  core::ECCheckConfig ecfg;
+  ecfg.k = o.ranks / 2;
+  ecfg.m = o.ranks - ecfg.k;
+  std::vector<dnn::StateDict> shards;
   if (o.workload == "stripe") {
-    core::FabricStripeConfig scfg;
-    scfg.k = o.ranks / 2;
-    scfg.m = o.ranks - scfg.k;
-    scfg.chunk_bytes = static_cast<std::size_t>(o.chunk_kib) * 1024;
-    scfg.seed = 42;
-    core::stripe_encode(fabric, scfg);  // warm-up: connect storm + caches
-    const auto t0 = Clock::now();
-    for (int r = 0; r < o.rounds; ++r) core::stripe_encode(fabric, scfg);
-    wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
+    const std::size_t bytes = static_cast<std::size_t>(o.chunk_kib) * 1024;
+    dnn::Tensor t(dnn::DType::kU8, {static_cast<std::int64_t>(bytes)});
+    fill_random(t.bytes(), 42 + static_cast<std::uint64_t>(rank));
+    shards.emplace_back().add_tensor("chunk", std::move(t));
+    ecfg.packet_size = bytes;
   } else {
-    // Engine save cycle: every rank generates the (deterministic) sharded
-    // checkpoint, then drives its node through fabric_save.
-    // Deliberately tiny model: the bench measures the transport plane, not
-    // GEMM-sized tensors, and 32+ single-CPU forked ranks each hold a full
-    // shard set.
+    // Every rank generates the same (deterministic) sharded checkpoint and
+    // saves all of it as its own workers. Deliberately tiny model: the
+    // bench measures the transport plane, not GEMM-sized tensors, and 32+
+    // single-CPU forked ranks each hold a full shard set.
     dnn::CheckpointGenConfig gen;
     gen.model = dnn::make_model(dnn::ModelFamily::kGPT2, 48, 2, 6, "scale");
     gen.model.vocab = 256;
     gen.parallelism = {2, o.ranks / 2, 1};
     gen.seed = 42;
-    const auto shards = dnn::make_sharded_checkpoint(gen);
-    std::vector<const dnn::StateDict*> ptrs;
-    for (const auto& sd : shards) ptrs.push_back(&sd);
-    core::ECCheckConfig ecfg;
-    ecfg.k = o.ranks / 2;
-    ecfg.m = o.ranks - ecfg.k;
+    shards = dnn::make_sharded_checkpoint(gen);
     ecfg.packet_size = 8192;
-    core::fabric_save(fabric, ecfg, ptrs, 1);  // warm-up
-    const auto t0 = Clock::now();
-    for (int r = 0; r < o.rounds; ++r)
-      core::fabric_save(fabric, ecfg, ptrs, 2 + r);
-    wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
   }
+  std::vector<const dnn::StateDict*> ptrs;
+  for (const auto& sd : shards) ptrs.push_back(&sd);
+
+  core::fabric_save(fabric, ecfg, ptrs, 1);  // warm-up
+  const auto t0 = Clock::now();
+  for (int r = 0; r < o.rounds; ++r)
+    core::fabric_save(fabric, ecfg, ptrs, 2 + r);
+  const double wall_s =
+      std::chrono::duration<double>(Clock::now() - t0).count();
 
   std::ofstream f(out_dir + "/rank" + std::to_string(rank) + ".txt");
   f << "wall_s=" << wall_s << "\n"
     << "send_bytes=" << fabric.stats().counter("net.send.bytes") << "\n"
-    << "writev_bytes=" << fabric.stats().counter("net.send.writev_bytes")
-    << "\n"
     << "frames=" << fabric.stats().counter("net.send.count") << "\n"
     << "ack_wait_us=" << fabric.stats().counter("net.ack.wait_us") << "\n";
 }
@@ -190,8 +182,6 @@ LegResult run_leg(const Options& o, bool pipelined) {
         res.wall_s = std::max(res.wall_s, std::stod(val));
       else if (key == "send_bytes")
         res.send_bytes += std::stoull(val);
-      else if (key == "writev_bytes")
-        res.writev_bytes += std::stoull(val);
       else if (key == "frames")
         res.frames += std::stoull(val);
       else if (key == "ack_wait_us")
@@ -272,7 +262,7 @@ int main(int argc, char** argv) {
 
   std::printf("%-22s %10s %14s %12s %10s\n", "leg", "wall/rnd", "MiB/s",
               "ack-stall s", "frames");
-  std::printf("%-22s %9.3fs %14.1f %12.2f %10llu\n", "blocking (W=1,copy)",
+  std::printf("%-22s %9.3fs %14.1f %12.2f %10llu\n", "blocking (W=1,writev)",
               blocking.wall_s / o.rounds, mib_per_s(blocking),
               static_cast<double>(blocking.ack_wait_us) / 1e6,
               static_cast<unsigned long long>(blocking.frames));

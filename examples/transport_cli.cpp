@@ -1,27 +1,21 @@
 // transport_cli — the real-socket transport demo: k+m worker *processes*
-// connected by TCP or Unix-domain sockets run the fabric-generic stripe
+// connected by TCP or Unix-domain sockets run the ECCheck checkpoint
 // protocol, the parent SIGKILLs live workers, spawns replacements on the
-// same endpoints, and verifies the recovered stripe bit-exactly against a
-// single-process VirtualCluster reference run of the very same protocol.
+// same endpoints, and verifies recovery bit-exactly against a
+// single-process VirtualFabric reference run of the very same protocol.
 //
-//   --mode cycle      (default) full encode → kill → recover cycle:
-//                     workers encode the stripe SPMD over sockets and then
-//                     hold their chunks in memory; the parent SIGKILLs the
-//                     ranks in --kill, forks fresh replacement processes,
-//                     and survivors + replacements run the recovery
-//                     workflow. Every rank's final chunk must equal both
-//                     the VirtualFabric reference and the closed-form
-//                     expected chunk.
+//   --mode engine     (default) the full ECCheck checkpoint engine SPMD
+//                     across k+m processes: save a version, SIGKILL ranks
+//                     so the next save tears mid-collective (survivors roll
+//                     it back and reset their connections), fork
+//                     replacements, recover, and save again — every digest
+//                     and version verified against a single-process
+//                     VirtualFabric reference run and the closed-form
+//                     digests.
 //   --mode peerdeath  a 3-rank broadcast where rank 1 dies before joining:
 //                     ranks 0 and 2 must abort with CheckFailure inside the
 //                     configured timeout budget (no hang) — the transport's
 //                     graceful peer-death contract.
-//   --mode engine     the full ECCheck checkpoint engine SPMD across k+m
-//                     processes: save a version, SIGKILL ranks so the next
-//                     save tears mid-collective (survivors roll it back and
-//                     reset their connections), fork replacements, recover,
-//                     and save again — every digest and version verified
-//                     against a single-process VirtualFabric reference run.
 //   --mode daemon     the checkpoint *service*: a coordinator daemon plus
 //                     k+m worker daemons; the parent acts as a client
 //                     saving/loading two concurrent jobs over the CRC-acked
@@ -29,8 +23,8 @@
 //                     cleanly, replaces the worker, and recovers both jobs.
 //
 // Options: --k, --m, --gpn (workers per process, engine/daemon modes),
-// --bytes, --seed, --transport uds|tcp, --dir, --kill "a,b", --flush
-// (remote flush during encode/save), --keep (leave the work dir).
+// --transport uds|tcp, --dir, --kill "a,b", --flush (remote flush during
+// save), --keep (leave the work dir).
 //
 // Observability (engine/daemon modes): --trace-out F writes one merged,
 // clock-aligned Chrome trace of every process — in daemon mode pulled
@@ -60,8 +54,6 @@
 #include <vector>
 
 #include "cluster/fabric.hpp"
-#include "common/crc64.hpp"
-#include "core/fabric_protocol.hpp"
 #include "core/session.hpp"
 #include "dnn/checkpoint_gen.hpp"
 #include "net/transport.hpp"
@@ -78,15 +70,13 @@ using namespace eccheck;
 namespace {
 
 struct Args {
-  std::string mode = "cycle";
+  std::string mode = "engine";
   int k = 4;
   int m = 2;
   int gpn = 2;  // workers (shards) per process in engine/daemon modes
-  std::size_t bytes = 64 * 1024;
-  std::uint64_t seed = 1;
   std::string transport = "uds";
   std::string dir;
-  std::string kill_spec;  // default: "1,<k>"
+  std::string kill_spec;  // default: "2,1"
   bool flush = false;
   bool keep = false;
   int io_timeout_ms = 5000;
@@ -99,8 +89,8 @@ struct Args {
 
 [[noreturn]] void usage_and_exit() {
   std::cerr
-      << "usage: transport_cli [--mode cycle|peerdeath|engine|daemon]\n"
-         "         [--k N] [--m N] [--gpn N] [--bytes N] [--seed S]\n"
+      << "usage: transport_cli [--mode engine|peerdeath|daemon]\n"
+         "         [--k N] [--m N] [--gpn N]\n"
          "         [--transport uds|tcp] [--dir D] [--kill a,b] [--flush]\n"
          "         [--keep] [--io-timeout-ms N] [--connect-timeout-ms N]\n"
          "         [--trace-out F] [--stats-json F]   (engine/daemon modes)\n";
@@ -119,8 +109,6 @@ Args parse_args(int argc, char** argv) {
     else if (arg == "--k") a.k = std::stoi(need(i));
     else if (arg == "--m") a.m = std::stoi(need(i));
     else if (arg == "--gpn") a.gpn = std::stoi(need(i));
-    else if (arg == "--bytes") a.bytes = std::stoul(need(i));
-    else if (arg == "--seed") a.seed = std::stoull(need(i));
     else if (arg == "--transport") a.transport = need(i);
     else if (arg == "--dir") a.dir = need(i);
     else if (arg == "--kill") a.kill_spec = need(i);
@@ -133,11 +121,10 @@ Args parse_args(int argc, char** argv) {
     else if (arg == "--stats-json") a.stats_out = need(i);
     else usage_and_exit();
   }
-  if (a.mode != "cycle" && a.mode != "peerdeath" && a.mode != "engine" &&
-      a.mode != "daemon")
+  if (a.mode != "peerdeath" && a.mode != "engine" && a.mode != "daemon")
     usage_and_exit();
   if (a.transport != "uds" && a.transport != "tcp") usage_and_exit();
-  if (a.k < 1 || a.m < 0 || a.gpn < 1 || a.bytes == 0) usage_and_exit();
+  if (a.k < 1 || a.m < 0 || a.gpn < 1) usage_and_exit();
   if (a.observed() && a.mode != "engine" && a.mode != "daemon") {
     std::cerr << "--trace-out/--stats-json need --mode engine or daemon\n";
     usage_and_exit();
@@ -232,86 +219,11 @@ net::TransportOptions transport_options(const Args& a) {
   return o;
 }
 
-core::FabricStripeConfig stripe_config(const Args& a) {
-  core::FabricStripeConfig cfg;
-  cfg.k = a.k;
-  cfg.m = a.m;
-  cfg.chunk_bytes = a.bytes;
-  cfg.seed = a.seed;
-  cfg.flush_to_remote = a.flush;
-  return cfg;
-}
-
-std::string chunk_dump_path(const Args& a, int rank) {
-  return a.dir + "/out/rank" + std::to_string(rank) + ".bin";
-}
-
-void dump_chunk(const Args& a, cluster::Fabric& f, int rank) {
-  const Buffer& chunk = f.store(rank).get(core::stripe_chunk_key(rank));
-  std::ofstream out(chunk_dump_path(a, rank), std::ios::binary);
-  out.write(reinterpret_cast<const char*>(chunk.data()),
-            static_cast<std::streamsize>(chunk.size()));
-  ECC_CHECK(out.good());
-}
-
-/// Worker body for --mode cycle. `initial` workers encode then wait for a
-/// RECOVER/EXIT instruction; replacements go straight into recovery.
-[[noreturn]] void worker_cycle(const Args& a,
-                               const std::vector<net::Endpoint>& eps, int rank,
-                               const std::vector<int>& replaced_at_birth,
-                               int ctl_r, int status_w) {
-  LineReader ctl{ctl_r, {}};
-  auto status = [&](const std::string& s) { write_line(status_w, s); };
-  try {
-    const core::FabricStripeConfig cfg = stripe_config(a);
-    net::SocketTransport fabric(rank, eps, transport_options(a));
-    if (replaced_at_birth.empty()) {
-      core::stripe_encode(fabric, cfg);
-      {
-        std::ostringstream os;
-        os << "ENCODED " << std::hex << core::stripe_chunk_crc(fabric, rank);
-        status(os.str());
-      }
-      // Hold the chunk in memory until the parent decides our fate — the
-      // in-memory-checkpoint survivor role.
-      const std::string line = ctl.read_line(600000);
-      if (line.rfind("RECOVER ", 0) == 0) {
-        std::istringstream is(line.substr(8));
-        std::vector<int> replaced;
-        for (int r; is >> r;) {
-          replaced.push_back(r);
-          fabric.reset_peer(r);  // fresh process on the old endpoint
-        }
-        core::stripe_recover(fabric, cfg, replaced);
-      } else if (line != "EXIT") {
-        throw CheckFailure("worker: unexpected control '" + line + "'");
-      }
-    } else {
-      core::stripe_recover(fabric, cfg, replaced_at_birth);
-    }
-    dump_chunk(a, fabric, rank);
-    {
-      std::ostringstream os;
-      os << "RECOVERED " << std::hex << core::stripe_chunk_crc(fabric, rank)
-         << std::dec << " sent=" << fabric.stats().counter("net.send.bytes")
-         << " recvd=" << fabric.stats().counter("net.recv.bytes")
-         << " accepted=" << fabric.stats().counter("net.accept.count")
-         << " resets=" << fabric.stats().counter("net.reset.connections");
-      status(os.str());
-    }
-    (void)ctl.read_line(600000);  // EXIT
-    ::_exit(0);
-  } catch (const std::exception& e) {
-    status(std::string("ERROR ") + e.what());
-    ::_exit(1);
-  }
-}
-
 /// Worker body for --mode peerdeath: rank 1 dies silently; 0 and 2 must
 /// fail their broadcast with CheckFailure within the timeout budget.
 [[noreturn]] void worker_peerdeath(const Args& a,
                                    const std::vector<net::Endpoint>& eps,
-                                   int rank, int, int status_w) {
+                                   int rank, int status_w) {
   auto status = [&](const std::string& s) { write_line(status_w, s); };
   if (rank == 1) ::_exit(0);  // never even binds its endpoint
   try {
@@ -343,21 +255,18 @@ void dump_chunk(const Args& a, cluster::Fabric& f, int rank) {
   }
 }
 
-WorkerHandle spawn_worker(const Args& a, const std::vector<net::Endpoint>& eps,
-                          int rank, const std::vector<int>& replaced) {
+/// Fork a process running `body(ctl_read_fd, status_write_fd)`.
+WorkerHandle spawn_proc(const std::function<void(int, int)>& body) {
   int ctl[2], st[2];
   ECC_CHECK(::pipe(ctl) == 0 && ::pipe(st) == 0);
   for (int fd : {ctl[0], ctl[1], st[0], st[1]}) g_all_pipe_fds.push_back(fd);
   pid_t pid = ::fork();
   ECC_CHECK_MSG(pid >= 0, "fork failed");
   if (pid == 0) {
-    // Child: keep only our ctl read end and status write end.
     for (int fd : g_all_pipe_fds)
       if (fd != ctl[0] && fd != st[1]) ::close(fd);
-    if (a.mode == "cycle")
-      worker_cycle(a, eps, rank, replaced, ctl[0], st[1]);
-    else
-      worker_peerdeath(a, eps, rank, ctl[0], st[1]);
+    body(ctl[0], st[1]);
+    ::_exit(0);
   }
   WorkerHandle h;
   h.pid = pid;
@@ -367,14 +276,10 @@ WorkerHandle spawn_worker(const Args& a, const std::vector<net::Endpoint>& eps,
 }
 
 std::vector<int> parse_kill_list(const Args& a) {
-  // Defaults kill one data + one parity holder. In cycle mode row r lives
-  // on node r; the engine placement interleaves (node 2 data, node 1
-  // parity), so those modes must also exercise the decode path.
-  const bool engine_placement = a.mode == "engine" || a.mode == "daemon";
-  std::string spec = a.kill_spec.empty()
-                         ? (engine_placement ? "2,1"
-                                             : "1," + std::to_string(a.k))
-                         : a.kill_spec;
+  // Defaults kill one data + one parity holder: the engine placement
+  // interleaves (node 2 data, node 1 parity), so recovery must also
+  // exercise the decode path.
+  const std::string spec = a.kill_spec.empty() ? "2,1" : a.kill_spec;
   std::vector<int> out;
   std::istringstream is(spec);
   for (std::string tok; std::getline(is, tok, ',');)
@@ -409,103 +314,16 @@ void print_net_counters(const obs::StatsRegistry& agg) {
             << " trace_dropped=" << agg.counter("obs.tracer.dropped") << "\n";
 }
 
-Buffer read_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
-  ECC_CHECK_MSG(f.good(), "missing dump " << path);
-  const std::streamsize n = f.tellg();
-  f.seekg(0);
-  Buffer b(static_cast<std::size_t>(n), Buffer::Init::kUninitialized);
-  f.read(reinterpret_cast<char*>(b.data()), n);
-  ECC_CHECK(f.good());
-  return b;
-}
-
-int run_cycle(const Args& a) {
-  const std::vector<int> to_kill = parse_kill_list(a);
-  const int total = a.k + a.m;
-  std::vector<net::Endpoint> eps = make_endpoints(a);
-  const core::FabricStripeConfig cfg = stripe_config(a);
-
-  std::cout << "transport_cli: " << a.k << "+" << a.m << " ranks over "
-            << a.transport << ", chunk " << a.bytes << " B, dir " << a.dir
-            << "\n";
-
-  // ---- phase 1: encode across real processes -----------------------------
-  std::vector<WorkerHandle> w;
-  for (int r = 0; r < total; ++r) w.push_back(spawn_worker(a, eps, r, {}));
-  for (int r = 0; r < total; ++r) {
-    const std::string line = w[static_cast<std::size_t>(r)].status.read_line(60000);
-    ECC_CHECK_MSG(line.rfind("ENCODED ", 0) == 0,
-                  "rank " << r << ": " << line);
-    std::cout << "  rank " << r << " " << line << "\n";
-  }
-
-  // ---- phase 2: SIGKILL live workers ------------------------------------
-  for (int r : to_kill) {
-    auto& h = w[static_cast<std::size_t>(r)];
-    std::cout << "  SIGKILL rank " << r << " (pid " << h.pid << ")\n";
-    ::kill(h.pid, SIGKILL);
-    ::waitpid(h.pid, nullptr, 0);
-    h.killed = true;
-  }
-
-  // ---- phase 3: replacements join, everyone recovers ---------------------
-  for (int r : to_kill) w[static_cast<std::size_t>(r)] = spawn_worker(a, eps, r, to_kill);
-  std::string recover_cmd = "RECOVER";
-  for (int r : to_kill) recover_cmd += " " + std::to_string(r);
-  for (int r = 0; r < total; ++r)
-    if (!w[static_cast<std::size_t>(r)].killed &&
-        std::find(to_kill.begin(), to_kill.end(), r) == to_kill.end())
-      write_line(w[static_cast<std::size_t>(r)].ctl_w, recover_cmd);
-  for (int r = 0; r < total; ++r) {
-    const std::string line = w[static_cast<std::size_t>(r)].status.read_line(60000);
-    ECC_CHECK_MSG(line.rfind("RECOVERED ", 0) == 0,
-                  "rank " << r << ": " << line);
-    std::cout << "  rank " << r << " " << line << "\n";
-  }
-  for (int r = 0; r < total; ++r) write_line(w[static_cast<std::size_t>(r)].ctl_w, "EXIT");
-  for (int r = 0; r < total; ++r) ::waitpid(w[static_cast<std::size_t>(r)].pid, nullptr, 0);
-
-  // ---- phase 4: single-process VirtualCluster reference ------------------
-  cluster::ClusterConfig ccfg;
-  ccfg.num_nodes = total;
-  ccfg.gpus_per_node = 1;
-  cluster::VirtualCluster vc(ccfg);
-  cluster::VirtualFabric ref(vc);
-  core::FabricStripeConfig ref_cfg = cfg;
-  ref_cfg.flush_to_remote = false;  // remote store differs by design
-  core::stripe_encode(ref, ref_cfg);
-  for (int r : to_kill) vc.kill(r);
-  for (int r : to_kill) vc.replace(r);
-  core::stripe_recover(ref, ref_cfg, to_kill);
-
-  bool ok = true;
-  for (int r = 0; r < total; ++r) {
-    const Buffer actual = read_file(chunk_dump_path(a, r));
-    const Buffer& reference = vc.host(r).get(core::stripe_chunk_key(r));
-    const Buffer expected = core::stripe_expected_chunk(cfg, r);
-    const bool match = actual == reference && actual == expected;
-    if (!match) {
-      std::cerr << "MISMATCH rank " << r << ": socket run disagrees with "
-                << (actual == reference ? "closed form" : "reference")
-                << "\n";
-      ok = false;
-    }
-  }
-  if (ok)
-    std::cout << "PASS: " << total << " processes, " << to_kill.size()
-              << " killed + recovered, all chunks bit-exact vs "
-                 "VirtualCluster reference\n";
-  return ok ? 0 : 1;
-}
-
 int run_peerdeath(const Args& a) {
   Args a3 = a;
   a3.k = 2;
   a3.m = 1;  // 3 endpoints
   std::vector<net::Endpoint> eps = make_endpoints(a3);
   std::vector<WorkerHandle> w;
-  for (int r = 0; r < 3; ++r) w.push_back(spawn_worker(a3, eps, r, {}));
+  for (int r = 0; r < 3; ++r)
+    w.push_back(spawn_proc([&](int, int status_w) {
+      worker_peerdeath(a3, eps, r, status_w);
+    }));
   ::waitpid(w[1].pid, nullptr, 0);  // rank 1 exits immediately
   bool ok = true;
   for (int r : {0, 2}) {
@@ -562,26 +380,6 @@ std::vector<net::Endpoint> named_endpoints(const Args& a, int count,
     }
   }
   return eps;
-}
-
-/// Fork a process running `body(ctl_read_fd, status_write_fd)`.
-WorkerHandle spawn_proc(const std::function<void(int, int)>& body) {
-  int ctl[2], st[2];
-  ECC_CHECK(::pipe(ctl) == 0 && ::pipe(st) == 0);
-  for (int fd : {ctl[0], ctl[1], st[0], st[1]}) g_all_pipe_fds.push_back(fd);
-  pid_t pid = ::fork();
-  ECC_CHECK_MSG(pid >= 0, "fork failed");
-  if (pid == 0) {
-    for (int fd : g_all_pipe_fds)
-      if (fd != ctl[0] && fd != st[1]) ::close(fd);
-    body(ctl[0], st[1]);
-    ::_exit(0);
-  }
-  WorkerHandle h;
-  h.pid = pid;
-  h.ctl_w = ctl[1];
-  h.status.fd = st[0];
-  return h;
 }
 
 /// Serialize the driven shards' digests as " w<worker>:<hex>" tokens.
@@ -1202,8 +1000,7 @@ int main(int argc, char** argv) {
 
   int rc = 1;
   try {
-    if (a.mode == "cycle") rc = run_cycle(a);
-    else if (a.mode == "peerdeath") rc = run_peerdeath(a);
+    if (a.mode == "peerdeath") rc = run_peerdeath(a);
     else if (a.mode == "engine") rc = run_engine(a);
     else rc = run_daemon(a);
   } catch (const std::exception& e) {

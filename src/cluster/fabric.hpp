@@ -12,7 +12,7 @@
 //
 // The split is expressed by drives(): a helper call names global ranks, and
 // each fabric executes the side(s) of the operation belonging to ranks it
-// drives. Code written against Fabric (core/fabric_protocol.cpp, the
+// drives. Code written against Fabric (core/fabric_engine.cpp, the
 // differential tests) runs unchanged on both and must produce byte-identical
 // stores — that is the contract the differential suite enforces.
 //
@@ -93,8 +93,9 @@ class Fabric {
   virtual void all_gather(const std::vector<int>& nodes,
                           const std::function<std::string(int)>& key_of) = 0;
 
-  /// XOR all-reduce of equal-size buffers store(node)[key] (the stripe
-  /// protocol's reduction; fabric_save sends partials point to point).
+  /// XOR all-reduce of equal-size buffers store(node)[key]. No checkpoint
+  /// path calls it (fabric_save sends parity partials point to point); the
+  /// collective tests and the benchmark's timed fabric wrapper still do.
   virtual void ring_all_reduce_xor(const std::vector<int>& nodes,
                                    const std::string& key) = 0;
 

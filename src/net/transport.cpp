@@ -362,12 +362,6 @@ void SocketTransport::flush_acks(int peer) {
 void SocketTransport::buffered_read(InConn& c, void* dst, std::size_t len,
                                     const std::string& ctx) {
   std::byte* out = static_cast<std::byte*>(dst);
-  if (!opts_.scatter_gather) {
-    // Legacy plane (A/B baseline): exact pre-pipelining receive path, one
-    // read_full per header/key/payload.
-    read_full(c.sock, out, len, opts_.io_timeout, ctx);
-    return;
-  }
   while (len > 0) {
     if (c.rpos < c.rlen) {
       const std::size_t take = std::min(len, c.rlen - c.rpos);
@@ -431,21 +425,12 @@ void SocketTransport::send_frame(int dst, FrameType type,
       stats_->add("net.corrupt.injected");
       wire_payload = mangled.span();
     }
-    if (opts_.scatter_gather) {
-      // Zero-copy framing: header [+trace] [+key] and the payload leave in
-      // one gather write straight from their source buffers.
-      const IoSlice slices[2] = {{head.data(), head.size()},
-                                 {wire_payload.data(), wire_payload.size()}};
-      writev_full(c.sock, slices, 2, opts_.io_timeout, ctx);
-      stats_->add("net.send.writev_bytes", head.size() + wire_payload.size());
-    } else {
-      // Legacy copy-framing path (A/B baseline): one contiguous buffer for
-      // header+key, then the payload as its own write.
-      write_full(c.sock, head.data(), head.size(), opts_.io_timeout, ctx);
-      if (!wire_payload.empty())
-        write_full(c.sock, wire_payload.data(), wire_payload.size(),
-                   opts_.io_timeout, ctx);
-    }
+    // Zero-copy framing: header [+trace] [+key] and the payload leave in one
+    // gather write straight from their source buffers.
+    const IoSlice slices[2] = {{head.data(), head.size()},
+                               {wire_payload.data(), wire_payload.size()}};
+    writev_full(c.sock, slices, 2, opts_.io_timeout, ctx);
+    stats_->add("net.send.writev_bytes", head.size() + wire_payload.size());
     stats_->add("net.send.bytes", payload.size());
     stats_->add("net.send.count");
 

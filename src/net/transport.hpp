@@ -23,8 +23,8 @@
 // of the frame it acknowledges, and the sender reconciles acks (possibly
 // out of order) whenever the window is full, at explicit flush points, and
 // always before a barrier returns. Control frames (hello, barrier, pure
-// net_send traffic) stay stop-and-wait. ack_window=1 reproduces the
-// pre-pipelining stop-and-wait plane exactly. Multi-peer fan-outs
+// net_send traffic) stay stop-and-wait. ack_window=1 makes data frames
+// stop-and-wait too (one ack RTT per frame). Multi-peer fan-outs
 // (broadcast root, barrier release) run through an epoll SendPump
 // (net/send_pump.hpp) with bounded per-peer queues so one dead peer stalls
 // only its own queue. Deferred acks weaken per-call completion only on the
@@ -72,13 +72,6 @@ struct TransportOptions : RetryPolicy {
   /// frame protocol is ack-per-frame, so Nagle/delayed-ack interplay adds a
   /// full RTT of latency per frame). Off exists for A/B benchmarking.
   bool tcp_nodelay = true;
-
-  /// Scatter-gather framing: header, trace context, key and payload go out
-  /// in one writev directly from their source buffers. Off restores the
-  /// copy-into-a-frame-buffer path — together with ack_window=1 that is
-  /// exactly the pre-pipelining data plane, kept for A/B benchmarking
-  /// (bench/scale_transport measures the win against it).
-  bool scatter_gather = true;
 
   /// Directory backing the persistent remote store; empty disables
   /// remote_write/remote_read.

@@ -241,8 +241,10 @@ TEST(FabricEngine, FullSaveMovesExactlyThePlannedVolume) {
   struct Shape {
     int n, g, k, m;
   };
+  // {8, 1, 4, 4}: one shard per node with k = m = n/2, the layout of
+  // bench/scale_transport's stripe workload.
   for (const Shape s : {Shape{4, 4, 2, 2}, Shape{4, 3, 3, 1},
-                        Shape{5, 2, 2, 3}}) {
+                        Shape{5, 2, 2, 3}, Shape{8, 1, 4, 4}}) {
     SCOPED_TRACE("n=" + std::to_string(s.n) + " g=" + std::to_string(s.g) +
                  " k=" + std::to_string(s.k) + " m=" + std::to_string(s.m));
     const auto shards = small_shards(s.n * s.g, 5);

@@ -3,9 +3,9 @@
 // loopback) and over cluster::VirtualFabric, and the resulting per-rank
 // stores must be byte-identical — the central contract of cluster::Fabric.
 // Also covers the peer-death contract (CheckFailure within the timeout
-// budget, never a hang), pooled-connection replacement via reset_peer, the
-// ephemeral-port TCP handshake, and the CRC-trailered persistent remote
-// store.
+// budget, never a hang), the ephemeral-port TCP handshake, and the
+// CRC-trailered persistent remote store. Peer replacement via reset_peer
+// is covered end to end by test_engine_fabric's socket session cycle.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -29,7 +29,6 @@
 #include "cluster/fabric.hpp"
 #include "common/crc64.hpp"
 #include "common/rng.hpp"
-#include "core/fabric_protocol.hpp"
 #include "net/transport.hpp"
 
 namespace eccheck {
@@ -162,62 +161,6 @@ TEST(SocketTransport, DifferentialCollectivesMatchVirtualCluster) {
   for (int r = 0; r < kWorld; ++r)
     expect_identical(socket_imgs[static_cast<std::size_t>(r)],
                      snapshot(vc.host(r)), r);
-}
-
-TEST(SocketTransport, StripeCycleMatchesReferenceAfterPeerReplacement) {
-  core::FabricStripeConfig scfg;
-  scfg.k = 3;
-  scfg.m = 2;
-  scfg.chunk_bytes = 8 * 1024;
-  scfg.seed = 42;
-  const int world = scfg.total();
-  const std::vector<int> replaced = {1, 3};  // one data, one parity rank
-
-  TempDir dir;
-  auto eps = uds_endpoints(dir, world);
-  std::vector<StoreImage> socket_imgs(static_cast<std::size_t>(world));
-  std::latch encoded(world), rebuilt(world);
-
-  run_ranks(world, [&](int rank) {
-    auto fabric = std::make_unique<net::SocketTransport>(rank, eps,
-                                                         fast_opts(dir));
-    core::stripe_encode(*fabric, scfg);
-    encoded.arrive_and_wait();
-    const bool is_replaced =
-        std::find(replaced.begin(), replaced.end(), rank) != replaced.end();
-    if (is_replaced) {
-      // Die and come back: a fresh empty process on the same endpoint.
-      fabric.reset();
-      fabric = std::make_unique<net::SocketTransport>(rank, eps,
-                                                      fast_opts(dir));
-    } else {
-      for (int dead : replaced) fabric->reset_peer(dead);
-    }
-    rebuilt.arrive_and_wait();
-    core::stripe_recover(*fabric, scfg, replaced);
-    socket_imgs[static_cast<std::size_t>(rank)] =
-        snapshot(fabric->store(rank));
-  });
-
-  // Reference run: same protocol, same kills, over the simulator.
-  cluster::ClusterConfig cfg;
-  cfg.num_nodes = world;
-  cfg.gpus_per_node = 1;
-  cluster::VirtualCluster vc(cfg);
-  cluster::VirtualFabric ref(vc);
-  core::stripe_encode(ref, scfg);
-  for (int r : replaced) vc.kill(r);
-  for (int r : replaced) vc.replace(r);
-  core::stripe_recover(ref, scfg, replaced);
-
-  for (int r = 0; r < world; ++r) {
-    expect_identical(socket_imgs[static_cast<std::size_t>(r)],
-                     snapshot(vc.host(r)), r);
-    EXPECT_TRUE(socket_imgs[static_cast<std::size_t>(r)].at(
-                    core::stripe_chunk_key(r)) ==
-                core::stripe_expected_chunk(scfg, r))
-        << "rank " << r << " chunk differs from the closed-form expectation";
-  }
 }
 
 TEST(SocketTransport, AbsentPeerFailsWithinRetryBudgetNotHang) {
@@ -485,27 +428,19 @@ TEST(SocketTransport, TornRemoteWriterLeavesOnlyValidChunks) {
 // Windowed / pipelined data plane (PR: async pipelined transport).
 // ---------------------------------------------------------------------------
 
-/// Every data-plane configuration must produce byte-identical stores: the
-/// pipelining is a pure performance change. Covers ack_window ∈ {4, 16}
-/// with scatter-gather framing and the legacy copy-framing stop-and-wait
-/// plane (ack_window=1, scatter_gather=false) the benches A/B against.
+/// Every ack window must produce byte-identical stores: the pipelining is a
+/// pure performance change. Covers ack_window ∈ {4, 16} and the
+/// stop-and-wait plane (ack_window=1) the benches A/B against.
 TEST(SocketTransport, DifferentialWindowedPlanesMatchVirtualCluster) {
   constexpr int kWorld = 4;
-  struct Plane {
-    int window;
-    bool scatter_gather;
-  };
-  for (const Plane plane :
-       {Plane{4, true}, Plane{16, true}, Plane{1, false}}) {
-    SCOPED_TRACE("ack_window=" + std::to_string(plane.window) +
-                 " scatter_gather=" + (plane.scatter_gather ? "on" : "off"));
+  for (const int window : {4, 16, 1}) {
+    SCOPED_TRACE("ack_window=" + std::to_string(window));
     TempDir dir;
     auto eps = uds_endpoints(dir, kWorld);
     std::vector<StoreImage> socket_imgs(kWorld);
     run_ranks(kWorld, [&](int rank) {
       net::TransportOptions o = fast_opts(dir);
-      o.ack_window = plane.window;
-      o.scatter_gather = plane.scatter_gather;
+      o.ack_window = window;
       net::SocketTransport fabric(rank, eps, o);
       exercise_fabric(fabric, kWorld);
       // Batched pairs ride the window; odd sizes on purpose.
