@@ -177,6 +177,55 @@ std::vector<NodeFlag> exchange_flags(
   return flags;
 }
 
+/// Per-worker packet counts of one version (§III-C). pack_packets pads every
+/// worker to B packets with zeros, so a packet slot past the count of every
+/// worker it covers is *dead*: zero on every rank by construction. Dead
+/// slots are stored (the CRC sums and the remote flush cover the whole
+/// stripe) but never shipped, encoded or decoded.
+struct PacketCounts {
+  std::vector<std::size_t> live;   ///< worker → packets holding its bytes
+  std::vector<std::size_t> group;  ///< reduction group j → max live over it
+  std::size_t B = 1;               ///< uniform packets per worker
+  int k = 0;
+  int per_chunk = 0;
+
+  /// Slots [0, row_live(row, j)) of stripe j of chunk row `row` are live:
+  /// its worker's for a data row, any group member's for a parity row.
+  std::size_t row_live(int row, int j) const {
+    return row < k ? live[static_cast<std::size_t>(row * per_chunk + j)]
+                   : group[static_cast<std::size_t>(j)];
+  }
+};
+
+/// Derives the counts from the tensor-keys blobs every rank holds after the
+/// step-2 broadcast (or the load's metadata refresh), so all ranks agree
+/// without another collective. `tkeys`, when given, receives the decoded
+/// blobs.
+PacketCounts packet_counts(
+    cluster::Store& home, const std::string& ns, std::int64_t version, int W,
+    int k, std::size_t P,
+    std::vector<std::vector<dnn::TensorMeta>>* tkeys = nullptr) {
+  PacketCounts pc;
+  pc.k = k;
+  pc.per_chunk = W / k;
+  pc.live.resize(static_cast<std::size_t>(W));
+  pc.group.assign(static_cast<std::size_t>(pc.per_chunk), 0);
+  if (tkeys != nullptr) tkeys->resize(static_cast<std::size_t>(W));
+  for (int w = 0; w < W; ++w) {
+    auto tk = dnn::deserialize_tensor_keys(
+        home.get(keys_key(ns, version, w)).span());
+    std::size_t bytes = 0;
+    for (const auto& tm : tk) bytes += tm.nbytes();
+    const std::size_t live = packets_needed(bytes, P);
+    pc.live[static_cast<std::size_t>(w)] = live;
+    std::size_t& g = pc.group[static_cast<std::size_t>(w % pc.per_chunk)];
+    g = std::max(g, live);
+    pc.B = std::max(pc.B, live);
+    if (tkeys != nullptr) (*tkeys)[static_cast<std::size_t>(w)] = std::move(tk);
+  }
+  return pc;
+}
+
 }  // namespace
 
 std::vector<int> fabric_driven_workers(cluster::Fabric& fabric,
@@ -290,18 +339,11 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   }
   rep.breakdown["step2_metadata_broadcast"] = since(t0);
 
-  // Uniform packets-per-worker so reduction groups align (§III-C). Every
-  // rank derives B from the full set of tensor-keys blobs it now holds, so
-  // all ranks agree without another collective.
+  // Uniform packets-per-worker so reduction groups align (§III-C).
   const int home = home_node(fabric, act);
-  std::size_t B = 1;
-  for (int w = 0; w < W; ++w) {
-    const auto tkeys = dnn::deserialize_tensor_keys(
-        fabric.store(home).get(keys_key(ns, version, w)).span());
-    std::size_t bytes = 0;
-    for (const auto& tm : tkeys) bytes += tm.nbytes();
-    B = std::max(B, packets_needed(bytes, P));
-  }
+  const PacketCounts counts =
+      packet_counts(fabric.store(home), ns, version, W, cfg.k, P);
+  const std::size_t B = counts.B;
 
   // Pack each sited worker's tensor bytes into B fixed-size packets.
   for (const auto& [w, dec] : decs) {
@@ -537,9 +579,10 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   if (!delta_used) {
     using KeyPairs = std::vector<std::pair<std::string, std::string>>;
 
-    // 3a: every data packet not yet on its data node, one batch per
-    // (src, dst) edge. Packets already home move into their rows after 3b,
-    // which still encodes from them.
+    // 3a: every live data packet not yet on its data node, one batch per
+    // (src, dst) edge; the data node zero-fills the dead rest of the row.
+    // Packets already home move into their rows after 3b, which still
+    // encodes from them.
     std::map<std::pair<int, int>, KeyPairs> relocate;
     for (int c = 0; c < cfg.k; ++c) {
       const int dst = plan.data_nodes[static_cast<std::size_t>(c)];
@@ -548,10 +591,17 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         const int wsrc = c * per_chunk + j;
         const int src = members.site(wsrc / g);
         if (src == dst) continue;
-        KeyPairs& batch = relocate[{src, dst}];
-        for (int b = 0; b < static_cast<int>(B); ++b)
-          batch.emplace_back(local_key(ns, version, wsrc, b),
-                             row_key(ns, version, c, j, b));
+        const std::size_t live = counts.live[static_cast<std::size_t>(wsrc)];
+        if (live > 0) {
+          KeyPairs& batch = relocate[{src, dst}];
+          for (int b = 0; b < static_cast<int>(live); ++b)
+            batch.emplace_back(local_key(ns, version, wsrc, b),
+                               row_key(ns, version, c, j, b));
+        }
+        if (fabric.drives(dst))
+          for (int b = static_cast<int>(live); b < static_cast<int>(B); ++b)
+            fabric.store(dst).put(row_key(ns, version, c, j, b),
+                                  Buffer(P, Buffer::Init::kZeroed));
       }
     }
     for (const auto& [edge, batch] : relocate)
@@ -562,26 +612,30 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
     // which takes the first partial as the row and XOR-folds the rest in.
     // GF addition is XOR, so the row is bit-identical to the simulator's
     // chain accumulation, and each reduction moves one packet per remote
-    // participant site — exactly actual_comm_volume. Participants sited
-    // together (adoption can fold several dead participants onto one
-    // survivor) pre-accumulate locally. A reduction whose parity node is
-    // dead has nowhere to land and is skipped.
+    // participant site — actual_comm_volume less the dead slots, exactly
+    // actual_comm_volume for equal shards. Participants sited together
+    // (adoption can fold several dead participants onto one survivor)
+    // pre-accumulate locally. A reduction whose parity node is dead has
+    // nowhere to land and is skipped. A site whose participants are all
+    // padding at slot b has a zero partial there: it neither computes nor
+    // ships it, and a parity slot with no live partial is stored as zeros.
     struct Reduction {
       const ReductionOp* op;
       std::vector<int> sites;                 // first-appearance order
       std::vector<std::vector<int>> chunks;   // per site: its chunks c
       std::vector<std::string> keys;          // per site: staging key
+      std::vector<std::size_t> live;          // per site: live slots [0, n)
     };
     // Staging keys name (j, r, site) but not b, so each slot's partials
     // overwrite the previous slot's buffers instead of allocating afresh.
     std::vector<Reduction> reductions;
-    std::map<std::pair<int, int>, KeyPairs> ship;  // the same every slot
+    std::vector<std::size_t> bounds = {0, B};  // where the live set changes
     for (const ReductionOp& op : plan.reductions) {
       if (!members.is_alive(op.dest_node)) continue;
-      Reduction red{&op, {}, {}, {}};
+      Reduction red{&op, {}, {}, {}, {}};
       for (int c = 0; c < cfg.k; ++c) {
-        const int ps =
-            members.site(op.participants[static_cast<std::size_t>(c)] / g);
+        const int pw = op.participants[static_cast<std::size_t>(c)];
+        const int ps = members.site(pw / g);
         auto it = std::find(red.sites.begin(), red.sites.end(), ps);
         if (it == red.sites.end()) {
           red.sites.push_back(ps);
@@ -590,49 +644,75 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
                              std::to_string(op.group) + "/" +
                              std::to_string(op.parity_row) + "/" +
                              std::to_string(ps));
+          red.live.push_back(0);
           it = red.sites.end() - 1;
         }
-        red.chunks[static_cast<std::size_t>(it - red.sites.begin())]
-            .push_back(c);
+        const auto s = static_cast<std::size_t>(it - red.sites.begin());
+        red.chunks[s].push_back(c);
+        red.live[s] =
+            std::max(red.live[s], counts.live[static_cast<std::size_t>(pw)]);
       }
-      for (std::size_t s = 0; s < red.sites.size(); ++s)
-        if (red.sites[s] != op.dest_node)
-          ship[{red.sites[s], op.dest_node}].emplace_back(red.keys[s],
-                                                          red.keys[s]);
+      bounds.insert(bounds.end(), red.live.begin(), red.live.end());
       reductions.push_back(std::move(red));
     }
-    for (int b = 0; b < static_cast<int>(B); ++b) {
-      for (const Reduction& red : reductions) {
-        const ReductionOp& op = *red.op;
-        for (std::size_t s = 0; s < red.sites.size(); ++s) {
-          if (!fabric.drives(red.sites[s])) continue;
-          cluster::Store& store = fabric.store(red.sites[s]);
-          Buffer part = store.contains(red.keys[s])
-                            ? store.take(red.keys[s])
-                            : Buffer(P, Buffer::Init::kUninitialized);
-          bool accumulate = false;
-          for (int c : red.chunks[s]) {
-            const int pw = op.participants[static_cast<std::size_t>(c)];
-            codec.encode_partial(
-                cfg.k + op.parity_row, c,
-                store.get(local_key(ns, version, pw, b)).span(), part.span(),
-                accumulate);
-            accumulate = true;
+    std::sort(bounds.begin(), bounds.end());
+    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+
+    // The live partials, hence the ship batches, change only at `bounds`:
+    // build the batches once per run of slots between two bounds.
+    for (std::size_t run = 0; run + 1 < bounds.size(); ++run) {
+      const std::size_t lo = bounds[run];
+      std::map<std::pair<int, int>, KeyPairs> ship;
+      for (const Reduction& red : reductions)
+        for (std::size_t s = 0; s < red.sites.size(); ++s)
+          if (red.live[s] > lo && red.sites[s] != red.op->dest_node)
+            ship[{red.sites[s], red.op->dest_node}].emplace_back(red.keys[s],
+                                                                 red.keys[s]);
+      for (std::size_t b = lo; b < bounds[run + 1]; ++b) {
+        for (const Reduction& red : reductions) {
+          const ReductionOp& op = *red.op;
+          for (std::size_t s = 0; s < red.sites.size(); ++s) {
+            if (red.live[s] <= b || !fabric.drives(red.sites[s])) continue;
+            cluster::Store& store = fabric.store(red.sites[s]);
+            Buffer part = store.contains(red.keys[s])
+                              ? store.take(red.keys[s])
+                              : Buffer(P, Buffer::Init::kUninitialized);
+            bool accumulate = false;
+            for (int c : red.chunks[s]) {
+              const int pw = op.participants[static_cast<std::size_t>(c)];
+              if (counts.live[static_cast<std::size_t>(pw)] <= b) continue;
+              codec.encode_partial(
+                  cfg.k + op.parity_row, c,
+                  store.get(local_key(ns, version, pw, static_cast<int>(b)))
+                      .span(),
+                  part.span(), accumulate);
+              accumulate = true;
+            }
+            store.put(red.keys[s], std::move(part));
           }
-          store.put(red.keys[s], std::move(part));
         }
-      }
-      for (const auto& [edge, batch] : ship)
-        fabric.send_buffers(edge.first, edge.second, batch);
-      for (const Reduction& red : reductions) {
-        const ReductionOp& op = *red.op;
-        if (!fabric.drives(op.dest_node)) continue;
-        cluster::Store& store = fabric.store(op.dest_node);
-        Buffer row = store.take(red.keys[0]);
-        for (std::size_t s = 1; s < red.keys.size(); ++s)
-          xor_into(row.span(), store.get(red.keys[s]).span());
-        store.put(row_key(ns, version, cfg.k + op.parity_row, op.group, b),
-                  std::move(row));
+        for (const auto& [edge, batch] : ship)
+          fabric.send_buffers(edge.first, edge.second, batch);
+        for (const Reduction& red : reductions) {
+          const ReductionOp& op = *red.op;
+          if (!fabric.drives(op.dest_node)) continue;
+          cluster::Store& store = fabric.store(op.dest_node);
+          // Fold by liveness, not key presence: a dead site's staging key
+          // may still hold an earlier slot's partial.
+          Buffer row;
+          bool folded = false;
+          for (std::size_t s = 0; s < red.keys.size(); ++s) {
+            if (red.live[s] <= b) continue;
+            if (folded)
+              xor_into(row.span(), store.get(red.keys[s]).span());
+            else
+              row = store.take(red.keys[s]);
+            folded = true;
+          }
+          store.put(row_key(ns, version, cfg.k + op.parity_row, op.group,
+                            static_cast<int>(b)),
+                    folded ? std::move(row) : Buffer(P, Buffer::Init::kZeroed));
+        }
       }
     }
     for (int node : act)
@@ -970,19 +1050,12 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
     fabric.broadcast(act, meta_holder, keys_key(ns, version, w));
   }
 
-  // Uniform B, re-derived from the tensor-keys blobs like the simulator.
-  const int home = home_node(fabric, act);
-  std::size_t B = 1;
-  std::vector<std::vector<dnn::TensorMeta>> tkeys(
-      static_cast<std::size_t>(W));
-  for (int w = 0; w < W; ++w) {
-    tkeys[static_cast<std::size_t>(w)] = dnn::deserialize_tensor_keys(
-        fabric.store(home).get(keys_key(ns, version, w)).span());
-    std::size_t bytes = 0;
-    for (const auto& tm : tkeys[static_cast<std::size_t>(w)])
-      bytes += tm.nbytes();
-    B = std::max(B, packets_needed(bytes, P));
-  }
+  // Uniform B and the dead slots, re-derived from the tensor-keys blobs
+  // like the save.
+  std::vector<std::vector<dnn::TensorMeta>> tkeys;
+  const PacketCounts counts = packet_counts(
+      fabric.store(home_node(fabric, act)), ns, version, W, cfg.k, P, &tkeys);
+  const std::size_t B = counts.B;
 
   // ---- reconstruct lost rows from any k survivors ------------------------
   // A dead rank's row counts as missing even if its store still held it at
@@ -1004,8 +1077,12 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   const bool data_lost = !missing_data.empty();
 
   // Distributed SPMD reconstruction: survivors stream their row packets to
-  // each target node, which applies the reconstruction matrix row — the
+  // each target site, which applies the reconstruction matrix rows — the
   // same accumulate order as the simulator, so reconstructed bytes match.
+  // A site hosting several targets (an adopter standing in for several dead
+  // ranks) receives each basis packet once and decodes all its rows from
+  // it. Dead slots are zero on both sides: a dead source packet is neither
+  // sent nor multiplied, and a dead target slot is stored as zeros.
   auto reconstruct = [&](const std::vector<int>& basis,
                          const std::vector<int>& targets) {
     if (targets.empty()) return;
@@ -1014,39 +1091,62 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
       return tmp_prefix(ns, version) + "load/rec/" + std::to_string(s) + "/" +
              std::to_string(j) + "/" + std::to_string(b);
     };
+    // Rows homed on a dead rank materialize on the adopter instead.
+    std::map<int, std::vector<int>> on_site;  // target site → indices ti
+    for (int ti = 0; ti < static_cast<int>(targets.size()); ++ti)
+      on_site[members.site(node_of_row(targets[static_cast<std::size_t>(ti)]))]
+          .push_back(ti);
     for (int j = 0; j < per_chunk; ++j) {
       for (int b = 0; b < static_cast<int>(B); ++b) {
-        for (std::size_t ti = 0; ti < targets.size(); ++ti) {
-          const int target_row = targets[ti];
-          // Rows homed on a dead rank materialize on the adopter instead.
-          const int tsite = members.site(node_of_row(target_row));
-          for (int s = 0; s < cfg.k; ++s) {
-            const int srow = basis[static_cast<std::size_t>(s)];
-            const int snode = node_of_row(srow);  // basis rows live on alive nodes
-            if (snode != tsite)
-              fabric.send_buffer(snode, tsite,
-                                 row_key(ns, version, srow, j, b),
-                                 rec_key(s, j, b));
-          }
-          if (fabric.drives(tsite)) {
-            cluster::Store& store = fabric.store(tsite);
-            Buffer acc(P, Buffer::Init::kUninitialized);
+        auto live = [&](int row) {
+          return static_cast<std::size_t>(b) < counts.row_live(row, j);
+        };
+        // Basis rows live on alive nodes; a live one away from the target
+        // site crosses to it.
+        auto fetched = [&](int s, int tsite) {
+          const int srow = basis[static_cast<std::size_t>(s)];
+          return node_of_row(srow) != tsite && live(srow);
+        };
+        const bool any_source = std::any_of(basis.begin(), basis.end(), live);
+        for (const auto& [tsite, tis] : on_site) {
+          const bool any_target =
+              std::any_of(tis.begin(), tis.end(), [&](int ti) {
+                return live(targets[static_cast<std::size_t>(ti)]);
+              });
+          ECC_CHECK_MSG(!any_target || any_source,
+                        "live slot " << b << " of stripe " << j
+                                     << " has no live basis packet");
+          if (any_target)
             for (int s = 0; s < cfg.k; ++s) {
               const int srow = basis[static_cast<std::size_t>(s)];
-              const int snode = node_of_row(srow);
+              if (fetched(s, tsite))
+                fabric.send_buffer(node_of_row(srow), tsite,
+                                   row_key(ns, version, srow, j, b),
+                                   rec_key(s, j, b));
+            }
+          if (!fabric.drives(tsite)) continue;
+          cluster::Store& store = fabric.store(tsite);
+          for (int ti : tis) {
+            const int target_row = targets[static_cast<std::size_t>(ti)];
+            // A dead target slot is zero: no source is multiplied into it.
+            Buffer acc(P, live(target_row) ? Buffer::Init::kUninitialized
+                                           : Buffer::Init::kZeroed);
+            bool accumulate = false;
+            for (int s = 0; live(target_row) && s < cfg.k; ++s) {
+              const int srow = basis[static_cast<std::size_t>(s)];
+              if (!live(srow)) continue;
               const Buffer& pkt =
-                  snode == tsite
-                      ? store.get(row_key(ns, version, srow, j, b))
-                      : store.get(rec_key(s, j, b));
-              codec.mul_packet(T.at(static_cast<int>(ti), s), pkt.span(),
-                               acc.span(), /*accumulate=*/s != 0);
+                  fetched(s, tsite)
+                      ? store.get(rec_key(s, j, b))
+                      : store.get(row_key(ns, version, srow, j, b));
+              codec.mul_packet(T.at(ti, s), pkt.span(), acc.span(), accumulate);
+              accumulate = true;
             }
             store.put(row_key(ns, version, target_row, j, b), std::move(acc));
-            for (int s = 0; s < cfg.k; ++s) {
-              if (node_of_row(basis[static_cast<std::size_t>(s)]) != tsite)
-                store.erase(rec_key(s, j, b));
-            }
           }
+          if (any_target)
+            for (int s = 0; s < cfg.k; ++s)
+              if (fetched(s, tsite)) store.erase(rec_key(s, j, b));
         }
       }
     }
@@ -1078,20 +1178,23 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
     const int src = plan.data_nodes[static_cast<std::size_t>(c)];
     const int ssite = members.site(src);
     const int j = w - c * per_chunk;
-    if (ssite != wsite) {
+    // Only the worker's live packets: the padding behind them is not
+    // unpacked.
+    const int live = static_cast<int>(counts.live[static_cast<std::size_t>(w)]);
+    if (ssite != wsite && live > 0) {
       // One (src, dst) batch per worker: a pipelining transport keeps all
-      // B packet frames in flight and reconciles their acks once, instead
+      // its packet frames in flight and reconciles their acks once, instead
       // of paying a round trip per packet.
       std::vector<std::pair<std::string, std::string>> batch;
-      batch.reserve(B);
-      for (int b = 0; b < static_cast<int>(B); ++b)
+      batch.reserve(static_cast<std::size_t>(live));
+      for (int b = 0; b < live; ++b)
         batch.emplace_back(row_key(ns, version, c, j, b), refill_key(w, b));
       fabric.send_buffers(ssite, wsite, batch);
     }
     if (!fabric.drives(wsite)) continue;
     cluster::Store& store = fabric.store(wsite);
     std::vector<ByteSpan> packet_views;
-    for (int b = 0; b < static_cast<int>(B); ++b)
+    for (int b = 0; b < live; ++b)
       packet_views.push_back(
           ssite == wsite ? store.get(row_key(ns, version, c, j, b)).span()
                          : store.get(refill_key(w, b)).span());
@@ -1101,8 +1204,7 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
     unpack_packets(packet_views, skel);
     out[static_cast<std::size_t>(out_index.at(w))] = std::move(skel);
     if (ssite != wsite)
-      for (int b = 0; b < static_cast<int>(B); ++b)
-        store.erase(refill_key(w, b));
+      for (int b = 0; b < live; ++b) store.erase(refill_key(w, b));
   }
   rep.resume_time = since(t0);
 

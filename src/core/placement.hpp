@@ -16,8 +16,9 @@
 // whenever possible (§IV-B2: direct assignment / ⌊k/m⌋ spacing / round
 // robin, by the relation of k and m). The target only orders the
 // simulator engine's chain reduce; the fabric engine (core/fabric_engine)
-// ships every partial straight to the parity node. Both move exactly
-// actual_comm_volume.
+// ships every partial straight to the parity node. Both move
+// actual_comm_volume, less the all-padding slots the fabric engine never
+// ships (see actual_comm_volume).
 #pragma once
 
 #include <vector>
@@ -105,9 +106,13 @@ Placement plan_placement(const PlacementConfig& cfg);
 /// every packet relocation counted, = m·s·W with optimal placement);
 /// `actual` drops hops between co-located workers. A reduction's actual
 /// hops are k − [dest_node hosts a participant], whether they run as the
-/// simulator's chain or as the fabric engine's direct sends to dest_node,
-/// so a full fabric_save puts exactly actual.total() bytes of packets on
-/// the wire (tests/test_engine_fabric pins this).
+/// simulator's chain or as the fabric engine's direct sends to dest_node.
+/// Both count every one of a worker's B packets, padding included; the
+/// simulator engine moves exactly that. A full fabric_save ships no packet
+/// slot that is padding for every worker it covers, so it moves
+/// actual.total() minus those dead slots — exactly actual.total() when
+/// all workers need the same packet count (tests/test_engine_fabric pins
+/// both).
 struct CommVolume {
   double xor_reduction_bytes = 0;
   double p2p_bytes = 0;

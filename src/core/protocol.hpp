@@ -8,6 +8,10 @@
 // (the paper's 64 MB data buffers); packets are the unit the erasure code
 // and the reduction groups operate on. Every worker is padded to the same
 // packet count so packet t of chunk a aligns with packet t of chunk b.
+// The padding is zero by construction, and every rank can tell it apart
+// from the tensor-keys component alone (packets_needed of the worker's
+// tensor bytes), so the fabric engine never ships, encodes or decodes a
+// slot that is padding for every worker it covers — it only stores it.
 //
 // Reassembly is the inverse: rebuild the state_dict skeleton from the two
 // tiny components, then copy packet bytes back into the tensors in place.

@@ -2,8 +2,8 @@
 //
 // SendBuffersTap passes every call through to the wrapped fabric, runs a
 // hook ahead of each send_buffers call — to record the batch, or to throw
-// CheckFailure, the signal a peer dying mid-batch produces — and counts
-// ring all-reduce calls.
+// CheckFailure, the signal a peer dying mid-batch produces — and of each
+// single send_buffer call, and counts ring all-reduce calls.
 #pragma once
 
 #include <functional>
@@ -23,6 +23,9 @@ class SendBuffersTap final : public cluster::Fabric {
 
   std::function<void(int src, int dst, const KeyPairs& pairs)>
       before_send_buffers;
+  std::function<void(int src, int dst, const std::string& src_key,
+                     const std::string& dst_key)>
+      before_send_buffer;
   int ring_calls = 0;
 
   std::string fabric_name() const override { return inner_->fabric_name(); }
@@ -36,6 +39,7 @@ class SendBuffersTap final : public cluster::Fabric {
   }
   void send_buffer(int src, int dst, const std::string& src_key,
                    const std::string& dst_key) override {
+    if (before_send_buffer) before_send_buffer(src, dst, src_key, dst_key);
     inner_->send_buffer(src, dst, src_key, dst_key);
   }
   void send_buffers(int src, int dst, const KeyPairs& pairs) override {

@@ -8,17 +8,20 @@
 // Also covers the torn-save contract (peer death mid-save fails fast and
 // rolls the attempted version back), FabricSession version retention, and
 // the step-3 schedule: exact wire volume, degraded reductions, and rollback
-// at every step-3 batch.
+// at every step-3 batch; and that padding slots never cross the wire on
+// save or load.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <filesystem>
 #include <functional>
 #include <latch>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -217,23 +220,37 @@ TEST(FabricEngine, VirtualFabricSaveMatchesSimulatorEngineByteExact) {
 using testutil::KeyPairs;
 using testutil::SendBuffersTap;
 
+/// Packets holding each worker's tensor bytes; the rest of its B packets
+/// is zero padding.
+std::vector<std::size_t> live_counts(const std::vector<dnn::StateDict>& shards,
+                                     std::size_t packet_size) {
+  std::vector<std::size_t> live;
+  for (const auto& sd : shards)
+    live.push_back(core::packets_needed(sd.tensor_bytes(), packet_size));
+  return live;
+}
+
 /// W small uniform shards (~41 KiB each: three 16 KiB packets), distinct per
-/// seed — keeps the per-batch loops below fast.
-std::vector<dnn::StateDict> small_shards(int W, std::uint64_t seed) {
+/// seed — keeps the per-batch loops below fast. `padded` shrinks worker w to
+/// 3 − w mod 3 packets instead, so the slots behind it are padding.
+std::vector<dnn::StateDict> small_shards(int W, std::uint64_t seed,
+                                         bool padded = false) {
   dnn::SparseUpdateSpec spec;
-  spec.embedding_rows = 160;
   spec.embedding_dim = 64;
   spec.dense_tensors = 1;
   spec.dense_elems = 100;
   spec.seed = seed;
   std::vector<dnn::StateDict> shards;
-  for (int w = 0; w < W; ++w)
+  for (int w = 0; w < W; ++w) {
+    spec.embedding_rows = padded ? 160 - 60 * (w % 3) : 160;
     shards.push_back(dnn::make_sparse_model_shard(spec, w));
+  }
   return shards;
 }
 
-// A full save puts exactly the paper's volume on the wire (§IV-B2,
-// core::actual_comm_volume): each data packet away from its data node
+// A full save of equal-size shards (no slot is padding) puts exactly the
+// paper's volume on the wire (§IV-B2, core::actual_comm_volume): each data
+// packet away from its data node
 // crosses once, each parity packet once per remote participant — and no
 // collective runs in step 3. Stores stay byte-identical to the simulator
 // engine and load back bit-exact.
@@ -294,11 +311,21 @@ TEST(FabricEngine, FullSaveMovesExactlyThePlannedVolume) {
 // participants and folds them into one partial. Step 3 must address no
 // bytes to a dead rank and stage no partial for the dead parity row; the
 // surviving parity row must equal a full save's, and after replacement the
-// two surviving rows decode bit-exact.
+// two surviving rows decode bit-exact. The shards are padded (141/69/35
+// packets), so the traffic pins count live packets only.
 TEST(FabricEngine, DegradedSaveSkipsDeadParityRowAndFoldsAdoptedPartials) {
   const int g = 2, W = kNodes * g;
   const auto shards = dnn::make_sharded_checkpoint(gen_config(W, 13));
   const core::ECCheckConfig cfg = engine_config();
+  const std::vector<std::size_t> live = live_counts(shards, cfg.packet_size);
+  // Group j's partial leaves rank 0 while one of its participants sited
+  // there is live: workers j and 4 + j folded for j = 0, 1; worker 4 + j
+  // alone for j = 2, 3, whose worker j is on rank 1, the parity node.
+  const std::vector<std::size_t> partial_live = {
+      std::max(live[0], live[4]), std::max(live[1], live[5]), live[6],
+      live[7]};
+  const std::size_t slots =
+      *std::max_element(partial_live.begin(), partial_live.end());
 
   cluster::VirtualCluster vc(vc_config(g));
   vc.kill(2);
@@ -307,16 +334,22 @@ TEST(FabricEngine, DegradedSaveSkipsDeadParityRowAndFoldsAdoptedPartials) {
   SendBuffersTap fabric(inner);
   std::vector<std::pair<int, int>> edges;
   std::set<std::string> staged;  // partial keys held at any batch
+  std::size_t slot = 0;          // partial batches run one per live slot
   fabric.before_send_buffers = [&](int src, int dst, const KeyPairs& pairs) {
     edges.emplace_back(src, dst);
     for (int node : {0, 1})
       for (const auto& key : vc.host(node).keys_with_prefix("tmp/1/partial/"))
         staged.insert(key);
     if (pairs.front().first.find("/partial/") != std::string::npos) {
-      // Both groups' single (folded) partials, one key per group.
+      // The live groups' single (folded) partials, one key per group.
       EXPECT_EQ(src, 0);
       EXPECT_EQ(dst, 1);
-      EXPECT_EQ(pairs.size(), 4u);
+      EXPECT_EQ(pairs.size(),
+                static_cast<std::size_t>(std::count_if(
+                    partial_live.begin(), partial_live.end(),
+                    [&](std::size_t n) { return n > slot; })))
+          << "slot " << slot;
+      ++slot;
     }
   };
   const ckpt::SaveReport rep = core::fabric_save(
@@ -334,9 +367,15 @@ TEST(FabricEngine, DegradedSaveSkipsDeadParityRowAndFoldsAdoptedPartials) {
       vc.host(0).keys_with_prefix(core::keys::version_prefix("", 1) +
                                   "row/0/0/")
           .size();
-  ASSERT_GT(B, 0u);
-  // Two relocated data packets (workers 2, 3) plus four partials per slot.
-  EXPECT_EQ(rep.stats.at("net.send.bytes"), 6 * B * cfg.packet_size);
+  EXPECT_EQ(B, *std::max_element(live.begin(), live.end()));
+  EXPECT_EQ(slot, slots);
+  // The live packets of the two relocated workers (2, 3) plus every live
+  // partial.
+  const std::size_t live_packets =
+      live[2] + live[3] +
+      std::accumulate(partial_live.begin(), partial_live.end(),
+                      std::size_t{0});
+  EXPECT_EQ(rep.stats.at("net.send.bytes"), live_packets * cfg.packet_size);
   for (int node : {0, 1}) {
     EXPECT_TRUE(vc.host(node).keys_with_prefix("tmp/").empty());
     EXPECT_TRUE(vc.host(node).keys_with_prefix("ec/1/row/3/").empty());
@@ -358,14 +397,272 @@ TEST(FabricEngine, DegradedSaveSkipsDeadParityRowAndFoldsAdoptedPartials) {
   EXPECT_EQ(digests_of(out), digests_of(shards));
 }
 
+// ---------------------------------------------------------------------------
+// Padding off the wire: a worker's packets past its own count are zero
+// padding, and a slot that is padding for every worker it covers (a data
+// packet, or a parity slot of a group whose members all ended) is never
+// shipped, encoded or decoded — yet stored, so the stripe is unchanged.
+// ---------------------------------------------------------------------------
+
+/// Live slots [0, row_live) of stripe j of chunk row `row`: its worker's
+/// count for a data row, the group maximum for a parity row.
+std::size_t row_live(const core::Placement& plan,
+                     const std::vector<std::size_t>& live, int row, int j) {
+  const int k = plan.config.k, pc = plan.workers_per_chunk();
+  if (row < k) return live[static_cast<std::size_t>(row * pc + j)];
+  std::size_t n = 0;
+  for (int c = 0; c < k; ++c)
+    n = std::max(n, live[static_cast<std::size_t>(c * pc + j)]);
+  return n;
+}
+
+/// Packets a full-membership save ships: each live data packet away from
+/// its data node once, plus each participant's live partials when it is
+/// not on the parity node (a reduction's k participants sit on k distinct
+/// nodes under full membership, so no site folds two).
+std::size_t live_save_packets(const core::Placement& plan,
+                              const std::vector<std::size_t>& live) {
+  const int g = plan.config.gpus_per_node;
+  std::size_t packets = 0;
+  for (int w = 0; w < plan.world_size(); ++w)
+    if (w / g != plan.data_nodes[static_cast<std::size_t>(
+                     plan.chunk_of_worker(w))])
+      packets += live[static_cast<std::size_t>(w)];
+  for (const core::ReductionOp& op : plan.reductions)
+    for (int p : op.participants)
+      if (p / g != op.dest_node) packets += live[static_cast<std::size_t>(p)];
+  return packets;
+}
+
+/// Packets a full-membership load ships after the nodes in `lost` were
+/// replaced empty: each lost data row decodes from the first k surviving
+/// rows (a source packet crosses for the slots live on both ends), every
+/// worker refills its live packets from a remote data node, and each lost
+/// parity row re-encodes from the k data rows.
+std::size_t live_load_packets(const core::Placement& plan,
+                              const std::vector<std::size_t>& live,
+                              const std::vector<int>& lost) {
+  const int k = plan.config.k, g = plan.config.gpus_per_node;
+  const int n = plan.config.num_nodes;
+  std::vector<int> missing, survivors;
+  for (int node = 0; node < n; ++node)
+    (std::find(lost.begin(), lost.end(), node) != lost.end() ? missing
+                                                             : survivors)
+        .push_back(plan.generator_row_of_node(node));
+  std::sort(missing.begin(), missing.end());
+  std::sort(survivors.begin(), survivors.end());
+  std::size_t packets = 0;
+  for (int t : missing)
+    for (int j = 0; j < plan.workers_per_chunk(); ++j)
+      for (int s = 0; s < k; ++s) {
+        const int src = t < k ? survivors[static_cast<std::size_t>(s)] : s;
+        packets += std::min(row_live(plan, live, t, j),
+                            row_live(plan, live, src, j));
+      }
+  for (int w = 0; w < plan.world_size(); ++w)
+    if (w / g != plan.data_nodes[static_cast<std::size_t>(
+                     plan.chunk_of_worker(w))])
+      packets += live[static_cast<std::size_t>(w)];
+  return packets;
+}
+
+/// The last three '/'-separated fields of a row or partial key as numbers:
+/// "…/row/<row>/<j>/<b>" → {row, j, b}, "…/partial/<j>/<r>/<site>" →
+/// {j, r, site}.
+std::array<int, 3> last_fields(const std::string& key) {
+  std::array<int, 3> f{};
+  std::size_t end = key.size();
+  for (int i = 2; i >= 0; --i) {
+    const std::size_t slash = key.rfind('/', end - 1);
+    f[static_cast<std::size_t>(i)] =
+        std::stoi(key.substr(slash + 1, end - slash - 1));
+    end = slash;
+  }
+  return f;
+}
+
+TEST(FabricEngine, PaddingSlotsNeverCrossTheWire) {
+  // gen_config's TP=2 x PP=4 GPT-2, and the testbed layout of
+  // bench/e2e's dense_full (16 GPT-2 workers, TP=4 inside a rank, PP=4
+  // across ranks), both at 16 KiB packets.
+  dnn::CheckpointGenConfig testbed;
+  testbed.model = dnn::make_model(dnn::ModelFamily::kGPT2, 96, 8, 8, "gpt2");
+  testbed.model.vocab = 512;
+  testbed.parallelism = {4, kNodes, 1};
+  testbed.seed = 17;
+  struct Case {
+    const char* name;
+    int g;
+    dnn::CheckpointGenConfig gen;
+  };
+  for (const Case& tc : {Case{"gen_config", 2, gen_config(kNodes * 2, 17)},
+                         Case{"gpt2 tp4 x pp4", 4, testbed}}) {
+    SCOPED_TRACE(tc.name);
+    const auto shards = dnn::make_sharded_checkpoint(tc.gen);
+    const core::ECCheckConfig cfg = engine_config();
+    const std::size_t P = cfg.packet_size;
+    const std::vector<std::size_t> live = live_counts(shards, P);
+    ASSERT_NE(*std::min_element(live.begin(), live.end()),
+              *std::max_element(live.begin(), live.end()))
+        << "shape must be padded";
+    core::PlacementConfig pc;
+    pc.num_nodes = kNodes;
+    pc.gpus_per_node = tc.g;
+    pc.k = kK;
+    pc.m = kM;
+    const core::Placement plan = core::plan_placement(pc);
+
+    // Save: exactly the live volume; no relocated packet is padding, and
+    // each partial key ships once per slot its participant is live.
+    cluster::VirtualCluster vc(vc_config(tc.g));
+    cluster::VirtualFabric inner(vc);
+    SendBuffersTap fabric(inner);
+    std::map<std::string, std::size_t> partial_ships;
+    fabric.before_send_buffers = [&](int, int, const KeyPairs& pairs) {
+      for (const auto& [src_key, dst_key] : pairs) {
+        if (src_key.find("/partial/") != std::string::npos) {
+          ++partial_ships[src_key];
+          continue;
+        }
+        // "tmp/1/local/<w>/<b>" relocating to "ec/1/row/<c>/<j>/<b>".
+        const auto [c, j, b] = last_fields(dst_key);
+        EXPECT_LT(static_cast<std::size_t>(b), row_live(plan, live, c, j))
+            << src_key;
+      }
+    };
+    fabric.before_send_buffer = [&](int, int, const std::string& key,
+                                    const std::string&) {
+      ADD_FAILURE() << "save sent a single packet: " << key;
+    };
+    const ckpt::SaveReport rep =
+        core::fabric_save(fabric, cfg, pointers(shards), 1);
+    EXPECT_EQ(rep.stats.at("net.send.bytes"),
+              live_save_packets(plan, live) * P);
+    ASSERT_FALSE(partial_ships.empty());
+    for (const auto& [key, ships] : partial_ships) {
+      // "tmp/1/partial/<j>/<r>/<site>": the participant of group j on site.
+      const auto [j, r, site] = last_fields(key);
+      (void)r;
+      std::size_t want = 0;
+      for (int c = 0; c < kK; ++c) {
+        const int w = c * plan.workers_per_chunk() + j;
+        if (w / tc.g == site) want = live[static_cast<std::size_t>(w)];
+      }
+      EXPECT_EQ(ships, want) << key;
+    }
+
+    // Every store is byte-identical to the simulator engine's.
+    cluster::VirtualCluster sim(vc_config(tc.g));
+    core::ECCheckEngine(cfg).save(sim, shards, 1);
+    std::vector<StoreImage> saved;
+    for (int node = 0; node < kNodes; ++node) {
+      expect_identical(snapshot(vc.host(node)), snapshot(sim.host(node)),
+                       "node " + std::to_string(node));
+      saved.push_back(snapshot(vc.host(node)));
+    }
+
+    // Load after every loss set of size ≤ m: bit-exact, exactly the live
+    // volume, and every rebuilt store equal to its pre-loss image.
+    fabric.before_send_buffers = [&](int, int, const KeyPairs& pairs) {
+      for (const auto& [src_key, dst_key] : pairs) {
+        const auto [row, j, b] = last_fields(src_key);
+        EXPECT_LT(static_cast<std::size_t>(b), row_live(plan, live, row, j))
+            << src_key;
+      }
+    };
+    fabric.before_send_buffer = [&](int, int, const std::string& src_key,
+                                    const std::string&) {
+      const auto [row, j, b] = last_fields(src_key);
+      EXPECT_LT(static_cast<std::size_t>(b), row_live(plan, live, row, j))
+          << src_key;
+    };
+    std::vector<std::vector<int>> losses = {{}};
+    for (int a = 0; a < kNodes; ++a) {
+      losses.push_back({a});
+      for (int b = a + 1; b < kNodes; ++b) losses.push_back({a, b});
+    }
+    for (const std::vector<int>& lost : losses) {
+      std::string name = "lost {";
+      for (int node : lost) name += std::to_string(node) + ",";
+      SCOPED_TRACE(name + "}");
+      for (int node : lost) {
+        vc.kill(node);
+        vc.replace(node);
+      }
+      std::vector<dnn::StateDict> out;
+      const ckpt::LoadReport l = core::fabric_load(fabric, cfg, 1, out);
+      ASSERT_TRUE(l.success) << l.detail;
+      EXPECT_EQ(digests_of(out), digests_of(shards));
+      EXPECT_EQ(l.stats.at("net.send.bytes"),
+                live_load_packets(plan, live, lost) * P);
+      for (int node = 0; node < kNodes; ++node)
+        expect_identical(snapshot(vc.host(node)),
+                         saved[static_cast<std::size_t>(node)],
+                         "node " + std::to_string(node) + " after load");
+    }
+  }
+}
+
+// Degraded load with both data nodes (0, 2) dead: rank 1, the adopter,
+// rebuilds both data rows from parity rows 2 (its own) and 3 (rank 3's).
+// Each of rank 3's live packets must cross once, not once per data row;
+// refill then ships rank 3's workers their live packets.
+TEST(FabricEngine, DegradedLoadShipsEachBasisPacketOncePerSite) {
+  const int g = 2, W = kNodes * g;
+  const auto shards = dnn::make_sharded_checkpoint(gen_config(W, 19));
+  const core::ECCheckConfig cfg = engine_config();
+  const std::vector<std::size_t> live = live_counts(shards, cfg.packet_size);
+
+  cluster::VirtualCluster vc(vc_config(g));
+  cluster::VirtualFabric inner(vc);
+  SendBuffersTap fabric(inner);
+  core::fabric_save(fabric, cfg, pointers(shards), 1);
+  core::PlacementConfig pc;
+  pc.num_nodes = kNodes;
+  pc.gpus_per_node = g;
+  pc.k = kK;
+  pc.m = kM;
+  const core::Placement plan = core::plan_placement(pc);
+  ASSERT_EQ(plan.data_nodes, (std::vector<int>{0, 2}));
+  ASSERT_EQ(plan.parity_nodes, (std::vector<int>{1, 3}));
+  vc.kill(0);
+  vc.kill(2);
+
+  std::map<std::string, int> sent;  // basis packet → sends to rank 1
+  fabric.before_send_buffer = [&](int src, int dst, const std::string& key,
+                                  const std::string&) {
+    EXPECT_EQ(src, 3) << key;
+    EXPECT_EQ(dst, 1) << key;
+    ++sent[key];
+  };
+  std::vector<dnn::StateDict> out;
+  const ckpt::LoadReport l = core::fabric_load(fabric, cfg, 1, out,
+                                               core::Membership::of({1, 3}));
+  ASSERT_TRUE(l.success) << l.detail;
+  EXPECT_NE(l.detail.find("workflow B (decoded 2 rows)"), std::string::npos)
+      << l.detail;
+  EXPECT_EQ(digests_of(out), digests_of(shards));
+  for (const auto& [key, n] : sent) EXPECT_EQ(n, 1) << key;
+  // Parity row 3's stripe j is live while either of its workers j, 4 + j
+  // is; rank 3's workers 6, 7 then refill from data row 1, adopted by
+  // rank 1.
+  std::size_t decoded = 0;
+  for (int j = 0; j < W / kK; ++j)
+    decoded += std::max(live[static_cast<std::size_t>(j)],
+                        live[static_cast<std::size_t>(4 + j)]);
+  EXPECT_EQ(sent.size(), decoded);
+  EXPECT_EQ(l.stats.at("net.send.bytes"),
+            (decoded + live[6] + live[7]) * cfg.packet_size);
+}
+
 // A peer dying at any step-3 batch — data relocation or any slot's partials
 // — must leave no staging key behind after FabricSession's rollback, keep
 // the previous version loadable bit-exact, and let the retried save commit
-// exactly once.
-TEST(FabricEngine, TornStep3SaveRollsBackAtEveryBatch) {
-  const int g = 2, W = kNodes * g;
-  const auto v1 = small_shards(W, 31);
-  const auto v2 = small_shards(W, 32);
+// exactly once — on uniform shards and on padded ones, whose partial
+// batches shrink as workers run out of live slots.
+void torn_step3_at_every_batch(const std::vector<dnn::StateDict>& v1,
+                               const std::vector<dnn::StateDict>& v2) {
+  const int g = 2;
   const core::ECCheckConfig cfg = engine_config();
 
   int batches = 0;
@@ -427,6 +724,14 @@ TEST(FabricEngine, TornStep3SaveRollsBackAtEveryBatch) {
     ASSERT_TRUE(l2.report.success) << l2.report.detail;
     EXPECT_EQ(l2.version, 2);
     EXPECT_EQ(digests_of(out), digests_of(v2));
+  }
+}
+
+TEST(FabricEngine, TornStep3SaveRollsBackAtEveryBatch) {
+  for (const bool padded : {false, true}) {
+    SCOPED_TRACE(padded ? "padded shards" : "uniform shards");
+    torn_step3_at_every_batch(small_shards(kNodes * 2, 31, padded),
+                              small_shards(kNodes * 2, 32, padded));
   }
 }
 
