@@ -24,7 +24,8 @@
 //   <ns>base/mark                        cache marker: version, B, P, g
 //   <ns>base/local/<w>/<b>               cached packet b of worker w
 //   <ns>base/keys/<w>                    cached tensor-keys blob of worker w
-//   <ns>tmp/<version>/delta/...          transient manifests + Δ patches
+//   <ns>tmp/<version>/delta/manifest/<w> worker w's dirty-extent manifest
+//   <ns>tmp/<version>/delta/patch/<w>    worker w's concatenated Δ payload
 //
 // The cache is valid only while the marker's version still has its commit
 // marker on the same node: a torn delta save rolls the version keys back
@@ -95,10 +96,11 @@ inline std::string delta_manifest_key(const std::string& ns, std::int64_t v,
   return tmp_prefix(ns, v) + "delta/manifest/" + std::to_string(w);
 }
 
+/// Worker w's whole Δ payload: its dirty extents' XOR-deltas concatenated
+/// in manifest order, one buffer per (version, worker).
 inline std::string delta_patch_key(const std::string& ns, std::int64_t v,
-                                   int w, int b, std::uint64_t offset) {
-  return tmp_prefix(ns, v) + "delta/patch/" + std::to_string(w) + "/" +
-         std::to_string(b) + "/" + std::to_string(offset);
+                                   int w) {
+  return tmp_prefix(ns, v) + "delta/patch/" + std::to_string(w);
 }
 
 }  // namespace eccheck::core::keys

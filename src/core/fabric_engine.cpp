@@ -8,6 +8,7 @@
 #include <cstring>
 #include <map>
 #include <numeric>
+#include <span>
 
 #include "common/bytes.hpp"
 #include "common/crc64.hpp"
@@ -226,6 +227,32 @@ PacketCounts packet_counts(
   return pc;
 }
 
+/// Walks a worker's Δ manifest one packet at a time: `visit(b, run, at)`
+/// gets a run of consecutive extents inside packet b and the offset of the
+/// run's first byte in the worker's concatenated Δ payload. Manifests are
+/// in (packet, offset) order, so each packet's store key is looked up once.
+/// Every extent must lie inside a packet of `P` bytes.
+template <typename Visit>
+void for_each_packet_run(const std::vector<DirtyExtent>& ext, std::size_t P,
+                         Visit&& visit) {
+  std::uint64_t at = 0;
+  for (std::size_t first = 0; first < ext.size();) {
+    std::size_t last = first;
+    std::uint64_t run_bytes = 0;
+    for (; last < ext.size() && ext[last].packet == ext[first].packet; ++last) {
+      const DirtyExtent& e = ext[last];
+      ECC_CHECK_MSG(e.length <= P && e.offset <= P - e.length,
+                    "dirty extent [" << e.offset << ", +" << e.length
+                                     << ") outside a " << P << "-byte packet");
+      run_bytes += e.length;
+    }
+    visit(static_cast<int>(ext[first].packet),
+          std::span<const DirtyExtent>(ext.data() + first, last - first), at);
+    at += run_bytes;
+    first = last;
+  }
+}
+
 }  // namespace
 
 std::vector<int> fabric_driven_workers(cluster::Fabric& fabric,
@@ -361,7 +388,8 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   // version and the global dirty ratio is small enough, the stripe is not
   // re-encoded: each node clones its own chunk row of the base version to
   // the new version locally, only the dirty regions' XOR-deltas travel
-  // (to the data node and the m parity nodes), the data row is XOR-patched
+  // (one payload per worker to the data node and to each of the m parity
+  // nodes; DESIGN.md §7), the data row is XOR-patched
   // and each parity row folded with P' = P ⊕ G·Δ — bit-identical to the
   // full four-step protocol by code linearity. Any prerequisite failure on
   // any rank (first save, rolled-back base, shape change, pruned base,
@@ -401,8 +429,12 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         if (cached.size() != fresh.size() ||
             std::memcmp(cached.data(), fresh.data(), fresh.size()) != 0)
           return f;
+        // Identical tensor keys mean identical live counts: the dead
+        // padding slots are zero in both versions and cannot be dirty.
         std::vector<DirtyExtent> wext;
-        for (int b = 0; b < static_cast<int>(B); ++b) {
+        const auto live =
+            static_cast<int>(counts.live[static_cast<std::size_t>(w)]);
+        for (int b = 0; b < live; ++b) {
           if (!store.contains(base_local_key(ns, w, b))) return f;
           const Buffer& base = store.get(base_local_key(ns, w, b));
           const Buffer& next = store.get(local_key(ns, version, w, b));
@@ -469,6 +501,8 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
                       store.get(row_key(ns, bv, row, j, b)).clone());
       }
 
+      // One worker at a time, and its Δ erased everywhere before the next:
+      // at most one Δ payload is live per rank.
       std::uint64_t extent_count = 0;
       for (int w = 0; w < W; ++w) {
         const std::vector<DirtyExtent>& wext =
@@ -478,86 +512,73 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         const int c = plan.chunk_of_worker(w);
         const int j = w - c * per_chunk;
         const int src = w / g;  // full membership: the worker's own node
+        const std::string dk = delta_patch_key(ns, version, w);
+        const std::uint64_t wbytes = dirty_bytes(wext);
 
-        // Δ = new ⊕ base per extent, staged at the source under tmp keys.
+        // Δ = new ⊕ base of every extent, concatenated in manifest order
+        // into one payload staged at the source.
         if (fabric.drives(src)) {
           cluster::Store& store = fabric.store(src);
-          for (const DirtyExtent& e : wext) {
-            const Buffer& next =
-                store.get(local_key(ns, version, w, static_cast<int>(e.packet)));
-            const Buffer& base =
-                store.get(base_local_key(ns, w, static_cast<int>(e.packet)));
-            Buffer d(e.length, Buffer::Init::kUninitialized);
-            std::memcpy(d.data(), next.data() + e.offset, e.length);
-            xor_into(d.span(), base.span().subspan(e.offset, e.length));
-            store.put(delta_patch_key(ns, version, w, static_cast<int>(e.packet),
-                                      e.offset),
-                      std::move(d));
-          }
+          Buffer d(wbytes, Buffer::Init::kUninitialized);
+          for_each_packet_run(wext, P, [&](int b, auto run, std::uint64_t at) {
+            const Buffer& next = store.get(local_key(ns, version, w, b));
+            const Buffer& base = store.get(base_local_key(ns, w, b));
+            for (const DirtyExtent& e : run) {
+              std::memcpy(d.data() + at, next.data() + e.offset, e.length);
+              xor_into(d.span().subspan(at, e.length),
+                       base.span().subspan(e.offset, e.length));
+              at += e.length;
+            }
+          });
+          store.put(dk, std::move(d));
         }
 
-        // One batched transfer per destination: the data node plus each
-        // parity node (k+m distinct nodes, so no destination repeats).
+        // One frame per destination: the data node plus each parity node
+        // (k+m distinct nodes, so no destination repeats).
         std::vector<int> dests;
         dests.push_back(plan.data_nodes[static_cast<std::size_t>(c)]);
         for (int r = 0; r < cfg.m; ++r)
           dests.push_back(plan.parity_nodes[static_cast<std::size_t>(r)]);
-        for (int dst : dests) {
-          if (dst == src) continue;
-          std::vector<std::pair<std::string, std::string>> pairs;
-          pairs.reserve(wext.size());
-          for (const DirtyExtent& e : wext) {
-            const std::string dk = delta_patch_key(
-                ns, version, w, static_cast<int>(e.packet), e.offset);
-            pairs.emplace_back(dk, dk);
-          }
-          fabric.send_buffers(src, dst, pairs);
-        }
+        for (int dst : dests)
+          if (dst != src) fabric.send_buffers(src, dst, {{dk, dk}});
 
-        // Patch in place: XOR on the data row, G·Δ fold on each parity row.
-        const int dnode = plan.data_nodes[static_cast<std::size_t>(c)];
-        if (fabric.drives(dnode)) {
-          cluster::Store& store = fabric.store(dnode);
-          for (const DirtyExtent& e : wext) {
-            const std::string rk =
-                row_key(ns, version, c, j, static_cast<int>(e.packet));
+        // Patch in place, slicing the payload by the all-gathered manifest:
+        // XOR on the data row, G·Δ fold on each parity row. The length
+        // check comes first, so a short payload never reads out of bounds.
+        auto patch = [&](int dst, int row, auto&& apply) {
+          if (!fabric.drives(dst)) return;
+          cluster::Store& store = fabric.store(dst);
+          const Buffer& delta = store.get(dk);
+          ECC_CHECK_MSG(delta.size() == wbytes,
+                        "delta payload of worker " << w << " has "
+                                                   << delta.size()
+                                                   << " bytes, manifest says "
+                                                   << wbytes);
+          for_each_packet_run(wext, P, [&](int b, auto run, std::uint64_t at) {
+            const std::string rk = row_key(ns, version, row, j, b);
             Buffer pkt = store.take(rk);
-            xor_into(pkt.span().subspan(e.offset, e.length),
-                     store
-                         .get(delta_patch_key(ns, version, w,
-                                              static_cast<int>(e.packet),
-                                              e.offset))
-                         .span());
+            ECC_CHECK(pkt.size() == P);
+            for (const DirtyExtent& e : run) {
+              apply(e, delta.span().subspan(at, e.length), pkt.span());
+              at += e.length;
+            }
             store.put(rk, std::move(pkt));
-          }
-        }
-        for (int r = 0; r < cfg.m; ++r) {
-          const int pnode = plan.parity_nodes[static_cast<std::size_t>(r)];
-          if (!fabric.drives(pnode)) continue;
-          cluster::Store& store = fabric.store(pnode);
-          for (const DirtyExtent& e : wext) {
-            const std::string rk =
-                row_key(ns, version, cfg.k + r, j, static_cast<int>(e.packet));
-            Buffer pkt = store.take(rk);
-            codec.update_row(cfg.k + r, c, e.offset,
-                             store
-                                 .get(delta_patch_key(ns, version, w,
-                                                      static_cast<int>(e.packet),
-                                                      e.offset))
-                                 .span(),
-                             pkt.span());
-            store.put(rk, std::move(pkt));
-          }
-        }
+          });
+        };
+        patch(dests[0], c, [](const DirtyExtent& e, ByteSpan d,
+                              MutableByteSpan pkt) {
+          xor_into(pkt.subspan(e.offset, e.length), d);
+        });
+        for (int r = 0; r < cfg.m; ++r)
+          patch(dests[static_cast<std::size_t>(1 + r)], cfg.k + r,
+                [&](const DirtyExtent& e, ByteSpan d, MutableByteSpan pkt) {
+                  codec.update_row(cfg.k + r, c, e.offset, d, pkt);
+                });
 
         // Drop the Δ staging copies everywhere they landed.
-        for (const DirtyExtent& e : wext) {
-          const std::string dk = delta_patch_key(
-              ns, version, w, static_cast<int>(e.packet), e.offset);
-          if (fabric.drives(src)) fabric.store(src).erase(dk);
-          for (int dst : dests)
-            if (dst != src && fabric.drives(dst)) fabric.store(dst).erase(dk);
-        }
+        for (int node : dests)
+          if (fabric.drives(node)) fabric.store(node).erase(dk);
+        if (fabric.drives(src)) fabric.store(src).erase(dk);
       }
       fabric.stats().add("delta.extents.count", extent_count);
       for (int node : act) {
@@ -737,6 +758,9 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         }
       }
     }
+    // Step 3 ends here on both paths, before the base-cache retirement,
+    // CRC sums and commit markers below.
+    rep.breakdown["step3_encode_pipeline"] = since(t0);
   }  // if (!delta_used)
 
   // Retire the staging copies — into the base cache when incremental saves
@@ -795,7 +819,6 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
     fabric.store(node).put(commit_key(ns, version),
                            Buffer::copy_of(as_bytes_of(version)));
   }
-  if (!delta_used) rep.breakdown["step3_encode_pipeline"] = since(t0);
 
   // ---- Step 4: low-frequency remote flush --------------------------------
   if (cfg.flush_to_remote) {

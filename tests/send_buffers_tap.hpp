@@ -3,7 +3,8 @@
 // SendBuffersTap passes every call through to the wrapped fabric, runs a
 // hook ahead of each send_buffers call — to record the batch, or to throw
 // CheckFailure, the signal a peer dying mid-batch produces — and of each
-// single send_buffer call, and counts ring all-reduce calls.
+// single send_buffer call, a hook after each send_buffers call that
+// returned, and counts ring all-reduce calls.
 #pragma once
 
 #include <functional>
@@ -23,6 +24,8 @@ class SendBuffersTap final : public cluster::Fabric {
 
   std::function<void(int src, int dst, const KeyPairs& pairs)>
       before_send_buffers;
+  std::function<void(int src, int dst, const KeyPairs& pairs)>
+      after_send_buffers;
   std::function<void(int src, int dst, const std::string& src_key,
                      const std::string& dst_key)>
       before_send_buffer;
@@ -45,6 +48,7 @@ class SendBuffersTap final : public cluster::Fabric {
   void send_buffers(int src, int dst, const KeyPairs& pairs) override {
     if (before_send_buffers) before_send_buffers(src, dst, pairs);
     inner_->send_buffers(src, dst, pairs);
+    if (after_send_buffers) after_send_buffers(src, dst, pairs);
   }
   void broadcast(const std::vector<int>& nodes, int root,
                  const std::string& key) override {

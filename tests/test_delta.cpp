@@ -6,9 +6,11 @@
 // durable store byte-identical to a full re-encode of the same shards, on
 // VirtualFabric and over real sockets alike. Randomized differential tests
 // pin the codec layer (update_row vs full encode across (k, m, w), both
-// kernel modes, misaligned regions); engine A/B runs pin the protocol; a
-// mid-delta peer death pins the torn-save rollback and the base-cache
-// validity check that forces the safe full-encode fallback.
+// kernel modes, misaligned regions); engine A/B runs pin the protocol and
+// its exact framing (one Δ frame per dirty worker and destination); a
+// peer death at every Δ transfer, and a truncated Δ payload, pin the
+// torn-save rollback and the base-cache validity check that forces the
+// safe full-encode fallback.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -19,6 +21,7 @@
 #include <latch>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -31,6 +34,8 @@
 #include "core/delta.hpp"
 #include "core/engine_keys.hpp"
 #include "core/fabric_engine.hpp"
+#include "core/placement.hpp"
+#include "core/protocol.hpp"
 #include "core/session.hpp"
 #include "dnn/sparse_update.hpp"
 #include "ec/crs_codec.hpp"
@@ -300,6 +305,105 @@ std::uint64_t stat_of(const ckpt::SaveReport& rep, const std::string& key) {
   return it == rep.stats.end() ? 0 : it->second;
 }
 
+// ---------------------------------------------------------------------------
+// Exact Δ traffic. A delta save ships each dirty worker's whole Δ payload —
+// its dirty extents' XOR-deltas concatenated — as one frame to each of {its
+// chunk's data node, the parity nodes} other than the worker's own node.
+// ---------------------------------------------------------------------------
+
+/// Nodes other than worker w's own that receive its Δ frame.
+std::uint64_t delta_fanout(int w, int g) {
+  core::PlacementConfig pc;
+  pc.num_nodes = kNodes;
+  pc.gpus_per_node = g;
+  pc.k = kK;
+  pc.m = kM;
+  const core::Placement plan = core::plan_placement(pc);
+  std::vector<int> dests = plan.parity_nodes;
+  dests.push_back(plan.data_nodes[static_cast<std::size_t>(
+      plan.chunk_of_worker(w))]);
+  return static_cast<std::uint64_t>(std::count_if(
+      dests.begin(), dests.end(), [&](int node) { return node != w / g; }));
+}
+
+/// Worker w's dirty bytes in one delta save, from its node's base cache
+/// before and after the save (the save retires the new packets into the
+/// cache), diffed at the configured granularity.
+std::uint64_t worker_dirty_bytes(const StoreImage& before,
+                                 const StoreImage& after, int w) {
+  const std::string prefix = "base/local/" + std::to_string(w) + "/";
+  const std::size_t gran = delta_config(true).delta.granularity;
+  std::uint64_t dirty = 0;
+  for (const auto& [key, buf] : before)
+    if (key.rfind(prefix, 0) == 0)
+      dirty += core::dirty_bytes(
+          core::diff_packet(0, buf.span(), after.at(key).span(), gran));
+  return dirty;
+}
+
+struct DeltaTraffic {
+  std::uint64_t frames = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t dirty = 0;  ///< Σ dirty bytes over all workers
+};
+
+/// The exact Δ traffic of the workers of `nodes`, from each node's base
+/// cache image before and after the save.
+DeltaTraffic expected_delta_traffic(const std::vector<int>& nodes,
+                                    const std::vector<StoreImage>& before,
+                                    const std::vector<StoreImage>& after,
+                                    int g) {
+  DeltaTraffic t;
+  for (int node : nodes)
+    for (int w = node * g; w < (node + 1) * g; ++w) {
+      const std::uint64_t dirty =
+          worker_dirty_bytes(before[static_cast<std::size_t>(node)],
+                             after[static_cast<std::size_t>(node)], w);
+      if (dirty == 0) continue;
+      t.frames += delta_fanout(w, g);
+      t.bytes += dirty * delta_fanout(w, g);
+      t.dirty += dirty;
+    }
+  return t;
+}
+
+std::vector<int> all_nodes() {
+  std::vector<int> nodes(kNodes);
+  std::iota(nodes.begin(), nodes.end(), 0);
+  return nodes;
+}
+
+std::vector<StoreImage> base_caches(cluster::VirtualCluster& vc) {
+  std::vector<StoreImage> imgs;
+  for (int node = 0; node < kNodes; ++node)
+    imgs.push_back(snapshot(vc.host(node), "base/local/"));
+  return imgs;
+}
+
+/// Both save paths stamp the end of step 3 at the same point — after the
+/// parity encode or the Δ patch, before the base-cache retirement, CRC
+/// sums and commit markers — so the stamps are ordered on either path.
+void expect_stage_order(const ckpt::SaveReport& rep, const std::string& what) {
+  const bool delta = stat_of(rep, "delta.save.count") == 1;
+  const std::string step3 =
+      delta ? "step3_delta_patch" : "step3_encode_pipeline";
+  EXPECT_EQ(rep.breakdown.count(delta ? "step3_encode_pipeline"
+                                      : "step3_delta_patch"),
+            0u)
+      << what;
+  ASSERT_TRUE(rep.breakdown.count("step1_snapshot")) << what;
+  ASSERT_TRUE(rep.breakdown.count(step3)) << what;
+  EXPECT_LE(rep.breakdown.at("step1_snapshot"), rep.breakdown.at(step3))
+      << what;
+  EXPECT_LE(rep.breakdown.at(step3), rep.total_time) << what;
+}
+
+/// True for a send_buffers batch carrying a worker's Δ payload.
+bool is_delta_transfer(const testutil::KeyPairs& pairs) {
+  return !pairs.empty() &&
+         pairs.front().first.find("/delta/patch/") != std::string::npos;
+}
+
 // Three saves of a 1%-density sparse workload, delta-on vs delta-off in
 // lockstep: every node's durable footprint and the remote store must stay
 // byte-identical after each save; the delta saves must move an order of
@@ -321,8 +425,11 @@ TEST(DeltaEngine, VirtualFabricSavesByteIdenticalToFullEncode) {
       for (int w = 0; w < W; ++w)
         dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)], spec, w,
                                  it - 1);
+    const std::vector<StoreImage> cache_before = base_caches(vc_delta);
     const ckpt::SaveReport rd = on.save(pointers(shards));
     const ckpt::SaveReport rf = off.save(pointers(shards));
+    expect_stage_order(rd, "delta-on save " + std::to_string(it));
+    expect_stage_order(rf, "delta-off save " + std::to_string(it));
 
     if (it == 1) {
       // No base yet: the first save must take the full path and say so.
@@ -336,6 +443,13 @@ TEST(DeltaEngine, VirtualFabricSavesByteIdenticalToFullEncode) {
       // (The low-frequency remote flush still writes whole rows — the
       // remote store is a dumb key-value tier with no patch primitive.)
       EXPECT_GE(rf.network_bytes, 10 * rd.network_bytes) << "save " << it;
+      // Exactly one frame per (dirty worker, destination), each carrying
+      // the worker's whole Δ payload; nothing else goes point to point.
+      const DeltaTraffic want = expected_delta_traffic(
+          all_nodes(), cache_before, base_caches(vc_delta), g);
+      EXPECT_EQ(want.dirty, stat_of(rd, "delta.dirty.bytes")) << "save " << it;
+      EXPECT_EQ(stat_of(rd, "net.send.count"), want.frames) << "save " << it;
+      EXPECT_EQ(stat_of(rd, "net.send.bytes"), want.bytes) << "save " << it;
     }
     // Durable keys ("ec/...") byte-identical; the delta cluster additionally
     // carries its unversioned base cache, which is not part of the contract.
@@ -370,6 +484,7 @@ TEST(DeltaEngine, VirtualFabricSavesByteIdenticalToFullEncode) {
     dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)], spec, w, 3);
   const ckpt::SaveReport rd4 = on.save(pointers(shards));
   off.save(pointers(shards));
+  expect_stage_order(rd4, "post-repair save");
   EXPECT_EQ(stat_of(rd4, "delta.save.count"), 0u);
   EXPECT_EQ(stat_of(rd4, "delta.fallback.count"), 1u);
   for (int node = 0; node < kNodes; ++node)
@@ -508,16 +623,46 @@ TEST(DeltaEngine, SocketDeltaSessionMatchesVirtualFabricByteExact) {
   std::vector<StoreImage> socket_imgs(kNodes);
   std::vector<std::uint64_t> socket_delta_saves(kNodes, 0);
   std::vector<std::vector<std::uint64_t>> socket_digests(kNodes);
+  std::vector<DeltaTraffic> sent(kNodes), want_sent(kNodes);
   run_ranks(kNodes, [&](int rank) {
-    net::SocketTransport fabric(rank, eps, fast_opts(dir));
+    net::SocketTransport transport(rank, eps, fast_opts(dir));
+    // The transport's own frame counters, read around each Δ transfer.
+    testutil::SendBuffersTap fabric(transport);
+    auto counter = [&](const std::string& key) {
+      const auto c = transport.stats().counters();
+      auto it = c.find(key);
+      return it == c.end() ? std::uint64_t{0} : it->second;
+    };
+    DeltaTraffic& mine_sent = sent[static_cast<std::size_t>(rank)];
+    fabric.before_send_buffers = [&](int, int,
+                                     const testutil::KeyPairs& pairs) {
+      if (!is_delta_transfer(pairs)) return;
+      mine_sent.frames -= counter("net.send.count");
+      mine_sent.bytes -= counter("net.send.bytes");
+    };
+    fabric.after_send_buffers = [&](int, int,
+                                    const testutil::KeyPairs& pairs) {
+      if (!is_delta_transfer(pairs)) return;
+      mine_sent.frames += counter("net.send.count");
+      mine_sent.bytes += counter("net.send.bytes");
+    };
     core::FabricSession session(fabric, delta_config(true), g, 2);
     dnn::StateDict mine = dnn::make_sparse_model_shard(spec, rank);
     for (std::int64_t it = 1; it <= 3; ++it) {
       if (it > 1) dnn::apply_sparse_update(mine, spec, rank, it - 1);
       std::vector<const dnn::StateDict*> shards{&mine};
+      std::vector<StoreImage> before(kNodes), after(kNodes);
+      before[static_cast<std::size_t>(rank)] =
+          snapshot(fabric.store(rank), "base/local/");
       const ckpt::SaveReport rep = session.save(shards);
+      after[static_cast<std::size_t>(rank)] =
+          snapshot(fabric.store(rank), "base/local/");
       socket_delta_saves[static_cast<std::size_t>(rank)] +=
           stat_of(rep, "delta.save.count");
+      if (stat_of(rep, "delta.save.count") == 0) continue;
+      const DeltaTraffic w = expected_delta_traffic({rank}, before, after, g);
+      want_sent[static_cast<std::size_t>(rank)].frames += w.frames;
+      want_sent[static_cast<std::size_t>(rank)].bytes += w.bytes;
     }
     socket_imgs[static_cast<std::size_t>(rank)] = snapshot(fabric.store(rank));
     std::vector<dnn::StateDict> out;
@@ -531,6 +676,15 @@ TEST(DeltaEngine, SocketDeltaSessionMatchesVirtualFabricByteExact) {
   for (int rank = 0; rank < kNodes; ++rank) {
     // Saves 2 and 3 took the incremental path on every rank.
     EXPECT_EQ(socket_delta_saves[static_cast<std::size_t>(rank)], 2u)
+        << "rank " << rank;
+    // Each rank put exactly one frame per (own dirty worker, destination)
+    // on the wire for the Δ transfers, each the worker's whole Δ payload.
+    EXPECT_GT(want_sent[static_cast<std::size_t>(rank)].frames, 0u);
+    EXPECT_EQ(sent[static_cast<std::size_t>(rank)].frames,
+              want_sent[static_cast<std::size_t>(rank)].frames)
+        << "rank " << rank;
+    EXPECT_EQ(sent[static_cast<std::size_t>(rank)].bytes,
+              want_sent[static_cast<std::size_t>(rank)].bytes)
         << "rank " << rank;
     // Whole image (durable keys + base cache) matches the simulator…
     expect_identical(socket_imgs[static_cast<std::size_t>(rank)],
@@ -553,12 +707,25 @@ TEST(DeltaEngine, SocketDeltaSessionMatchesVirtualFabricByteExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Torn delta save: a peer dying mid-Δ-transfer must roll the attempted
-// version back, leave the previous version loadable bit-exact, and never
-// poison the base cache.
+// Torn delta save: a peer dying mid-Δ-transfer, or a malformed Δ payload,
+// must roll the attempted version back, leave the previous version loadable
+// bit-exact, and never poison the base cache.
 // ---------------------------------------------------------------------------
 
-TEST(DeltaEngine, TornDeltaSaveRollsBackAndRecoversBitExact) {
+/// Runs ahead of each Δ transfer of the sabotaged save, with the transfer's
+/// index, its source node and the staged payload's key.
+using Sabotage = std::function<void(cluster::Fabric& fabric, int index,
+                                    int src, const std::string& key)>;
+
+/// Saves v1 (full) and v2 (delta) of the 1%-density workload on a fresh
+/// cluster, then attempts v3 with `sabotage` hooked ahead of its Δ
+/// transfers, which must make v3 fail with CheckFailure. Checks that the
+/// attempt rolled back, that a fresh session recovers v2 bit-exact, and
+/// that the retried v3 is again a delta save that loads bit-exact. Returns
+/// the failure's message — empty when `sabotage` let v3 commit, and then
+/// nothing else is checked. `*transfers` gets the number of Δ transfers
+/// v3 started.
+std::string torn_delta_save(const Sabotage& sabotage, int* transfers) {
   const int g = 1, W = kNodes * g;
   const dnn::SparseUpdateSpec spec = sparse_spec(0.01);
   std::vector<dnn::StateDict> shards = sparse_shards(spec, W);
@@ -566,9 +733,12 @@ TEST(DeltaEngine, TornDeltaSaveRollsBackAndRecoversBitExact) {
   cluster::VirtualCluster vc(vc_config(g));
   cluster::VirtualFabric inner(vc);
   testutil::SendBuffersTap fabric(inner);
-  bool armed = false;  // the Δ transfer is the delta path's send_buffers
-  fabric.before_send_buffers = [&](int, int, const testutil::KeyPairs&) {
-    if (armed) throw CheckFailure("injected peer death mid-delta transfer");
+  bool armed = false;
+  int index = 0;
+  fabric.before_send_buffers = [&](int src, int,
+                                   const testutil::KeyPairs& pairs) {
+    if (armed && is_delta_transfer(pairs))
+      sabotage(inner, index++, src, pairs.front().first);
   };
   core::FabricSession session(fabric, delta_config(true), g, 2);
 
@@ -576,16 +746,23 @@ TEST(DeltaEngine, TornDeltaSaveRollsBackAndRecoversBitExact) {
   for (int w = 0; w < W; ++w)
     dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)], spec, w, 1);
   const ckpt::SaveReport r2 = session.save(pointers(shards));  // v2: delta
-  ASSERT_EQ(stat_of(r2, "delta.save.count"), 1u);
+  EXPECT_EQ(stat_of(r2, "delta.save.count"), 1u);
   const auto want_v2 = digests_of(shards);
 
-  // v3 dies on the first Δ transfer — after the manifests were exchanged
-  // and the base rows cloned, i.e. genuinely mid-delta.
+  // v3 runs after the manifests were exchanged and the base rows cloned,
+  // i.e. genuinely mid-delta.
   for (int w = 0; w < W; ++w)
     dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)], spec, w, 2);
   armed = true;
-  EXPECT_THROW(session.save(pointers(shards)), CheckFailure);
+  std::string error;
+  try {
+    session.save(pointers(shards));
+  } catch (const CheckFailure& e) {
+    error = e.what();
+  }
   armed = false;
+  *transfers = index;
+  if (error.empty()) return error;
 
   // Rollback scrubbed the torn version and all transient delta keys; the
   // base cache (still marked at v2, whose commit survives) is intact.
@@ -602,7 +779,7 @@ TEST(DeltaEngine, TornDeltaSaveRollsBackAndRecoversBitExact) {
   core::FabricSession fresh(fabric, delta_config(true), g, 2);
   std::vector<dnn::StateDict> out;
   const auto l = fresh.load(out);
-  ASSERT_TRUE(l.report.success) << l.report.detail;
+  EXPECT_TRUE(l.report.success) << l.report.detail;
   EXPECT_EQ(l.version, 2);
   EXPECT_EQ(digests_of(out), want_v2);
 
@@ -612,9 +789,137 @@ TEST(DeltaEngine, TornDeltaSaveRollsBackAndRecoversBitExact) {
   EXPECT_EQ(stat_of(r3, "delta.save.count"), 1u);
   std::vector<dnn::StateDict> out3;
   const auto l3 = fresh.load(out3);
-  ASSERT_TRUE(l3.report.success) << l3.report.detail;
+  EXPECT_TRUE(l3.report.success) << l3.report.detail;
   EXPECT_EQ(l3.version, 3);
   EXPECT_EQ(digests_of(out3), digests_of(shards));
+  return error;
+}
+
+// A peer death at every Δ transfer in turn. The dense tower is rewritten
+// every iteration, so every worker is dirty: one transfer per (worker,
+// destination other than its own node).
+TEST(DeltaEngine, TornDeltaSaveRollsBackAndRecoversBitExact) {
+  int transfers = 0;
+  const std::string committed = torn_delta_save(
+      [](cluster::Fabric&, int, int, const std::string&) {}, &transfers);
+  ASSERT_TRUE(committed.empty()) << committed;
+  std::uint64_t want = 0;
+  for (int w = 0; w < kNodes; ++w) want += delta_fanout(w, 1);
+  ASSERT_EQ(static_cast<std::uint64_t>(transfers), want);
+
+  for (int kill = 0; kill < transfers; ++kill) {
+    SCOPED_TRACE("peer death at Δ transfer " + std::to_string(kill));
+    int started = 0;
+    const std::string error = torn_delta_save(
+        [&](cluster::Fabric&, int index, int, const std::string&) {
+          if (index == kill)
+            throw CheckFailure("injected peer death mid-delta transfer");
+        },
+        &started);
+    EXPECT_NE(error.find("injected peer death"), std::string::npos) << error;
+    EXPECT_EQ(started, kill + 1);
+  }
+}
+
+// A Δ payload cut short before it ships: the receiver checks its length
+// against the all-gathered manifest before slicing it, so the save fails
+// with a typed error instead of reading past the payload, and rolls back.
+TEST(DeltaEngine, TruncatedDeltaPayloadIsRejectedAndRollsBack) {
+  int transfers = 0;
+  const std::string error = torn_delta_save(
+      [](cluster::Fabric& fabric, int index, int src, const std::string& key) {
+        if (index != 0) return;
+        const Buffer& full = fabric.store(src).get(key);
+        fabric.store(src).put(
+            key, Buffer::copy_of(full.span().first(full.size() / 2)));
+      },
+      &transfers);
+  EXPECT_NE(error.find("delta payload"), std::string::npos) << error;
+}
+
+// ---------------------------------------------------------------------------
+// Padded shapes: a worker smaller than the largest is padded with zero
+// packets (dead slots). They are zero in every version, so the eligibility
+// diff skips them — even when the cached copy of one holds garbage.
+// ---------------------------------------------------------------------------
+
+TEST(DeltaEngine, DiffSkipsDeadPaddingSlots) {
+  const int g = 1, W = kNodes * g;
+  // Worker 0's embedding is four times the others', so workers 1..3 end in
+  // dead slots.
+  std::vector<dnn::SparseUpdateSpec> specs(W, sparse_spec(0.01));
+  for (int w = 1; w < W; ++w)
+    specs[static_cast<std::size_t>(w)].embedding_rows = 512;
+  std::vector<dnn::StateDict> shards;
+  for (int w = 0; w < W; ++w)
+    shards.push_back(
+        dnn::make_sparse_model_shard(specs[static_cast<std::size_t>(w)], w));
+  const std::size_t P = delta_config(true).packet_size;
+  std::vector<std::size_t> live;
+  for (const auto& sd : shards)
+    live.push_back(core::packets_needed(core::decompose(sd).tensor_bytes, P));
+  const std::size_t B = *std::max_element(live.begin(), live.end());
+  ASSERT_LT(live[1], B) << "the shape must be padded";
+
+  cluster::VirtualCluster vc_delta(vc_config(g)), vc_full(vc_config(g));
+  cluster::VirtualFabric inner(vc_delta), fab_full(vc_full);
+  testutil::SendBuffersTap fab_delta(inner);
+  std::int64_t version = 0;
+  std::vector<std::vector<core::DirtyExtent>> manifests;
+  fab_delta.before_send_buffers = [&](int src, int,
+                                      const testutil::KeyPairs& pairs) {
+    if (!is_delta_transfer(pairs) || !manifests.empty()) return;
+    for (int w = 0; w < W; ++w)
+      manifests.push_back(core::deserialize_extents(
+          inner.store(src)
+              .get(core::keys::delta_manifest_key("", version, w))
+              .span()));
+  };
+  core::FabricSession on(fab_delta, delta_config(true), g, 2);
+  core::FabricSession off(fab_full, delta_config(false), g, 2);
+
+  for (version = 1; version <= 3; ++version) {
+    if (version > 1) {
+      for (int w = 0; w < W; ++w) {
+        dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)],
+                                 specs[static_cast<std::size_t>(w)], w,
+                                 version - 1);
+        // Garbage in the cached dead slots: a diff that read them would
+        // patch padding and leave the stores unlike a full re-encode.
+        for (std::size_t b = live[static_cast<std::size_t>(w)]; b < B; ++b) {
+          Buffer junk(P, Buffer::Init::kUninitialized);
+          fill_random(junk.span(), 0xDEAD + b);
+          vc_delta.host(w).put(
+              core::keys::base_local_key("", w, static_cast<int>(b)),
+              std::move(junk));
+        }
+      }
+    }
+    manifests.clear();
+    const ckpt::SaveReport rd = on.save(pointers(shards));
+    off.save(pointers(shards));
+    if (version > 1) {
+      EXPECT_EQ(stat_of(rd, "delta.save.count"), 1u) << "save " << version;
+      ASSERT_EQ(manifests.size(), static_cast<std::size_t>(W));
+      for (int w = 0; w < W; ++w) {
+        const auto& ext = manifests[static_cast<std::size_t>(w)];
+        EXPECT_FALSE(ext.empty());
+        for (const core::DirtyExtent& e : ext)
+          EXPECT_LT(e.packet, live[static_cast<std::size_t>(w)])
+              << "worker " << w << " save " << version;
+      }
+    }
+    for (int node = 0; node < kNodes; ++node)
+      expect_identical(snapshot(vc_delta.host(node), "ec/"),
+                       snapshot(vc_full.host(node), "ec/"),
+                       "node " + std::to_string(node) + " after save " +
+                           std::to_string(version));
+  }
+
+  std::vector<dnn::StateDict> out;
+  const auto l = on.load(out);
+  ASSERT_TRUE(l.report.success) << l.report.detail;
+  EXPECT_EQ(digests_of(out), digests_of(shards));
 }
 
 }  // namespace
