@@ -24,4 +24,17 @@ namespace eccheck {
 
 std::uint64_t crc64(ByteSpan data, std::uint64_t seed = 0);
 
+/// The raw CRC register `reg` (the state gf::simd's crc64 kernel carries,
+/// before the final complement) advanced over `n` zero bytes:
+/// reg·x^(8n) mod the polynomial, in O(log n) instead of O(n).
+///
+/// CRC is linear over GF(2), so it follows an in-place XOR patch without
+/// rereading the buffer. If the bytes [off, off+len) of an N-byte buffer
+/// change from `old` to `new` and K(·) is the raw kernel run from a zero
+/// register (gf::simd::active().crc64(0, ·)), then
+///
+///   crc64(patched) == crc64(original) ^
+///                     crc64_shift(K(old) ^ K(new), N - off - len)
+std::uint64_t crc64_shift(std::uint64_t reg, std::uint64_t n);
+
 }  // namespace eccheck

@@ -25,14 +25,21 @@ std::vector<Buffer> pack_packets(const std::vector<ByteSpan>& tensor_data,
                                  std::size_t num_packets) {
   std::size_t total = 0;
   for (const auto& s : tensor_data) total += s.size();
-  ECC_CHECK_MSG(num_packets >= packets_needed(total, packet_size),
+  const std::size_t live = packets_needed(total, packet_size);
+  ECC_CHECK_MSG(num_packets >= live,
                 "payload " << total << " B does not fit in " << num_packets
                            << " packets of " << packet_size << " B");
 
+  // Each byte is written once: live packets take the payload and only the
+  // last one's tail is zeroed; padding packets are zero throughout.
   std::vector<Buffer> packets;
   packets.reserve(num_packets);
   for (std::size_t i = 0; i < num_packets; ++i)
-    packets.emplace_back(packet_size, Buffer::Init::kZeroed);
+    packets.emplace_back(packet_size, i < live
+                                          ? Buffer::Init::kUninitialized
+                                          : Buffer::Init::kZeroed);
+  if (const std::size_t used = total % packet_size; used != 0)
+    std::memset(packets[live - 1].data() + used, 0, packet_size - used);
 
   std::size_t pkt = 0, off = 0;
   for (const auto& src : tensor_data) {

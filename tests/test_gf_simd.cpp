@@ -3,10 +3,12 @@
 // mul_region, across odd/prime region sizes, misaligned buffers, accumulate
 // on/off, and all three symbol widths, and with a byte-at-a-time oracle for
 // crc64 across every short length/offset, long random buffers and chained
-// calls. Also covers the dispatch machinery (probe/override sanity) and the
-// per-constant table cache.
+// calls; crc64_shift must match feeding zeros to each kernel and carry a
+// checksum through in-place patches. Also covers the dispatch machinery
+// (probe/override sanity) and the per-constant table cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <string>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/crc64.hpp"
 #include "common/rng.hpp"
 #include "gf/galois.hpp"
 #include "gf/simd.hpp"
@@ -235,6 +238,67 @@ TEST_P(SimdIsaTest, Crc64ChainsAcrossSplits) {
     const std::uint64_t head = k().crc64(~0ULL, buf.data(), cut);
     EXPECT_EQ(k().crc64(head, buf.data() + cut, kLen - cut), whole)
         << simd::isa_name(GetParam()) << " cut=" << cut;
+  }
+}
+
+TEST_P(SimdIsaTest, Crc64ShiftMatchesFeedingZeros) {
+  constexpr std::size_t kMax = std::size_t{1} << 20;
+  const Buffer zeros(kMax);
+  SplitMix64 rng(36);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (std::size_t n : {std::size_t{4095}, std::size_t{4096},
+                        std::size_t{65535}, std::size_t{65536}, kMax})
+    lengths.push_back(n);
+  for (int trial = 0; trial < 32; ++trial)
+    lengths.push_back(rng.next_below(kMax + 1));
+  for (std::size_t n : lengths) {
+    const std::uint64_t reg = rng.next();
+    ASSERT_EQ(crc64_shift(reg, n), k().crc64(reg, zeros.data(), n))
+        << simd::isa_name(GetParam()) << " n=" << n;
+  }
+  EXPECT_EQ(crc64_shift(0, kMax), 0u);
+}
+
+// The carry the delta save relies on: patch extents of a buffer in place,
+// fold each extent's raw-CRC change shifted past the bytes after it into
+// the old checksum, and demand the checksum recomputed in full after
+// every patch.
+TEST_P(SimdIsaTest, Crc64ShiftCarriesChecksumThroughPatches) {
+  for (std::size_t len : {std::size_t{1}, std::size_t{4099},
+                          std::size_t{65536}}) {
+    Buffer buf(len, Buffer::Init::kUninitialized);
+    fill_random(buf.span(), 37 + len);
+    std::uint64_t sum = ~k().crc64(~0ULL, buf.data(), len);
+    struct Patch {
+      std::size_t off, n;
+    };
+    std::vector<Patch> patches = {
+        {0, 1},                      // offset 0, length 1
+        {len - 1, 1},                // ends at the buffer's end
+        {0, len},                    // the whole buffer
+        {len / 3, len / 2},          // then two overlapping in sequence
+        {len / 3 + len / 4, len / 2},
+        {len / 2, len - len / 2},    // runs to the end
+    };
+    SplitMix64 rng(38 + len);
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::size_t off = rng.next_below(len);
+      patches.push_back({off, 1 + rng.next_below(len - off)});
+    }
+    for (std::size_t i = 0; i < patches.size(); ++i) {
+      const std::size_t off = patches[i].off;
+      const std::size_t n = std::min(patches[i].n, len - off);
+      if (n == 0) continue;
+      std::byte* p = buf.data() + off;
+      const std::uint64_t before = k().crc64(0, p, n);
+      fill_random({p, n}, 1000 + i);
+      const std::uint64_t after = k().crc64(0, p, n);
+      sum ^= crc64_shift(before ^ after, len - off - n);
+      ASSERT_EQ(sum, ~k().crc64(~0ULL, buf.data(), len))
+          << simd::isa_name(GetParam()) << " len=" << len << " patch " << i
+          << " off=" << off << " n=" << n;
+    }
   }
 }
 
