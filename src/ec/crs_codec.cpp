@@ -146,6 +146,32 @@ void CrsCodec::update_row(int row, int data_index, std::size_t offset,
                      /*accumulate=*/true);
 }
 
+std::vector<std::pair<std::size_t, std::size_t>> CrsCodec::update_footprint(
+    std::size_t offset, std::size_t length, std::size_t packet_size) const {
+  ECC_CHECK(offset + length <= packet_size);
+  if (length == 0) return {};
+  if (mode_ != KernelMode::kXorBitmatrix) return {{offset, length}};
+  ECC_CHECK_MSG(packet_size % packet_granularity() == 0,
+                "packet size must be a multiple of w*8 in bitmatrix mode");
+  const std::size_t strip = packet_size / static_cast<std::size_t>(w_);
+  if (length >= strip) return {{0, packet_size}};
+  // The window's offsets within a strip: [lo, lo+length), or, when it
+  // crosses a strip boundary, [0, lo+length-strip) and [lo, strip).
+  const std::size_t lo = offset % strip;
+  const std::size_t hi = lo + length;
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  for (int i = 0; i < w_; ++i) {
+    const std::size_t at = static_cast<std::size_t>(i) * strip;
+    if (hi <= strip) {
+      out.emplace_back(at + lo, length);
+    } else {
+      out.emplace_back(at, hi - strip);
+      out.emplace_back(at + lo, strip - lo);
+    }
+  }
+  return out;
+}
+
 void CrsCodec::update_parity(int data_index, std::size_t offset, ByteSpan delta,
                              std::span<MutableByteSpan> parity) const {
   ECC_CHECK(static_cast<int>(parity.size()) == m_);

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "ec/bitmatrix.hpp"
@@ -93,6 +94,16 @@ class CrsCodec {
   /// row packet byte-identical to a full re-encode (P' = P ⊕ G·Δ).
   void update_row(int row, int data_index, std::size_t offset, ByteSpan delta,
                   MutableByteSpan target) const;
+
+  /// The bytes of a `packet_size`-byte row packet that update_row may
+  /// change for the dirty window [offset, offset+length), whatever the row:
+  /// disjoint (start, length) ranges in ascending order. In kGfTable mode
+  /// that is the window itself. In bitmatrix mode a source strip's bytes
+  /// land at the same offset within other strips, so it is the window's
+  /// offsets within a strip, repeated in each of the w strips — the whole
+  /// packet once the window spans a strip.
+  std::vector<std::pair<std::size_t, std::size_t>> update_footprint(
+      std::size_t offset, std::size_t length, std::size_t packet_size) const;
 
   /// update_row over all m parity rows: parity[r] ^= E[k+r][data_index]·Δ.
   /// parity.size() == m, each span a full packet.
