@@ -1,10 +1,11 @@
 // Ablation (§IV-A): end-to-end data-plane cost of the kernel choices —
-// GF width, table vs XOR-bitmatrix kernels, and thread-pool size.
+// GF width and table vs XOR-bitmatrix kernels.
 //
 // Virtual checkpoint time is kernel-independent (the cost model charges a
 // calibrated encode bandwidth); what this measures is the *real wall-clock*
-// time the engine spends producing the coded bytes, i.e. which kernel you
-// would calibrate the cost model with.
+// time the engine's byte plane (fabric_save over a VirtualFabric) spends
+// producing the coded bytes, i.e. which kernel you would calibrate the cost
+// model with.
 #include <chrono>
 #include <cstdio>
 
@@ -46,27 +47,18 @@ int main() {
     const char* name;
     int w;
     ec::KernelMode mode;
-    int threads;
   };
-  for (Variant v : {Variant{"gf-table w=8, serial", 8,
-                            ec::KernelMode::kGfTable, 0},
-                    Variant{"gf-table w=8, 2 threads", 8,
-                            ec::KernelMode::kGfTable, 2},
-                    Variant{"gf-table w=8, 4 threads", 8,
-                            ec::KernelMode::kGfTable, 4},
-                    Variant{"gf-table w=4, serial", 4,
-                            ec::KernelMode::kGfTable, 0},
-                    Variant{"gf-table w=16, serial", 16,
-                            ec::KernelMode::kGfTable, 0},
-                    Variant{"xor-bitmatrix w=8, serial", 8,
-                            ec::KernelMode::kXorBitmatrix, 0}}) {
+  for (Variant v : {Variant{"gf-table w=8", 8, ec::KernelMode::kGfTable},
+                    Variant{"gf-table w=4", 4, ec::KernelMode::kGfTable},
+                    Variant{"gf-table w=16", 16, ec::KernelMode::kGfTable},
+                    Variant{"xor-bitmatrix w=8", 8,
+                            ec::KernelMode::kXorBitmatrix}}) {
     core::ECCheckConfig ec;
     ec.k = 2;
     ec.m = 2;
     ec.packet_size = kib(64);
     ec.gf_width = v.w;
     ec.kernel = v.mode;
-    ec.data_plane_threads = v.threads;
     std::printf("%-28s %-12s\n", v.name,
                 human_seconds(wall_save_seconds(ec, shards)).c_str());
   }
@@ -74,7 +66,6 @@ int main() {
       "\nUse this table to calibrate ClusterConfig::encode_bandwidth_per_"
       "thread for your host: the XOR-bitmatrix kernel avoids table lookups "
       "entirely (it often wins for small k where many coefficients are 1), "
-      "table kernels win as k grows; thread-pool slicing scales with "
-      "available cores.\n");
+      "table kernels win as k grows.\n");
   return 0;
 }

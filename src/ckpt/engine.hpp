@@ -20,10 +20,6 @@
 #include "cluster/cluster.hpp"
 #include "dnn/state_dict.hpp"
 
-namespace eccheck::cluster {
-class Fabric;  // cluster/fabric.hpp — SPMD transport abstraction
-}  // namespace eccheck::cluster
-
 namespace eccheck::ckpt {
 
 struct SaveReport {
@@ -43,6 +39,13 @@ struct SaveReport {
   std::string trace_path;
 };
 
+/// How a load found one chunk row of an erasure-coded checkpoint.
+enum class RowOutcome {
+  kIntact,     ///< committed, complete and CRC-clean on its node
+  kMissing,    ///< lost: decoded (data) or re-encoded (parity) by the load
+  kRefetched,  ///< lost beyond m, read back from the remote flush
+};
+
 struct LoadReport {
   bool success = false;
   /// Time from load start until every worker can resume training.
@@ -53,6 +56,13 @@ struct LoadReport {
   /// Per-edge-kind counters for this load alone (see SaveReport::stats).
   std::map<std::string, std::uint64_t> stats;
   std::string trace_path;
+  /// Chunk-row engines: the outcome of each row, by generator row, as the
+  /// load's first round agreed on it. Empty for other engines and for a
+  /// load that failed before that agreement.
+  std::vector<RowOutcome> rows;
+  /// Chunk-row engines, per node: the node lacked some worker's metadata
+  /// before the load, which refreshed it. Empty like `rows`.
+  std::vector<bool> metadata_refreshed;
 };
 
 class CheckpointEngine {
@@ -71,20 +81,6 @@ class CheckpointEngine {
   virtual LoadReport load(cluster::VirtualCluster& cluster,
                           std::int64_t version,
                           std::vector<dnn::StateDict>& out) = 0;
-
-  /// Fabric-generic SPMD form of save: every rank of the fabric calls it
-  /// with the shards of the workers *it drives* (see core/fabric_engine.hpp
-  /// for the ordering contract). Engines that can run over real sockets
-  /// override this; the default throws CheckFailure, keeping the
-  /// simulator-only baselines honest about their scope.
-  virtual SaveReport save(cluster::Fabric& fabric,
-                          const std::vector<const dnn::StateDict*>& shards,
-                          std::int64_t version);
-
-  /// Fabric-generic SPMD form of load; `out` receives the driven workers'
-  /// shards. Default throws CheckFailure like the fabric save.
-  virtual LoadReport load(cluster::Fabric& fabric, std::int64_t version,
-                          std::vector<dnn::StateDict>& out);
 };
 
 /// Worker placement helpers shared by all engines.

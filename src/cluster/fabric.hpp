@@ -2,10 +2,10 @@
 // through, abstracted away from *how* the bytes move.
 //
 // Two implementations exist:
-//  * VirtualFabric (here) — wraps a VirtualCluster: one process drives every
-//    rank, bytes move in-memory, and each helper additionally emits
-//    virtual-time tasks into the simulator. This is the reference
-//    implementation: deterministic, instrumentable, fault-injectable.
+//  * VirtualFabric (here) — wraps a VirtualCluster (or a window of its
+//    nodes): one process drives every rank and bytes move in-memory. This
+//    is the reference implementation, deterministic, instrumentable and
+//    fault-injectable, and the byte plane of the simulator's engines.
 //  * net::SocketTransport (src/net/) — a real TCP / Unix-domain-socket
 //    transport: each process drives exactly one rank and the same calls are
 //    made SPMD-style by every participant, like an MPI program.
@@ -134,52 +134,57 @@ class Fabric {
 };
 
 /// The simulated implementation: one process drives all ranks of a
-/// VirtualCluster; data moves through the existing in-memory helpers and
-/// collectives, so the timing plane keeps recording tasks and the fault
-/// hook keeps firing exactly as before.
+/// VirtualCluster, or of a window of its nodes; data moves through the
+/// in-memory helpers and collectives, so the fault hook fires on every
+/// transfer. The helpers also charge the cluster's timeline, which the
+/// simulator's engines discard: their virtual time comes from their own
+/// schedule (core/eccheck_engine.hpp).
 class VirtualFabric final : public Fabric {
  public:
-  explicit VirtualFabric(VirtualCluster& cluster,
-                         CollectiveOptions collective_opts = {})
-      : c_(cluster), opts_(std::move(collective_opts)) {}
+  explicit VirtualFabric(VirtualCluster& cluster)
+      : VirtualFabric(cluster, 0, cluster.num_nodes()) {}
 
-  VirtualCluster& cluster() { return c_; }
+  /// The `count` nodes from `first` on, as ranks 0..count-1 (one group of
+  /// the grouped engine).
+  VirtualFabric(VirtualCluster& cluster, int first, int count)
+      : c_(cluster), first_(first), count_(count) {
+    ECC_CHECK(first >= 0 && count >= 1 && first + count <= c_.num_nodes());
+  }
 
   std::string fabric_name() const override { return "virtual"; }
-  int world_size() const override { return c_.num_nodes(); }
-  bool drives(int node) const override {
-    return node >= 0 && node < c_.num_nodes();
-  }
+  int world_size() const override { return count_; }
+  bool drives(int node) const override { return node >= 0 && node < count_; }
   int self_rank() const override { return -1; }
-  Store& store(int node) override { return c_.host(node); }
+  Store& store(int node) override { return c_.host(at(node)); }
 
   void net_send(int src, int dst, std::size_t bytes,
                 const std::string& label) override {
-    c_.net_send(src, dst, bytes, opts_.deps, opts_.idle_only, label);
+    c_.net_send(at(src), at(dst), bytes, {}, false, label);
   }
   void send_buffer(int src, int dst, const std::string& src_key,
                    const std::string& dst_key) override {
-    c_.send_buffer(src, dst, src_key, dst_key, opts_.deps, opts_.idle_only);
+    c_.send_buffer(at(src), at(dst), src_key, dst_key, {});
   }
   void broadcast(const std::vector<int>& nodes, int root,
                  const std::string& key) override {
-    cluster::broadcast(c_, nodes, root, key, opts_);
+    cluster::broadcast(c_, at(nodes), at(root), key);
   }
   void all_gather(const std::vector<int>& nodes,
                   const std::function<std::string(int)>& key_of) override {
-    cluster::all_gather(c_, nodes, key_of, opts_);
+    cluster::all_gather(c_, at(nodes),
+                        [&](int node) { return key_of(node - first_); });
   }
   void ring_all_reduce_xor(const std::vector<int>& nodes,
                            const std::string& key) override {
-    cluster::ring_all_reduce_xor(c_, nodes, key, opts_);
+    cluster::ring_all_reduce_xor(c_, at(nodes), key);
   }
   void remote_write(int node, const std::string& key,
                     const std::string& remote_key) override {
-    c_.flush_to_remote(node, key, remote_key, opts_.deps);
+    c_.flush_to_remote(at(node), key, remote_key, {});
   }
   void remote_read(int node, const std::string& remote_key,
                    const std::string& key) override {
-    c_.fetch_from_remote(node, remote_key, key, opts_.deps);
+    c_.fetch_from_remote(at(node), remote_key, key, {});
   }
   bool remote_contains(int node, const std::string& remote_key) override {
     ECC_CHECK(drives(node));
@@ -197,13 +202,26 @@ class VirtualFabric final : public Fabric {
   obs::StatsRegistry& stats() override { return c_.stats(); }
   void barrier(const std::vector<int>&) override {
     // Single process, single thread: every driven rank already reached this
-    // point; emit the zero-duration join for the schedule only.
-    c_.barrier(opts_.deps);
+    // point; emit the zero-duration join.
+    c_.barrier({});
   }
 
  private:
+  /// Rank → cluster node.
+  int at(int node) const {
+    ECC_CHECK_MSG(drives(node), "rank " << node << " outside a " << count_
+                                        << "-node virtual fabric");
+    return first_ + node;
+  }
+  std::vector<int> at(const std::vector<int>& nodes) const {
+    std::vector<int> out;
+    for (int node : nodes) out.push_back(at(node));
+    return out;
+  }
+
   VirtualCluster& c_;
-  CollectiveOptions opts_;
+  int first_;
+  int count_;
 };
 
 }  // namespace eccheck::cluster

@@ -1,11 +1,13 @@
 // ClusterSlice: a contiguous window of nodes presented as a standalone
 // cluster.
 //
-// The group-based mode (§VI) runs the unmodified ECCheck protocol inside
-// each group; a slice translates the engine's local node ids
-// [0, group_size) onto the global cluster and shares the global timeline so
-// the groups' schedules overlap naturally. A slice over the whole cluster
-// (the default conversion) behaves exactly like the cluster itself.
+// The ECCheck engine emits its virtual-time schedule through a slice: in
+// the group-based mode (§VI) each group's schedule runs on a window whose
+// local node ids [0, group_size) translate onto the global cluster, sharing
+// the global timeline so the groups' schedules overlap naturally. A slice
+// over the whole cluster behaves exactly like the cluster itself. A slice
+// offers timing-only tasks and no store: a group's bytes move over a
+// VirtualFabric window of the same nodes (cluster/fabric.hpp).
 #pragma once
 
 #include "cluster/cluster.hpp"
@@ -14,22 +16,15 @@ namespace eccheck::cluster {
 
 class ClusterSlice {
  public:
-  /// Whole-cluster view; owns_timeline controls whether reset_timeline()
-  /// really resets (per-group engines must not wipe their siblings' tasks).
-  explicit ClusterSlice(VirtualCluster& c, bool owns_timeline = true)
-      : c_(&c), first_(0), count_(c.num_nodes()),
-        owns_timeline_(owns_timeline) {}
+  /// Whole-cluster view.
+  explicit ClusterSlice(VirtualCluster& c)
+      : c_(&c), first_(0), count_(c.num_nodes()) {}
 
-  ClusterSlice(VirtualCluster& c, int first_node, int node_count,
-               bool owns_timeline)
-      : c_(&c), first_(first_node), count_(node_count),
-        owns_timeline_(owns_timeline) {
+  ClusterSlice(VirtualCluster& c, int first_node, int node_count)
+      : c_(&c), first_(first_node), count_(node_count) {
     ECC_CHECK(first_node >= 0 && node_count >= 1 &&
               first_node + node_count <= c.num_nodes());
   }
-
-  VirtualCluster& underlying() { return *c_; }
-  int first_node() const { return first_; }
 
   int num_nodes() const { return count_; }
   int gpus_per_node() const { return c_->gpus_per_node(); }
@@ -39,16 +34,6 @@ class ClusterSlice {
   const sim::Timeline& timeline() const { return c_->timeline(); }
   obs::StatsRegistry& stats() { return c_->stats(); }
   const obs::StatsRegistry& stats() const { return c_->stats(); }
-
-  void reset_timeline() {
-    if (owns_timeline_) c_->reset_timeline();
-  }
-
-  bool alive(int node) const { return c_->alive(to_global(node)); }
-  Store& host(int node) { return c_->host(to_global(node)); }
-  const Store& host(int node) const { return c_->host(to_global(node)); }
-  Store& remote() { return c_->remote(); }
-  const Store& remote() const { return c_->remote(); }
 
   TaskId dtoh(int node, int gpu, std::size_t bytes,
               const std::vector<TaskId>& deps) {
@@ -87,16 +72,6 @@ class ClusterSlice {
   TaskId barrier(const std::vector<TaskId>& deps) {
     return c_->barrier(deps);
   }
-  TaskId flush_to_remote(int node, const std::string& key,
-                         const std::string& remote_key,
-                         const std::vector<TaskId>& deps) {
-    return c_->flush_to_remote(to_global(node), key, remote_key, deps);
-  }
-  TaskId fetch_from_remote(int node, const std::string& remote_key,
-                           const std::string& key,
-                           const std::vector<TaskId>& deps) {
-    return c_->fetch_from_remote(to_global(node), remote_key, key, deps);
-  }
 
   sim::ResourceId nic_tx(int node) const {
     return c_->nic_tx(to_global(node));
@@ -116,7 +91,6 @@ class ClusterSlice {
   VirtualCluster* c_;
   int first_;
   int count_;
-  bool owns_timeline_;
 };
 
 /// Worker placement helpers in slice-local coordinates.

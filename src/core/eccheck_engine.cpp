@@ -2,24 +2,58 @@
 
 #include <algorithm>
 
-#include "cluster/slice.hpp"
-#include "common/bytes.hpp"
-#include "core/engine_keys.hpp"
+#include "cluster/fabric.hpp"
 #include "core/fabric_engine.hpp"
-#include "ec/parallel_codec.hpp"
-#include "gf/simd.hpp"
 #include "obs/stats.hpp"
-#include "obs/tracer.hpp"
-#include "runtime/pipeline.hpp"
 
 namespace eccheck::core {
 
-using keys::commit_key;
-using keys::keys_key;
-using keys::local_key;
-using keys::meta_key;
-using keys::row_key;
-using keys::sums_key;
+namespace {
+
+/// What the schedule charges for one worker: its tensor bytes (DtoH
+/// snapshot, packets) and its two serialized blobs (metadata + tensor keys).
+struct WorkerSizes {
+  std::size_t tensor = 0;
+  std::size_t blobs = 0;
+};
+
+std::vector<WorkerSizes> worker_sizes(std::span<const dnn::StateDict> shards) {
+  std::vector<WorkerSizes> sizes;
+  for (const dnn::StateDict& sd : shards) {
+    const Decomposition dec = decompose(sd);
+    sizes.push_back(
+        {dec.tensor_bytes, dec.metadata_blob.size() + dec.keys_blob.size()});
+  }
+  return sizes;
+}
+
+/// Packets per worker: uniform so reduction groups align (§III-C).
+std::size_t uniform_packets(const std::vector<WorkerSizes>& sizes,
+                            std::size_t P) {
+  std::size_t B = 1;
+  for (const WorkerSizes& s : sizes)
+    B = std::max(B, packets_needed(s.tensor, P));
+  return B;
+}
+
+std::vector<const dnn::StateDict*> pointers(
+    std::span<const dnn::StateDict> shards) {
+  std::vector<const dnn::StateDict*> p;
+  for (const auto& sd : shards) p.push_back(&sd);
+  return p;
+}
+
+}  // namespace
+
+ScheduleScope::ScheduleScope(cluster::VirtualCluster& cluster,
+                             obs::StatsRegistry::CounterMap counters)
+    : cluster_(cluster), hook_(cluster.fault_hook()) {
+  cluster_.reset_timeline();
+  cluster_.stats().restore_counters(std::move(counters));
+  cluster_.set_fault_hook(nullptr);
+}
+
+ScheduleScope::~ScheduleScope() { cluster_.set_fault_hook(hook_); }
 
 ECCheckEngine::ECCheckEngine(ECCheckConfig cfg) : cfg_(cfg) {
   ECC_CHECK(cfg_.k >= 1 && cfg_.m >= 0);
@@ -40,59 +74,48 @@ Placement ECCheckEngine::plan_for(
   return plan_for(cluster.num_nodes(), cluster.gpus_per_node());
 }
 
-ckpt::SaveReport ECCheckEngine::save(
-    cluster::Fabric& fabric, const std::vector<const dnn::StateDict*>& shards,
-    std::int64_t version) {
-  return fabric_save(fabric, cfg_, shards, version);
-}
-
-ckpt::LoadReport ECCheckEngine::load(cluster::Fabric& fabric,
-                                     std::int64_t version,
-                                     std::vector<dnn::StateDict>& out) {
-  return fabric_load(fabric, cfg_, version, out);
-}
-
-// ---------------------------------------------------------------------------
-// save
-// ---------------------------------------------------------------------------
-
 ckpt::SaveReport ECCheckEngine::save(cluster::VirtualCluster& cluster,
                                      const std::vector<dnn::StateDict>& shards,
                                      std::int64_t version) {
-  return save_slice(cluster::ClusterSlice(cluster), shards, version);
+  auto counters = cluster.stats().counters();
+  cluster::VirtualFabric fabric(cluster);
+  fabric_save(fabric, cfg_, pointers(shards), version);
+  ScheduleScope scope(cluster, std::move(counters));
+  return schedule_save(cluster::ClusterSlice(cluster), shards);
 }
 
-ckpt::SaveReport ECCheckEngine::save_slice(
-    cluster::ClusterSlice cluster, std::span<const dnn::StateDict> shards,
-    std::int64_t version) {
+ckpt::LoadReport ECCheckEngine::load(cluster::VirtualCluster& cluster,
+                                     std::int64_t version,
+                                     std::vector<dnn::StateDict>& out) {
+  for (int node = 0; node < cluster.num_nodes(); ++node)
+    ECC_CHECK_MSG(cluster.alive(node),
+                  "dead node " << node << " must be replace()d before load");
+  auto counters = cluster.stats().counters();
+  cluster::VirtualFabric fabric(cluster);
+  const ckpt::LoadReport moved = fabric_load(fabric, cfg_, version, out);
+  ScheduleScope scope(cluster, std::move(counters));
+  return schedule_load(cluster::ClusterSlice(cluster), moved, out);
+}
+
+// ---------------------------------------------------------------------------
+// save schedule
+// ---------------------------------------------------------------------------
+
+ckpt::SaveReport ECCheckEngine::schedule_save(
+    cluster::ClusterSlice cluster,
+    std::span<const dnn::StateDict> shards) const {
   ECC_CHECK(static_cast<int>(shards.size()) == cluster.world_size());
-  ECC_CHECK_MSG(cfg_.k + cfg_.m == cluster.num_nodes(),
-                "k+m must equal node count");
-  cluster.reset_timeline();
   ckpt::SaveReport rep;
   const auto stats_base = cluster.stats().counters();
 
   const Placement plan = plan_for(cluster.num_nodes(), cluster.gpus_per_node());
-  const ec::CrsCodec codec(cfg_.k, cfg_.m, cfg_.gf_width, cfg_.kernel);
   const int W = cluster.world_size();
   const int per_chunk = plan.workers_per_chunk();
   const std::size_t P = cfg_.packet_size;
-  ECC_CHECK_MSG(P % codec.packet_granularity() == 0,
-                "packet_size must be a multiple of the codec granularity");
-  std::unique_ptr<runtime::ThreadPool> pool;
-  std::unique_ptr<ec::ParallelCodec> pcodec;
-  if (cfg_.data_plane_threads > 0) {
-    pool = std::make_unique<runtime::ThreadPool>(
-        static_cast<unsigned>(cfg_.data_plane_threads));
-    pcodec = std::make_unique<ec::ParallelCodec>(codec, *pool, P / 4 + 64);
-  }
   const double scale = cluster.config().size_scale;
   const bool idle = cfg_.idle_aware_comm;
-
-  // Packets per worker: uniform so reduction groups align (§III-C).
-  std::size_t B = 1;
-  for (const auto& sd : shards)
-    B = std::max(B, packets_needed(sd.tensor_bytes(), P));
+  const std::vector<WorkerSizes> sizes = worker_sizes(shards);
+  const std::size_t B = uniform_packets(sizes, P);
 
   // ---- Step 1: decompose + snapshot (blocking) --------------------------
   std::vector<std::vector<cluster::TaskId>> pack_done(
@@ -102,26 +125,19 @@ ckpt::SaveReport ECCheckEngine::save_slice(
   for (int w = 0; w < W; ++w) {
     const int node = cluster::slice_node_of_worker(cluster, w);
     const int gpu = cluster::slice_gpu_of_worker(cluster, w);
-    const auto& sd = shards[static_cast<std::size_t>(w)];
-    Decomposition dec = decompose(sd);
+    const WorkerSizes& sz = sizes[static_cast<std::size_t>(w)];
 
-    cluster::TaskId snap = cluster.dtoh(node, gpu, dec.tensor_bytes, {});
-    meta_ser[static_cast<std::size_t>(w)] = cluster.cpu_serialize(
-        node, dec.metadata_blob.size() + dec.keys_blob.size(), {});
+    cluster::TaskId snap = cluster.dtoh(node, gpu, sz.tensor, {});
+    meta_ser[static_cast<std::size_t>(w)] =
+        cluster.cpu_serialize(node, sz.blobs, {});
     stall = std::max({stall, cluster.timeline().finish_time(snap),
                       cluster.timeline().finish_time(
                           meta_ser[static_cast<std::size_t>(w)])});
 
     // Pack tensor bytes into B fixed-size packets (async, per packet).
-    std::vector<Buffer> packets = pack_packets(dec.tensor_data, P, B);
-    for (std::size_t b = 0; b < B; ++b) {
+    for (std::size_t b = 0; b < B; ++b)
       pack_done[static_cast<std::size_t>(w)].push_back(
           cluster.host_copy(node, P, {snap}));
-      cluster.host(node).put(local_key(cfg_.key_namespace, version, w, static_cast<int>(b)),
-                             std::move(packets[b]));
-    }
-    cluster.host(node).put(meta_key(cfg_.key_namespace, version, w), std::move(dec.metadata_blob));
-    cluster.host(node).put(keys_key(cfg_.key_namespace, version, w), std::move(dec.keys_blob));
   }
   rep.breakdown["step1_snapshot"] = stall;
   rep.stall_time = stall;
@@ -130,8 +146,7 @@ ckpt::SaveReport ECCheckEngine::save_slice(
   Seconds meta_bcast_finish = stall;
   for (int w = 0; w < W; ++w) {
     const int src = cluster::slice_node_of_worker(cluster, w);
-    const std::size_t blob = cluster.host(src).get(meta_key(cfg_.key_namespace, version, w)).size() +
-                             cluster.host(src).get(keys_key(cfg_.key_namespace, version, w)).size();
+    const std::size_t blob = sizes[static_cast<std::size_t>(w)].blobs;
     for (int d = 0; d < cluster.num_nodes(); ++d) {
       if (d == src) continue;
       cluster::TaskId t = cluster.net_send(
@@ -140,10 +155,6 @@ ckpt::SaveReport ECCheckEngine::save_slice(
       rep.network_bytes += static_cast<std::size_t>(blob * scale);
       meta_bcast_finish =
           std::max(meta_bcast_finish, cluster.timeline().finish_time(t));
-      cluster.host(d).put(meta_key(cfg_.key_namespace, version, w),
-                          cluster.host(src).get(meta_key(cfg_.key_namespace, version, w)).clone());
-      cluster.host(d).put(keys_key(cfg_.key_namespace, version, w),
-                          cluster.host(src).get(keys_key(cfg_.key_namespace, version, w)).clone());
     }
   }
   rep.breakdown["step2_metadata_broadcast"] = meta_bcast_finish;
@@ -176,16 +187,12 @@ ckpt::SaveReport ECCheckEngine::save_slice(
       const int wsrc = c * per_chunk + s.j;
       const int src = cluster::slice_node_of_worker(cluster, wsrc);
       const int dst = plan.data_nodes[static_cast<std::size_t>(c)];
-      const std::string lk = local_key(cfg_.key_namespace, version, wsrc, s.b);
-      const std::string rk = row_key(cfg_.key_namespace, version, c, s.j, s.b);
-      cluster::TaskId dep = pack_done[static_cast<std::size_t>(wsrc)]
-                                     [static_cast<std::size_t>(s.b)];
-      cluster::TaskId t = dep;
+      cluster::TaskId t = pack_done[static_cast<std::size_t>(wsrc)]
+                                   [static_cast<std::size_t>(s.b)];
       if (src != dst) {
-        t = cluster.net_send(src, dst, P, {dep}, idle, "p2p_data");
+        t = cluster.net_send(src, dst, P, {t}, idle, "p2p_data");
         count_net(P);
       }
-      cluster.host(dst).put(rk, cluster.host(src).get(lk).clone());
       row_finish[static_cast<std::size_t>(c)] =
           std::max(row_finish[static_cast<std::size_t>(c)],
                    cluster.timeline().finish_time(t));
@@ -217,109 +224,12 @@ ckpt::SaveReport ECCheckEngine::save_slice(
     encode_barrier = cluster.barrier(all_encodes);
   }
 
-  // Real data plane (§IV-C): with a thread pool and pipelining enabled the
-  // actual parity bytes are produced by the paper's three-stage pipeline —
-  // per-participant partial products (encode), XOR-reduction of the partials,
-  // and the commit hand-off into the destination store (the in-process stand-
-  // in for the P2P hop) — one real thread per stage with bounded queues, so
-  // packets overlap across stages exactly like the virtual schedule emitted
-  // below. Input spans are gathered up front and each stage touches only its
-  // own item, so the stages never race the stores; XOR-combining the partials
-  // is bit-identical to the serial accumulate path (GF addition is XOR).
-  struct RealStripe {
-    std::vector<ByteSpan> inputs;  ///< the k source packets
-    int row = 0;                   ///< generator row k+r
-    std::string key;               ///< destination row key
-    int dest_node = 0;
-    std::vector<Buffer> partials;  ///< encode → xor_reduce hand-off
-    Buffer acc;                    ///< the finished parity packet
-  };
-  const bool real_pipeline = pcodec != nullptr && cfg_.pipelined;
-  if (real_pipeline) {
-    std::vector<RealStripe> real(stripes.size() *
-                                 static_cast<std::size_t>(cfg_.m));
-    for (std::size_t si = 0; si < stripes.size(); ++si) {
-      const auto& s = stripes[si];
-      for (int r = 0; r < cfg_.m; ++r) {
-        const auto& op =
-            plan.reductions[static_cast<std::size_t>(s.j * cfg_.m + r)];
-        RealStripe& rs = real[si * static_cast<std::size_t>(cfg_.m) +
-                              static_cast<std::size_t>(r)];
-        rs.row = cfg_.k + r;
-        rs.key = row_key(cfg_.key_namespace, version, cfg_.k + r, s.j, s.b);
-        rs.dest_node = op.dest_node;
-        rs.inputs.reserve(static_cast<std::size_t>(cfg_.k));
-        for (int c = 0; c < cfg_.k; ++c) {
-          const int pw = op.participants[static_cast<std::size_t>(c)];
-          rs.inputs.push_back(
-              cluster.host(cluster::slice_node_of_worker(cluster, pw))
-                  .get(local_key(cfg_.key_namespace, version, pw, s.b))
-                  .span());
-        }
-      }
-    }
-    std::vector<std::function<void(RealStripe&)>> real_stages;
-    real_stages.push_back([&](RealStripe& rs) {
-      rs.partials.reserve(rs.inputs.size());
-      for (std::size_t c = 0; c < rs.inputs.size(); ++c) {
-        rs.partials.emplace_back(P, Buffer::Init::kUninitialized);
-        pcodec->encode_partial(rs.row, static_cast<int>(c), rs.inputs[c],
-                               rs.partials[c].span(), /*accumulate=*/false);
-      }
-    });
-    real_stages.push_back([](RealStripe& rs) {
-      // Fold partials with the dispatched XOR kernel directly — partials
-      // are all P bytes (allocated two stages up) and 64-byte aligned.
-      const gf::simd::Kernels& kernels = gf::simd::active();
-      rs.acc = std::move(rs.partials[0]);
-      for (std::size_t c = 1; c < rs.partials.size(); ++c)
-        kernels.xor_into(rs.acc.data(), rs.partials[c].data(),
-                         rs.acc.size());
-      rs.partials.clear();
-    });
-    real_stages.push_back([&](RealStripe& rs) {
-      cluster.host(rs.dest_node).put(rs.key, std::move(rs.acc));
-    });
-    runtime::run_pipeline(real, real_stages, /*queue_capacity=*/4,
-                          {"encode", "xor_reduce", "p2p_commit"});
-  }
-
   // Stage 3c: XOR-reduction chains ending at each target, then the final
-  // P2P hop to the parity node; real parity bytes are produced here when the
-  // pipeline above did not already commit them.
+  // P2P hop to the parity node.
   for (std::size_t si = 0; si < stripes.size(); ++si) {
-    const auto& s = stripes[si];
     for (int r = 0; r < cfg_.m; ++r) {
-      const auto& op =
-          plan.reductions[static_cast<std::size_t>(s.j * cfg_.m + r)];
-
-      // Data plane: the pipeline above already committed the parity packet;
-      // otherwise accumulate partial products serially here — thread-pool
-      // sliced when data_plane_threads > 0 (§IV-A).
-      if (!real_pipeline) {
-        Buffer acc(P, Buffer::Init::kUninitialized);
-        std::vector<ByteSpan> packet_spans;
-        packet_spans.reserve(static_cast<std::size_t>(cfg_.k));
-        for (int c = 0; c < cfg_.k; ++c) {
-          const int pw = op.participants[static_cast<std::size_t>(c)];
-          packet_spans.push_back(
-              cluster.host(cluster::slice_node_of_worker(cluster, pw))
-                  .get(local_key(cfg_.key_namespace, version, pw, s.b))
-                  .span());
-        }
-        if (pcodec) {
-          pcodec->encode_row(cfg_.k + r, packet_spans, acc.span());
-        } else {
-          for (int c = 0; c < cfg_.k; ++c)
-            codec.encode_partial(cfg_.k + r, c,
-                                 packet_spans[static_cast<std::size_t>(c)],
-                                 acc.span(), /*accumulate=*/c != 0);
-        }
-        cluster.host(op.dest_node).put(
-            row_key(cfg_.key_namespace, version, cfg_.k + r, s.j, s.b),
-            std::move(acc));
-      }
-
+      const auto& op = plan.reductions[static_cast<std::size_t>(
+          stripes[si].j * cfg_.m + r)];
       auto enc_of = [&](int c) {
         return cfg_.pipelined
                    ? enc_tasks[si][static_cast<std::size_t>(r * cfg_.k + c)]
@@ -398,40 +308,6 @@ ckpt::SaveReport ECCheckEngine::save_slice(
   rep.breakdown["step3_encode_pipeline"] = encode_finish;
   rep.total_time = encode_finish;
 
-  // Drop the staging copies: each node now keeps exactly one chunk plus the
-  // tiny metadata, matching the paper's redundancy accounting. A commit
-  // marker makes the version visible to load() — a save torn by failure
-  // never commits, so recovery falls back to the previous version.
-  for (int w = 0; w < W; ++w) {
-    const int node = cluster::slice_node_of_worker(cluster, w);
-    for (int b = 0; b < static_cast<int>(B); ++b)
-      cluster.host(node).erase(local_key(cfg_.key_namespace, version, w, b));
-  }
-  for (int node = 0; node < cluster.num_nodes(); ++node) {
-    if (cfg_.verify_integrity) {
-      const int row = plan.generator_row_of_node(node);
-      Buffer sums(static_cast<std::size_t>(per_chunk) * B * 8,
-                  Buffer::Init::kUninitialized);
-      for (int j = 0; j < per_chunk; ++j) {
-        for (int b = 0; b < static_cast<int>(B); ++b) {
-          const std::uint64_t crc = crc64(
-              cluster.host(node)
-                  .get(row_key(cfg_.key_namespace, version, row, j, b))
-                  .span());
-          std::memcpy(sums.data() +
-                          (static_cast<std::size_t>(j) * B +
-                           static_cast<std::size_t>(b)) *
-                              8,
-                      &crc, 8);
-        }
-      }
-      cluster.host(node).put(sums_key(cfg_.key_namespace, version),
-                             std::move(sums));
-    }
-    cluster.host(node).put(commit_key(cfg_.key_namespace, version),
-                           Buffer::copy_of(as_bytes_of(version)));
-  }
-
   // ---- Step 4: low-frequency remote flush --------------------------------
   if (cfg_.flush_to_remote) {
     Seconds flush_finish = encode_finish;
@@ -442,23 +318,13 @@ ckpt::SaveReport ECCheckEngine::save_slice(
                                  row - cfg_.k)];
       for (int j = 0; j < per_chunk; ++j) {
         for (int b = 0; b < static_cast<int>(B); ++b) {
-          const std::string rk = row_key(cfg_.key_namespace, version, row, j, b);
-          cluster::TaskId t = cluster.flush_to_remote(node, rk, rk, {});
+          cluster::TaskId t = cluster.remote_write(node, P, {});
           rep.remote_bytes += static_cast<std::size_t>(P * scale);
           flush_finish =
               std::max(flush_finish, cluster.timeline().finish_time(t));
         }
       }
     }
-    for (int w = 0; w < W; ++w) {
-      const int node = cluster::slice_node_of_worker(cluster, w);
-      cluster.remote().put(meta_key(cfg_.key_namespace, version, w),
-                           cluster.host(node).get(meta_key(cfg_.key_namespace, version, w)).clone());
-      cluster.remote().put(keys_key(cfg_.key_namespace, version, w),
-                           cluster.host(node).get(keys_key(cfg_.key_namespace, version, w)).clone());
-    }
-    cluster.remote().put(commit_key(cfg_.key_namespace, version),
-                         Buffer::copy_of(as_bytes_of(version)));
     rep.breakdown["step4_remote_flush"] = flush_finish;
     rep.total_time = std::max(rep.total_time, flush_finish);
   }
@@ -469,39 +335,27 @@ ckpt::SaveReport ECCheckEngine::save_slice(
 }
 
 // ---------------------------------------------------------------------------
-// load
+// load schedule
 // ---------------------------------------------------------------------------
 
-ckpt::LoadReport ECCheckEngine::load(cluster::VirtualCluster& cluster,
-                                     std::int64_t version,
-                                     std::vector<dnn::StateDict>& out) {
-  return load_slice(cluster::ClusterSlice(cluster), version, out);
-}
-
-ckpt::LoadReport ECCheckEngine::load_slice(cluster::ClusterSlice cluster,
-                                           std::int64_t version,
-                                           std::vector<dnn::StateDict>& out) {
-  cluster.reset_timeline();
+ckpt::LoadReport ECCheckEngine::schedule_load(
+    cluster::ClusterSlice cluster, const ckpt::LoadReport& moved,
+    const std::vector<dnn::StateDict>& out) const {
   ckpt::LoadReport rep;
+  rep.detail = moved.detail;
+  if (!moved.success) return rep;
   const auto stats_base = cluster.stats().counters();
-  auto finalize_stats = [&]() {
-    rep.stats =
-        obs::StatsRegistry::delta(cluster.stats().counters(), stats_base);
-  };
+
   const Placement plan = plan_for(cluster.num_nodes(), cluster.gpus_per_node());
-  const ec::CrsCodec codec(cfg_.k, cfg_.m, cfg_.gf_width, cfg_.kernel);
-  std::unique_ptr<runtime::ThreadPool> pool;
-  std::unique_ptr<ec::ParallelCodec> pcodec;
-  if (cfg_.data_plane_threads > 0) {
-    pool = std::make_unique<runtime::ThreadPool>(
-        static_cast<unsigned>(cfg_.data_plane_threads));
-    pcodec = std::make_unique<ec::ParallelCodec>(
-        codec, *pool, cfg_.packet_size / 4 + 64);
-  }
   const int W = cluster.world_size();
   const int n = cluster.num_nodes();
   const int per_chunk = plan.workers_per_chunk();
   const std::size_t P = cfg_.packet_size;
+  ECC_CHECK(static_cast<int>(out.size()) == W &&
+            static_cast<int>(moved.rows.size()) == n &&
+            static_cast<int>(moved.metadata_refreshed.size()) == n);
+  const std::vector<WorkerSizes> sizes = worker_sizes(out);
+  const std::size_t B = uniform_packets(sizes, P);
 
   auto node_of_row = [&](int row) {
     return row < cfg_.k
@@ -509,167 +363,66 @@ ckpt::LoadReport ECCheckEngine::load_slice(cluster::ClusterSlice cluster,
                : plan.parity_nodes[static_cast<std::size_t>(row - cfg_.k)];
   };
 
-  // ---- discover which chunk rows survived -------------------------------
-  std::vector<int> survivor_rows, missing_rows;
-  for (int node = 0; node < n; ++node) {
-    ECC_CHECK_MSG(cluster.alive(node),
-                  "dead node " << node << " must be replace()d before load");
-    const int row = plan.generator_row_of_node(node);
-    bool intact =
-        cluster.host(node).contains(commit_key(cfg_.key_namespace, version)) &&
-        cluster.host(node).contains(
-            row_key(cfg_.key_namespace, version, row, 0, 0));
-    if (intact && cfg_.verify_integrity) {
-      // Scrub: any packet whose CRC64 disagrees with the stored checksum
-      // turns the whole chunk into an erasure (decoded around like a
-      // failed node).
-      intact = cluster.host(node).contains(
-          sums_key(cfg_.key_namespace, version));
-      if (intact) {
-        const Buffer& sums =
-            cluster.host(node).get(sums_key(cfg_.key_namespace, version));
-        const std::size_t B_row = sums.size() / 8 / per_chunk;
-        for (int j = 0; intact && j < per_chunk; ++j) {
-          for (std::size_t b = 0; intact && b < B_row; ++b) {
-            const std::string rk = row_key(cfg_.key_namespace, version, row,
-                                           j, static_cast<int>(b));
-            if (!cluster.host(node).contains(rk)) {
-              intact = false;
-              break;
-            }
-            std::uint64_t want;
-            std::memcpy(&want,
-                        sums.data() +
-                            (static_cast<std::size_t>(j) * B_row + b) * 8,
-                        8);
-            intact = crc64(cluster.host(node).get(rk).span()) == want;
-          }
-        }
-      }
+  // ---- which chunk rows survived, as the byte plane's round 1 agreed ----
+  std::vector<int> survivor_rows, missing_rows, refetched_rows;
+  for (int row = 0; row < n; ++row) {
+    switch (moved.rows[static_cast<std::size_t>(row)]) {
+      case ckpt::RowOutcome::kIntact:
+        survivor_rows.push_back(row);
+        break;
+      case ckpt::RowOutcome::kMissing:
+        missing_rows.push_back(row);
+        break;
+      case ckpt::RowOutcome::kRefetched:
+        survivor_rows.push_back(row);
+        refetched_rows.push_back(row);
+        break;
     }
-    if (intact)
-      survivor_rows.push_back(row);
-    else
-      missing_rows.push_back(row);
   }
-  std::sort(survivor_rows.begin(), survivor_rows.end());
-  std::sort(missing_rows.begin(), missing_rows.end());
 
-  // ---- catastrophic path: fewer than k chunks left ------------------------
+  // ---- catastrophic path: rows refetched from the remote flush -----------
   // Every remote fetch is a timed task whose finish gates everything built
   // on the refetched row (reconstruction, refill, resume): the slow 5 Gbps
   // storage link shows up in the Fig. 13-style recovery numbers instead of
   // being silently dropped from the timeline.
-  std::vector<Seconds> row_fetch_ready(static_cast<std::size_t>(cfg_.k +
-                                                                cfg_.m),
-                                       0);
+  std::vector<Seconds> row_ready(static_cast<std::size_t>(cfg_.k + cfg_.m),
+                                 0);
   std::vector<Seconds> node_meta_ready(static_cast<std::size_t>(n), 0);
-  int remote_rescued_rows = 0;
-  if (static_cast<int>(survivor_rows.size()) < cfg_.k) {
-    if (!(cfg_.remote_fallback &&
-          cluster.remote().contains(commit_key(cfg_.key_namespace, version)) &&
-          cluster.remote().contains(
-              row_key(cfg_.key_namespace, version, 0, 0, 0)))) {
-      rep.success = false;
-      rep.detail = "only " + std::to_string(survivor_rows.size()) +
-                   " chunks survive, need k=" + std::to_string(cfg_.k) +
-                   " and no remote copy exists";
-      finalize_stats();
-      return rep;
-    }
-    // Refill the missing rows from the remote flush.
-    std::size_t B_remote = 0;
-    while (cluster.remote().contains(
-        row_key(cfg_.key_namespace, version, 0, 0, static_cast<int>(B_remote))))
-      ++B_remote;
-    for (int row : missing_rows) {
-      const int node = node_of_row(row);
-      Seconds fetched = 0;
-      for (int j = 0; j < per_chunk; ++j)
-        for (int b = 0; b < static_cast<int>(B_remote); ++b) {
-          const std::string rk = row_key(cfg_.key_namespace, version, row, j, b);
-          cluster::TaskId t = cluster.fetch_from_remote(node, rk, rk, {});
-          fetched = std::max(fetched, cluster.timeline().finish_time(t));
-        }
-      row_fetch_ready[static_cast<std::size_t>(row)] = fetched;
-      // Commit markers and checksums for the refetched rows are restored
-      // by the end-of-load refresh pass.
-      survivor_rows.push_back(row);
-      ++remote_rescued_rows;
-    }
-    std::sort(survivor_rows.begin(), survivor_rows.end());
-    missing_rows.clear();
-    // Metadata also comes back from remote: every node needs the full set
-    // of per-worker blobs (the step-2 broadcast invariant). The tiny blobs
-    // share the storage link with the chunk fetches above.
-    for (int node = 0; node < n; ++node) {
-      std::size_t meta_bytes = 0;
-      for (int w = 0; w < W; ++w) {
-        if (cluster.host(node).contains(meta_key(cfg_.key_namespace, version, w))) continue;
-        meta_bytes +=
-            cluster.remote().get(meta_key(cfg_.key_namespace, version, w)).size() +
-            cluster.remote().get(keys_key(cfg_.key_namespace, version, w)).size();
-        cluster.host(node).put(
-            meta_key(cfg_.key_namespace, version, w),
-            cluster.remote().get(meta_key(cfg_.key_namespace, version, w)).clone());
-        cluster.host(node).put(
-            keys_key(cfg_.key_namespace, version, w),
-            cluster.remote().get(keys_key(cfg_.key_namespace, version, w)).clone());
+  for (int row : refetched_rows) {
+    const int node = node_of_row(row);
+    Seconds fetched = 0;
+    for (int j = 0; j < per_chunk; ++j)
+      for (int b = 0; b < static_cast<int>(B); ++b) {
+        cluster::TaskId t = cluster.remote_read(node, P, {});
+        fetched = std::max(fetched, cluster.timeline().finish_time(t));
       }
-      if (meta_bytes > 0) {
-        cluster::TaskId t = cluster.remote_read(node, meta_bytes, {});
-        node_meta_ready[static_cast<std::size_t>(node)] =
-            cluster.timeline().finish_time(t);
-      }
-    }
+    row_ready[static_cast<std::size_t>(row)] = fetched;
   }
 
-  // ---- packets per worker, from the tensor-keys component ----------------
-  // Any surviving node has every worker's metadata (step-2 broadcast).
-  int meta_holder = -1;
+  // ---- metadata refresh ---------------------------------------------------
+  // Nodes without every worker's blobs read them back from the remote flush
+  // alongside the rows (sharing the storage link), or else from the first
+  // node that held them all (the step-2 broadcast invariant).
+  std::size_t all_blobs = 0;
+  for (const WorkerSizes& s : sizes) all_blobs += s.blobs;
+  const auto& refreshed = moved.metadata_refreshed;
+  const int meta_holder = static_cast<int>(
+      std::find(refreshed.begin(), refreshed.end(), false) -
+      refreshed.begin());
   for (int node = 0; node < n; ++node) {
-    if (cluster.host(node).contains(meta_key(cfg_.key_namespace, version, 0))) {
-      meta_holder = node;
-      break;
-    }
-  }
-  if (meta_holder < 0) {
-    rep.success = false;
-    rep.detail = "no surviving metadata copy for version " +
-                 std::to_string(version) + " (pruned or never saved)";
-    finalize_stats();
-    return rep;
-  }
-  std::size_t B = 1;
-  std::vector<std::vector<dnn::TensorMeta>> keys(
-      static_cast<std::size_t>(W));
-  for (int w = 0; w < W; ++w) {
-    keys[static_cast<std::size_t>(w)] = dnn::deserialize_tensor_keys(
-        cluster.host(meta_holder).get(keys_key(cfg_.key_namespace, version, w)).span());
-    std::size_t bytes = 0;
-    for (const auto& tm : keys[static_cast<std::size_t>(w)])
-      bytes += tm.nbytes();
-    B = std::max(B, packets_needed(bytes, P));
-  }
-
-  // Replaced nodes re-fetch the tiny metadata blobs from a surviving peer
-  // (remote-rescued nodes already have them, gated by node_meta_ready).
-  for (int node = 0; node < n; ++node) {
-    if (cluster.host(node).contains(meta_key(cfg_.key_namespace, version, 0))) continue;
+    if (!refreshed[static_cast<std::size_t>(node)]) continue;
     Seconds done = 0;
-    for (int w = 0; w < W; ++w) {
-      std::size_t blob =
-          cluster.host(meta_holder).get(meta_key(cfg_.key_namespace, version, w)).size() +
-          cluster.host(meta_holder).get(keys_key(cfg_.key_namespace, version, w)).size();
-      cluster::TaskId t = cluster.net_send(meta_holder, node, blob, {}, false,
-                                           "meta_refetch");
-      done = std::max(done, cluster.timeline().finish_time(t));
-      cluster.host(node).put(
-          meta_key(cfg_.key_namespace, version, w),
-          cluster.host(meta_holder).get(meta_key(cfg_.key_namespace, version, w)).clone());
-      cluster.host(node).put(
-          keys_key(cfg_.key_namespace, version, w),
-          cluster.host(meta_holder).get(keys_key(cfg_.key_namespace, version, w)).clone());
+    if (!refetched_rows.empty()) {
+      done = cluster.timeline().finish_time(
+          cluster.remote_read(node, all_blobs, {}));
+    } else {
+      ECC_CHECK(meta_holder < n);
+      for (int w = 0; w < W; ++w) {
+        cluster::TaskId t = cluster.net_send(
+            meta_holder, node, sizes[static_cast<std::size_t>(w)].blobs, {},
+            false, "meta_refetch");
+        done = std::max(done, cluster.timeline().finish_time(t));
+      }
     }
     node_meta_ready[static_cast<std::size_t>(node)] = done;
   }
@@ -684,11 +437,9 @@ ckpt::LoadReport ECCheckEngine::load_slice(cluster::ClusterSlice cluster,
   // before training resumes; lost *parity* rows are restored afterwards
   // ("each node can use its checkpoint data to resume training. Then the
   // lost parity packets are encoded...").
-  std::vector<Seconds> row_ready = row_fetch_ready;
   std::vector<int> missing_data, missing_parity;
   for (int r : missing_rows)
     (r < cfg_.k ? missing_data : missing_parity).push_back(r);
-  const bool data_lost = !missing_data.empty();
 
   // Distributed reconstruction pass: rebuild `targets` from the k-row
   // `basis`, releasing no task before `not_before`.
@@ -696,7 +447,6 @@ ckpt::LoadReport ECCheckEngine::load_slice(cluster::ClusterSlice cluster,
                          const std::vector<int>& targets,
                          Seconds not_before) {
     if (targets.empty()) return;
-    ec::GfMatrix T = codec.reconstruction_matrix(basis, targets);
     sim::TaskOptions release;
     release.not_before = not_before;
     // Basis rows that came back over the remote link gate the whole pass.
@@ -709,35 +459,11 @@ ckpt::LoadReport ECCheckEngine::load_slice(cluster::ClusterSlice cluster,
     for (int j = 0; j < per_chunk; ++j) {
       for (int b = 0; b < static_cast<int>(B); ++b) {
         // Partial products at each survivor, one per target row.
-        for (std::size_t ti = 0; ti < targets.size(); ++ti) {
-          const int target_row = targets[ti];
+        for (const int target_row : targets) {
           const int target_node = node_of_row(target_row);
-
-          Buffer acc(P, Buffer::Init::kUninitialized);
-          if (pcodec) {
-            std::vector<ByteSpan> survivor_spans;
-            for (int s = 0; s < cfg_.k; ++s) {
-              survivor_spans.push_back(
-                  cluster.host(node_of_row(basis[static_cast<std::size_t>(s)]))
-                      .get(row_key(cfg_.key_namespace, version,
-                                   basis[static_cast<std::size_t>(s)], j, b))
-                      .span());
-            }
-            MutableByteSpan accs[] = {acc.span()};
-            pcodec->apply_matrix(T.select_rows({static_cast<int>(ti)}),
-                                 survivor_spans, accs);
-          }
           cluster::TaskId carry = -1;
           for (int s = 0; s < cfg_.k; ++s) {
-            const int srow = basis[static_cast<std::size_t>(s)];
-            const int snode = node_of_row(srow);
-            if (!pcodec) {
-              const Buffer& pkt = cluster.host(snode).get(
-                  row_key(cfg_.key_namespace, version, srow, j, b));
-              codec.mul_packet(T.at(static_cast<int>(ti), s), pkt.span(),
-                               acc.span(), /*accumulate=*/s != 0);
-            }
-
+            const int snode = node_of_row(basis[static_cast<std::size_t>(s)]);
             cluster::TaskId part = cluster.cpu_code(snode, P, {gate});
             if (carry < 0) {
               carry = part;
@@ -757,8 +483,6 @@ ckpt::LoadReport ECCheckEngine::load_slice(cluster::ClusterSlice cluster,
           if (last_node != target_node)
             done = cluster.net_send(last_node, target_node, P, {carry}, false,
                                     "decode_p2p");
-          cluster.host(target_node).put(row_key(cfg_.key_namespace, version, target_row, j, b),
-                                        std::move(acc));
           row_ready[static_cast<std::size_t>(target_row)] =
               std::max(row_ready[static_cast<std::size_t>(target_row)],
                        cluster.timeline().finish_time(done));
@@ -772,44 +496,29 @@ ckpt::LoadReport ECCheckEngine::load_slice(cluster::ClusterSlice cluster,
   reconstruct(basis, missing_data, 0);
 
   // ---- refill every worker's own packets and rebuild state_dicts ---------
-  out.clear();
-  out.resize(static_cast<std::size_t>(W));
   Seconds resume = 0;
   for (int w = 0; w < W; ++w) {
     const int node = cluster::slice_node_of_worker(cluster, w);
     const int c = plan.chunk_of_worker(w);
     const int src = plan.data_nodes[static_cast<std::size_t>(c)];
-    const int j = w - c * per_chunk;
 
-    Seconds ready = std::max(row_ready[static_cast<std::size_t>(c)],
-                             node_meta_ready[static_cast<std::size_t>(node)]);
-    std::vector<ByteSpan> packet_views;
+    const Seconds ready =
+        std::max(row_ready[static_cast<std::size_t>(c)],
+                 node_meta_ready[static_cast<std::size_t>(node)]);
     cluster::TaskId last = -1;
-    for (int b = 0; b < static_cast<int>(B); ++b) {
-      const std::string rk = row_key(cfg_.key_namespace, version, c, j, b);
-      if (src != node) {
-        sim::TaskOptions opts;
-        opts.not_before = ready;
-        cluster::TaskId t = cluster.timeline().add_task(
-            "refill", {cluster.nic_tx(src), cluster.nic_rx(node)},
-            static_cast<double>(P) * cluster.config().size_scale /
-                cluster.config().nic_bandwidth,
-            {}, opts);
-        last = t;
-      }
-      packet_views.push_back(cluster.host(src).get(rk).span());
+    for (int b = 0; src != node && b < static_cast<int>(B); ++b) {
+      sim::TaskOptions opts;
+      opts.not_before = ready;
+      last = cluster.timeline().add_task(
+          "refill", {cluster.nic_tx(src), cluster.nic_rx(node)},
+          static_cast<double>(P) * cluster.config().size_scale /
+              cluster.config().nic_bandwidth,
+          {}, opts);
     }
-    Seconds packets_at =
+    const Seconds packets_at =
         last >= 0 ? cluster.timeline().finish_time(last) : ready;
 
     // Skeleton rebuild: deserialize tiny components + in-place unpack.
-    dnn::StateDict skel = dnn::make_skeleton(
-        dnn::deserialize_metadata(
-            cluster.host(meta_holder).get(meta_key(cfg_.key_namespace, version, w)).span()),
-        keys[static_cast<std::size_t>(w)]);
-    unpack_packets(packet_views, skel);
-    out[static_cast<std::size_t>(w)] = std::move(skel);
-
     sim::TaskOptions opts;
     opts.not_before = packets_at;
     cluster::TaskId unpack = cluster.timeline().add_task(
@@ -832,51 +541,13 @@ ckpt::LoadReport ECCheckEngine::load_slice(cluster::ClusterSlice cluster,
   Seconds total = resume;
   for (Seconds t : row_ready) total = std::max(total, t);
 
-  // Replaced nodes now hold their reconstructed chunk and metadata: refresh
-  // their checksums and mark the version committed so future recoveries see
-  // them as survivors.
-  for (int node = 0; node < n; ++node) {
-    if (cluster.host(node).contains(commit_key(cfg_.key_namespace, version)))
-      continue;
-    if (cfg_.verify_integrity) {
-      const int row = plan.generator_row_of_node(node);
-      Buffer sums(static_cast<std::size_t>(per_chunk) * B * 8,
-                  Buffer::Init::kUninitialized);
-      for (int j = 0; j < per_chunk; ++j) {
-        for (int b = 0; b < static_cast<int>(B); ++b) {
-          const std::uint64_t crc = crc64(
-              cluster.host(node)
-                  .get(row_key(cfg_.key_namespace, version,
-                               plan.generator_row_of_node(node), j, b))
-                  .span());
-          std::memcpy(sums.data() +
-                          (static_cast<std::size_t>(j) * B +
-                           static_cast<std::size_t>(b)) *
-                              8,
-                      &crc, 8);
-        }
-      }
-      (void)row;
-      cluster.host(node).put(sums_key(cfg_.key_namespace, version),
-                             std::move(sums));
-    }
-    cluster.host(node).put(commit_key(cfg_.key_namespace, version),
-                           Buffer::copy_of(as_bytes_of(version)));
-  }
-
   rep.success = true;
   rep.resume_time = resume;
   rep.total_time = total;
-  if (remote_rescued_rows > 0)
-    rep.detail = "remote fallback (refetched " +
-                 std::to_string(remote_rescued_rows) +
-                 " rows from remote storage)";
-  else if (data_lost)
-    rep.detail = "workflow B (decoded " + std::to_string(missing_rows.size()) +
-                 " rows)";
-  else
-    rep.detail = "workflow A (all data nodes survived)";
-  finalize_stats();
+  rep.rows = moved.rows;
+  rep.metadata_refreshed = moved.metadata_refreshed;
+  rep.stats =
+      obs::StatsRegistry::delta(cluster.stats().counters(), stats_base);
   return rep;
 }
 

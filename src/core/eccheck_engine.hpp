@@ -1,4 +1,5 @@
-// ECCheck: erasure-coded in-memory checkpointing engine (paper §III–§IV).
+// ECCheck: erasure-coded in-memory checkpointing engine (paper §III–§IV)
+// on the simulator's VirtualCluster.
 //
 // save() runs the four-step protocol of Fig. 5:
 //   1. decompose each worker's state_dict and snapshot tensor data to host
@@ -21,10 +22,20 @@
 //      its packets, then redundancy is restored.
 // If more than m nodes failed, load falls back to the remote flush when one
 // exists, and reports failure otherwise.
+//
+// Each operation runs on two planes. The byte plane is fabric_save /
+// fabric_load (core/fabric_engine.hpp) over a VirtualFabric of the same
+// cluster: the one implementation of the protocol, which also runs over
+// real sockets. The time plane is this file's schedule: byte-free
+// dtoh / host_copy / cpu_code / cpu_xor / net_send / remote / refill /
+// unpack tasks on the cluster's timeline, from which the reports (and the
+// paper's Figs. 10–15) take their virtual times and traffic counters. The
+// schedule models the paper's system — every packet slot, padding
+// included — and is emitted after the byte plane finished, on a timeline
+// and counters cleared of what the byte plane charged (ScheduleScope).
 #pragma once
 
-#include <memory>
-#include <optional>
+#include <span>
 
 #include "ckpt/engine.hpp"
 #include "cluster/slice.hpp"
@@ -44,7 +55,8 @@ struct ECCheckConfig {
   std::size_t packet_size = mib(64);
 
   /// Schedule checkpoint communication inside profiled network-idle windows
-  /// (§IV-B3). Disabling it is the interference ablation.
+  /// (§IV-B3). Disabling it is the interference ablation. Read by the
+  /// simulator's schedule only, like `pipelined` and `tree_reduction`.
   bool idle_aware_comm = true;
 
   /// Pipeline encode → XOR-reduce → P2P per packet (§IV-C). Disabling
@@ -65,11 +77,6 @@ struct ECCheckConfig {
   /// Combine XOR-reduction partials in a binary tree instead of a chain:
   /// ⌈log2 k⌉ network hops of latency instead of k−1 (matters for large k).
   bool tree_reduction = false;
-
-  /// Real threads for the engine's data plane (packet encoding/decoding);
-  /// 0 = serial. Timing is unaffected (virtual time comes from the cost
-  /// model) — this exercises the §IV-A thread-pool path on real bytes.
-  int data_plane_threads = 2;
 
   /// Incremental checkpointing (ECRM-style delta saves). When enabled, the
   /// fabric save path keeps a copy of the last committed version's packed
@@ -118,28 +125,38 @@ class ECCheckEngine final : public ckpt::CheckpointEngine {
   ckpt::LoadReport load(cluster::VirtualCluster& cluster, std::int64_t version,
                         std::vector<dnn::StateDict>& out) override;
 
-  /// Fabric-generic SPMD entry points (core/fabric_engine.hpp): the same
-  /// protocol over cluster::Fabric, byte-identical to the simulator path.
-  ckpt::SaveReport save(cluster::Fabric& fabric,
-                        const std::vector<const dnn::StateDict*>& shards,
-                        std::int64_t version) override;
-  ckpt::LoadReport load(cluster::Fabric& fabric, std::int64_t version,
-                        std::vector<dnn::StateDict>& out) override;
+  /// The time plane of a save of `shards` onto the nodes of `window`, whose
+  /// bytes fabric_save moved: emits the tasks onto the shared timeline and
+  /// reports their finish times, the modeled traffic and its counters.
+  ckpt::SaveReport schedule_save(cluster::ClusterSlice window,
+                                 std::span<const dnn::StateDict> shards) const;
 
-  /// Slice-based entry points: the same protocol over a window of nodes,
-  /// sharing the enclosing cluster's timeline (group-based mode, §VI).
-  ckpt::SaveReport save_slice(cluster::ClusterSlice cluster,
-                              std::span<const dnn::StateDict> shards,
-                              std::int64_t version);
-  ckpt::LoadReport load_slice(cluster::ClusterSlice cluster,
-                              std::int64_t version,
-                              std::vector<dnn::StateDict>& out);
+  /// The time plane of a load that fabric_load carried out on `window`:
+  /// `moved` is its report (row outcomes, metadata refreshes, detail) and
+  /// `out` the shards it returned. A failed load schedules nothing.
+  ckpt::LoadReport schedule_load(cluster::ClusterSlice window,
+                                 const ckpt::LoadReport& moved,
+                                 const std::vector<dnn::StateDict>& out) const;
 
  private:
-  struct SaveContext;
-  struct LoadContext;
-
   ECCheckConfig cfg_;
+};
+
+/// Opened between the byte plane and the schedules of one operation: drops
+/// the virtual time and counters the byte plane charged to the cluster
+/// (back to `counters`, taken before it ran) and holds the fault hook off
+/// until closed — faults land where bytes move, not on the cost model.
+class ScheduleScope {
+ public:
+  ScheduleScope(cluster::VirtualCluster& cluster,
+                obs::StatsRegistry::CounterMap counters);
+  ~ScheduleScope();
+  ScheduleScope(const ScheduleScope&) = delete;
+  ScheduleScope& operator=(const ScheduleScope&) = delete;
+
+ private:
+  cluster::VirtualCluster& cluster_;
+  cluster::FaultHook* hook_;
 };
 
 }  // namespace eccheck::core

@@ -1,7 +1,7 @@
-// Store-key schema of the ECCheck engine, shared by the simulator engine
-// (core/eccheck_engine.cpp), the fabric-generic SPMD engine
-// (core/fabric_engine.cpp), and the session layers. The two engines must
-// produce byte-identical stores, so the schema lives in exactly one place:
+// Store-key schema of the ECCheck engine, shared by the SPMD protocol
+// (core/fabric_engine.cpp, also the byte plane of the simulator's engines),
+// the session layers and the tests that inspect stores, so the schema lives
+// in exactly one place:
 //
 //   <ns>ec/<version>/row/<row>/<j>/<b>   packet b of stripe j of chunk row
 //   <ns>ec/<version>/meta/<w>            worker w's serialized metadata

@@ -85,7 +85,7 @@ int home_node(cluster::Fabric& fabric, const std::vector<int>& act) {
 
 /// Sum of the stats-delta counters matching "net.*.bytes" / the remote
 /// write counter — fills the report's traffic fields identically for the
-/// simulator registry and the transport registry.
+/// VirtualFabric registry and the transport registry.
 void fill_traffic(const std::map<std::string, std::uint64_t>& delta,
                   std::size_t* network_bytes, std::size_t* remote_bytes) {
   for (const auto& [key, value] : delta) {
@@ -695,8 +695,8 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
     // 3b: parity, one packet slot b at a time. Every participant site
     // computes its GF partial and ships it straight to the parity node,
     // which takes the first partial as the row and XOR-folds the rest in.
-    // GF addition is XOR, so the row is bit-identical to the simulator's
-    // chain accumulation, and each reduction moves one packet per remote
+    // GF addition is XOR, so the row is bit-identical to CrsCodec::encode
+    // of the stripe, and each reduction moves one packet per remote
     // participant site — actual_comm_volume less the dead slots, exactly
     // actual_comm_volume for equal shards. Participants sited together
     // (adoption can fold several dead participants onto one survivor)
@@ -956,14 +956,18 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
 
   // ---- round 1: every rank reports chunk intactness + metadata extent ----
   // flag 0 = nothing usable, 1 = chunk row intact (commit + packets + CRC
-  // scrub), each paired with the number of per-worker metadata blobs held
-  // (the step-2 broadcast makes that W on any honest survivor).
+  // scrub), each paired with the number of workers whose metadata and
+  // tensor-keys blobs are both held (the step-2 broadcast makes that W on
+  // any honest survivor). A refresh torn between a worker's two blobs must
+  // not let a node pass for a full metadata holder.
   auto local_state = [&](int node) {
     NodeFlag f;
     cluster::Store& store = fabric.store(node);
-    f.workers = store.keys_with_prefix(ns + "ec/" + std::to_string(version) +
-                                       "/meta/")
-                    .size();
+    const std::string meta_prefix = version_prefix(ns, version) + "meta/";
+    for (const std::string& key : store.keys_with_prefix(meta_prefix))
+      if (store.contains(version_prefix(ns, version) + "keys/" +
+                         key.substr(meta_prefix.size())))
+        ++f.workers;
     // A node whose metadata extent is not a valid world shape cannot even
     // name its own chunk row — treat it as lost.
     if (f.workers == 0 ||
@@ -1006,6 +1010,9 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   };
   std::vector<NodeFlag> flags = exchange_flags(
       fabric, tmp_prefix(ns, version) + "load/flag1/", local_state, act);
+  // Round 1's metadata extents, before a remote rescue overwrites them.
+  std::vector<std::uint64_t> held;
+  for (const NodeFlag& f : flags) held.push_back(f.workers);
 
   std::uint64_t W64 = 0;
   for (const NodeFlag& f : flags) W64 = std::max(W64, f.workers);
@@ -1072,14 +1079,11 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         }
       // The step-2 invariant (every node holds every worker's metadata)
       // comes back from the remote flush too.
-      for (int w = 0; w < static_cast<int>(W64); ++w) {
-        if (!fabric.store(node).contains(meta_key(ns, version, w))) {
-          fabric.remote_read(node, meta_key(ns, version, w),
-                             meta_key(ns, version, w));
-          fabric.remote_read(node, keys_key(ns, version, w),
-                             keys_key(ns, version, w));
-        }
-      }
+      for (int w = 0; w < static_cast<int>(W64); ++w)
+        for (const std::string& key :
+             {meta_key(ns, version, w), keys_key(ns, version, w)})
+          if (!fabric.store(node).contains(key))
+            fabric.remote_read(node, key, key);
     }
     flags = exchange_flags(fabric, tmp_prefix(ns, version) + "load/flag2/",
                            [&](int node) {
@@ -1125,6 +1129,9 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
     finalize();
     return rep;
   }
+  for (int node = 0; node < n; ++node)
+    rep.metadata_refreshed.push_back(
+        held[static_cast<std::size_t>(node)] != static_cast<std::uint64_t>(W));
   for (int w = 0; w < W; ++w) {
     fabric.broadcast(act, meta_holder, meta_key(ns, version, w));
     fabric.broadcast(act, meta_holder, keys_key(ns, version, w));
@@ -1143,11 +1150,16 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   // *onto the adopter's store* for the duration of the load (workflow B),
   // then dropped again at the end.
   std::vector<int> survivor_rows, missing_rows;
+  rep.rows.resize(static_cast<std::size_t>(n));
   for (int node = 0; node < n; ++node) {
     const int row = plan.generator_row_of_node(node);
-    const bool ok = members.is_alive(node) &&
-                    flags[static_cast<std::size_t>(node)].flag >= 1;
+    const std::uint64_t flag = flags[static_cast<std::size_t>(node)].flag;
+    const bool ok = members.is_alive(node) && flag >= 1;
     (ok ? survivor_rows : missing_rows).push_back(row);
+    rep.rows[static_cast<std::size_t>(row)] =
+        !ok ? ckpt::RowOutcome::kMissing
+            : flag == 2 ? ckpt::RowOutcome::kRefetched
+                        : ckpt::RowOutcome::kIntact;
   }
   std::sort(survivor_rows.begin(), survivor_rows.end());
   std::sort(missing_rows.begin(), missing_rows.end());
@@ -1157,8 +1169,8 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   const bool data_lost = !missing_data.empty();
 
   // Distributed SPMD reconstruction: survivors stream their row packets to
-  // each target site, which applies the reconstruction matrix rows — the
-  // same accumulate order as the simulator, so reconstructed bytes match.
+  // each target site, which applies the reconstruction matrix rows in basis
+  // order, so the reconstructed bytes are those the save stored.
   // A site hosting several targets (an adopter standing in for several dead
   // ranks) receives each basis packet once and decodes all its rows from
   // it. Dead slots are zero on both sides: a dead source packet is neither

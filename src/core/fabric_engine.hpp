@@ -1,22 +1,24 @@
-// The ECCheck save/load/prune protocol expressed against cluster::Fabric —
-// the SPMD form of core/eccheck_engine.cpp that runs unchanged over the
-// in-memory VirtualFabric and over real sockets (net::SocketTransport),
-// one process per rank.
+// The ECCheck save/load/prune protocol expressed against cluster::Fabric:
+// the one implementation of its byte movement, which runs unchanged over
+// the in-memory VirtualFabric (also the byte plane of the simulator's
+// core::ECCheckEngine and GroupedECCheckEngine) and over real sockets
+// (net::SocketTransport), one process per rank.
 //
 // Every function here is a *collective*: all ranks of the fabric call it
 // with the same arguments, each executes the sides of the data movement it
 // drives, and all return consistent results. On VirtualFabric (one process
 // drives all ranks) a single call performs the whole protocol.
 //
-// Bit-exactness contract: after fabric_save, every node's volatile store
-// and the remote store hold byte-identical keys/values to a
-// core::ECCheckEngine::save() of the same shards on a VirtualCluster of the
-// same shape, and fabric_load reproduces the simulator's load semantics
-// (workflow A / workflow B / remote fallback) with byte-identical
-// reconstructed shards and post-load stores. GF addition is XOR, so parity
-// produced by XOR-reducing per-participant partials equals the simulator's
-// serial accumulation; everything else is relocation of identical bytes.
-// The differential suite (tests/test_engine_fabric.cpp) enforces this.
+// Bit-exactness contract: after fabric_save, each data row holds
+// pack_packets of its workers, each parity packet equals CrsCodec::encode
+// of its stripe (GF addition is XOR, so XOR-reducing per-participant
+// partials gives the encoder's bytes), each node's sums are the per-packet
+// CRC-64s of its row, and every node (and, with the flush, the remote
+// store) holds every worker's metadata and tensor-keys blobs. fabric_load
+// (workflow A / workflow B / remote fallback) returns the saved shards
+// bit-exact and rebuilds those same stores. Every fabric produces the same
+// stores. The differential suite (tests/test_engine_fabric.cpp) checks the
+// closed form on VirtualFabric and compares sockets against VirtualFabric.
 //
 // Failure model: a dead / unreachable peer surfaces as CheckFailure from
 // the fabric mid-call. fabric_save makes no durability claim for the

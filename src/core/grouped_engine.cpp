@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "cluster/fabric.hpp"
+#include "core/fabric_engine.hpp"
+
 namespace eccheck::core {
 
 GroupedECCheckEngine::GroupedECCheckEngine(GroupedConfig cfg) : cfg_(cfg) {
@@ -28,25 +31,44 @@ std::vector<int> GroupedECCheckEngine::group_nodes(
   return out;
 }
 
+ECCheckConfig GroupedECCheckEngine::group_config(int g) const {
+  ECCheckConfig ec = cfg_.per_group;
+  ec.key_namespace = "grp" + std::to_string(g) + "/";
+  return ec;
+}
+
+// Both operations move every group's bytes first, each over a VirtualFabric
+// window of its nodes, then emit every group's schedule onto one fresh
+// timeline: a group's byte plane must not occupy the resources its
+// siblings' schedules are measured on.
+
 ckpt::SaveReport GroupedECCheckEngine::save(
     cluster::VirtualCluster& cluster, const std::vector<dnn::StateDict>& shards,
     std::int64_t version) {
   ECC_CHECK(static_cast<int>(shards.size()) == cluster.world_size());
   const int groups = num_groups(cluster);
-  const int workers_per_group = cfg_.group_size * cluster.gpus_per_node();
+  const std::size_t workers_per_group =
+      static_cast<std::size_t>(cfg_.group_size * cluster.gpus_per_node());
+  auto group_shards = [&](int g) {
+    return std::span<const dnn::StateDict>(
+        shards.data() + static_cast<std::size_t>(g) * workers_per_group,
+        workers_per_group);
+  };
 
-  cluster.reset_timeline();
+  auto counters = cluster.stats().counters();
+  for (int g = 0; g < groups; ++g) {
+    cluster::VirtualFabric fabric(cluster, g * cfg_.group_size,
+                                  cfg_.group_size);
+    std::vector<const dnn::StateDict*> ptrs;
+    for (const auto& sd : group_shards(g)) ptrs.push_back(&sd);
+    fabric_save(fabric, group_config(g), ptrs, version);
+  }
+  ScheduleScope scope(cluster, std::move(counters));
   ckpt::SaveReport merged;
   for (int g = 0; g < groups; ++g) {
-    ECCheckConfig ec = cfg_.per_group;
-    ec.key_namespace = "grp" + std::to_string(g) + "/";
-    ECCheckEngine engine(ec);
-    cluster::ClusterSlice slice(cluster, g * cfg_.group_size, cfg_.group_size,
-                                /*owns_timeline=*/false);
-    std::span<const dnn::StateDict> group_shards(
-        shards.data() + static_cast<std::size_t>(g) * workers_per_group,
-        static_cast<std::size_t>(workers_per_group));
-    ckpt::SaveReport rep = engine.save_slice(slice, group_shards, version);
+    cluster::ClusterSlice slice(cluster, g * cfg_.group_size, cfg_.group_size);
+    ckpt::SaveReport rep =
+        ECCheckEngine(group_config(g)).schedule_save(slice, group_shards(g));
 
     merged.stall_time = std::max(merged.stall_time, rep.stall_time);
     merged.total_time = std::max(merged.total_time, rep.total_time);
@@ -65,28 +87,35 @@ ckpt::LoadReport GroupedECCheckEngine::load(cluster::VirtualCluster& cluster,
   const int groups = num_groups(cluster);
   const int workers_per_group = cfg_.group_size * cluster.gpus_per_node();
 
-  cluster.reset_timeline();
-  out.clear();
-  out.resize(static_cast<std::size_t>(cluster.world_size()));
-
+  auto counters = cluster.stats().counters();
+  std::vector<ckpt::LoadReport> moved(static_cast<std::size_t>(groups));
+  std::vector<std::vector<dnn::StateDict>> group_out(
+      static_cast<std::size_t>(groups));
   ckpt::LoadReport merged;
-  merged.success = true;
   for (int g = 0; g < groups; ++g) {
-    ECCheckConfig ec = cfg_.per_group;
-    ec.key_namespace = "grp" + std::to_string(g) + "/";
-    ECCheckEngine engine(ec);
-    cluster::ClusterSlice slice(cluster, g * cfg_.group_size, cfg_.group_size,
-                                /*owns_timeline=*/false);
-    std::vector<dnn::StateDict> group_out;
-    ckpt::LoadReport rep = engine.load_slice(slice, version, group_out);
+    cluster::VirtualFabric fabric(cluster, g * cfg_.group_size,
+                                  cfg_.group_size);
+    ckpt::LoadReport& rep = moved[static_cast<std::size_t>(g)];
+    rep = fabric_load(fabric, group_config(g), version,
+                      group_out[static_cast<std::size_t>(g)]);
     if (!rep.success) {
-      merged.success = false;
       merged.detail = "group " + std::to_string(g) + ": " + rep.detail;
       return merged;
     }
+  }
+  ScheduleScope scope(cluster, std::move(counters));
+  out.clear();
+  out.resize(static_cast<std::size_t>(cluster.world_size()));
+  merged.success = true;
+  for (int g = 0; g < groups; ++g) {
+    cluster::ClusterSlice slice(cluster, g * cfg_.group_size, cfg_.group_size);
+    const auto gi = static_cast<std::size_t>(g);
+    std::vector<dnn::StateDict>& from = group_out[gi];
+    ckpt::LoadReport rep =
+        ECCheckEngine(group_config(g)).schedule_load(slice, moved[gi], from);
     for (int w = 0; w < workers_per_group; ++w)
       out[static_cast<std::size_t>(g * workers_per_group + w)] =
-          std::move(group_out[static_cast<std::size_t>(w)]);
+          std::move(from[static_cast<std::size_t>(w)]);
     merged.resume_time = std::max(merged.resume_time, rep.resume_time);
     merged.total_time = std::max(merged.total_time, rep.total_time);
     for (const auto& [k, v] : rep.stats) merged.stats[k] += v;

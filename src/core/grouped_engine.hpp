@@ -8,10 +8,11 @@
 // failures *per group* — the sweet spot the paper leaves as future work is
 // computed by analysis::optimal_group_size.
 //
-// Implementation: each group gets its own ECCheckEngine over a node-id
-// translation (a GroupView suffixes keys and offsets node indices); save and
-// load fan out over groups, timing naturally overlaps since groups touch
-// disjoint nodes.
+// Implementation: group g runs the protocol under key namespace "grp<g>/"
+// — its bytes through fabric_save / fabric_load over a VirtualFabric window
+// of its nodes, its virtual time through ECCheckEngine's schedule on a
+// ClusterSlice of the same nodes. All groups' schedules share one timeline,
+// so their timing overlaps naturally: groups touch disjoint nodes.
 #pragma once
 
 #include "core/eccheck_engine.hpp"
@@ -43,6 +44,8 @@ class GroupedECCheckEngine final : public ckpt::CheckpointEngine {
                         std::vector<dnn::StateDict>& out) override;
 
  private:
+  ECCheckConfig group_config(int g) const;
+
   GroupedConfig cfg_;
 };
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "obs/json.hpp"
 
@@ -83,6 +84,11 @@ StatsRegistry::GaugeMap StatsRegistry::gauges() const {
 StatsRegistry::HistMap StatsRegistry::histograms() const {
   std::lock_guard lock(mu_);
   return hists_;
+}
+
+void StatsRegistry::restore_counters(CounterMap snapshot) {
+  std::lock_guard lock(mu_);
+  counters_ = std::move(snapshot);
 }
 
 void StatsRegistry::clear() {

@@ -92,6 +92,10 @@ class StatsRegistry {
   GaugeMap gauges() const;
   HistMap histograms() const;
 
+  /// Roll every counter back to `snapshot`, an earlier counters() of this
+  /// registry. Gauges and histograms are untouched.
+  void restore_counters(CounterMap snapshot);
+
   void clear();
 
   /// now - before, per key, dropping entries that did not move. `before`

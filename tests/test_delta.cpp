@@ -42,10 +42,8 @@
 #include "core/session.hpp"
 #include "dnn/sparse_update.hpp"
 #include "ec/crs_codec.hpp"
-#include "ec/parallel_codec.hpp"
 #include "gf/simd.hpp"
 #include "net/transport.hpp"
-#include "runtime/thread_pool.hpp"
 #include "tests/send_buffers_tap.hpp"
 
 namespace eccheck {
@@ -177,45 +175,6 @@ TEST_P(DeltaCodecTest, UpdateParityMatchesFullReencode) {
                 want[static_cast<std::size_t>(r)])
           << "step " << step << " parity row " << r << " (chunk " << chunk
           << ", off " << off << ", len " << len << ")";
-  }
-}
-
-TEST_P(DeltaCodecTest, ParallelUpdateMatchesSerial) {
-  const DeltaCase c = GetParam();
-  const CrsCodec codec(c.k, c.m, c.w, c.mode);
-  runtime::ThreadPool pool(4);
-  // Tiny slices so multi-slice splitting actually happens on the gftable
-  // path (bitmatrix delegates to the serial codec by design).
-  const ec::ParallelCodec pc(codec, pool, /*slice_bytes=*/256);
-  const std::size_t P = 4096;
-  ASSERT_EQ(P % codec.packet_granularity(), 0u);
-  const std::size_t sym =
-      (c.mode == KernelMode::kGfTable && c.w == 16) ? 2 : 1;
-
-  std::vector<Buffer> data = random_chunks(c.k, P, 0x9A11);
-  std::vector<Buffer> serial = full_encode(codec, data, P);
-  std::vector<Buffer> sliced;
-  for (const Buffer& p : serial) sliced.push_back(p.clone());
-
-  SplitMix64 rng(0xFA57 + static_cast<std::uint64_t>(c.w));
-  for (int step = 0; step < 8; ++step) {
-    const int chunk = static_cast<int>(rng.next_below(
-        static_cast<std::uint64_t>(c.k)));
-    const std::size_t off = rng.next_below(P / 2) / sym * sym;
-    std::size_t len = (sym + rng.next_below(P - off - sym)) / sym * sym;
-    if (len == 0) len = sym;
-    Buffer delta(len, Buffer::Init::kUninitialized);
-    fill_random(delta.span(), 0xBEE5 + static_cast<std::uint64_t>(step));
-
-    std::vector<MutableByteSpan> a, b;
-    for (Buffer& p : serial) a.push_back(p.span());
-    for (Buffer& p : sliced) b.push_back(p.span());
-    codec.update_parity(chunk, off, delta.span(), a);
-    pc.update_parity(chunk, off, delta.span(), b);
-    for (int r = 0; r < c.m; ++r)
-      ASSERT_EQ(sliced[static_cast<std::size_t>(r)],
-                serial[static_cast<std::size_t>(r)])
-          << "step " << step << " row " << r;
   }
 }
 

@@ -1,4 +1,5 @@
 // ClusterSlice: node-window translation, shared timelines, and guard rails.
+// A slice offers timing-only tasks; it never touches a store.
 #include <gtest/gtest.h>
 
 #include "cluster/slice.hpp"
@@ -17,18 +18,16 @@ ClusterConfig cfg() {
 
 TEST(Slice, TranslatesNodeIds) {
   VirtualCluster c(cfg());
-  ClusterSlice s(c, 2, 3, /*owns_timeline=*/false);
+  ClusterSlice s(c, 2, 3);
   EXPECT_EQ(s.num_nodes(), 3);
   EXPECT_EQ(s.world_size(), 6);
-  s.host(0).put("x", Buffer(8));
-  EXPECT_TRUE(c.host(2).contains("x"));   // slice-local 0 == global 2
-  EXPECT_FALSE(c.host(0).contains("x"));
+  EXPECT_EQ(s.cpu(0), c.cpu(2));  // slice-local 0 == global 2
+  EXPECT_NE(s.cpu(0), c.cpu(0));
 }
 
 TEST(Slice, FabricOpsTargetGlobalResources) {
   VirtualCluster c(cfg());
-  ClusterSlice s(c, 3, 2, false);
-  s.host(0).put("k", Buffer(100));
+  ClusterSlice s(c, 3, 2);
   auto t = s.net_send(0, 1, 100, {});  // global 3 -> 4
   EXPECT_DOUBLE_EQ(c.timeline().finish_time(t), 1.0);
   EXPECT_EQ(s.nic_tx(0), c.nic_tx(3));
@@ -37,21 +36,10 @@ TEST(Slice, FabricOpsTargetGlobalResources) {
   EXPECT_DOUBLE_EQ(c.timeline().resource_available(c.nic_tx(0)), 0.0);
 }
 
-TEST(Slice, NonOwningResetIsNoop) {
-  VirtualCluster c(cfg());
-  c.net_send(0, 1, 100, {});
-  ClusterSlice owned(c, /*owns_timeline=*/true);
-  ClusterSlice window(c, 2, 2, /*owns_timeline=*/false);
-  window.reset_timeline();
-  EXPECT_GT(c.timeline().makespan(), 0.0);  // untouched
-  owned.reset_timeline();
-  EXPECT_DOUBLE_EQ(c.timeline().makespan(), 0.0);
-}
-
 TEST(Slice, SlicesShareOneTimeline) {
   VirtualCluster c(cfg());
-  ClusterSlice a(c, 0, 3, false);
-  ClusterSlice b(c, 3, 3, false);
+  ClusterSlice a(c, 0, 3);
+  ClusterSlice b(c, 3, 3);
   auto ta = a.net_send(0, 1, 100, {});
   auto tb = b.net_send(0, 1, 100, {});
   // Disjoint nodes: both run at t=0 in the shared schedule.
@@ -61,23 +49,15 @@ TEST(Slice, SlicesShareOneTimeline) {
 
 TEST(Slice, OutOfRangeRejected) {
   VirtualCluster c(cfg());
-  EXPECT_THROW(ClusterSlice(c, 4, 3, false), CheckFailure);
-  ClusterSlice s(c, 2, 2, false);
-  EXPECT_THROW(s.host(2), CheckFailure);
+  EXPECT_THROW(ClusterSlice(c, 4, 3), CheckFailure);
+  ClusterSlice s(c, 2, 2);
+  EXPECT_THROW(s.cpu(2), CheckFailure);
   EXPECT_THROW(s.net_send(0, 2, 10, {}), CheckFailure);
-}
-
-TEST(Slice, RemoteStoreIsShared) {
-  VirtualCluster c(cfg());
-  ClusterSlice a(c, 0, 2, false);
-  ClusterSlice b(c, 2, 2, false);
-  a.remote().put("shared", Buffer(4));
-  EXPECT_TRUE(b.remote().contains("shared"));
 }
 
 TEST(Slice, WorkerHelpers) {
   VirtualCluster c(cfg());
-  ClusterSlice s(c, 2, 3, false);
+  ClusterSlice s(c, 2, 3);
   EXPECT_EQ(slice_node_of_worker(s, 0), 0);
   EXPECT_EQ(slice_node_of_worker(s, 3), 1);
   EXPECT_EQ(slice_gpu_of_worker(s, 3), 1);

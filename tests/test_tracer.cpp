@@ -1,6 +1,6 @@
 // obs::Tracer tests: disabled cost model, concurrent recording, per-thread
 // span nesting, Chrome-trace export validity, and the built-in thread-pool /
-// pipeline / codec instrumentation sites.
+// pipeline instrumentation sites.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,9 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "ec/parallel_codec.hpp"
-#include "gf/simd.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/tracer.hpp"
 #include "runtime/pipeline.hpp"
@@ -215,48 +212,6 @@ TEST(TracerSites, PipelineStagesBecomeNamedTracks) {
   auto names = global_span_names();
   EXPECT_TRUE(names.count("double_in"));
   EXPECT_TRUE(names.count("double_out"));
-  t.clear();
-}
-
-TEST(TracerSites, CodecSlicesCarryBytes) {
-  auto& t = obs::Tracer::global();
-  t.clear();
-  t.enable();
-  {
-    const ec::CrsCodec codec(2, 2, 8, ec::KernelMode::kGfTable);
-    runtime::ThreadPool pool(2);
-    const ec::ParallelCodec pcodec(codec, pool, /*slice_bytes=*/1024);
-    const std::size_t P = 8192;
-    std::vector<Buffer> data, parity;
-    for (int i = 0; i < 2; ++i) {
-      data.emplace_back(P, Buffer::Init::kUninitialized);
-      fill_random(data.back().span(), static_cast<std::uint64_t>(i) + 1);
-      parity.emplace_back(P, Buffer::Init::kZeroed);
-    }
-    std::vector<ByteSpan> in = {data[0].span(), data[1].span()};
-    std::vector<MutableByteSpan> out = {parity[0].span(), parity[1].span()};
-    pcodec.encode(in, out);
-  }
-  t.disable();
-
-  // Kernel spans are suffixed with the dispatched ISA: "codec.slice[avx2]".
-  const std::string slice_name = gf::simd::isa_span_name("codec.slice");
-  const std::string encode_name = gf::simd::isa_span_name("codec.encode");
-  std::uint64_t slice_bytes = 0;
-  bool saw_encode = false;
-  for (const auto& track : t.snapshot()) {
-    for (const auto& s : track.spans) {
-      if (s.name == slice_name) slice_bytes += s.bytes;
-      if (s.name == encode_name) {
-        saw_encode = true;
-        EXPECT_EQ(s.bytes, 8192u * 2);
-      }
-    }
-  }
-  EXPECT_TRUE(saw_encode);
-  // encode slices the packet range once (each slice handles every row for
-  // its byte range), so slice spans account for exactly P bytes.
-  EXPECT_EQ(slice_bytes, 8192u);
   t.clear();
 }
 
