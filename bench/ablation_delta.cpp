@@ -14,6 +14,7 @@
 
 #include "bench/harness.hpp"
 #include "cluster/fabric.hpp"
+#include "core/delta.hpp"
 #include "core/fabric_engine.hpp"
 #include "core/session.hpp"
 #include "dnn/sparse_update.hpp"
@@ -33,7 +34,6 @@ core::ECCheckConfig ec_config(bool delta_on) {
   cfg.m = kM;
   cfg.packet_size = kib(64);
   cfg.delta.enabled = delta_on;
-  cfg.delta.granularity = 512;
   cfg.delta.max_dirty_ratio = 0.35;
   return cfg;
 }
@@ -115,10 +115,10 @@ int main() {
       "Ablation: incremental checkpoints (sparse parity updates)");
   std::printf(
       "n=%d (k=%d m=%d), %d workers x 2 MiB embedding + dense tower,\n"
-      "dirty tracking at 512 B (embedding rows are 256 B), fallback at\n"
-      "dirty_ratio > 0.35.\n"
+      "dirty tracking at %zu B blocks (embedding rows are 256 B), fallback\n"
+      "at dirty_ratio > 0.35.\n"
       "Measured save: second version, one density-d update after v1.\n\n",
-      kNodes, kK, kM, kWorld);
+      kNodes, kK, kM, kWorld, core::kDirtyBlock);
   std::printf(
       "  density   full net     delta net    ratio   dirty bytes  extents"
       "   path        bitexact   full/delta wall\n");

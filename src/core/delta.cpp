@@ -1,5 +1,6 @@
 #include "core/delta.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -37,15 +38,28 @@ std::vector<DirtyExtent> diff_packet(int packet_index, ByteSpan base,
                                      ByteSpan next, std::size_t granularity) {
   ECC_CHECK(base.size() == next.size());
   ECC_CHECK(granularity > 0);
+  // A skip span is a whole number of blocks, so the blocks of a dirty span
+  // sit on the same grid as a plain block-by-block walk would put them.
+  constexpr std::size_t kSkipSpan = 4096;
+  const std::size_t span = (kSkipSpan + granularity - 1) / granularity *
+                           granularity;
+  const std::size_t size = base.size();
   std::vector<DirtyExtent> extents;
-  for (std::size_t lo = 0; lo < base.size(); lo += granularity) {
-    const std::size_t len = std::min(granularity, base.size() - lo);
-    if (std::memcmp(base.data() + lo, next.data() + lo, len) == 0) continue;
-    if (!extents.empty() &&
-        extents.back().offset + extents.back().length == lo) {
-      extents.back().length += len;
-    } else {
-      extents.push_back({static_cast<std::uint32_t>(packet_index), lo, len});
+  for (std::size_t s = 0; s < size; s += span) {
+    const std::size_t end = std::min(s + span, size);
+    if (std::memcmp(base.data() + s, next.data() + s, end - s) == 0) continue;
+    const bool one_block = end - s <= granularity;  // already known dirty
+    for (std::size_t lo = s; lo < end; lo += granularity) {
+      const std::size_t len = std::min(granularity, end - lo);
+      if (!one_block &&
+          std::memcmp(base.data() + lo, next.data() + lo, len) == 0)
+        continue;
+      if (!extents.empty() &&
+          extents.back().offset + extents.back().length == lo) {
+        extents.back().length += len;
+      } else {
+        extents.push_back({static_cast<std::uint32_t>(packet_index), lo, len});
+      }
     }
   }
   return extents;
@@ -73,7 +87,9 @@ Buffer serialize_extents(const std::vector<DirtyExtent>& extents) {
 std::vector<DirtyExtent> deserialize_extents(ByteSpan blob) {
   ECC_CHECK_MSG(blob.size() >= 8, "truncated extent manifest");
   const std::uint64_t count = get_u64(blob.data());
-  ECC_CHECK_MSG(blob.size() == 8 + count * 20,
+  // Check against the count the size implies: `8 + count * 20` would wrap
+  // for a hostile count.
+  ECC_CHECK_MSG((blob.size() - 8) % 20 == 0 && count == (blob.size() - 8) / 20,
                 "extent manifest size " << blob.size()
                                         << " inconsistent with count "
                                         << count);

@@ -1,9 +1,9 @@
 // Dirty-region tracking for incremental checkpoints (ECCheckConfig::delta).
 //
 // A delta save diffs each worker's freshly packed packets against the
-// cached packets of the last committed version at a fixed chunk
-// granularity, merges adjacent dirty chunks into extents, and ships only
-// those extents' XOR-deltas over the fabric. Extents are exchanged between
+// cached packets of the last committed version in kDirtyBlock-byte blocks,
+// merges adjacent dirty blocks into extents, and ships only those extents'
+// XOR-deltas over the fabric. Extents are exchanged between
 // ranks as tiny serialized manifests (all ranks must walk the identical
 // extent list SPMD-style), so the wire format here is part of the save
 // protocol.
@@ -26,9 +26,17 @@ struct DirtyExtent {
   friend bool operator==(const DirtyExtent&, const DirtyExtent&) = default;
 };
 
-/// Compare `next` against `base` chunk-by-chunk (`granularity` bytes, the
-/// final chunk may be short) and return the merged dirty extents of packet
+/// The dirty-tracking block of a delta save: one cache line. A multiple of
+/// 8, so every extent (bar a packet's tail, which ends at the packet size)
+/// stays symbol- and strip-offset aligned for CrsCodec::update_row in
+/// every (w, mode).
+inline constexpr std::size_t kDirtyBlock = 64;
+
+/// Compare `next` against `base` block by block (`granularity` bytes, the
+/// final block may be short) and return the merged dirty extents of packet
 /// `packet_index`. Spans must be the same length. Granularity must be > 0.
+/// Clean runs cost one memcmp per span of at least 4 KiB; only a span that
+/// differs is resolved into blocks.
 std::vector<DirtyExtent> diff_packet(int packet_index, ByteSpan base,
                                      ByteSpan next, std::size_t granularity);
 

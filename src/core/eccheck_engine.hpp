@@ -81,19 +81,16 @@ struct ECCheckConfig {
   /// Incremental checkpointing (ECRM-style delta saves). When enabled, the
   /// fabric save path keeps a copy of the last committed version's packed
   /// packets next to each worker (≈2× host memory for staging), diffs each
-  /// new save against it at `granularity`-byte chunks, ships only the dirty
-  /// regions, and patches data rows (XOR) and parity rows (P' = P ⊕ G·Δ,
-  /// ec::CrsCodec::update_row) in place of a full re-encode. Falls back to
-  /// the full four-step protocol — transparently and bit-identically — when
-  /// no usable base exists (first save, post-rollback, shape change,
-  /// degraded membership) or the global dirty ratio exceeds
-  /// `max_dirty_ratio`. Saved versions are byte-identical to full-encode
-  /// saves either way.
+  /// new save against it in 64-byte blocks (core::kDirtyBlock), ships only
+  /// the dirty regions, and patches data rows (XOR) and parity rows
+  /// (P' = P ⊕ G·Δ, ec::CrsCodec::update_row) in place of a full re-encode.
+  /// Falls back to the full four-step protocol — transparently and
+  /// bit-identically — when no usable base exists (first save,
+  /// post-rollback, shape change, degraded membership) or the dirty share
+  /// of the live (non-padding) bytes exceeds `max_dirty_ratio`. Saved
+  /// versions are byte-identical to full-encode saves either way.
   struct DeltaConfig {
     bool enabled = false;
-    /// Dirty-tracking chunk size in bytes; rounded up internally to 8 bytes
-    /// so regions stay symbol- and strip-offset aligned for every (w, mode).
-    std::size_t granularity = 4096;
     /// Above this fraction of dirty bytes a delta save would move more data
     /// than re-encoding (each dirty byte travels to 1 data + m parity
     /// nodes) — fall back to the full path instead.

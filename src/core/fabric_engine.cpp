@@ -415,8 +415,6 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   const bool delta_wanted = cfg.delta.enabled && members.full();
   std::map<int, Buffer> carried_sums;  // node → its row's patched CRC sums
   if (delta_wanted) {
-    const std::size_t gran =
-        std::max<std::size_t>(8, (cfg.delta.granularity + 7) / 8 * 8);
     std::map<int, std::vector<DirtyExtent>> local_extents;  // worker → dirty
     auto delta_state = [&](int node) {
       NodeFlag f;  // flag = usable common base version, 0 = no delta here
@@ -458,7 +456,7 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
           const Buffer& next = store.get(local_key(ns, version, w, b));
           if (base.size() != next.size()) return f;
           std::vector<DirtyExtent> pext =
-              diff_packet(b, base.span(), next.span(), gran);
+              diff_packet(b, base.span(), next.span(), kDirtyBlock);
           wext.insert(wext.end(), pext.begin(), pext.end());
         }
         dirty += dirty_bytes(wext);
@@ -477,10 +475,13 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         base_version = 0;  // disagreeing or missing base on some rank
       total_dirty += dflags[static_cast<std::size_t>(node)].workers;
     }
+    // Dirty share of the live bytes: a full save never ships dead slots.
+    std::uint64_t live_bytes = 0;
+    for (const std::size_t live : counts.live) live_bytes += live * P;
     const double dirty_ratio =
-        static_cast<double>(total_dirty) /
-        (static_cast<double>(W) * static_cast<double>(B) *
-         static_cast<double>(P));
+        live_bytes == 0 ? 0.0
+                        : static_cast<double>(total_dirty) /
+                              static_cast<double>(live_bytes);
     if (base_version != 0 && dirty_ratio <= cfg.delta.max_dirty_ratio) {
       obs::ScopedSpan dspan("engine.save.delta", total_dirty);
       const auto bv = static_cast<std::int64_t>(base_version);

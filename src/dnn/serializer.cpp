@@ -55,11 +55,19 @@ void write_tensor_meta(ByteWriter& w, const std::string& key, DType dtype,
   for (auto d : shape) w.i64(d);
 }
 
+// Smallest encoding of one tensor's metadata: empty key (u32 length),
+// dtype (u8), rank 0 (u32).
+constexpr std::size_t kMinTensorMetaBytes = 4 + 1 + 4;
+
 TensorMeta read_tensor_meta(ByteReader& r) {
   TensorMeta tm;
   tm.key = r.str();
   tm.dtype = static_cast<DType>(r.u8());
   const std::uint32_t nd = r.u32();
+  // Counts come off the wire: bound them by the bytes left before
+  // reserving, so a hostile one is a CheckFailure, not a huge allocation.
+  ECC_CHECK_MSG(nd <= r.remaining() / sizeof(std::int64_t),
+                "tensor rank " << nd << " exceeds the bytes left");
   tm.shape.reserve(nd);
   for (std::uint32_t i = 0; i < nd; ++i) tm.shape.push_back(r.i64());
   return tm;
@@ -120,6 +128,8 @@ Buffer serialize_tensor_keys(const StateDict& sd) {
 std::vector<TensorMeta> deserialize_tensor_keys(ByteSpan data) {
   ByteReader r(data);
   const std::uint32_t n = r.u32();
+  ECC_CHECK_MSG(n <= r.remaining() / kMinTensorMetaBytes,
+                "tensor count " << n << " exceeds the bytes left");
   std::vector<TensorMeta> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) out.push_back(read_tensor_meta(r));

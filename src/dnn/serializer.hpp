@@ -61,6 +61,7 @@ class ByteReader {
   ByteSpan bytes() { return take(u64()); }
 
   bool exhausted() const { return pos_ == data_.size(); }
+  std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
   template <typename T>
@@ -71,7 +72,7 @@ class ByteReader {
     return v;
   }
   ByteSpan take(std::size_t n) {
-    ECC_CHECK_MSG(pos_ + n <= data_.size(), "serializer underrun");
+    ECC_CHECK_MSG(n <= remaining(), "serializer underrun");
     ByteSpan s = data_.subspan(pos_, n);
     pos_ += n;
     return s;

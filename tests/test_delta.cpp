@@ -208,6 +208,54 @@ TEST(DeltaExtents, DiffMergesAdjacentChunksAndHandlesTail) {
   EXPECT_TRUE(core::diff_packet(0, base.span(), base.span(), 16).empty());
 }
 
+/// The single-level diff: every block compared on its own.
+std::vector<core::DirtyExtent> reference_diff(int packet, ByteSpan base,
+                                              ByteSpan next,
+                                              std::size_t granularity) {
+  std::vector<core::DirtyExtent> extents;
+  for (std::size_t lo = 0; lo < base.size(); lo += granularity) {
+    const std::size_t len = std::min(granularity, base.size() - lo);
+    if (std::memcmp(base.data() + lo, next.data() + lo, len) == 0) continue;
+    if (!extents.empty() &&
+        extents.back().offset + extents.back().length == lo)
+      extents.back().length += len;
+    else
+      extents.push_back({static_cast<std::uint32_t>(packet), lo, len});
+  }
+  return extents;
+}
+
+// The clean-span skip is an optimisation only: at every granularity,
+// including ones that do not divide the skip span or the packet, and for
+// sparse, clustered and boundary-straddling changes, the two-level diff
+// returns exactly the single-level diff's extents.
+TEST(DeltaExtents, TwoLevelDiffMatchesSingleLevelReference) {
+  SplitMix64 rng(0xD1FF);
+  for (const std::size_t size : {1u, 63u, 64u, 4096u, 4097u, 12345u, 65536u})
+    for (const std::size_t gran :
+         {1u, 7u, 8u, 64u, 100u, 512u, 4095u, 4096u, 5000u, 70000u}) {
+      Buffer base(size, Buffer::Init::kUninitialized);
+      fill_random(base.span(), size * 31 + gran);
+      for (int trial = 0; trial < 8; ++trial) {
+        Buffer next = base.clone();
+        const std::uint64_t flips = rng.next_below(2 + size / 256);
+        for (std::uint64_t f = 0; f < flips; ++f) {
+          // Half the flips land just around a 4 KiB or block boundary.
+          std::size_t at = rng.next_below(size);
+          if (rng.next_below(2) == 0) {
+            const std::size_t edge = rng.next_below(2) == 0 ? 4096 : gran;
+            at = (at / edge * edge + size - rng.next_below(2)) % size;
+          }
+          next.data()[at] ^= std::byte{1};
+        }
+        EXPECT_EQ(core::diff_packet(3, base.span(), next.span(), gran),
+                  reference_diff(3, base.span(), next.span(), gran))
+            << "size " << size << " granularity " << gran << " trial "
+            << trial;
+      }
+    }
+}
+
 TEST(DeltaExtents, ManifestRoundTripsAndRejectsTruncation) {
   const std::vector<core::DirtyExtent> ext = {
       {0, 0, 8}, {2, 4096, 512}, {31, 65528, 8}};
@@ -216,6 +264,17 @@ TEST(DeltaExtents, ManifestRoundTripsAndRejectsTruncation) {
   EXPECT_THROW(core::deserialize_extents(blob.span().subspan(
                    0, blob.size() - 1)),
                CheckFailure);
+}
+
+// A peer's manifest is untrusted: a count whose `8 + count * 20` wraps to
+// the blob's size must be refused as a CheckFailure (which the save rolls
+// back on), not reach the allocation.
+TEST(DeltaExtents, ManifestWithWrappingCountIsRejected) {
+  Buffer blob(8, Buffer::Init::kZeroed);
+  const std::uint64_t count = std::uint64_t{1} << 62;  // 20 · 2^62 ≡ 0
+  for (int i = 0; i < 8; ++i)
+    blob.data()[i] = static_cast<std::byte>(count >> (8 * i));
+  EXPECT_THROW(core::deserialize_extents(blob.span()), CheckFailure);
 }
 
 // ---------------------------------------------------------------------------
@@ -242,7 +301,6 @@ core::ECCheckConfig delta_config(bool delta_on, bool flush = false,
   cfg.packet_size = kib(16);
   cfg.flush_to_remote = flush;
   cfg.delta.enabled = delta_on;
-  cfg.delta.granularity = 512;
   return cfg;
 }
 
@@ -330,16 +388,15 @@ std::uint64_t delta_fanout(int w, int g) {
 
 /// Worker w's dirty bytes in one delta save, from its node's base cache
 /// before and after the save (the save retires the new packets into the
-/// cache), diffed at the configured granularity.
+/// cache), diffed in the save's dirty-tracking blocks.
 std::uint64_t worker_dirty_bytes(const StoreImage& before,
                                  const StoreImage& after, int w) {
   const std::string prefix = "base/local/" + std::to_string(w) + "/";
-  const std::size_t gran = delta_config(true).delta.granularity;
   std::uint64_t dirty = 0;
   for (const auto& [key, buf] : before)
     if (key.rfind(prefix, 0) == 0)
-      dirty += core::dirty_bytes(
-          core::diff_packet(0, buf.span(), after.at(key).span(), gran));
+      dirty += core::dirty_bytes(core::diff_packet(
+          0, buf.span(), after.at(key).span(), core::kDirtyBlock));
   return dirty;
 }
 
@@ -854,6 +911,39 @@ TEST(DeltaEngine, TruncatedDeltaPayloadIsRejectedAndRollsBack) {
   EXPECT_NE(error.find("delta payload"), std::string::npos) << error;
 }
 
+// The fallback ratio is the dirty share of the *live* bytes: a full save
+// never ships dead padding slots, so counting them would let an uneven
+// world delta a save that dirties most of what a full save moves.
+TEST(DeltaEngine, FallbackRatioCountsOnlyLiveBytes) {
+  const int g = 1, W = kNodes * g;
+  // Worker 0 holds 33 live 16 KiB packets, workers 1..3 two each: 39 live
+  // of W·B = 132 slots. Half the rows rewritten dirty ≈ 284 KiB, which is
+  // ≈ 46% of the 624 live KiB but only ≈ 13% of W·B·P.
+  std::vector<dnn::SparseUpdateSpec> specs(W, sparse_spec(0.5));
+  for (int w = 1; w < W; ++w)
+    specs[static_cast<std::size_t>(w)].embedding_rows = 64;
+  std::vector<dnn::StateDict> shards;
+  for (int w = 0; w < W; ++w)
+    shards.push_back(
+        dnn::make_sparse_model_shard(specs[static_cast<std::size_t>(w)], w));
+
+  cluster::VirtualCluster vc(vc_config(g));
+  cluster::VirtualFabric fabric(vc);
+  core::FabricSession session(fabric, delta_config(true), g, 2);
+  session.save(pointers(shards));  // v1: full, seeds the base cache
+  for (int w = 0; w < W; ++w)
+    dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)],
+                             specs[static_cast<std::size_t>(w)], w, 1);
+  const ckpt::SaveReport r2 = session.save(pointers(shards));
+  EXPECT_EQ(stat_of(r2, "delta.save.count"), 0u);
+  EXPECT_EQ(stat_of(r2, "delta.fallback.count"), 1u);
+
+  std::vector<dnn::StateDict> out;
+  const auto l = session.load(out);
+  ASSERT_TRUE(l.report.success) << l.report.detail;
+  EXPECT_EQ(digests_of(out), digests_of(shards));
+}
+
 // ---------------------------------------------------------------------------
 // Padded shapes: a worker smaller than the largest is padded with zero
 // packets (dead slots). They are zero in every version, so the eligibility
@@ -961,7 +1051,7 @@ std::vector<core::DirtyExtent> next_extents(cluster::Store& node_store,
     const int pb = static_cast<int>(b);
     const std::vector<core::DirtyExtent> pext = core::diff_packet(
         pb, node_store.get(core::keys::base_local_key("", w, pb)).span(),
-        packets[b].span(), cfg.delta.granularity);
+        packets[b].span(), core::kDirtyBlock);
     ext.insert(ext.end(), pext.begin(), pext.end());
   }
   return ext;

@@ -142,6 +142,23 @@ TEST(Serializer, TruncationRejected) {
       CheckFailure);
 }
 
+// Tensor-keys blobs come from peers. A count the blob cannot hold must be
+// a CheckFailure before anything is reserved, not a std::bad_alloc.
+TEST(Serializer, HostileTensorKeyCountsRejected) {
+  Buffer count(4, Buffer::Init::kZeroed);
+  std::memset(count.data(), 0xFF, 4);  // 2^32 − 1 tensors in 4 bytes
+  EXPECT_THROW(deserialize_tensor_keys(count.span()), CheckFailure);
+
+  // One tensor, empty key, F32, rank 2^32 − 1 with no dims behind it.
+  ByteWriter w;
+  w.u32(1);
+  w.str("");
+  w.u8(static_cast<std::uint8_t>(DType::kF32));
+  w.u32(0xFFFFFFFFu);
+  const Buffer rank = w.finish();
+  EXPECT_THROW(deserialize_tensor_keys(rank.span()), CheckFailure);
+}
+
 TEST(Digest, SensitiveToPayloadAndMetadata) {
   StateDict a = tiny_state_dict();
   StateDict b = tiny_state_dict();

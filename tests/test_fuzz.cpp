@@ -1,12 +1,20 @@
 // Randomized integration fuzzing: deterministic pseudo-random cluster
 // shapes, codec settings, failure/corruption patterns — every recoverable
 // scenario must restore bit-exact state, every unrecoverable one must fail
-// cleanly (no exceptions, no wrong data).
+// cleanly (no exceptions, no wrong data). The wire decoders of the blobs
+// ranks exchange get the same treatment: any input either decodes or is
+// refused with a CheckFailure, which the save protocol rolls back on.
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <functional>
+
+#include "common/check.hpp"
 #include "common/rng.hpp"
+#include "core/delta.hpp"
 #include "core/eccheck_engine.hpp"
 #include "dnn/checkpoint_gen.hpp"
+#include "dnn/serializer.hpp"
 
 namespace eccheck {
 namespace {
@@ -152,6 +160,88 @@ TEST(Fuzz, RandomScenariosEitherRecoverExactlyOrFailCleanly) {
   // The mix should exercise both outcomes.
   EXPECT_GT(recovered, 5);
   EXPECT_GT(refused, 1);
+}
+
+/// Feeds `blob` to `decode`: it must return or throw CheckFailure.
+void expect_decodes_or_refuses(const std::function<void(ByteSpan)>& decode,
+                               ByteSpan blob, const std::string& what) {
+  try {
+    decode(blob);
+  } catch (const CheckFailure&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << " (" << blob.size()
+                  << " bytes) threw an untyped exception: " << e.what();
+  }
+}
+
+struct Decoder {
+  std::string name;
+  std::function<void(ByteSpan)> decode;
+  Buffer valid;            ///< a well-formed blob
+  std::size_t count_size;  ///< bytes of its leading count header
+};
+
+std::vector<Decoder> wire_decoders(SplitMix64& rng) {
+  std::vector<core::DirtyExtent> extents;
+  for (std::uint32_t b = 0; b < 5; ++b)
+    extents.push_back({b, rng.next_below(4096), 1 + rng.next_below(4096)});
+  dnn::StateDict sd;
+  sd.metadata()["iteration"] = std::int64_t{7};
+  sd.metadata()["lr"] = 0.125;
+  sd.metadata()["name"] = std::string("fuzz");
+  sd.add_tensor("w", dnn::Tensor(dnn::DType::kF32, {3, 5}));
+  sd.add_tensor("b", dnn::Tensor(dnn::DType::kBF16, {5}));
+  std::vector<Decoder> out;
+  out.push_back({"deserialize_extents",
+                 [](ByteSpan b) { core::deserialize_extents(b); },
+                 core::serialize_extents(extents), 8});
+  out.push_back({"deserialize_tensor_keys",
+                 [](ByteSpan b) { dnn::deserialize_tensor_keys(b); },
+                 dnn::serialize_tensor_keys(sd), 4});
+  out.push_back({"deserialize_metadata",
+                 [](ByteSpan b) { dnn::deserialize_metadata(b); },
+                 dnn::serialize_metadata(sd.metadata()), 4});
+  return out;
+}
+
+TEST(Fuzz, WireDecodersDecodeOrRefuseWithCheckFailure) {
+  SplitMix64 rng(0xdec0de);
+  for (const Decoder& d : wire_decoders(rng)) {
+    SCOPED_TRACE(d.name);
+    const ByteSpan valid = d.valid.span();
+    ASSERT_NO_THROW(d.decode(valid));
+    // Every truncation of a well-formed blob.
+    for (std::size_t n = 0; n < valid.size(); ++n)
+      expect_decodes_or_refuses(d.decode, valid.subspan(0, n), "truncation");
+    // Hostile, then random, count headers over the whole blob and over
+    // the blob one byte short.
+    const std::uint64_t counts[] = {
+        0xFFFFFFFFu, std::uint64_t{1} << 62, std::uint64_t{1} << 63,
+        ~std::uint64_t{0}, (~std::uint64_t{0}) / 20 + 1, rng.next()};
+    for (const std::uint64_t count : counts)
+      for (int trial = 0; trial < 4; ++trial) {
+        Buffer blob = d.valid.clone();
+        const std::uint64_t c = trial < 2 ? count : rng.next();
+        for (std::size_t i = 0; i < d.count_size; ++i)
+          blob.data()[i] = static_cast<std::byte>(c >> (8 * i));
+        expect_decodes_or_refuses(
+            d.decode, blob.span().subspan(0, blob.size() - trial % 2),
+            "count header");
+      }
+    // Random byte flips of the well-formed blob, and random blobs.
+    for (int trial = 0; trial < 500; ++trial) {
+      Buffer blob = d.valid.clone();
+      const std::uint64_t flips = 1 + rng.next_below(4);
+      for (std::uint64_t f = 0; f < flips; ++f)
+        blob.data()[rng.next_below(blob.size())] =
+            static_cast<std::byte>(rng.next());
+      expect_decodes_or_refuses(d.decode, blob.span(), "mutation");
+
+      Buffer noise(rng.next_below(96), Buffer::Init::kUninitialized);
+      fill_random(noise.span(), rng.next());
+      expect_decodes_or_refuses(d.decode, noise.span(), "random blob");
+    }
+  }
 }
 
 }  // namespace
