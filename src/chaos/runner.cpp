@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "cluster/fabric.hpp"
 #include "cluster/failure_detector.hpp"
 #include "dnn/checkpoint_gen.hpp"
 #include "obs/json.hpp"
@@ -75,6 +76,16 @@ ChaosRunner::ChaosRunner(const ChaosConfig& cfg, std::ostream* jsonl)
   sc.retain_versions = cfg_.retain_versions;
   sc.profile_iterations = 8;
   session_.emplace(core::Session::initialize(cluster_, model_, par_, sc));
+  {
+    // Count the version agreement's ops on a scratch cluster of this shape.
+    cluster::VirtualCluster scratch(cluster_.config());
+    FaultPlan counter;
+    scratch.set_fault_hook(&counter);
+    cluster::VirtualFabric fabric(scratch);
+    core::fabric_newest_version(fabric, sc.ec);
+    scratch.set_fault_hook(nullptr);
+    agreement_ops_ = counter.op_count();
+  }
   ns_ = session_->engine().config().key_namespace;
   cluster_.set_fault_hook(&plan_);
   summary_.seed = cfg_.seed;
@@ -169,15 +180,12 @@ std::size_t ChaosRunner::collect_fired() {
   return n;
 }
 
-void ChaosRunner::scrub_stale_tmp_keys() {
-  // A torn save leaves step-1/-3 staging keys behind; the engine consumes
-  // them only on the success path, so a supervisor must garbage-collect.
-  for (int n = 0; n < cluster_.num_nodes(); ++n) {
-    if (!cluster_.alive(n)) continue;
-    for (const std::string& key :
-         cluster_.host(n).keys_with_prefix(ns_ + "tmp/"))
-      cluster_.host(n).erase(key);
-  }
+std::uint64_t ChaosRunner::kill_offset(double frac,
+                                       std::uint64_t probed) const {
+  const std::uint64_t steps =
+      probed > agreement_ops_ + 2 ? probed - agreement_ops_ - 2 : 20;
+  return agreement_ops_ + 1 +
+         static_cast<std::uint64_t>(frac * static_cast<double>(steps));
 }
 
 void ChaosRunner::ensure_healthy(const ChaosEvent& ev) {
@@ -186,24 +194,13 @@ void ChaosRunner::ensure_healthy(const ChaosEvent& ev) {
 
 std::int64_t ChaosRunner::attempt_save(const ChaosEvent* mid_save) {
   std::vector<dnn::StateDict> shards = make_shards();
-  const std::int64_t version = session_->latest_version() + 1;
-  // Golden digests for every *attempted* save: a save torn during the
-  // remote flush has already placed its local commit markers, so the
-  // version is loadable even though save() threw — the oracle must be able
-  // to verify it bit-exactly either way.
-  std::vector<std::uint64_t>& g = golden_[version];
-  g.clear();
-  for (const dnn::StateDict& sd : shards) g.push_back(sd.digest());
 
   if (mid_save != nullptr && !mid_save->picks.empty()) {
     std::vector<int> victims = resolve_kills({mid_save->picks[0]});
     if (!victims.empty()) {
-      const std::uint64_t window =
-          probe_save_ops_ > 2 ? probe_save_ops_ - 2 : 20;
-      const std::uint64_t offset =
-          1 + static_cast<std::uint64_t>(
-                  mid_save->op_frac * static_cast<double>(window));
-      plan_.arm({{plan_.op_count() + offset, victims[0]}});
+      plan_.arm({{plan_.op_count() +
+                      kill_offset(mid_save->op_frac, probe_save_ops_),
+                  victims[0]}});
     }
   }
 
@@ -213,6 +210,17 @@ std::int64_t ChaosRunner::attempt_save(const ChaosEvent* mid_save) {
     plan_.disarm();
     const std::size_t fired = collect_fired();
     ++summary_.saves;
+    // Golden digests keyed by the version the session used. That number
+    // may be reused — after a torn save's rollback, or once every holder of
+    // the newest committed version was lost — so drop whatever the oracle
+    // still holds for it. A torn save records nothing: the session rolled
+    // it back, so it can never load.
+    const std::int64_t version = session_->latest_version();
+    std::vector<std::uint64_t>& g = golden_[version];
+    g.clear();
+    for (const dnn::StateDict& sd : shards) g.push_back(sd.digest());
+    std::erase_if(corrupted_,
+                  [&](const auto& vn) { return vn.first == version; });
     clock_ += std::max(0.0, rep.total_time);
     if (fired == 0) {
       if (probe_save_ops_ == 0)
@@ -229,7 +237,6 @@ std::int64_t ChaosRunner::attempt_save(const ChaosEvent* mid_save) {
     plan_.disarm();
     collect_fired();
     ++summary_.torn_saves;
-    scrub_stale_tmp_keys();
     return -1;
   }
 }
@@ -260,14 +267,18 @@ bool ChaosRunner::remote_committed(std::int64_t version) {
                                     "/commit");
 }
 
-std::int64_t ChaosRunner::oracle_first_recoverable() {
+ChaosRunner::VersionWindow ChaosRunner::retained_window() {
   const std::int64_t newest = session_->latest_version();
-  if (newest < 1) return 0;
   const std::int64_t oldest =
       cfg_.retain_versions > 0
           ? std::max<std::int64_t>(1, newest - cfg_.retain_versions + 1)
           : 1;
-  for (std::int64_t v = newest; v >= oldest; --v)
+  return {oldest, newest};
+}
+
+std::int64_t ChaosRunner::oracle_first_recoverable() {
+  const VersionWindow w = retained_window();
+  for (std::int64_t v = w.newest; v >= w.oldest; --v)
     if (intact_count(v) >= cfg_.k || remote_committed(v)) return v;
   return 0;
 }
@@ -320,27 +331,18 @@ void ChaosRunner::recover(const ChaosEvent& ev, const ChaosEvent* mid_load) {
 
     // Oracle snapshot *before* the load mutates the stores.
     std::map<std::int64_t, int> pre_intact;
-    {
-      const std::int64_t newest = session_->latest_version();
-      const std::int64_t oldest =
-          cfg_.retain_versions > 0
-              ? std::max<std::int64_t>(1, newest - cfg_.retain_versions + 1)
-              : 1;
-      for (std::int64_t v = newest; v >= oldest && v >= 1; --v)
-        pre_intact[v] = intact_count(v);
-    }
+    const VersionWindow window = retained_window();
+    for (std::int64_t v = window.newest; v >= window.oldest; --v)
+      pre_intact[v] = intact_count(v);
     const std::int64_t oracle_v = oracle_first_recoverable();
 
     if (arm_mid_load) {
       arm_mid_load = false;  // one armed window per event
       std::vector<int> victims = resolve_kills({mid_load->picks[1]});
       if (!victims.empty()) {
-        const std::uint64_t window =
-            probe_load_ops_ > 2 ? probe_load_ops_ - 2 : 20;
-        const std::uint64_t offset =
-            1 + static_cast<std::uint64_t>(
-                    mid_load->op_frac * static_cast<double>(window));
-        plan_.arm({{plan_.op_count() + offset, victims[0]}});
+        plan_.arm({{plan_.op_count() +
+                        kill_offset(mid_load->op_frac, probe_load_ops_),
+                    victims[0]}});
       }
     }
 
@@ -417,12 +419,8 @@ void ChaosRunner::recover(const ChaosEvent& ev, const ChaosEvent* mid_load) {
       ++summary_.remote_rescues;
     // Reconstruction rewrote every non-intact chunk of the loaded version
     // with correct bytes, healing recorded corruption.
-    for (auto it = corrupted_.begin(); it != corrupted_.end();) {
-      if (it->first == r.version)
-        it = corrupted_.erase(it);
-      else
-        ++it;
-    }
+    std::erase_if(corrupted_,
+                  [&](const auto& vn) { return vn.first == r.version; });
 
     if (fired > 0) continue;  // a mid-load kill landed; recover once more
 
@@ -444,12 +442,8 @@ void ChaosRunner::recover(const ChaosEvent& ev, const ChaosEvent* mid_load) {
 
 void ChaosRunner::corrupt_event(const ChaosEvent& ev) {
   if (ev.picks.size() < 3) return;
-  const std::int64_t newest = session_->latest_version();
-  const std::int64_t oldest =
-      cfg_.retain_versions > 0
-          ? std::max<std::int64_t>(1, newest - cfg_.retain_versions + 1)
-          : 1;
-  for (std::int64_t v = newest; v >= oldest && v >= 1; --v) {
+  const VersionWindow window = retained_window();
+  for (std::int64_t v = window.newest; v >= window.oldest; --v) {
     std::vector<int> holders;
     for (int n = 0; n < cluster_.num_nodes(); ++n)
       if (node_intact(n, v)) holders.push_back(n);

@@ -2,14 +2,15 @@
 // train → save → fail → detect → replace → load cycles and checks recovery
 // invariants after every event.
 //
-// The runner owns the whole stack — a VirtualCluster with a FaultPlan
-// installed as its fault hook, and a Session over a small synthetic model —
-// plus an *independent oracle* of what must be recoverable: golden shard
-// digests for every attempted save, and per-version intact-node counts
-// scanned directly from the stores (commit marker + full row-key count,
-// minus known-corrupted chunks). The oracle is deliberately conservative
-// (it treats a whole chunk as lost when one packet was corrupted), so the
-// engine is allowed to do better than it predicts but never worse.
+// The runner owns the whole stack — a VirtualCluster with a FaultPlan installed
+// as its fault hook, and a Session over a small synthetic model — plus an
+// *independent oracle* of what must be recoverable: golden shard digests for
+// every completed save, keyed by the version the session used (a torn save is
+// rolled back and never loads), and per-version intact-node counts scanned
+// directly from the stores (commit marker + full row-key count, minus
+// known-corrupted chunks). The oracle is deliberately conservative (it treats a
+// whole chunk as lost when one packet was corrupted), so the engine is allowed
+// to do better than it predicts but never worse.
 //
 // Invariant catalogue (each violation carries the campaign seed):
 //   bitexact            a successful load returns the exact digests recorded
@@ -101,12 +102,24 @@ class ChaosRunner {
   /// last alive node (detection needs one observer).
   std::vector<int> resolve_kills(const std::vector<std::uint64_t>& picks);
   std::size_t collect_fired();
-  void scrub_stale_tmp_keys();
   void ensure_healthy(const ChaosEvent& ev);
   std::int64_t attempt_save(const ChaosEvent* mid_save);
   void recover(const ChaosEvent& ev, const ChaosEvent* mid_load);
   void corrupt_event(const ChaosEvent& ev);
+  /// Ops past the start of a Session save or load at which a mid-operation
+  /// kill at `frac` lands: after the version agreement, spread over the
+  /// protocol steps of a clean run that took `probed` ops in all (a default
+  /// window before the first clean run).
+  std::uint64_t kill_offset(double frac, std::uint64_t probed) const;
 
+  /// [max(1, newest − retain + 1), newest] around the session's latest
+  /// version (all versions from 1 when retention is off); empty before the
+  /// first save.
+  struct VersionWindow {
+    std::int64_t oldest = 1;
+    std::int64_t newest = 0;
+  };
+  VersionWindow retained_window();
   bool node_intact(int node, std::int64_t version);
   int intact_count(std::int64_t version);
   bool remote_committed(std::int64_t version);
@@ -134,6 +147,9 @@ class ChaosRunner {
   std::size_t expected_row_keys_ = 0;  ///< per-node row keys of a clean save
   std::uint64_t probe_save_ops_ = 0;   ///< fabric ops of one clean save
   std::uint64_t probe_load_ops_ = 0;   ///< fabric ops of one clean load
+  /// Fabric ops of the version agreement that opens every Session save and
+  /// load (fabric_newest_version's flag all_gather).
+  std::uint64_t agreement_ops_ = 0;
 };
 
 }  // namespace eccheck::chaos

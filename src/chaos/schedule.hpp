@@ -41,8 +41,9 @@ struct ChaosEvent {
   /// set at execution time (the schedule cannot know which nodes are alive).
   std::vector<std::uint64_t> picks;
 
-  /// Where inside the operation's fabric-op window a mid-op kill arms,
-  /// as a fraction of the probed op count.
+  /// Where inside the operation's fabric-op window a mid-op kill arms, as
+  /// a fraction of the probed protocol ops (those past the version
+  /// agreement).
   double op_frac = 0.5;
 
   // Failure-detector sweep for any detection this event causes.

@@ -77,11 +77,10 @@ Placement ECCheckEngine::plan_for(
 ckpt::SaveReport ECCheckEngine::save(cluster::VirtualCluster& cluster,
                                      const std::vector<dnn::StateDict>& shards,
                                      std::int64_t version) {
-  auto counters = cluster.stats().counters();
-  cluster::VirtualFabric fabric(cluster);
-  fabric_save(fabric, cfg_, pointers(shards), version);
-  ScheduleScope scope(cluster, std::move(counters));
-  return schedule_save(cluster::ClusterSlice(cluster), shards);
+  return timed_save(cluster, shards, [&] {
+    cluster::VirtualFabric fabric(cluster);
+    fabric_save(fabric, cfg_, pointers(shards), version);
+  });
 }
 
 ckpt::LoadReport ECCheckEngine::load(cluster::VirtualCluster& cluster,
@@ -90,9 +89,26 @@ ckpt::LoadReport ECCheckEngine::load(cluster::VirtualCluster& cluster,
   for (int node = 0; node < cluster.num_nodes(); ++node)
     ECC_CHECK_MSG(cluster.alive(node),
                   "dead node " << node << " must be replace()d before load");
+  return timed_load(cluster, out, [&] {
+    cluster::VirtualFabric fabric(cluster);
+    return fabric_load(fabric, cfg_, version, out);
+  });
+}
+
+ckpt::SaveReport ECCheckEngine::timed_save(
+    cluster::VirtualCluster& cluster, std::span<const dnn::StateDict> shards,
+    const std::function<void()>& move_bytes) const {
   auto counters = cluster.stats().counters();
-  cluster::VirtualFabric fabric(cluster);
-  const ckpt::LoadReport moved = fabric_load(fabric, cfg_, version, out);
+  move_bytes();
+  ScheduleScope scope(cluster, std::move(counters));
+  return schedule_save(cluster::ClusterSlice(cluster), shards);
+}
+
+ckpt::LoadReport ECCheckEngine::timed_load(
+    cluster::VirtualCluster& cluster, const std::vector<dnn::StateDict>& out,
+    const std::function<ckpt::LoadReport()>& move_bytes) const {
+  auto counters = cluster.stats().counters();
+  const ckpt::LoadReport moved = move_bytes();
   ScheduleScope scope(cluster, std::move(counters));
   return schedule_load(cluster::ClusterSlice(cluster), moved, out);
 }

@@ -35,6 +35,7 @@
 // and counters cleared of what the byte plane charged (ScheduleScope).
 #pragma once
 
+#include <functional>
 #include <span>
 
 #include "ckpt/engine.hpp"
@@ -121,6 +122,20 @@ class ECCheckEngine final : public ckpt::CheckpointEngine {
                         std::int64_t version) override;
   ckpt::LoadReport load(cluster::VirtualCluster& cluster, std::int64_t version,
                         std::vector<dnn::StateDict>& out) override;
+
+  /// One simulator save on both planes: `move_bytes` runs the byte plane
+  /// (fabric_save over a VirtualFabric of `cluster`), then schedule_save
+  /// emits the time plane of `shards` inside a ScheduleScope.
+  ckpt::SaveReport timed_save(cluster::VirtualCluster& cluster,
+                              std::span<const dnn::StateDict> shards,
+                              const std::function<void()>& move_bytes) const;
+
+  /// One simulator load on both planes: `move_bytes` runs the byte plane
+  /// into `out` and returns its report, then schedule_load emits the time
+  /// plane inside a ScheduleScope.
+  ckpt::LoadReport timed_load(
+      cluster::VirtualCluster& cluster, const std::vector<dnn::StateDict>& out,
+      const std::function<ckpt::LoadReport()>& move_bytes) const;
 
   /// The time plane of a save of `shards` onto the nodes of `window`, whose
   /// bytes fabric_save moved: emits the tasks onto the shared timeline and

@@ -83,6 +83,17 @@ int home_node(cluster::Fabric& fabric, const std::vector<int>& act) {
   throw CheckFailure("fabric drives no alive rank");
 }
 
+/// store(node), or nullptr when the node died under the operation in
+/// flight — a VirtualFabric's store() throws for a node its fault hook
+/// killed. Clean-up paths skip such nodes and still scrub every survivor.
+cluster::Store* surviving_store(cluster::Fabric& fabric, int node) {
+  try {
+    return &fabric.store(node);
+  } catch (const CheckFailure&) {
+    return nullptr;
+  }
+}
+
 /// Sum of the stats-delta counters matching "net.*.bytes" / the remote
 /// write counter — fills the report's traffic fields identically for the
 /// VirtualFabric registry and the transport registry.
@@ -147,7 +158,8 @@ std::vector<NodeFlag> exchange_flags(
   auto erase_all = [&] {
     for (int node : act)
       if (fabric.drives(node))
-        for (int other : act) fabric.store(node).erase(fkey(other));
+        if (cluster::Store* store = surviving_store(fabric, node))
+          for (int other : act) store->erase(fkey(other));
   };
   for (int node : act) {
     if (!fabric.drives(node)) continue;
@@ -271,15 +283,6 @@ Buffer row_sums(const cluster::Store& store, const std::string& ns,
 }
 
 }  // namespace
-
-std::vector<int> fabric_driven_workers(cluster::Fabric& fabric,
-                                       int gpus_per_node) {
-  std::vector<int> workers;
-  for (int node : driven_nodes(fabric))
-    for (int l = 0; l < gpus_per_node; ++l)
-      workers.push_back(node * gpus_per_node + l);
-  return workers;
-}
 
 std::vector<int> fabric_sited_workers(cluster::Fabric& fabric,
                                       int gpus_per_node,
@@ -1360,7 +1363,7 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
 }
 
 // ---------------------------------------------------------------------------
-// prune / version discovery / recover
+// prune / rollback / version discovery / recover
 // ---------------------------------------------------------------------------
 
 void fabric_prune(cluster::Fabric& fabric, const std::string& key_namespace,
@@ -1374,14 +1377,16 @@ void fabric_prune(cluster::Fabric& fabric, const std::string& key_namespace,
     }
   for (int node : driven) {
     if (!members.is_alive(node)) continue;
+    cluster::Store* store = surviving_store(fabric, node);
+    if (store == nullptr) continue;
     // Exactly one global rank prunes the shared remote store: the site of
     // rank 0 (rank 0 itself under full membership).
     const bool prunes_remote = node == first_alive && node == members.site(0);
     for (std::int64_t v = oldest_to_keep - 1; v >= 1; --v) {
       const std::string prefix = version_prefix(key_namespace, v);
       bool any = false;
-      for (const auto& key : fabric.store(node).keys_with_prefix(prefix)) {
-        fabric.store(node).erase(key);
+      for (const auto& key : store->keys_with_prefix(prefix)) {
+        store->erase(key);
         any = true;
       }
       if (prunes_remote) {
@@ -1392,6 +1397,19 @@ void fabric_prune(cluster::Fabric& fabric, const std::string& key_namespace,
       }
       if (!any) break;  // older versions were already pruned
     }
+  }
+}
+
+void fabric_rollback(cluster::Fabric& fabric, const std::string& key_namespace,
+                     std::int64_t version, const Membership& members) {
+  for (int node : driven_nodes(fabric)) {
+    if (!members.is_alive(node)) continue;
+    cluster::Store* store = surviving_store(fabric, node);
+    if (store == nullptr) continue;
+    for (const auto& prefix : {version_prefix(key_namespace, version),
+                               tmp_prefix(key_namespace, version)})
+      for (const auto& key : store->keys_with_prefix(prefix))
+        store->erase(key);
   }
 }
 

@@ -1,8 +1,8 @@
-// The ECCheck save/load/prune protocol expressed against cluster::Fabric:
-// the one implementation of its byte movement, which runs unchanged over
-// the in-memory VirtualFabric (also the byte plane of the simulator's
-// core::ECCheckEngine and GroupedECCheckEngine) and over real sockets
-// (net::SocketTransport), one process per rank.
+// The ECCheck save/load/prune/rollback protocol expressed against
+// cluster::Fabric: the one implementation of its byte movement, which runs
+// unchanged over the in-memory VirtualFabric (also the byte plane of the
+// simulator's core::ECCheckEngine and GroupedECCheckEngine) and over real
+// sockets (net::SocketTransport), one process per rank.
 //
 // Every function here is a *collective*: all ranks of the fabric call it
 // with the same arguments, each executes the sides of the data movement it
@@ -122,6 +122,16 @@ void fabric_prune(cluster::Fabric& fabric, const std::string& key_namespace,
                   std::int64_t oldest_to_keep,
                   const Membership& members = Membership());
 
+/// Erase every key of `version` — durable and staging — from the driven
+/// alive ranks' stores: the torn-save rollback (FabricSession::save).
+/// Local per rank like fabric_prune. A rank the fabric lost mid-save is
+/// skipped; every surviving one is still scrubbed. The remote store is left
+/// alone: its commit marker is the flush's last write, so a flush torn
+/// before it stays invisible there.
+void fabric_rollback(cluster::Fabric& fabric, const std::string& key_namespace,
+                     std::int64_t version,
+                     const Membership& members = Membership());
+
 /// Collective: the newest version for which any alive rank holds a commit
 /// marker, also consulting the remote store when cfg.remote_fallback is
 /// set. 0 when nothing was ever committed.
@@ -136,23 +146,19 @@ struct FabricRecoverResult {
 
 /// Collective: discover the newest committed version and load it, falling
 /// back through at most `retain_versions` older versions (0 = unbounded)
-/// when the newest is unrecoverable — the SPMD form of Session::load.
+/// when the newest is unrecoverable (FabricSession::load, and so also
+/// Session::load).
 FabricRecoverResult fabric_recover(cluster::Fabric& fabric,
                                    const ECCheckConfig& cfg,
                                    int retain_versions,
                                    std::vector<dnn::StateDict>& out,
                                    const Membership& members = Membership());
 
-/// The workers this process drives, ascending (helper for callers mapping
-/// fabric_save/fabric_load shard vectors to global worker indices).
-std::vector<int> fabric_driven_workers(cluster::Fabric& fabric,
-                                       int gpus_per_node);
-
 /// The workers this process *sites* under `members`, ascending: every
 /// worker whose node's site (itself when alive, the adopter when dead) is
 /// driven by this process. This is the index set of fabric_save's `shards`
-/// and fabric_load's `out`. Equals fabric_driven_workers under full
-/// membership.
+/// and fabric_load's `out`: under full membership, the workers of the
+/// ranks this process drives.
 std::vector<int> fabric_sited_workers(cluster::Fabric& fabric,
                                       int gpus_per_node,
                                       const Membership& members);

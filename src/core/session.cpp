@@ -1,7 +1,6 @@
 #include "core/session.hpp"
 
 #include "cluster/fabric.hpp"
-#include "core/engine_keys.hpp"
 #include "core/fabric_engine.hpp"
 #include "obs/tracer.hpp"
 
@@ -31,64 +30,29 @@ Session Session::initialize(cluster::VirtualCluster& cluster,
                  std::move(profile), cfg);
 }
 
-ckpt::SaveReport Session::save(const std::vector<dnn::StateDict>& shards) {
-  std::size_t shard_bytes = 0;
-  for (const auto& sd : shards) shard_bytes += sd.tensor_bytes();
-  obs::ScopedSpan span("session.save", shard_bytes);
-  const std::int64_t version = next_version_++;
-  ckpt::SaveReport rep = engine_.save(*cluster_, shards, version);
-  if (cfg_.retain_versions > 0)
-    prune(version - cfg_.retain_versions + 1);
-  return rep;
-}
+Session::Session(cluster::VirtualCluster& cluster, ECCheckEngine engine,
+                 Placement placement, trainsim::TrainProfile profile,
+                 SessionConfig cfg)
+    : cluster_(&cluster), engine_(std::move(engine)),
+      placement_(std::move(placement)), profile_(std::move(profile)),
+      cfg_(cfg), fabric_(std::make_unique<cluster::VirtualFabric>(cluster)),
+      fabric_session_(*fabric_, cfg.ec, cluster.gpus_per_node(),
+                      cfg.retain_versions) {}
 
-void Session::prune(std::int64_t oldest_to_keep) {
-  const std::string& ns = engine_.config().key_namespace;
-  for (std::int64_t v = oldest_to_keep - 1; v >= 1; --v) {
-    const std::string prefix = ns + "ec/" + std::to_string(v) + "/";
-    bool any = false;
-    for (int n = 0; n < cluster_->num_nodes(); ++n) {
-      if (!cluster_->alive(n)) continue;
-      for (const auto& key : cluster_->host(n).keys_with_prefix(prefix)) {
-        cluster_->host(n).erase(key);
-        any = true;
-      }
-    }
-    // Remote-flushed copies live under the same namespace; without this the
-    // persistent store accumulates every retired version forever.
-    for (const auto& key : cluster_->remote().keys_with_prefix(prefix)) {
-      cluster_->remote().erase(key);
-      any = true;
-    }
-    if (!any) break;  // older versions were already pruned
-  }
+ckpt::SaveReport Session::save(const std::vector<dnn::StateDict>& shards) {
+  std::vector<const dnn::StateDict*> pointers;
+  for (const dnn::StateDict& sd : shards) pointers.push_back(&sd);
+  return engine_.timed_save(*cluster_, shards,
+                            [&] { fabric_session_.save(pointers); });
 }
 
 Session::RecoverResult Session::load(std::vector<dnn::StateDict>& out) {
-  obs::ScopedSpan span("session.load");
   RecoverResult result;
-  const std::int64_t newest = latest_version();
-  if (newest < 1) {
-    result.version = 0;
-    result.report.detail =
-        "no checkpoint has been saved in this session yet (latest version 0)";
-    return result;
-  }
-  const std::int64_t oldest =
-      cfg_.retain_versions > 0
-          ? std::max<std::int64_t>(1, newest - cfg_.retain_versions + 1)
-          : 1;
-  for (std::int64_t v = newest; v >= oldest; --v) {
-    result.report = engine_.load(*cluster_, v, out);
-    if (result.report.success) {
-      result.version = v;
-      return result;
-    }
-  }
-  result.version = 0;
-  result.report.detail = "no retained version (" + std::to_string(oldest) +
-                         ".." + std::to_string(newest) +
-                         ") is recoverable; last error: " + result.report.detail;
+  result.report = engine_.timed_load(*cluster_, out, [&] {
+    RecoverResult moved = fabric_session_.load(out);
+    result.version = moved.version;
+    return std::move(moved.report);
+  });
   return result;
 }
 
@@ -109,17 +73,6 @@ std::vector<int> FabricSession::driven_workers() const {
   return fabric_sited_workers(*fabric_, gpus_per_node_, members_);
 }
 
-void FabricSession::rollback(std::int64_t version) {
-  const std::string& ns = cfg_.key_namespace;
-  for (int node = 0; node < fabric_->world_size(); ++node) {
-    if (!fabric_->drives(node) || !members_.is_alive(node)) continue;
-    cluster::Store& store = fabric_->store(node);
-    for (const auto& prefix : {keys::version_prefix(ns, version),
-                               keys::tmp_prefix(ns, version)})
-      for (const auto& key : store.keys_with_prefix(prefix)) store.erase(key);
-  }
-}
-
 ckpt::SaveReport FabricSession::save(
     const std::vector<const dnn::StateDict*>& shards) {
   obs::ScopedSpan span("session.save[" + fabric_->fabric_name() + "]");
@@ -135,11 +88,11 @@ ckpt::SaveReport FabricSession::save(
     rep = fabric_save(*fabric_, cfg_, shards, version, members_);
   } catch (const CheckFailure&) {
     // Torn save: a peer died (or an invariant broke) mid-protocol. Scrub
-    // every key of the attempted version from the stores this process
-    // drives — partial per-rank state must never look committed — then let
-    // the caller run failure handling. The version number stays consumed so
-    // a retry after peer replacement picks a fresh one on every rank.
-    rollback(version);
+    // every key of the attempted version from the surviving stores this
+    // process drives — partial per-rank state must never look committed —
+    // then let the caller run failure handling.
+    fabric_rollback(*fabric_, cfg_.key_namespace, version, members_);
+    next_version_ = version;
     throw;
   }
   if (retain_versions_ > 0)

@@ -6,12 +6,18 @@
 // initialize() fixes the encoding matrix and communication strategy
 // (placement plan), profiles the training communication pattern over the
 // first iterations to find network-idle windows, and installs the resulting
-// NIC calendars on the cluster. save() checkpoints with monotonically
-// increasing versions and prunes old versions beyond the retention window;
-// load() recovers the newest version that is still fully recoverable.
+// NIC calendars on the cluster. save() checkpoints the next version and
+// prunes old versions beyond the retention window; load() recovers the
+// newest version that is still recoverable.
+//
+// Two facades share one implementation. FabricSession runs the API over any
+// cluster::Fabric (real sockets included): version agreement, retention,
+// recovery fallback and torn-save rollback. Session is the simulator's
+// adapter: a FabricSession over a VirtualFabric of the cluster moves the
+// bytes, then the engine's schedule supplies the virtual time.
 #pragma once
 
-#include <optional>
+#include <memory>
 
 #include "core/eccheck_engine.hpp"
 #include "core/fabric_engine.hpp"
@@ -30,63 +36,18 @@ struct SessionConfig {
   int retain_versions = 2;
 };
 
-class Session {
- public:
-  /// Plan placement, profile training communication, install calendars.
-  static Session initialize(cluster::VirtualCluster& cluster,
-                            const dnn::ModelSpec& model,
-                            const dnn::ParallelismSpec& parallelism,
-                            SessionConfig cfg = SessionConfig());
-
-  const Placement& placement() const { return placement_; }
-  const trainsim::TrainProfile& train_profile() const { return profile_; }
-  const SessionConfig& config() const { return cfg_; }
-  std::int64_t latest_version() const { return next_version_ - 1; }
-
-  /// Checkpoint the sharded state; returns the engine report. Versions
-  /// start at 1 and increase by one per save.
-  ckpt::SaveReport save(const std::vector<dnn::StateDict>& shards);
-
-  /// Recover the newest loadable version (falling back to older retained
-  /// versions if the newest is unrecoverable). Returns the version loaded
-  /// alongside the engine report; version 0 in the report detail means
-  /// nothing could be recovered.
-  struct RecoverResult {
-    ckpt::LoadReport report;
-    std::int64_t version = 0;
-  };
-  RecoverResult load(std::vector<dnn::StateDict>& out);
-
-  ECCheckEngine& engine() { return engine_; }
-
- private:
-  Session(cluster::VirtualCluster& cluster, ECCheckEngine engine,
-          Placement placement, trainsim::TrainProfile profile,
-          SessionConfig cfg)
-      : cluster_(&cluster), engine_(std::move(engine)),
-        placement_(std::move(placement)), profile_(std::move(profile)),
-        cfg_(cfg) {}
-
-  void prune(std::int64_t oldest_to_keep);
-
-  cluster::VirtualCluster* cluster_;
-  ECCheckEngine engine_;
-  Placement placement_;
-  trainsim::TrainProfile profile_;
-  SessionConfig cfg_;
-  std::int64_t next_version_ = 1;
-};
-
-/// The session facade over a cluster::Fabric — the SPMD analogue of Session
-/// for real multi-process deployments (and, bit-exactly, VirtualFabric).
-/// Every method is a collective: all ranks call it with equivalent
-/// arguments. No idle-window profiling here — real transports measure real
-/// wire time, so the virtual-time calendar machinery does not apply.
+/// The session facade over a cluster::Fabric: the one implementation of
+/// versioning, retention and recovery, for real multi-process deployments
+/// and — under Session — for the simulator's VirtualFabric. Every method is
+/// a collective: all ranks call it with equivalent arguments. No idle-window
+/// profiling here — real transports measure real wire time, so the
+/// virtual-time calendar machinery does not apply.
 ///
 /// Torn-save handling: when a peer dies mid-save the fabric throws
 /// CheckFailure; save() then rolls the attempted version back from the
-/// local driven stores (durable and staging keys) before rethrowing, so a
-/// later load() never mistakes the torn version for a committed one.
+/// surviving driven stores (durable and staging keys, fabric_rollback)
+/// before rethrowing, so a later load() never mistakes the torn version for
+/// a committed one, and the retry reuses its number.
 class FabricSession {
  public:
   FabricSession(cluster::Fabric& fabric, ECCheckConfig cfg,
@@ -94,6 +55,8 @@ class FabricSession {
 
   const ECCheckConfig& config() const { return cfg_; }
   int gpus_per_node() const { return gpus_per_node_; }
+  /// The newest version this session saved or loaded; 0 before either. A
+  /// rolled-back save gives its number back for the retry.
   std::int64_t latest_version() const { return next_version_ - 1; }
 
   /// Degraded-mode membership applied to every subsequent collective (see
@@ -122,14 +85,59 @@ class FabricSession {
   RecoverResult load(std::vector<dnn::StateDict>& out);
 
  private:
-  void rollback(std::int64_t version);
-
   cluster::Fabric* fabric_;
   ECCheckConfig cfg_;
   int gpus_per_node_;
   int retain_versions_;
   Membership members_;
   std::int64_t next_version_ = 1;
+};
+
+/// The simulator adapter: versions, retention, recovery fallback and
+/// torn-save rollback are FabricSession's, over a VirtualFabric of the
+/// cluster; each save/load then runs the engine's schedule on the result
+/// for the reports' virtual times and traffic counters.
+class Session {
+ public:
+  /// Plan placement, profile training communication, install calendars.
+  static Session initialize(cluster::VirtualCluster& cluster,
+                            const dnn::ModelSpec& model,
+                            const dnn::ParallelismSpec& parallelism,
+                            SessionConfig cfg = SessionConfig());
+
+  const Placement& placement() const { return placement_; }
+  const trainsim::TrainProfile& train_profile() const { return profile_; }
+  const SessionConfig& config() const { return cfg_; }
+  std::int64_t latest_version() const {
+    return fabric_session_.latest_version();
+  }
+
+  /// Checkpoint the sharded state as the next version; returns the engine
+  /// report. A save torn by a node failure throws CheckFailure after
+  /// rolling the version back, and the retry reuses its number.
+  ckpt::SaveReport save(const std::vector<dnn::StateDict>& shards);
+
+  /// Recover the newest committed version, falling back to older retained
+  /// versions if it is unrecoverable. Version 0 means nothing could be
+  /// recovered; the report detail says why.
+  using RecoverResult = FabricSession::RecoverResult;
+  RecoverResult load(std::vector<dnn::StateDict>& out);
+
+  ECCheckEngine& engine() { return engine_; }
+
+ private:
+  Session(cluster::VirtualCluster& cluster, ECCheckEngine engine,
+          Placement placement, trainsim::TrainProfile profile,
+          SessionConfig cfg);
+
+  cluster::VirtualCluster* cluster_;
+  ECCheckEngine engine_;
+  Placement placement_;
+  trainsim::TrainProfile profile_;
+  SessionConfig cfg_;
+  /// On the heap: fabric_session_ points at it across Session moves.
+  std::unique_ptr<cluster::VirtualFabric> fabric_;
+  FabricSession fabric_session_;
 };
 
 }  // namespace eccheck::core

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "chaos/runner.hpp"
+#include "cluster/fabric.hpp"
 #include "core/session.hpp"
 #include "dnn/checkpoint_gen.hpp"
 
@@ -167,13 +168,26 @@ struct SaveFixture {
     cfg.ec.packet_size = kib(8);
     return cfg;
   }
+
+  /// Fabric ops of the version agreement (fabric_newest_version's flag
+  /// all_gather) that opens every Session save, counted on a fresh fixture.
+  /// Kills meant for the save protocol itself are placed past it.
+  static std::uint64_t agreement_ops() {
+    SaveFixture probe;
+    cluster::VirtualFabric fabric(probe.cluster);
+    core::fabric_newest_version(fabric, probe.session_config().ec);
+    return probe.plan.op_count();
+  }
 };
 
 TEST(ChaosMidSave, KillBetweenPipelineStagesFallsBackToPreviousVersion) {
-  // Probe a clean save's fabric-op count once, then tear a save at several
-  // points of that window. Whatever happens to version 2 — torn (never
-  // committed) or completed before the kill landed — load must return a
-  // bit-exact checkpoint: v1 if v2 never committed, v2 if it did.
+  // Probe the fabric-op count of a clean save's protocol (the ops past the
+  // version agreement) once, then tear a save at several points of that
+  // window. Whatever happens to version 2 — torn (never committed) or
+  // completed before the kill landed — load must return a bit-exact
+  // checkpoint: v1 if v2 never committed, v2 if it did.
+  const std::uint64_t agreement = SaveFixture::agreement_ops();
+  ASSERT_GT(agreement, 0u);
   std::uint64_t clean_save_ops = 0;
   {
     SaveFixture probe;
@@ -181,7 +195,7 @@ TEST(ChaosMidSave, KillBetweenPipelineStagesFallsBackToPreviousVersion) {
                                        probe.session_config());
     const std::uint64_t before = probe.plan.op_count();
     s.save(probe.shards(1));
-    clean_save_ops = probe.plan.op_count() - before;
+    clean_save_ops = probe.plan.op_count() - before - agreement;
     ASSERT_GT(clean_save_ops, 4u);
   }
 
@@ -196,9 +210,11 @@ TEST(ChaosMidSave, KillBetweenPipelineStagesFallsBackToPreviousVersion) {
     for (const auto& sd : v2) v2_digests.push_back(sd.digest());
 
     const std::uint64_t offset =
-        1 + static_cast<std::uint64_t>(frac *
-                                       static_cast<double>(clean_save_ops - 2));
-    f.plan.arm({{f.plan.op_count() + offset, 2}});
+        agreement + 1 +
+        static_cast<std::uint64_t>(frac *
+                                   static_cast<double>(clean_save_ops - 2));
+    const std::uint64_t start = f.plan.op_count();
+    f.plan.arm({{start + offset, 2}});
     bool torn = false;
     try {
       s.save(v2);
@@ -206,6 +222,9 @@ TEST(ChaosMidSave, KillBetweenPipelineStagesFallsBackToPreviousVersion) {
       torn = true;
     }
     f.plan.disarm();
+    // The kill landed inside the save protocol, past the version agreement.
+    ASSERT_EQ(f.plan.fired().size(), 1u) << "frac=" << frac;
+    EXPECT_GT(f.plan.fired()[0].at_op, start + agreement) << "frac=" << frac;
 
     if (!f.cluster.alive(2)) f.cluster.replace(2);
     std::vector<dnn::StateDict> out;
@@ -234,9 +253,14 @@ TEST(ChaosMidSave, TornFirstSaveLeavesNothingLoadable) {
   SaveFixture f;
   auto s = core::Session::initialize(f.cluster, f.model, f.par,
                                      f.session_config());
-  f.plan.arm({{f.plan.op_count() + 3, 1}});
+  const std::uint64_t agreement = SaveFixture::agreement_ops();
+  const std::uint64_t start = f.plan.op_count();
+  f.plan.arm({{start + agreement + 3, 1}});
   EXPECT_THROW(s.save(f.shards(1)), CheckFailure);
   f.plan.disarm();
+  // The kill landed inside the save protocol, past the version agreement.
+  ASSERT_EQ(f.plan.fired().size(), 1u);
+  EXPECT_GT(f.plan.fired()[0].at_op, start + agreement);
   if (!f.cluster.alive(1)) f.cluster.replace(1);
   std::vector<dnn::StateDict> out;
   auto r = s.load(out);

@@ -1,7 +1,9 @@
 // Session facade tests: the paper's initialize/save/load API, version
-// retention, idle-slot calendars, and fallback to older versions.
+// retention, idle-slot calendars, fallback to older versions, and the
+// rollback of saves torn by a node failure.
 #include <gtest/gtest.h>
 
+#include "chaos/fault_plan.hpp"
 #include "core/session.hpp"
 #include "dnn/checkpoint_gen.hpp"
 
@@ -147,7 +149,7 @@ TEST(Session, LoadBeforeAnySaveReportsEmptyHistory) {
   EXPECT_FALSE(r.report.success);
   EXPECT_EQ(r.version, 0);
   // Must say "nothing saved yet", not leave detail empty or probe version 0.
-  EXPECT_NE(r.report.detail.find("no checkpoint has been saved"),
+  EXPECT_NE(r.report.detail.find("no committed checkpoint version exists"),
             std::string::npos)
       << r.report.detail;
 }
@@ -248,6 +250,102 @@ TEST(Session, PartiallyTornSaveStillRecoversViaDecode) {
   EXPECT_EQ(r.version, 1);
   for (std::size_t i = 0; i < out.size(); ++i)
     EXPECT_EQ(out[i].digest(), v1[i].digest());
+}
+
+// ---- saves torn by a node failure roll back -------------------------------
+
+using Op = cluster::FabricOp;
+
+/// Records every fabric op of a probe run.
+struct OpLog final : cluster::FaultHook {
+  std::vector<Op> ops;
+  void on_fabric_op(cluster::VirtualCluster&, const Op& op) override {
+    ops.push_back(op);
+  }
+};
+
+enum class TearAt { kStep3, kStep4Flush };
+
+/// Index, among the ops of a clean save, of the op a kill lands on: the
+/// middle packet-sized transfer of step 3, or the first write of the step-4
+/// remote flush, when every local commit marker is already in place.
+std::size_t tear_point(const std::vector<Op>& ops, TearAt at,
+                       std::size_t packet) {
+  std::vector<std::size_t> hits;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const bool hit = at == TearAt::kStep3
+                         ? ops[i].kind == Op::Kind::kNetSend &&
+                               ops[i].bytes == packet
+                         : ops[i].kind == Op::Kind::kRemoteWrite;
+    if (hit) hits.push_back(i);
+  }
+  if (hits.empty()) throw CheckFailure("probe save has no such op");
+  return at == TearAt::kStep3 ? hits[hits.size() / 2] : hits.front();
+}
+
+/// Kill node 1 at `at` of the second save. The torn version must vanish
+/// from every survivor, load must return version 1 bit-exact, and the
+/// retried save must reuse version 2.
+void tear_second_save(TearAt at) {
+  Fixture probe;
+  auto cfg = probe.session_config();
+  cfg.ec.flush_to_remote = at == TearAt::kStep4Flush;
+  std::size_t offset = 0;
+  {
+    auto s = core::Session::initialize(probe.cluster, probe.model, probe.par,
+                                       cfg);
+    s.save(probe.shards(1));
+    OpLog log;
+    probe.cluster.set_fault_hook(&log);
+    s.save(probe.shards(2));
+    probe.cluster.set_fault_hook(nullptr);
+    offset = tear_point(log.ops, at, cfg.ec.packet_size);
+  }
+
+  Fixture f;
+  chaos::FaultPlan plan;
+  f.cluster.set_fault_hook(&plan);
+  auto s = core::Session::initialize(f.cluster, f.model, f.par, cfg);
+  const auto v1 = f.shards(1);
+  s.save(v1);
+  constexpr int kVictim = 1;
+  plan.arm({{plan.op_count() + offset, kVictim}});
+  EXPECT_THROW(s.save(f.shards(2)), CheckFailure);
+  EXPECT_EQ(s.latest_version(), 1);  // the torn number is given back
+  ASSERT_EQ(plan.fired().size(), 1u);
+  EXPECT_EQ(plan.fired()[0].during, at == TearAt::kStep3
+                                        ? Op::Kind::kNetSend
+                                        : Op::Kind::kRemoteWrite);
+  f.cluster.set_fault_hook(nullptr);
+
+  for (int n : f.cluster.alive_nodes()) {
+    EXPECT_TRUE(f.cluster.host(n).keys_with_prefix("ec/2/").empty())
+        << "node " << n;
+    EXPECT_TRUE(f.cluster.host(n).keys_with_prefix("tmp/2/").empty())
+        << "node " << n;
+  }
+
+  f.cluster.replace(kVictim);
+  std::vector<dnn::StateDict> out;
+  auto r = s.load(out);
+  ASSERT_TRUE(r.report.success) << r.report.detail;
+  EXPECT_EQ(r.version, 1);
+  ASSERT_EQ(out.size(), v1.size());
+  for (std::size_t i = 0; i < out.size(); ++i)
+    EXPECT_EQ(out[i].digest(), v1[i].digest()) << "worker " << i;
+
+  s.save(f.shards(2));
+  EXPECT_EQ(s.latest_version(), 2);
+  for (int n = 0; n < f.cluster.num_nodes(); ++n)
+    EXPECT_TRUE(f.cluster.host(n).contains("ec/2/commit")) << "node " << n;
+}
+
+TEST(Session, SaveTornInStep3RollsBackAndRetryReusesVersion) {
+  tear_second_save(TearAt::kStep3);
+}
+
+TEST(Session, SaveTornInRemoteFlushRollsBackCommittedMarkers) {
+  tear_second_save(TearAt::kStep4Flush);
 }
 
 }  // namespace
