@@ -7,7 +7,7 @@
 // them into data and parity rows in place (P' = P ⊕ G·Δ). Both leave
 // byte-identical stores — this bench verifies that while charting the
 // traffic and wall-time gap per density, including the fallback crossover
-// at cfg.delta.max_dirty_ratio.
+// at core::kMaxDirtyRatio.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -34,7 +34,6 @@ core::ECCheckConfig ec_config(bool delta_on) {
   cfg.m = kM;
   cfg.packet_size = kib(64);
   cfg.delta.enabled = delta_on;
-  cfg.delta.max_dirty_ratio = 0.35;
   return cfg;
 }
 

@@ -32,6 +32,11 @@ struct DirtyExtent {
 /// every (w, mode).
 inline constexpr std::size_t kDirtyBlock = 64;
 
+/// Above this share of dirty live bytes a delta save would move more data
+/// than re-encoding (each dirty byte travels to 1 data + m parity nodes):
+/// the save falls back to the full path instead.
+inline constexpr double kMaxDirtyRatio = 0.35;
+
 /// Compare `next` against `base` block by block (`granularity` bytes, the
 /// final block may be short) and return the merged dirty extents of packet
 /// `packet_index`. Spans must be the same length. Granularity must be > 0.

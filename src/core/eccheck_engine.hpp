@@ -67,9 +67,6 @@ struct ECCheckConfig {
   /// Step 4: also persist chunks to remote storage during save.
   bool flush_to_remote = false;
 
-  /// Use the remote copy (if any) when more than m nodes failed.
-  bool remote_fallback = true;
-
   /// Store per-packet CRC64s with each chunk and scrub them during load:
   /// silently corrupted chunks are treated as erasures and decoded around,
   /// exactly like a failed node (production bit-rot protection).
@@ -88,14 +85,10 @@ struct ECCheckConfig {
   /// Falls back to the full four-step protocol — transparently and
   /// bit-identically — when no usable base exists (first save,
   /// post-rollback, shape change, degraded membership) or the dirty share
-  /// of the live (non-padding) bytes exceeds `max_dirty_ratio`. Saved
+  /// of the live (non-padding) bytes exceeds core::kMaxDirtyRatio. Saved
   /// versions are byte-identical to full-encode saves either way.
   struct DeltaConfig {
     bool enabled = false;
-    /// Above this fraction of dirty bytes a delta save would move more data
-    /// than re-encoding (each dirty byte travels to 1 data + m parity
-    /// nodes) — fall back to the full path instead.
-    double max_dirty_ratio = 0.35;
   };
   DeltaConfig delta;
 

@@ -485,7 +485,7 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         live_bytes == 0 ? 0.0
                         : static_cast<double>(total_dirty) /
                               static_cast<double>(live_bytes);
-    if (base_version != 0 && dirty_ratio <= cfg.delta.max_dirty_ratio) {
+    if (base_version != 0 && dirty_ratio <= kMaxDirtyRatio) {
       obs::ScopedSpan dspan("engine.save.delta", total_dirty);
       const auto bv = static_cast<std::int64_t>(base_version);
       fabric.stats().add("delta.save.count");
@@ -1039,7 +1039,6 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   if (survivors < cfg.k) {
     const int self = driven.front();
     const bool remote_ok =
-        cfg.remote_fallback &&
         fabric.remote_contains(self, commit_key(ns, version)) &&
         fabric.remote_contains(self, row_key(ns, version, 0, 0, 0));
     if (!remote_ok) {
@@ -1426,9 +1425,8 @@ std::int64_t fabric_newest_version(cluster::Fabric& fabric,
         for (const auto& key :
              fabric.store(node).keys_with_prefix(ns + "ec/"))
           best = std::max(best, commit_version_of(key, ns));
-        if (cfg.remote_fallback)
-          for (const auto& key : fabric.remote_list(node, ns + "ec/"))
-            best = std::max(best, commit_version_of(key, ns));
+        for (const auto& key : fabric.remote_list(node, ns + "ec/"))
+          best = std::max(best, commit_version_of(key, ns));
         f.flag = static_cast<std::uint64_t>(best);
         return f;
       },

@@ -133,8 +133,8 @@ void fabric_rollback(cluster::Fabric& fabric, const std::string& key_namespace,
                      const Membership& members = Membership());
 
 /// Collective: the newest version for which any alive rank holds a commit
-/// marker, also consulting the remote store when cfg.remote_fallback is
-/// set. 0 when nothing was ever committed.
+/// marker, in its local or its remote store. 0 when nothing was ever
+/// committed.
 std::int64_t fabric_newest_version(cluster::Fabric& fabric,
                                    const ECCheckConfig& cfg,
                                    const Membership& members = Membership());

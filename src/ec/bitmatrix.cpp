@@ -1,7 +1,5 @@
 #include "ec/bitmatrix.hpp"
 
-#include "gf/simd.hpp"
-
 namespace eccheck::ec {
 
 int BitMatrix::ones() const {
@@ -28,55 +26,6 @@ BitMatrix expand_to_bitmatrix(const GfMatrix& m) {
     }
   }
   return bm;
-}
-
-std::vector<XorOp> make_xor_schedule(const BitMatrix& bm, int in_packets,
-                                     int out_packets, int w) {
-  ECC_CHECK(bm.rows() == out_packets * w);
-  ECC_CHECK(bm.cols() == in_packets * w);
-  std::vector<XorOp> ops;
-  ops.reserve(static_cast<std::size_t>(bm.ones()));
-  for (int o = 0; o < out_packets; ++o) {
-    for (int i = 0; i < w; ++i) {
-      bool first = true;
-      for (int p = 0; p < in_packets; ++p) {
-        for (int j = 0; j < w; ++j) {
-          if (!bm.get(o * w + i, p * w + j)) continue;
-          ops.push_back(XorOp{p, j, o, i, !first});
-          first = false;
-        }
-      }
-      ECC_CHECK_MSG(!first, "bitmatrix has an all-zero row — code broken");
-    }
-  }
-  return ops;
-}
-
-void run_xor_schedule(const std::vector<XorOp>& schedule, int w,
-                      std::span<const ByteSpan> in,
-                      std::span<MutableByteSpan> out) {
-  ECC_CHECK(!in.empty());
-  const std::size_t packet = in[0].size();
-  ECC_CHECK_MSG(packet % (static_cast<std::size_t>(w) * 8) == 0,
-                "packet size " << packet << " not divisible by w*8");
-  const std::size_t strip = packet / static_cast<std::size_t>(w);
-  for (const auto& s : in) ECC_CHECK(s.size() == packet);
-  for (const auto& s : out) ECC_CHECK(s.size() == packet);
-
-  // Hoist the dispatched kernel out of the op loop: one indirect call per
-  // strip, no per-op dispatch load or size re-check.
-  const gf::simd::Kernels& kernels = gf::simd::active();
-  for (const XorOp& op : schedule) {
-    ByteSpan src = in[op.src_packet].subspan(
-        static_cast<std::size_t>(op.src_strip) * strip, strip);
-    MutableByteSpan dst = out[op.dst_packet].subspan(
-        static_cast<std::size_t>(op.dst_strip) * strip, strip);
-    if (op.accumulate) {
-      kernels.xor_into(dst.data(), src.data(), strip);
-    } else {
-      std::memcpy(dst.data(), src.data(), strip);
-    }
-  }
 }
 
 }  // namespace eccheck::ec

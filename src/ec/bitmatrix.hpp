@@ -1,6 +1,6 @@
-// Bit-matrix (GF(2)) representation of GF(2^w) matrices, and XOR-only
-// region coding over "strips" (paper §IV-A: "encoding can be implemented by
-// using XOR operations exclusively").
+// Bit-matrix (GF(2)) representation of GF(2^w) matrices, the basis of
+// XOR-only region coding over "strips" (paper §IV-A: "encoding can be
+// implemented by using XOR operations exclusively"; see ec/xor_program.hpp).
 //
 // Each GF(2^w) element e expands to a w×w binary matrix B(e) whose column j
 // is the bit pattern of e · 2^j; multiplication by e over GF(2^w) is then a
@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/bytes.hpp"
 #include "ec/gf_matrix.hpp"
 
 namespace eccheck::ec {
@@ -46,28 +45,5 @@ class BitMatrix {
 
 /// Expand a GF(2^w) matrix into its (rows·w) × (cols·w) bit matrix.
 BitMatrix expand_to_bitmatrix(const GfMatrix& m);
-
-/// One XOR-only coding operation: XOR source strip `src_strip` of input
-/// packet `src_packet` into destination strip `dst_strip` of output packet
-/// `dst_packet` (or copy when `accumulate` is false).
-struct XorOp {
-  int src_packet;
-  int src_strip;
-  int dst_packet;
-  int dst_strip;
-  bool accumulate;  ///< false = first contribution (copy), true = XOR
-};
-
-/// Flatten a bit matrix into a strip-level XOR schedule for `in_packets`
-/// inputs producing `out_packets` outputs (bitmatrix must be
-/// (out_packets·w) × (in_packets·w)).
-std::vector<XorOp> make_xor_schedule(const BitMatrix& bm, int in_packets,
-                                     int out_packets, int w);
-
-/// Execute a schedule: in[i] are equal-size packets, out[o] likewise.
-/// Packet size must be divisible by w · 8 so strips stay word-aligned.
-void run_xor_schedule(const std::vector<XorOp>& schedule, int w,
-                      std::span<const ByteSpan> in,
-                      std::span<MutableByteSpan> out);
 
 }  // namespace eccheck::ec

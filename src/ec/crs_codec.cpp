@@ -28,14 +28,19 @@ CrsCodec::CrsCodec(int k, int m, int w, KernelMode mode, bool normalized)
       generator_(systematic_generator(k, m, *field_, normalized)) {
   ECC_CHECK(k >= 1);
   ECC_CHECK(m >= 0);
-  if (mode_ == KernelMode::kXorBitmatrix && m_ > 0) {
+}
+
+const XorProgram& CrsCodec::encode_program() const {
+  std::call_once(encode_program_once_, [this] {
+    if (m_ == 0) return;
     // Expand only the parity sub-matrix; identity rows are plain copies.
     GfMatrix parity(m_, k_, *field_);
     for (int r = 0; r < m_; ++r)
       for (int c = 0; c < k_; ++c) parity.set(r, c, generator_.at(k_ + r, c));
-    parity_bitmatrix_ = expand_to_bitmatrix(parity);
-    encode_schedule_ = make_xor_schedule(parity_bitmatrix_, k_, m_, w_);
-  }
+    encode_program_ =
+        optimize_xor_program(expand_to_bitmatrix(parity), k_, m_, w_);
+  });
+  return encode_program_;
 }
 
 std::size_t CrsCodec::packet_granularity() const {
@@ -52,7 +57,7 @@ void CrsCodec::encode(std::span<const ByteSpan> data,
   obs::ScopedSpan span(encode_span_name(),
                        data.empty() ? 0 : data[0].size() * data.size());
   if (mode_ == KernelMode::kXorBitmatrix) {
-    run_xor_schedule(encode_schedule_, w_, data, parity);
+    run_xor_program(encode_program(), data, parity);
     return;
   }
   for (int r = 0; r < m_; ++r) {
@@ -66,31 +71,18 @@ void CrsCodec::encode(std::span<const ByteSpan> data,
 void CrsCodec::mul_packet(std::uint32_t coeff, ByteSpan src,
                           MutableByteSpan dst, bool accumulate) const {
   if (mode_ == KernelMode::kXorBitmatrix) {
-    // Single-element bitmatrix product; schedule built on the fly (w² field
-    // mults — negligible next to the region work).
-    GfMatrix one(1, 1, *field_);
-    one.set(0, 0, coeff);
     if (coeff == 0) {
       if (!accumulate) std::memset(dst.data(), 0, dst.size());
       return;
     }
-    BitMatrix bm = expand_to_bitmatrix(one);
-    auto sched = make_xor_schedule(bm, 1, 1, w_);
-    if (accumulate) {
-      // XOR the product into dst: compute into a scratch then fold. The
-      // distributed protocol always targets fresh buffers, so this path is
-      // rare; correctness over speed.
-      Buffer scratch(dst.size(), Buffer::Init::kUninitialized);
-      MutableByteSpan scratch_span = scratch.span();
-      ByteSpan in[] = {src};
-      MutableByteSpan out[] = {scratch_span};
-      run_xor_schedule(sched, w_, in, out);
-      xor_into(dst, scratch.span());
-    } else {
-      ByteSpan in[] = {src};
-      MutableByteSpan out[] = {dst};
-      run_xor_schedule(sched, w_, in, out);
-    }
+    // Single-element bitmatrix product; program built on the fly (w² field
+    // mults — negligible next to the region work).
+    GfMatrix one(1, 1, *field_);
+    one.set(0, 0, coeff);
+    ByteSpan in[] = {src};
+    MutableByteSpan out[] = {dst};
+    run_xor_program(naive_xor_program(expand_to_bitmatrix(one), 1, 1, w_), in,
+                    out, accumulate);
     return;
   }
   field_->mul_region(coeff, src, dst, accumulate);
@@ -227,7 +219,7 @@ void CrsCodec::apply_matrix(const GfMatrix& m, std::span<const ByteSpan> in,
 
 int CrsCodec::xor_ops_per_stripe() const {
   if (mode_ != KernelMode::kXorBitmatrix) return -1;
-  return static_cast<int>(encode_schedule_.size());
+  return encode_program().xor_count();
 }
 
 }  // namespace eccheck::ec

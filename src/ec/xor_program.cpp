@@ -74,10 +74,28 @@ XorProgram emit(const RowTerms& t, int in_packets, int out_packets, int w) {
 
 }  // namespace
 
+// Emitted straight from the bits, not via terms_of's sets: mul_packet
+// builds one of these per call.
 XorProgram naive_xor_program(const BitMatrix& bm, int in_packets,
                              int out_packets, int w) {
-  return emit(terms_of(bm, in_packets, out_packets, w), in_packets,
-              out_packets, w);
+  ECC_CHECK(bm.rows() == out_packets * w);
+  ECC_CHECK(bm.cols() == in_packets * w);
+  XorProgram prog;
+  prog.w = w;
+  prog.in_packets = in_packets;
+  prog.out_packets = out_packets;
+  prog.ops.reserve(static_cast<std::size_t>(bm.ones()));
+  for (int r = 0; r < bm.rows(); ++r) {
+    bool first = true;
+    for (int c = 0; c < bm.cols(); ++c) {
+      if (!bm.get(r, c)) continue;
+      prog.ops.push_back({{XorProgram::Space::kOutput, r},
+                          {XorProgram::Space::kInput, c}, !first});
+      first = false;
+    }
+    ECC_CHECK_MSG(!first, "bitmatrix has an all-zero row");
+  }
+  return prog;
 }
 
 XorProgram optimize_xor_program(const BitMatrix& bm, int in_packets,
@@ -120,7 +138,7 @@ XorProgram optimize_xor_program(const BitMatrix& bm, int in_packets,
 }
 
 void run_xor_program(const XorProgram& prog, std::span<const ByteSpan> in,
-                     std::span<MutableByteSpan> out) {
+                     std::span<MutableByteSpan> out, bool accumulate) {
   ECC_CHECK(static_cast<int>(in.size()) == prog.in_packets);
   ECC_CHECK(static_cast<int>(out.size()) == prog.out_packets);
   ECC_CHECK(!in.empty());
@@ -131,39 +149,51 @@ void run_xor_program(const XorProgram& prog, std::span<const ByteSpan> in,
   for (const auto& s : in) ECC_CHECK(s.size() == packet);
   for (const auto& s : out) ECC_CHECK(s.size() == packet);
 
-  std::vector<Buffer> temps;
-  temps.reserve(static_cast<std::size_t>(prog.num_temps));
-  for (int i = 0; i < prog.num_temps; ++i)
-    temps.emplace_back(strip, Buffer::Init::kUninitialized);
-
-  auto src_span = [&](const XorProgram::Operand& o) -> ByteSpan {
-    if (o.space == XorProgram::Space::kTemp)
-      return temps[static_cast<std::size_t>(o.index)].span();
-    ECC_CHECK(o.space == XorProgram::Space::kInput);
-    const int pkt = o.index / prog.w;
-    const int st = o.index % prog.w;
-    return in[static_cast<std::size_t>(pkt)].subspan(
-        static_cast<std::size_t>(st) * strip, strip);
+  // One tile per temporary, reused by every tile of the strips. Strip
+  // operands advance with the tile offset; temporaries stay put.
+  const std::size_t tile = std::min(kXorTile, strip);
+  Buffer temps(static_cast<std::size_t>(prog.num_temps) * tile,
+               Buffer::Init::kUninitialized);
+  auto temp = [&](const XorProgram::Operand& o) {
+    ECC_CHECK(o.index >= 0 && o.index < prog.num_temps);
+    return temps.data() + static_cast<std::size_t>(o.index) * tile;
   };
-  auto dst_span = [&](const XorProgram::Operand& o) -> MutableByteSpan {
-    if (o.space == XorProgram::Space::kTemp)
-      return temps[static_cast<std::size_t>(o.index)].span();
-    ECC_CHECK(o.space == XorProgram::Space::kOutput);
-    const int pkt = o.index / prog.w;
-    const int st = o.index % prog.w;
-    return out[static_cast<std::size_t>(pkt)].subspan(
-        static_cast<std::size_t>(st) * strip, strip);
+  auto strip_of = [&](auto packets, const XorProgram::Operand& o) {
+    return packets[static_cast<std::size_t>(o.index / prog.w)].data() +
+           static_cast<std::size_t>(o.index % prog.w) * strip;
   };
 
-  // One dispatch lookup for the whole program; ops are uniform strips.
-  const gf::simd::Kernels& kernels = gf::simd::active();
+  struct Step {
+    std::byte* dst;
+    const std::byte* src;
+    bool dst_moves;
+    bool src_moves;
+    bool xor_op;
+  };
+  std::vector<Step> steps;
+  steps.reserve(prog.ops.size());
   for (const auto& op : prog.ops) {
-    MutableByteSpan dst = dst_span(op.dst);
-    ByteSpan src = src_span(op.src);
-    if (op.accumulate)
-      kernels.xor_into(dst.data(), src.data(), strip);
-    else
-      std::memcpy(dst.data(), src.data(), strip);
+    const bool dst_out = op.dst.space == XorProgram::Space::kOutput;
+    const bool src_in = op.src.space == XorProgram::Space::kInput;
+    ECC_CHECK(dst_out || op.dst.space == XorProgram::Space::kTemp);
+    ECC_CHECK(src_in || op.src.space == XorProgram::Space::kTemp);
+    steps.push_back({dst_out ? strip_of(out, op.dst) : temp(op.dst),
+                     src_in ? strip_of(in, op.src) : temp(op.src), dst_out,
+                     src_in, op.accumulate || (accumulate && dst_out)});
+  }
+
+  // One dispatch lookup for the whole program.
+  const gf::simd::Kernels& kernels = gf::simd::active();
+  for (std::size_t at = 0; at < strip; at += tile) {
+    const std::size_t len = std::min(tile, strip - at);
+    for (const Step& s : steps) {
+      std::byte* dst = s.dst_moves ? s.dst + at : s.dst;
+      const std::byte* src = s.src_moves ? s.src + at : s.src;
+      if (s.xor_op)
+        kernels.xor_into(dst, src, len);
+      else
+        std::memcpy(dst, src, len);
+    }
   }
 }
 

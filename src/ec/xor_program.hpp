@@ -1,15 +1,16 @@
-// Optimized XOR programs: common-subexpression elimination over bitmatrix
-// schedules.
+// XOR programs: the XOR-only strip kernels of the bitmatrix mode, with
+// common-subexpression elimination.
 //
-// A naive bitmatrix schedule XORs, for every output strip, each input strip
+// A naive bitmatrix program XORs, for every output strip, each input strip
 // whose bit is set — Σ ones(B) operations. Parity rows of a Cauchy matrix
 // share many input-strip pairs, so factoring frequently co-occurring pairs
 // into temporaries (computed once, reused everywhere) reduces the XOR count
 // — the idea behind "smart scheduling" in fast-erasure-coding work the paper
 // cites ([38]). The greedy heuristic here repeatedly extracts the most
-// common remaining pair; programs stay bit-exact with the plain schedule.
+// common remaining pair; programs stay bit-exact with the naive one.
 #pragma once
 
+#include "common/bytes.hpp"
 #include "ec/bitmatrix.hpp"
 
 namespace eccheck::ec {
@@ -45,7 +46,11 @@ struct XorProgram {
   int memory_passes() const { return static_cast<int>(ops.size()); }
 };
 
-/// Plain program: one op per set bit (the make_xor_schedule semantics).
+/// Bytes of each strip that run_xor_program processes per pass over the
+/// program; a temporary holds one tile, so it stays cache-resident.
+inline constexpr std::size_t kXorTile = 4096;
+
+/// Plain program: one op per set bit, the first of each row a copy.
 XorProgram naive_xor_program(const BitMatrix& bm, int in_packets,
                              int out_packets, int w);
 
@@ -53,8 +58,11 @@ XorProgram naive_xor_program(const BitMatrix& bm, int in_packets,
 XorProgram optimize_xor_program(const BitMatrix& bm, int in_packets,
                                 int out_packets, int w);
 
-/// Execute on real strips; packet sizes must be divisible by w·8.
+/// Execute on real strips; packet sizes must be divisible by w·8. The
+/// strips are walked in kXorTile-byte tiles (a shorter last tile), each
+/// tile running the whole program. With `accumulate` every write to an
+/// output is an XOR, so the product is folded into `out`.
 void run_xor_program(const XorProgram& prog, std::span<const ByteSpan> in,
-                     std::span<MutableByteSpan> out);
+                     std::span<MutableByteSpan> out, bool accumulate = false);
 
 }  // namespace eccheck::ec

@@ -1,6 +1,6 @@
 // Baseline / regression comparison tests (bench/compare.hpp): JSON-lines
 // loading, metric flattening + classification, update→check round trip, and
-// the exact-vs-time failure semantics the CI perf-smoke job relies on.
+// the exact-vs-time failure semantics the CI release-smoke job relies on.
 #include <gtest/gtest.h>
 
 #include <cstdio>

@@ -578,7 +578,6 @@ TEST(DeltaEngine, FallsBackOnHighDensityAndInvalidatedCache) {
   cluster::VirtualCluster vc(vc_config(g));
   cluster::VirtualFabric fabric(vc);
   core::ECCheckConfig cfg = delta_config(true);
-  cfg.delta.max_dirty_ratio = 0.35;
   core::FabricSession session(fabric, cfg, g, 2);
 
   session.save(pointers(shards));  // v1: full (no base yet)

@@ -10,6 +10,7 @@
 #include "ec/cauchy.hpp"
 #include "ec/crs_codec.hpp"
 #include "ec/gf_matrix.hpp"
+#include "ec/xor_program.hpp"
 
 namespace eccheck::ec {
 namespace {
@@ -145,8 +146,8 @@ TEST(BitMatrix, ExpansionIsRingHomomorphism) {
   }
 }
 
-TEST(BitMatrix, ScheduleRunMatchesGfSemantics) {
-  // Encode a stripe with the bitmatrix schedule, then decode it with the
+TEST(BitMatrix, ProgramRunMatchesGfSemantics) {
+  // Encode a stripe with the bitmatrix program, then decode it with the
   // inverse applied the same way; bit-exact round trip proves consistency.
   const auto& f = Field::get(8);
   const int k = 3, m = 2, w = 8;
@@ -158,7 +159,7 @@ TEST(BitMatrix, ScheduleRunMatchesGfSemantics) {
   parity.set(1, 1, 11);
   parity.set(1, 2, 200);
   BitMatrix bm = expand_to_bitmatrix(parity);
-  auto sched = make_xor_schedule(bm, k, m, w);
+  XorProgram prog = naive_xor_program(bm, k, m, w);
 
   const std::size_t P = 512;
   std::vector<Buffer> data;
@@ -172,10 +173,10 @@ TEST(BitMatrix, ScheduleRunMatchesGfSemantics) {
   std::vector<ByteSpan> in_spans{data[0].span(), data[1].span(),
                                  data[2].span()};
   std::vector<MutableByteSpan> out_spans{out[0].span(), out[1].span()};
-  run_xor_schedule(sched, w, in_spans, out_spans);
+  run_xor_program(prog, in_spans, out_spans);
 
-  // Linearity check instead of layout equality: schedule(x ⊕ y) ==
-  // schedule(x) ⊕ schedule(y).
+  // Linearity check instead of layout equality: program(x ⊕ y) ==
+  // program(x) ⊕ program(y).
   std::vector<Buffer> data2;
   for (int i = 0; i < k; ++i) {
     data2.emplace_back(P, Buffer::Init::kUninitialized);
@@ -186,7 +187,7 @@ TEST(BitMatrix, ScheduleRunMatchesGfSemantics) {
   out2.emplace_back(P);
   std::vector<ByteSpan> in2{data2[0].span(), data2[1].span(), data2[2].span()};
   std::vector<MutableByteSpan> o2{out2[0].span(), out2[1].span()};
-  run_xor_schedule(sched, w, in2, o2);
+  run_xor_program(prog, in2, o2);
 
   std::vector<Buffer> xored;
   for (int i = 0; i < k; ++i) {
@@ -198,7 +199,7 @@ TEST(BitMatrix, ScheduleRunMatchesGfSemantics) {
   out3.emplace_back(P);
   std::vector<ByteSpan> in3{xored[0].span(), xored[1].span(), xored[2].span()};
   std::vector<MutableByteSpan> o3{out3[0].span(), out3[1].span()};
-  run_xor_schedule(sched, w, in3, o3);
+  run_xor_program(prog, in3, o3);
 
   for (int r = 0; r < m; ++r) {
     Buffer expect = out[static_cast<std::size_t>(r)].clone();
@@ -207,16 +208,16 @@ TEST(BitMatrix, ScheduleRunMatchesGfSemantics) {
   }
 }
 
-TEST(BitMatrix, ScheduleRejectsBadPacketSize) {
+TEST(BitMatrix, ProgramRejectsBadPacketSize) {
   const auto& f = Field::get(8);
   GfMatrix one(1, 1, f);
   one.set(0, 0, 3);
-  auto sched = make_xor_schedule(expand_to_bitmatrix(one), 1, 1, 8);
+  XorProgram prog = naive_xor_program(expand_to_bitmatrix(one), 1, 1, 8);
   Buffer in(60, Buffer::Init::kUninitialized);  // not divisible by 64
   Buffer out(60);
   std::vector<ByteSpan> is{in.span()};
   std::vector<MutableByteSpan> os{out.span()};
-  EXPECT_THROW(run_xor_schedule(sched, 8, is, os), CheckFailure);
+  EXPECT_THROW(run_xor_program(prog, is, os), CheckFailure);
 }
 
 // --- CrsCodec ---------------------------------------------------------------

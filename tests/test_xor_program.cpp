@@ -1,9 +1,14 @@
-// XOR-program optimization: the CSE'd program must be bit-exact with the
-// naive schedule and strictly cheaper on real Cauchy matrices.
+// XOR programs: the CSE'd program must be bit-exact with the naive one and
+// strictly cheaper on real Cauchy matrices; the tiled executor must match a
+// whole-strip reference at every strip length; the codec's bitmatrix mode
+// must produce exactly what the naive program does.
 #include <gtest/gtest.h>
+
+#include <thread>
 
 #include "common/rng.hpp"
 #include "ec/cauchy.hpp"
+#include "ec/crs_codec.hpp"
 #include "ec/xor_program.hpp"
 
 namespace eccheck::ec {
@@ -25,6 +30,44 @@ std::vector<Buffer> rand_packets(int n, std::size_t size,
     fill_random(v.back().span(), seed + static_cast<std::uint64_t>(i));
   }
   return v;
+}
+
+std::vector<ByteSpan> spans(const std::vector<Buffer>& bufs) {
+  std::vector<ByteSpan> v;
+  for (const auto& b : bufs) v.push_back(b.span());
+  return v;
+}
+
+std::vector<MutableByteSpan> mut_spans(std::vector<Buffer>& bufs) {
+  std::vector<MutableByteSpan> v;
+  for (auto& b : bufs) v.push_back(b.span());
+  return v;
+}
+
+std::vector<Buffer> clones(const std::vector<Buffer>& bufs) {
+  std::vector<Buffer> v;
+  for (const auto& b : bufs) v.push_back(b.clone());
+  return v;
+}
+
+/// Whole-strip, byte-at-a-time bitmatrix product: out strip r is the XOR of
+/// the input strips whose bit is set in row r, XORed into `out` when
+/// `accumulate`. Independent of XorProgram and of the tiling.
+void reference_product(const BitMatrix& bm, int w,
+                       const std::vector<Buffer>& in, std::vector<Buffer>& out,
+                       bool accumulate) {
+  const std::size_t strip = in[0].size() / static_cast<std::size_t>(w);
+  for (int r = 0; r < bm.rows(); ++r) {
+    std::byte* dst = out[static_cast<std::size_t>(r / w)].data() +
+                     static_cast<std::size_t>(r % w) * strip;
+    if (!accumulate) std::memset(dst, 0, strip);
+    for (int c = 0; c < bm.cols(); ++c) {
+      if (!bm.get(r, c)) continue;
+      const std::byte* src = in[static_cast<std::size_t>(c / w)].data() +
+                             static_cast<std::size_t>(c % w) * strip;
+      for (std::size_t i = 0; i < strip; ++i) dst[i] ^= src[i];
+    }
+  }
 }
 
 struct Shape {
@@ -93,7 +136,7 @@ TEST(XorProgram, NaiveCountEqualsScheduleOnes) {
   EXPECT_EQ(naive.xor_count(), bm.ones() - bm.rows());
 }
 
-TEST(XorProgram, NaiveEqualsRunXorSchedule) {
+TEST(XorProgram, NaiveEqualsBitmatrixReference) {
   const int k = 3, m = 2, w = 8;
   BitMatrix bm = parity_bitmatrix(k, m, w);
   const std::size_t P = 512;
@@ -104,14 +147,105 @@ TEST(XorProgram, NaiveEqualsRunXorSchedule) {
 
   auto a = rand_packets(m, P, 300);
   auto b = rand_packets(m, P, 400);
-  std::vector<MutableByteSpan> oa, ob;
-  for (auto& x : a) oa.push_back(x.span());
+  std::vector<MutableByteSpan> ob;
   for (auto& x : b) ob.push_back(x.span());
 
-  run_xor_schedule(make_xor_schedule(bm, k, m, w), w, in, oa);
+  reference_product(bm, w, data, a, /*accumulate=*/false);
   run_xor_program(naive_xor_program(bm, k, m, w), in, ob);
   for (int r = 0; r < m; ++r)
     EXPECT_EQ(a[static_cast<std::size_t>(r)], b[static_cast<std::size_t>(r)]);
+}
+
+// Strips shorter than one tile, exactly one tile, and one tile plus one
+// 8-byte word (a short last tile), in every field width.
+TEST(XorProgram, TiledExecutorMatchesReferenceAtEveryStripLength) {
+  for (const Shape s : {Shape{3, 2, 4}, Shape{4, 2, 8}, Shape{3, 2, 16}}) {
+    const BitMatrix bm = parity_bitmatrix(s.k, s.m, s.w);
+    const XorProgram naive = naive_xor_program(bm, s.k, s.m, s.w);
+    const XorProgram opt = optimize_xor_program(bm, s.k, s.m, s.w);
+    for (const std::size_t strip : {std::size_t{64}, kXorTile, kXorTile + 8}) {
+      const std::size_t P = strip * static_cast<std::size_t>(s.w);
+      const auto data = rand_packets(s.k, P, strip);
+      const auto init = rand_packets(s.m, P, strip + 1000);
+      for (const bool accumulate : {false, true}) {
+        auto want = clones(init);
+        reference_product(bm, s.w, data, want, accumulate);
+        for (const XorProgram* prog : {&naive, &opt}) {
+          auto got = clones(init);
+          auto out = mut_spans(got);
+          run_xor_program(*prog, spans(data), out, accumulate);
+          for (int r = 0; r < s.m; ++r)
+            ASSERT_EQ(got[static_cast<std::size_t>(r)],
+                      want[static_cast<std::size_t>(r)])
+                << "w=" << s.w << " strip=" << strip
+                << " accumulate=" << accumulate
+                << (prog == &opt ? " optimized" : " naive") << " row " << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(XorProgram, BitmatrixMulPacketAccumulateFoldsTheProduct) {
+  for (const int w : {4, 8, 16}) {
+    CrsCodec codec(3, 2, w, KernelMode::kXorBitmatrix);
+    const std::size_t P = (kXorTile + 8) * static_cast<std::size_t>(w);
+    const auto src = rand_packets(1, P, 11);
+    for (const std::uint32_t coeff : {0u, 1u, 2u, 0x9u, (1u << w) - 1}) {
+      auto dst = rand_packets(1, P, 12);
+      Buffer product(P, Buffer::Init::kUninitialized);
+      codec.mul_packet(coeff, src[0].span(), product.span(), false);
+      Buffer want = dst[0].clone();
+      xor_into(want.span(), product.span());
+      codec.mul_packet(coeff, src[0].span(), dst[0].span(), true);
+      EXPECT_EQ(dst[0], want) << "w=" << w << " coeff=" << coeff;
+    }
+  }
+}
+
+TEST(XorProgram, BitmatrixEncodeEqualsNaiveProgram) {
+  for (const Shape s : {Shape{8, 4, 8}, Shape{4, 2, 16}}) {
+    CrsCodec codec(s.k, s.m, s.w, KernelMode::kXorBitmatrix);
+    GfMatrix parity(s.m, s.k, codec.field());
+    for (int r = 0; r < s.m; ++r)
+      for (int c = 0; c < s.k; ++c)
+        parity.set(r, c, codec.coefficient(s.k + r, c));
+    const XorProgram naive =
+        naive_xor_program(expand_to_bitmatrix(parity), s.k, s.m, s.w);
+
+    const std::size_t P = (2 * kXorTile + 64) * static_cast<std::size_t>(s.w);
+    const auto data = rand_packets(s.k, P, 21);
+    auto want = rand_packets(s.m, P, 22);
+    auto got = rand_packets(s.m, P, 23);
+    auto want_out = mut_spans(want);
+    auto got_out = mut_spans(got);
+    run_xor_program(naive, spans(data), want_out);
+    codec.encode(spans(data), got_out);
+    for (int r = 0; r < s.m; ++r)
+      EXPECT_EQ(got[static_cast<std::size_t>(r)],
+                want[static_cast<std::size_t>(r)])
+          << "(" << s.k << "," << s.m << "," << s.w << ") row " << r;
+  }
+}
+
+// The encode program is built lazily by whichever encode comes first.
+TEST(XorProgram, ConcurrentFirstEncodesAgree) {
+  const CrsCodec codec(4, 2, 8, KernelMode::kXorBitmatrix);
+  const std::size_t P = 8 * 64;
+  const auto data = rand_packets(4, P, 31);
+  std::vector<std::vector<Buffer>> results(4);
+  std::vector<std::thread> threads;
+  for (auto& r : results)
+    threads.emplace_back([&codec, &data, &r] {
+      r = rand_packets(2, P, 32);
+      auto out = mut_spans(r);
+      codec.encode(spans(data), out);
+    });
+  for (auto& t : threads) t.join();
+  for (std::size_t i = 1; i < results.size(); ++i)
+    for (int r = 0; r < 2; ++r)
+      EXPECT_EQ(results[i][static_cast<std::size_t>(r)],
+                results[0][static_cast<std::size_t>(r)]);
 }
 
 TEST(XorProgram, RejectsBadPacketSizes) {
