@@ -40,6 +40,17 @@ class Store {
     return b;
   }
 
+  /// Re-key a value without copying its bytes; throws if `from` is absent
+  /// or `to` is already present.
+  void rename(const std::string& from, const std::string& to) {
+    ECC_CHECK_MSG(!entries_.count(to),
+                  "store already holds key '" << to << "'");
+    auto node = entries_.extract(from);
+    ECC_CHECK_MSG(!node.empty(), "store missing key '" << from << "'");
+    node.key() = to;
+    entries_.insert(std::move(node));
+  }
+
   void erase(const std::string& key) { entries_.erase(key); }
   void clear() { entries_.clear(); }
   std::size_t size() const { return entries_.size(); }

@@ -27,9 +27,23 @@
 //   <ns>tmp/<version>/delta/manifest/<w> worker w's dirty-extent manifest
 //   <ns>tmp/<version>/delta/patch/<w>    worker w's concatenated Δ payload
 //
+// A delta save of version V moves its base version bv's row under V's keys
+// and patches it there, leaving bv an undo overlay instead of a row:
+//
+//   <ns>ec/<bv>/moved                    (V, row): the version and chunk
+//                                        row that now hold bv's row bytes
+//   <ns>ec/<bv>/undo/<j>/<b>             pre-images of the bytes V's patches
+//                                        changed in packet b of stripe j:
+//                                        (offset u64, length u64, bytes)…
+//                                        in capture order
+//
+// A version has either its own row keys or a moved marker, never both.
+// fabric_rollback(V) restores bv before it scrubs V; materialize_version
+// rebuilds bv's row from V's, undo entries applied newest to oldest.
+//
 // The cache is valid only while the marker's version still has its commit
-// marker on the same node: a torn delta save rolls the version keys back
-// (FabricSession::rollback) which invalidates any half-written cache, so
+// marker and its row on the same node: a torn delta save rolls the version
+// keys back (fabric_rollback) which invalidates any half-written cache, so
 // the next save re-encodes in full — never from wrong bytes. The marker is
 // erased before the cache is rewritten and re-put last, giving the same
 // fail-to-full-encode behaviour for a crash mid-refresh.
@@ -48,10 +62,15 @@ inline std::string tmp_prefix(const std::string& ns, std::int64_t v) {
   return ns + "tmp/" + std::to_string(v) + "/";
 }
 
+/// Prefix of the packet keys of chunk row `row` of version v; a packet's
+/// key is the prefix followed by "<j>/<b>".
+inline std::string row_prefix(const std::string& ns, std::int64_t v, int row) {
+  return version_prefix(ns, v) + "row/" + std::to_string(row) + "/";
+}
+
 inline std::string row_key(const std::string& ns, std::int64_t v, int row,
                            int j, int b) {
-  return version_prefix(ns, v) + "row/" + std::to_string(row) + "/" +
-         std::to_string(j) + "/" + std::to_string(b);
+  return row_prefix(ns, v, row) + std::to_string(j) + "/" + std::to_string(b);
 }
 
 inline std::string meta_key(const std::string& ns, std::int64_t v, int w) {
@@ -68,6 +87,21 @@ inline std::string commit_key(const std::string& ns, std::int64_t v) {
 
 inline std::string sums_key(const std::string& ns, std::int64_t v) {
   return version_prefix(ns, v) + "sums";
+}
+
+inline std::string moved_key(const std::string& ns, std::int64_t v) {
+  return version_prefix(ns, v) + "moved";
+}
+
+/// Prefix of version v's undo overlay; an entry's key is the prefix
+/// followed by "<j>/<b>", like its packet's under row_prefix.
+inline std::string undo_prefix(const std::string& ns, std::int64_t v) {
+  return version_prefix(ns, v) + "undo/";
+}
+
+inline std::string undo_key(const std::string& ns, std::int64_t v, int j,
+                            int b) {
+  return undo_prefix(ns, v) + std::to_string(j) + "/" + std::to_string(b);
 }
 
 inline std::string local_key(const std::string& ns, std::int64_t v, int w,

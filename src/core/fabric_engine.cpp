@@ -33,9 +33,13 @@ using keys::delta_patch_key;
 using keys::keys_key;
 using keys::local_key;
 using keys::meta_key;
+using keys::moved_key;
 using keys::row_key;
+using keys::row_prefix;
 using keys::sums_key;
 using keys::tmp_prefix;
+using keys::undo_key;
+using keys::undo_prefix;
 using keys::version_prefix;
 
 using Clock = std::chrono::steady_clock;
@@ -108,15 +112,17 @@ void fill_traffic(const std::map<std::string, std::uint64_t>& delta,
   if (remote_bytes != nullptr && it != delta.end()) *remote_bytes += it->second;
 }
 
-/// "<ns>ec/<v>/commit" → v, or 0 when the key is not a commit marker.
-std::int64_t commit_version_of(const std::string& key, const std::string& ns) {
+/// "<ns>ec/<v><marker>" → v, or 0 when the key is not that marker of a
+/// version ("/commit", "/moved").
+std::int64_t marker_version_of(const std::string& key, const std::string& ns,
+                               const char* marker) {
   const std::string head = ns + "ec/";
   if (key.rfind(head, 0) != 0) return 0;
   const std::size_t digits = head.size();
   std::size_t end = digits;
   while (end < key.size() && std::isdigit(static_cast<unsigned char>(key[end])))
     ++end;
-  if (end == digits || key.compare(end, std::string::npos, "/commit") != 0)
+  if (end == digits || key.compare(end, std::string::npos, marker) != 0)
     return 0;
   std::int64_t v = 0;
   for (std::size_t i = digits; i < end; ++i) {
@@ -282,7 +288,128 @@ Buffer row_sums(const cluster::Store& store, const std::string& ns,
   return sums;
 }
 
+/// (start, length) byte ranges of one packet, ascending and disjoint.
+using Ranges = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// An undo record: offset and length (u64 LE each), then the pre-image.
+constexpr std::size_t kUndoHeader = 16;
+
+/// Writes `pkt`'s bytes at `ranges` as undo records from `out` on; returns
+/// the end of what it wrote.
+std::byte* capture_undo(const Buffer& pkt, const Ranges& ranges,
+                        std::byte* out) {
+  for (const auto& [at, len] : ranges) {
+    put_u64_le(out, at);
+    put_u64_le(out + 8, len);
+    std::memcpy(out + kUndoHeader, pkt.data() + at, len);
+    out += kUndoHeader + len;
+  }
+  return out;
+}
+
+/// Writes the pre-images of an undo entry back into `pkt`, newest record
+/// first. False, with `pkt` untouched, when a record is cut short or falls
+/// outside the packet.
+bool apply_undo(ByteSpan undo, MutableByteSpan pkt) {
+  std::vector<std::size_t> records;  // offsets into `undo`
+  for (std::size_t pos = 0; pos < undo.size();) {
+    if (undo.size() - pos < kUndoHeader) return false;
+    const std::uint64_t at = get_u64_le(undo.data() + pos);
+    const std::uint64_t len = get_u64_le(undo.data() + pos + 8);
+    if (len > undo.size() - pos - kUndoHeader || at > pkt.size() ||
+        len > pkt.size() - at)
+      return false;
+    records.push_back(pos);
+    pos += kUndoHeader + len;
+  }
+  for (auto r = records.rbegin(); r != records.rend(); ++r) {
+    const std::byte* rec = undo.data() + *r;
+    std::memcpy(pkt.data() + get_u64_le(rec), rec + kUndoHeader,
+                get_u64_le(rec + 8));
+  }
+  return true;
+}
+
+/// A version's moved marker: the newer version whose keys hold its chunk
+/// row `row`. `to` is 0 when the version holds its own row.
+struct Moved {
+  std::int64_t to = 0;
+  int row = 0;
+};
+
+Moved moved_of(const cluster::Store& store, const std::string& ns,
+               std::int64_t version) {
+  Moved m;
+  if (!store.contains(moved_key(ns, version))) return m;
+  const Buffer& buf = store.get(moved_key(ns, version));
+  if (buf.size() != 16) return m;
+  const auto to = static_cast<std::int64_t>(get_u64_le(buf.data()));
+  const std::uint64_t row = get_u64_le(buf.data() + 8);
+  if (to <= version || row > static_cast<std::uint64_t>(INT32_MAX)) return m;
+  m.to = to;
+  m.row = static_cast<int>(row);
+  return m;
+}
+
+/// Undoes the move of `version`'s row into `m.to`: writes each undo entry
+/// back into its packet, renames the packets home and drops the overlay.
+/// A packet whose entry does not fit it is dropped rather than restored
+/// wrong, so the row reads as lost and the load decodes it.
+void restore_moved(cluster::Store& store, const std::string& ns,
+                   std::int64_t version, const Moved& m) {
+  const std::string from = row_prefix(ns, m.to, m.row);
+  const std::string up = undo_prefix(ns, version);
+  for (const std::string& uk : store.keys_with_prefix(up)) {
+    const std::string rk = from + uk.substr(up.size());
+    if (store.contains(rk)) {
+      Buffer pkt = store.take(rk);
+      if (apply_undo(store.get(uk).span(), pkt.span()))
+        store.put(rk, std::move(pkt));
+    }
+    store.erase(uk);
+  }
+  const std::string home = row_prefix(ns, version, m.row);
+  for (const std::string& rk : store.keys_with_prefix(from))
+    store.rename(rk, home + rk.substr(from.size()));
+  store.erase(moved_key(ns, version));
+}
+
 }  // namespace
+
+void materialize_version(cluster::Store& store, const std::string& ns,
+                         std::int64_t version) {
+  const Moved first = moved_of(store, ns, version);
+  if (first.to == 0) return;
+  // Follow the markers to the version holding the row. Each hop goes to a
+  // newer version, so the walk ends.
+  std::vector<std::int64_t> overlays = {version};  // oldest first
+  std::int64_t holder = first.to;
+  for (Moved next = moved_of(store, ns, holder); next.to != 0;
+       next = moved_of(store, ns, holder)) {
+    if (next.row != first.row) return;
+    overlays.push_back(holder);
+    holder = next.to;
+  }
+  const std::string from = row_prefix(ns, holder, first.row);
+  std::map<std::string, Buffer> row;  // "<j>/<b>" → packet
+  for (const std::string& rk : store.keys_with_prefix(from))
+    row.emplace(rk.substr(from.size()), store.get(rk).clone());
+  if (row.empty()) return;
+  for (auto v = overlays.rbegin(); v != overlays.rend(); ++v) {
+    const std::string up = undo_prefix(ns, *v);
+    for (const std::string& uk : store.keys_with_prefix(up)) {
+      const auto pkt = row.find(uk.substr(up.size()));
+      if (pkt == row.end() ||
+          !apply_undo(store.get(uk).span(), pkt->second.span()))
+        return;  // a broken overlay: the row reads as lost on this node
+    }
+  }
+  const std::string home = row_prefix(ns, version, first.row);
+  for (auto& [suffix, pkt] : row) store.put(home + suffix, std::move(pkt));
+  for (const std::string& uk : store.keys_with_prefix(undo_prefix(ns, version)))
+    store.erase(uk);
+  store.erase(moved_key(ns, version));
+}
 
 std::vector<int> fabric_sited_workers(cluster::Fabric& fabric,
                                       int gpus_per_node,
@@ -393,12 +520,15 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   const std::size_t B = counts.B;
 
   // Pack each sited worker's tensor bytes into B fixed-size packets.
-  for (const auto& [w, dec] : decs) {
-    const int site = members.site(w / g);
-    std::vector<Buffer> packets = pack_packets(dec.tensor_data, P, B);
-    for (std::size_t b = 0; b < B; ++b)
-      fabric.store(site).put(local_key(ns, version, w, static_cast<int>(b)),
-                             std::move(packets[b]));
+  {
+    obs::ScopedSpan pspan("engine.save.pack", decs.size() * B * P);
+    for (const auto& [w, dec] : decs) {
+      const int site = members.site(w / g);
+      std::vector<Buffer> packets = pack_packets(dec.tensor_data, P, B);
+      for (std::size_t b = 0; b < B; ++b)
+        fabric.store(site).put(local_key(ns, version, w, static_cast<int>(b)),
+                               std::move(packets[b]));
+    }
   }
   rep.stall_time = since(t0);
   rep.breakdown["step1_snapshot"] = rep.stall_time;
@@ -406,7 +536,7 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   // ---- Incremental path (cfg.delta): patch the last version in place -----
   // When every site still holds a valid base cache of one common committed
   // version and the global dirty ratio is small enough, the stripe is not
-  // re-encoded: each node clones its own chunk row of the base version to
+  // re-encoded: each node moves its own chunk row of the base version under
   // the new version locally, only the dirty regions' XOR-deltas travel
   // (one payload per worker to the data node and to each of the m parity
   // nodes; DESIGN.md §7), the data row is XOR-patched
@@ -438,6 +568,7 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
       if (!store.contains(commit_key(ns, mv)) ||
           !store.contains(row_key(ns, mv, row, 0, 0)))
         return f;
+      obs::ScopedSpan diff_span("engine.save.diff");
       std::uint64_t dirty = 0;
       for (int l = 0; l < g; ++l) {
         const int w = node * g + l;
@@ -512,15 +643,22 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         all_extents[static_cast<std::size_t>(w)] = deserialize_extents(
             fabric.store(home).get(delta_manifest_key(ns, version, w)).span());
 
-      // Clone the base version's rows into the new version — a pure local
-      // copy on every node; only deltas cross the wire.
+      // Move the base version's rows under the new version — a local
+      // re-keying on every node that copies no byte; only deltas cross the
+      // wire. The base version keeps a moved marker, written before the
+      // first move so a rollback finds every moved packet, and gains an
+      // undo overlay of the bytes the patches below change (DESIGN.md §7).
       for (int node : driven) {
         const int row = plan.generator_row_of_node(node);
         cluster::Store& store = fabric.store(node);
+        Buffer moved(16, Buffer::Init::kZeroed);
+        put_u64_le(moved.data(), static_cast<std::uint64_t>(version));
+        put_u64_le(moved.data() + 8, static_cast<std::uint64_t>(row));
+        store.put(moved_key(ns, bv), std::move(moved));
         for (int j = 0; j < per_chunk; ++j)
           for (int b = 0; b < static_cast<int>(B); ++b)
-            store.put(row_key(ns, version, row, j, b),
-                      store.get(row_key(ns, bv, row, j, b)).clone());
+            store.rename(row_key(ns, bv, row, j, b),
+                         row_key(ns, version, row, j, b));
         // The CRC sums are carried too (DESIGN.md §7): the patches below
         // fold their changes into the base version's sums, so the commit
         // never rereads the row. Without usable base sums the node
@@ -575,12 +713,13 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         // Patch in place, slicing the payload by the all-gathered manifest:
         // XOR on the data row, G·Δ fold on each parity row. The length
         // check comes first, so a short payload never reads out of bounds.
-        // A carried sum takes each extent's raw-CRC change while its bytes
-        // are cache-hot, shifted past the rest of the packet. The change
-        // covers every byte the patch may touch: the extent on the data
-        // row, the codec's footprint of it on a parity row (in bitmatrix
-        // mode that reaches into every strip).
-        using Ranges = std::vector<std::pair<std::size_t, std::size_t>>;
+        // Each extent's footprint is every byte its patch may touch: the
+        // extent on the data row, the codec's footprint of it on a parity
+        // row (in bitmatrix mode that reaches into every strip). The
+        // footprints' pre-images join the base version's undo overlay
+        // before any byte changes. A carried sum takes each extent's
+        // raw-CRC change over its footprint while the bytes are cache-hot,
+        // shifted past the rest of the packet.
         const auto raw_crc = gf::simd::active().crc64;
         // The raw CRC register over the ranges, the gaps read as zeros.
         auto ranges_crc = [&](const Buffer& pkt, const Ranges& ranges) {
@@ -592,8 +731,10 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
           }
           return reg;
         };
+        std::vector<Ranges> footprints;  // per extent of the current run
         auto patch = [&](int dst, int row, auto&& apply) {
           if (!fabric.drives(dst)) return;
+          obs::ScopedSpan pspan("engine.save.delta.patch", wbytes);
           cluster::Store& store = fabric.store(dst);
           const Buffer& delta = store.get(dk);
           ECC_CHECK_MSG(delta.size() == wbytes,
@@ -606,23 +747,51 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
           for_each_packet_run(wext, P, [&](int b, auto run, std::uint64_t at) {
             const std::string rk = row_key(ns, version, row, j, b);
             Buffer pkt = store.take(rk);
-            ECC_CHECK(pkt.size() == P);
             std::uint64_t change = 0;
-            for (const DirtyExtent& e : run) {
-              const ByteSpan d = delta.span().subspan(at, e.length);
-              at += e.length;
-              if (!carry || e.length == 0) {
-                apply(e, d, pkt.span());
-                continue;
+            try {
+              ECC_CHECK(pkt.size() == P);
+              footprints.clear();
+              std::size_t undo_bytes = 0;
+              for (const DirtyExtent& e : run) {
+                footprints.push_back(
+                    e.length == 0 ? Ranges{}
+                    : row < cfg.k
+                        ? Ranges{{e.offset, e.length}}
+                        : codec.update_footprint(e.offset, e.length, P));
+                for (const auto& range : footprints.back())
+                  undo_bytes += kUndoHeader + range.second;
               }
-              const Ranges ranges =
-                  row < cfg.k ? Ranges{{e.offset, e.length}}
-                              : codec.update_footprint(e.offset, e.length, P);
-              const std::uint64_t before = ranges_crc(pkt, ranges);
-              apply(e, d, pkt.span());
-              change ^= crc64_shift(before ^ ranges_crc(pkt, ranges),
-                                    P - ranges.back().first -
-                                        ranges.back().second);
+              const std::string uk = undo_key(ns, bv, j, b);
+              const std::size_t held =
+                  store.contains(uk) ? store.get(uk).size() : 0;
+              Buffer undo(held + undo_bytes, Buffer::Init::kUninitialized);
+              if (held > 0)
+                std::memcpy(undo.data(), store.get(uk).data(), held);
+              std::byte* out = undo.data() + held;
+              for (const Ranges& ranges : footprints)
+                out = capture_undo(pkt, ranges, out);
+              store.put(uk, std::move(undo));
+
+              for (std::size_t x = 0; x < run.size(); ++x) {
+                const DirtyExtent& e = run[x];
+                const Ranges& ranges = footprints[x];
+                const ByteSpan d = delta.span().subspan(at, e.length);
+                at += e.length;
+                if (ranges.empty()) continue;
+                if (!carry) {
+                  apply(e, d, pkt.span());
+                  continue;
+                }
+                const std::uint64_t before = ranges_crc(pkt, ranges);
+                apply(e, d, pkt.span());
+                change ^= crc64_shift(before ^ ranges_crc(pkt, ranges),
+                                      P - ranges.back().first -
+                                          ranges.back().second);
+              }
+            } catch (...) {
+              // Back into the row: the overlay undoes any partial patch.
+              store.put(rk, std::move(pkt));
+              throw;
             }
             store.put(rk, std::move(pkt));
             if (carry)
@@ -831,32 +1000,10 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
     rep.breakdown["step3_encode_pipeline"] = since(t0);
   }  // if (!delta_used)
 
-  // Retire the staging copies — into the base cache when incremental saves
-  // are on (the next save diffs against them), dropped otherwise — then
-  // publish checksums and the commit marker.
-  if (delta_wanted) {
-    for (int node : handled) {
-      cluster::Store& store = fabric.store(node);
-      // Crash-safe order: erase the marker first, re-put it only after
-      // every cached byte belongs to the new version. A store observed
-      // between the two reads as "no base" and re-encodes in full.
-      store.erase(base_mark_key(ns));
-      for (int l = 0; l < g; ++l) {
-        const int w = node * g + l;
-        for (int b = 0; b < static_cast<int>(B); ++b)
-          store.put(base_local_key(ns, w, b),
-                    store.take(local_key(ns, version, w, b)));
-        store.put(base_keys_key(ns, w),
-                  store.get(keys_key(ns, version, w)).clone());
-      }
-      Buffer mark(32, Buffer::Init::kZeroed);
-      put_u64_le(mark.data(), static_cast<std::uint64_t>(version));
-      put_u64_le(mark.data() + 8, B);
-      put_u64_le(mark.data() + 16, P);
-      put_u64_le(mark.data() + 24, static_cast<std::uint64_t>(g));
-      store.put(base_mark_key(ns), std::move(mark));
-    }
-  } else {
+  // Publish checksums and the commit marker. Without incremental saves the
+  // staging copies are dropped first; with them they are retired into the
+  // base cache once the commit barrier has passed (below).
+  if (!delta_wanted) {
     for (const auto& [w, dec] : decs) {
       (void)dec;
       const int site = members.site(w / g);
@@ -912,6 +1059,31 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   }
 
   fabric.barrier(act);
+  // The base cache follows the commit, so it is never ahead of a committed
+  // version: a save torn anywhere before this point leaves it as it was.
+  if (delta_wanted) {
+    for (int node : handled) {
+      cluster::Store& store = fabric.store(node);
+      // Crash-safe order: erase the marker first, re-put it only after
+      // every cached byte belongs to the new version. A store observed
+      // between the two reads as "no base" and re-encodes in full.
+      store.erase(base_mark_key(ns));
+      for (int l = 0; l < g; ++l) {
+        const int w = node * g + l;
+        for (int b = 0; b < static_cast<int>(B); ++b)
+          store.put(base_local_key(ns, w, b),
+                    store.take(local_key(ns, version, w, b)));
+        store.put(base_keys_key(ns, w),
+                  store.get(keys_key(ns, version, w)).clone());
+      }
+      Buffer mark(32, Buffer::Init::kZeroed);
+      put_u64_le(mark.data(), static_cast<std::uint64_t>(version));
+      put_u64_le(mark.data() + 8, B);
+      put_u64_le(mark.data() + 16, P);
+      put_u64_le(mark.data() + 24, static_cast<std::uint64_t>(g));
+      store.put(base_mark_key(ns), std::move(mark));
+    }
+  }
   rep.total_time = since(t0);
   rep.stats = obs::StatsRegistry::delta(fabric.stats().counters(), stats_base);
   fill_traffic(rep.stats, &rep.network_bytes, &rep.remote_bytes);
@@ -957,6 +1129,11 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   };
   const ec::CrsCodec codec(cfg.k, cfg.m, cfg.gf_width, cfg.kernel);
   const std::size_t P = cfg.packet_size;
+
+  // A version whose row a later delta save moved on gets it back first.
+  for (int node : driven)
+    if (members.is_alive(node))
+      materialize_version(fabric.store(node), ns, version);
 
   // ---- round 1: every rank reports chunk intactness + metadata extent ----
   // flag 0 = nothing usable, 1 = chunk row intact (commit + packets + CRC
@@ -1405,6 +1582,15 @@ void fabric_rollback(cluster::Fabric& fabric, const std::string& key_namespace,
     if (!members.is_alive(node)) continue;
     cluster::Store* store = surviving_store(fabric, node);
     if (store == nullptr) continue;
+    // A delta save of `version` moved its base version's row: put it back.
+    for (const std::string& key :
+         store->keys_with_prefix(key_namespace + "ec/")) {
+      const std::int64_t base =
+          marker_version_of(key, key_namespace, "/moved");
+      if (base == 0) continue;
+      const Moved m = moved_of(*store, key_namespace, base);
+      if (m.to == version) restore_moved(*store, key_namespace, base, m);
+    }
     for (const auto& prefix : {version_prefix(key_namespace, version),
                                tmp_prefix(key_namespace, version)})
       for (const auto& key : store->keys_with_prefix(prefix))
@@ -1424,9 +1610,9 @@ std::int64_t fabric_newest_version(cluster::Fabric& fabric,
         std::int64_t best = 0;
         for (const auto& key :
              fabric.store(node).keys_with_prefix(ns + "ec/"))
-          best = std::max(best, commit_version_of(key, ns));
+          best = std::max(best, marker_version_of(key, ns, "/commit"));
         for (const auto& key : fabric.remote_list(node, ns + "ec/"))
-          best = std::max(best, commit_version_of(key, ns));
+          best = std::max(best, marker_version_of(key, ns, "/commit"));
         f.flag = static_cast<std::uint64_t>(best);
         return f;
       },

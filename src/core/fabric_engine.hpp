@@ -16,9 +16,13 @@
 // CRC-64s of its row, and every node (and, with the flush, the remote
 // store) holds every worker's metadata and tensor-keys blobs. fabric_load
 // (workflow A / workflow B / remote fallback) returns the saved shards
-// bit-exact and rebuilds those same stores. Every fabric produces the same
-// stores. The differential suite (tests/test_engine_fabric.cpp) checks the
-// closed form on VirtualFabric and compares sockets against VirtualFabric.
+// bit-exact and rebuilds those same stores. A delta save leaves the newest
+// version's stores exactly as a full save would; its base version keeps an
+// undo overlay instead of a row, which fabric_load of that version first
+// turns back into the row it committed (materialize_version). Every fabric
+// produces the same stores. The differential suite
+// (tests/test_engine_fabric.cpp) checks the closed form on VirtualFabric
+// and compares sockets against VirtualFabric.
 //
 // Failure model: a dead / unreachable peer surfaces as CheckFailure from
 // the fabric mid-call. fabric_save makes no durability claim for the
@@ -123,14 +127,25 @@ void fabric_prune(cluster::Fabric& fabric, const std::string& key_namespace,
                   const Membership& members = Membership());
 
 /// Erase every key of `version` — durable and staging — from the driven
-/// alive ranks' stores: the torn-save rollback (FabricSession::save).
-/// Local per rank like fabric_prune. A rank the fabric lost mid-save is
-/// skipped; every surviving one is still scrubbed. The remote store is left
-/// alone: its commit marker is the flush's last write, so a flush torn
-/// before it stays invisible there.
+/// alive ranks' stores: the torn-save rollback (FabricSession::save). A
+/// base version whose row a delta save of `version` moved is first restored
+/// from its undo overlay. Local per rank like fabric_prune. A rank the
+/// fabric lost mid-save is skipped; every surviving one is still scrubbed.
+/// The remote store is left alone: its commit marker is the flush's last
+/// write, so a flush torn before it stays invisible there.
 void fabric_rollback(cluster::Fabric& fabric, const std::string& key_namespace,
                      std::int64_t version,
                      const Membership& members = Membership());
+
+/// Give `version` its own chunk row on `store` again when a later delta
+/// save moved it on: follow the moved markers to the version holding the
+/// row, copy that row and apply the undo overlays newest to oldest, which
+/// yields the bytes `version` committed. Then drop `version`'s overlay. A
+/// no-op for a version that holds its row; leaves the row missing, for the
+/// load to decode, when an overlay does not fit. Local, not a collective;
+/// fabric_load runs it on every driven alive rank.
+void materialize_version(cluster::Store& store, const std::string& ns,
+                         std::int64_t version);
 
 /// Collective: the newest version for which any alive rank holds a commit
 /// marker, in its local or its remote store. 0 when nothing was ever

@@ -4,7 +4,8 @@
 // hook ahead of each send_buffers call — to record the batch, or to throw
 // CheckFailure, the signal a peer dying mid-batch produces — and of each
 // single send_buffer call, a hook after each send_buffers call that
-// returned, and counts ring all-reduce calls.
+// returned, a hook ahead of every transfer and collective call (to kill at
+// an exact op index), and counts ring all-reduce calls.
 #pragma once
 
 #include <functional>
@@ -29,6 +30,9 @@ class SendBuffersTap final : public cluster::Fabric {
   std::function<void(int src, int dst, const std::string& src_key,
                      const std::string& dst_key)>
       before_send_buffer;
+  /// Runs ahead of every call that moves bytes or synchronizes ranks,
+  /// named by its Fabric method, before the more specific hooks above.
+  std::function<void(const char* op)> before_op;
   int ring_calls = 0;
 
   std::string fabric_name() const override { return inner_->fabric_name(); }
@@ -42,33 +46,40 @@ class SendBuffersTap final : public cluster::Fabric {
   }
   void send_buffer(int src, int dst, const std::string& src_key,
                    const std::string& dst_key) override {
+    op("send_buffer");
     if (before_send_buffer) before_send_buffer(src, dst, src_key, dst_key);
     inner_->send_buffer(src, dst, src_key, dst_key);
   }
   void send_buffers(int src, int dst, const KeyPairs& pairs) override {
+    op("send_buffers");
     if (before_send_buffers) before_send_buffers(src, dst, pairs);
     inner_->send_buffers(src, dst, pairs);
     if (after_send_buffers) after_send_buffers(src, dst, pairs);
   }
   void broadcast(const std::vector<int>& nodes, int root,
                  const std::string& key) override {
+    op("broadcast");
     inner_->broadcast(nodes, root, key);
   }
   void all_gather(const std::vector<int>& nodes,
                   const std::function<std::string(int)>& key_of) override {
+    op("all_gather");
     inner_->all_gather(nodes, key_of);
   }
   void ring_all_reduce_xor(const std::vector<int>& nodes,
                            const std::string& key) override {
+    op("ring_all_reduce_xor");
     ++ring_calls;
     inner_->ring_all_reduce_xor(nodes, key);
   }
   void remote_write(int node, const std::string& key,
                     const std::string& remote_key) override {
+    op("remote_write");
     inner_->remote_write(node, key, remote_key);
   }
   void remote_read(int node, const std::string& remote_key,
                    const std::string& key) override {
+    op("remote_read");
     inner_->remote_read(node, remote_key, key);
   }
   bool remote_contains(int node, const std::string& remote_key) override {
@@ -83,10 +94,15 @@ class SendBuffersTap final : public cluster::Fabric {
   }
   obs::StatsRegistry& stats() override { return inner_->stats(); }
   void barrier(const std::vector<int>& nodes) override {
+    op("barrier");
     inner_->barrier(nodes);
   }
 
  private:
+  void op(const char* name) {
+    if (before_op) before_op(name);
+  }
+
   cluster::Fabric* inner_;
 };
 

@@ -33,6 +33,25 @@ TEST(Store, PutGetTakeErase) {
   EXPECT_THROW(s.get("a"), CheckFailure);
 }
 
+TEST(Store, RenameReKeysWithoutCopyingAndRefusesClashes) {
+  Store s;
+  s.put("a", Buffer::copy_of(as_bytes_of(42)));
+  const std::byte* bytes = s.get("a").data();
+  s.rename("a", "b");
+  EXPECT_FALSE(s.contains("a"));
+  ASSERT_TRUE(s.contains("b"));
+  EXPECT_EQ(s.get("b").data(), bytes);  // the same allocation, re-keyed
+  EXPECT_TRUE(s.get("b") == Buffer::copy_of(as_bytes_of(42)));
+
+  EXPECT_THROW(s.rename("a", "c"), CheckFailure);  // source missing
+  EXPECT_FALSE(s.contains("c"));
+  s.put("c", Buffer(4));
+  EXPECT_THROW(s.rename("b", "c"), CheckFailure);  // destination taken
+  EXPECT_EQ(s.get("b").data(), bytes);             // both left as they were
+  EXPECT_EQ(s.get("c").size(), 4u);
+  EXPECT_EQ(s.size(), 2u);
+}
+
 TEST(Store, PrefixQueryAndAccounting) {
   Store s;
   s.put("x/1", Buffer(10));

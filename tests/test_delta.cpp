@@ -12,7 +12,10 @@
 // torn-save rollback and the base-cache validity check that forces the
 // safe full-encode fallback. The CRC sums a delta save carries through its
 // patches must keep a corrupted committed row detectable, and a node
-// without usable base sums must recompute them.
+// without usable base sums must recompute them. A delta save moves the
+// base row and leaves an undo overlay: older versions must materialize
+// bit-exact, and a delta save torn ahead of any of its fabric ops must put
+// the base version back byte for byte.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -44,6 +47,7 @@
 #include "ec/crs_codec.hpp"
 #include "gf/simd.hpp"
 #include "net/transport.hpp"
+#include "obs/tracer.hpp"
 #include "tests/send_buffers_tap.hpp"
 
 namespace eccheck {
@@ -337,10 +341,22 @@ std::vector<std::uint64_t> digests_of(const std::vector<dnn::StateDict>& v) {
 
 using StoreImage = std::map<std::string, Buffer>;
 
+/// The keys of `s` under `prefix`, imaged from a copy on which every
+/// version a delta save moved its row out of was materialized first — so
+/// the image of a delta-saving store is comparable with a full-saving one's.
 StoreImage snapshot(cluster::Store& s, const std::string& prefix = "") {
+  cluster::Store copy;
+  for (const std::string& key : s.keys_with_prefix(""))
+    copy.put(key, s.get(key).clone());
+  const std::string moved = "/moved";
+  for (const std::string& key : s.keys_with_prefix("ec/"))
+    if (key.size() > moved.size() &&
+        key.compare(key.size() - moved.size(), moved.size(), moved) == 0)
+      core::materialize_version(
+          copy, "", std::stoll(key.substr(3, key.find('/', 3) - 3)));
   StoreImage img;
-  for (const std::string& key : s.keys_with_prefix(prefix))
-    img.emplace(key, s.get(key).clone());
+  for (const std::string& key : copy.keys_with_prefix(prefix))
+    img.emplace(key, copy.take(key));
   return img;
 }
 
@@ -514,6 +530,15 @@ void expect_delta_saves_match_full_encode(KernelMode kernel) {
       EXPECT_EQ(want.dirty, stat_of(rd, "delta.dirty.bytes")) << "save " << it;
       EXPECT_EQ(stat_of(rd, "net.send.count"), want.frames) << "save " << it;
       EXPECT_EQ(stat_of(rd, "net.send.bytes"), want.bytes) << "save " << it;
+      // The base row was moved, not copied: the base version keeps only
+      // its undo overlay.
+      for (int node = 0; node < kNodes; ++node)
+        EXPECT_TRUE(
+            vc_delta.host(node)
+                .keys_with_prefix(core::keys::version_prefix("", it - 1) +
+                                  "row/")
+                .empty())
+            << "node " << node << " save " << it;
     }
     // Durable keys ("ec/...") byte-identical; the delta cluster additionally
     // carries its unversioned base cache, which is not part of the contract.
@@ -822,7 +847,7 @@ std::string torn_delta_save(const Sabotage& sabotage, int* transfers) {
   EXPECT_EQ(stat_of(r2, "delta.save.count"), 1u);
   const auto want_v2 = digests_of(shards);
 
-  // v3 runs after the manifests were exchanged and the base rows cloned,
+  // v3 runs after the manifests were exchanged and the base rows moved,
   // i.e. genuinely mid-delta.
   for (int w = 0; w < W; ++w)
     dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)], spec, w, 2);
@@ -1179,5 +1204,273 @@ TEST(DeltaIntegrity, NodeWithoutUsableBaseSumsRecomputesInFull) {
   EXPECT_EQ(digests_of(out), digests_of(shards));
 }
 
+
+// ---------------------------------------------------------------------------
+// Row move + undo overlay. A delta save moves the base version's row under
+// the new version and keeps, under the base version, the pre-images of the
+// bytes its patches changed. Older versions still load bit-exact however
+// deep the chain of overlays, and a delta save torn at any fabric op — by a
+// thrown error or by a dead node — puts the base row back exactly.
+// ---------------------------------------------------------------------------
+
+/// The keys of `s` under `prefix` exactly as stored, overlays and all.
+StoreImage raw_image(const cluster::Store& s, const std::string& prefix) {
+  StoreImage img;
+  for (const std::string& key : s.keys_with_prefix(prefix))
+    img.emplace(key, s.get(key).clone());
+  return img;
+}
+
+/// v1 (full), v2 and v3 (delta) at retain 3: v1's overlay leads to v2's,
+/// which leads to v3's row. Loading v1 — through both overlays — then v2
+/// must give their committed bytes, every row passing its CRC scrub, and
+/// leave v3 as it was.
+void expect_older_versions_load_bit_exact(KernelMode kernel) {
+  const int g = 1, W = kNodes * g;
+  const dnn::SparseUpdateSpec spec = sparse_spec(0.01);
+  std::vector<dnn::StateDict> shards = sparse_shards(spec, W);
+  cluster::VirtualCluster vc(vc_config(g));
+  cluster::VirtualFabric fabric(vc);
+  const core::ECCheckConfig cfg = delta_config(true, false, kernel);
+  core::FabricSession session(fabric, cfg, g, /*retain_versions=*/3);
+  std::vector<std::vector<std::uint64_t>> want;  // version v at [v - 1]
+  for (std::int64_t v = 1; v <= 3; ++v) {
+    if (v > 1)
+      for (int w = 0; w < W; ++w)
+        dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)], spec, w,
+                                 v - 1);
+    const ckpt::SaveReport rep = session.save(pointers(shards));
+    EXPECT_EQ(stat_of(rep, "delta.save.count"), v > 1 ? 1u : 0u)
+        << "save " << v;
+    want.push_back(digests_of(shards));
+  }
+
+  std::vector<StoreImage> newest;
+  for (int node = 0; node < kNodes; ++node) {
+    const cluster::Store& store = vc.host(node);
+    for (std::int64_t v = 1; v <= 2; ++v) {
+      EXPECT_TRUE(store.keys_with_prefix(core::keys::version_prefix("", v) +
+                                         "row/")
+                      .empty())
+          << "node " << node << " v" << v;
+      EXPECT_TRUE(store.contains(core::keys::moved_key("", v)))
+          << "node " << node << " v" << v;
+    }
+    newest.push_back(raw_image(store, "ec/3/"));
+  }
+
+  for (std::int64_t v = 1; v <= 2; ++v) {
+    std::vector<dnn::StateDict> out;
+    const ckpt::LoadReport l = core::fabric_load(fabric, cfg, v, out);
+    ASSERT_TRUE(l.success) << "v" << v << ": " << l.detail;
+    for (const ckpt::RowOutcome row : l.rows)
+      EXPECT_EQ(row, ckpt::RowOutcome::kIntact) << "v" << v;
+    EXPECT_EQ(digests_of(out), want[static_cast<std::size_t>(v - 1)])
+        << "v" << v;
+  }
+
+  for (int node = 0; node < kNodes; ++node) {
+    cluster::Store& store = vc.host(node);
+    expect_identical(raw_image(store, "ec/3/"),
+                     newest[static_cast<std::size_t>(node)],
+                     "v3 on node " + std::to_string(node));
+    const StoreImage before = raw_image(store, "");
+    core::materialize_version(store, "", 1);
+    core::materialize_version(store, "", 2);
+    expect_identical(raw_image(store, ""), before,
+                     "second materialize on node " + std::to_string(node));
+  }
+  std::vector<dnn::StateDict> out;
+  const auto l = session.load(out);
+  ASSERT_TRUE(l.report.success) << l.report.detail;
+  EXPECT_EQ(l.version, 3);
+  EXPECT_EQ(digests_of(out), want[2]);
+}
+
+TEST(DeltaOverlay, OlderVersionsLoadBitExact) {
+  expect_older_versions_load_bit_exact(KernelMode::kGfTable);
+}
+
+TEST(DeltaOverlay, BitmatrixOlderVersionsLoadBitExact) {
+  expect_older_versions_load_bit_exact(KernelMode::kXorBitmatrix);
+}
+
+struct KillCase {
+  int k, m, g;  // g so that k divides W = (k + m)·g
+  KernelMode kernel;
+};
+
+std::string kill_case_name(const ::testing::TestParamInfo<KillCase>& info) {
+  const KillCase& c = info.param;
+  return "k" + std::to_string(c.k) + "m" + std::to_string(c.m) + "g" +
+         std::to_string(c.g) +
+         (c.kernel == KernelMode::kGfTable ? "gftable" : "bitmatrix");
+}
+
+/// Saves v1 (full) and v2 (delta) of the 1%-density workload on a fresh
+/// (k+m)-node cluster, then attempts v3, a delta save, with fabric op
+/// `kill_at` of it sabotaged: a CheckFailure thrown ahead of the op, or,
+/// with `kill_node`, node `kill_at` mod (k+m) killed ahead of it. With
+/// kill_at < 0 nothing is sabotaged and v3 must commit as a delta save.
+/// Returns the number of fabric ops v3 started.
+int delta_save_killed_at(const KillCase& c, int kill_at, bool kill_node) {
+  const int n = c.k + c.m, W = n * c.g;
+  dnn::SparseUpdateSpec spec = sparse_spec(0.01);
+  spec.embedding_rows = 512;
+  std::vector<dnn::StateDict> shards = sparse_shards(spec, W);
+  auto update = [&](std::int64_t it) {
+    for (int w = 0; w < W; ++w)
+      dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)], spec, w,
+                               it);
+  };
+  cluster::ClusterConfig cc;
+  cc.num_nodes = n;
+  cc.gpus_per_node = c.g;
+  cluster::VirtualCluster vc(cc);
+  cluster::VirtualFabric inner(vc);
+  testutil::SendBuffersTap fabric(inner);
+  core::ECCheckConfig cfg = delta_config(true, false, c.kernel);
+  cfg.k = c.k;
+  cfg.m = c.m;
+  core::FabricSession session(fabric, cfg, c.g, 2);
+
+  session.save(pointers(shards));  // v1: full
+  update(1);
+  EXPECT_EQ(stat_of(session.save(pointers(shards)), "delta.save.count"), 1u)
+      << "v2 must be a delta save";
+  const auto want_v2 = digests_of(shards);
+  update(2);
+  std::vector<StoreImage> v2_before, base_before;
+  for (int node = 0; node < n; ++node) {
+    v2_before.push_back(raw_image(vc.host(node), "ec/2/"));
+    base_before.push_back(raw_image(vc.host(node), "base/"));
+  }
+
+  int ops = 0;
+  const int victim = kill_at < 0 ? -1 : kill_at % n;
+  fabric.before_op = [&](const char*) {
+    if (ops++ != kill_at) return;
+    if (!kill_node) throw CheckFailure("injected failure ahead of a fabric op");
+    vc.kill(victim);
+  };
+  std::string error;
+  ckpt::SaveReport r3;
+  try {
+    r3 = session.save(pointers(shards));
+  } catch (const CheckFailure& e) {
+    error = e.what();
+  }
+  fabric.before_op = nullptr;
+  if (kill_at < 0) {
+    EXPECT_TRUE(error.empty()) << error;
+    EXPECT_EQ(stat_of(r3, "delta.save.count"), 1u) << "v3 must be a delta save";
+    return ops;
+  }
+  EXPECT_FALSE(error.empty()) << "a sabotaged v3 must not commit";
+
+  // Every survivor's v2 is back byte for byte, and nothing of v3 is left.
+  for (int node = 0; node < n; ++node) {
+    if (node == victim && kill_node) continue;
+    const cluster::Store& store = vc.host(node);
+    const std::string where = "node " + std::to_string(node);
+    expect_identical(raw_image(store, "ec/2/"),
+                     v2_before[static_cast<std::size_t>(node)], where + " v2");
+    // A killed peer may have let earlier nodes retire their base cache
+    // after v3's commit markers; only a thrown error leaves it untouched.
+    if (!kill_node)
+      expect_identical(raw_image(store, "base/"),
+                       base_before[static_cast<std::size_t>(node)],
+                       where + " base cache");
+    EXPECT_TRUE(store.keys_with_prefix("ec/3/").empty()) << where;
+    EXPECT_TRUE(store.keys_with_prefix("tmp/").empty()) << where;
+  }
+  if (kill_node) vc.replace(victim);
+
+  // A fresh session (job restart) recovers v2 bit-exact…
+  core::FabricSession fresh(fabric, cfg, c.g, 2);
+  std::vector<dnn::StateDict> out;
+  const auto l = fresh.load(out);
+  EXPECT_TRUE(l.report.success) << l.report.detail;
+  EXPECT_EQ(l.version, 2);
+  EXPECT_EQ(digests_of(out), want_v2);
+  if (kill_node) return ops;
+
+  // …and the retried v3 is a delta save again that loads bit-exact.
+  const ckpt::SaveReport retry = fresh.save(pointers(shards));
+  EXPECT_EQ(stat_of(retry, "delta.save.count"), 1u);
+  std::vector<dnn::StateDict> out3;
+  const auto l3 = fresh.load(out3);
+  EXPECT_TRUE(l3.report.success) << l3.report.detail;
+  EXPECT_EQ(l3.version, 3);
+  EXPECT_EQ(digests_of(out3), digests_of(shards));
+  return ops;
+}
+
+class TornDeltaKillPoints : public ::testing::TestWithParam<KillCase> {};
+
+TEST_P(TornDeltaKillPoints, EveryFabricOpRollsBackToTheBaseVersion) {
+  const int ops = delta_save_killed_at(GetParam(), -1, false);
+  ASSERT_GT(ops, 0);
+  for (int at = 0; at < ops; ++at) {
+    SCOPED_TRACE("error ahead of fabric op " + std::to_string(at));
+    EXPECT_EQ(delta_save_killed_at(GetParam(), at, false), at + 1);
+  }
+}
+
+TEST_P(TornDeltaKillPoints, EveryFabricOpSurvivesOneDeadNode) {
+  const int ops = delta_save_killed_at(GetParam(), -1, false);
+  ASSERT_GT(ops, 0);
+  for (int at = 0; at < ops; ++at) {
+    SCOPED_TRACE("node " + std::to_string(at % (GetParam().k + GetParam().m)) +
+                 " dead ahead of fabric op " + std::to_string(at));
+    delta_save_killed_at(GetParam(), at, true);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TornDeltaKillPoints,
+    ::testing::Values(KillCase{2, 1, 2, KernelMode::kGfTable},
+                      KillCase{2, 1, 2, KernelMode::kXorBitmatrix},
+                      KillCase{2, 2, 1, KernelMode::kGfTable},
+                      KillCase{2, 2, 1, KernelMode::kXorBitmatrix},
+                      KillCase{3, 2, 3, KernelMode::kGfTable},
+                      KillCase{3, 2, 3, KernelMode::kXorBitmatrix}),
+    kill_case_name);
+
+// A traced delta save shows its layers: the pack, the eligibility diff and
+// each patch, with the Δ bytes it folded in.
+TEST(DeltaEngine, DeltaSaveRecordsItsStageSpans) {
+  const int g = 1, W = kNodes * g;
+  const dnn::SparseUpdateSpec spec = sparse_spec(0.01);
+  std::vector<dnn::StateDict> shards = sparse_shards(spec, W);
+  cluster::VirtualCluster vc(vc_config(g));
+  cluster::VirtualFabric fabric(vc);
+  core::FabricSession session(fabric, delta_config(true), g, 2);
+  session.save(pointers(shards));  // v1: full
+  for (int w = 0; w < W; ++w)
+    dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)], spec, w, 1);
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.enable();
+  const ckpt::SaveReport rep = session.save(pointers(shards));
+  tracer.disable();
+  std::map<std::string, std::uint64_t> spans, bytes;
+  for (const obs::Tracer::ThreadTrack& track : tracer.snapshot())
+    for (const obs::Tracer::SpanRec& rec : track.spans) {
+      ++spans[rec.name];
+      bytes[rec.name] += rec.bytes;
+    }
+  tracer.clear();
+
+  ASSERT_EQ(stat_of(rep, "delta.save.count"), 1u);
+  EXPECT_EQ(spans["engine.save.pack"], 1u);
+  EXPECT_EQ(spans["engine.save.diff"], static_cast<std::uint64_t>(kNodes));
+  EXPECT_GT(spans["engine.save.delta.patch"], 0u);
+  // Each patch carries its worker's Δ bytes: every dirty worker's Δ is
+  // folded into its data row and the m parity rows.
+  EXPECT_EQ(bytes["engine.save.delta.patch"],
+            (1 + kM) * stat_of(rep, "delta.dirty.bytes"));
+}
 }  // namespace
 }  // namespace eccheck
