@@ -18,11 +18,13 @@
 // the process exits 1 and prints the exact command line that replays the
 // failing campaign — determinism is the whole point: same seed, same schedule,
 // same failure.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "chaos/runner.hpp"
@@ -43,26 +45,45 @@ struct Options {
   bool verbose = false;
 };
 
-void usage(const char* argv0) {
+[[noreturn]] void usage(const char* argv0) {
   std::printf(
       "usage: %s [options]\n"
       "  --mode M          sim (default) | sockets | gray\n"
       "  --seed N          first campaign seed (default 1)\n"
       "  --campaigns N     number of campaigns, seeds seed..seed+N-1 "
       "(default 4)\n"
-      "  --events N        events per campaign (default 64)\n"
-      "  --nodes N         cluster nodes (default 4)\n"
+      "  --events N        events per campaign, >= 2 (default 64)\n"
+      "  --nodes N         cluster nodes (default 4; sim only)\n"
       "  --gpus N          GPUs per node (default 2; sim only)\n"
-      "  --k N --m N       data/parity split, k+m == nodes (default 2+2)\n"
-      "  --retain N        versions kept in host memory (default 2)\n"
+      "  --k N --m N       data/parity split (default 2+2; sim needs "
+      "k+m == nodes)\n"
+      "  --retain N        versions kept in host memory (default 2; sim "
+      "only)\n"
       "  --packet-kib N    coding packet size (default 8; sim only)\n"
       "  --flush           enable step-4 remote flush (sim only)\n"
-      "  --dir PATH        scratch dir for socket modes (default: mkdtemp)\n"
-      "  --verbose         narrate socket-campaign events to stderr\n"
+      "  --dir PATH        scratch dir (default: mkdtemp; socket modes "
+      "only)\n"
+      "  --verbose         narrate campaign events to stderr (socket modes "
+      "only)\n"
       "  --jsonl FILE      append one JSON line per event/violation "
       "(sim only)\n",
       argv0);
   std::exit(2);
+}
+
+/// The whole token as an integer in [lo, hi]; anything else is a usage
+/// error (std::atoi would read "abc" as 0 and "12x" as 12).
+template <typename T>
+T number(const char* argv0, const char* flag, const char* tok, T lo,
+         T hi = std::numeric_limits<T>::max()) {
+  T v{};
+  const char* end = tok + std::strlen(tok);
+  const auto [ptr, ec] = std::from_chars(tok, end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+    std::fprintf(stderr, "%s: bad value '%s'\n", flag, tok);
+    usage(argv0);
+  }
+  return v;
 }
 
 Options parse(int argc, char** argv) {
@@ -71,43 +92,64 @@ Options parse(int argc, char** argv) {
     if (++i >= argc) usage(argv[0]);
     return argv[i];
   };
+  // A flag the chosen mode would ignore is refused, not silently dropped.
+  const char* sim_flag = nullptr;
+  const char* socket_flag = nullptr;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (!std::strcmp(a, "--seed"))
-      o.chaos.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
-    else if (!std::strcmp(a, "--campaigns"))
-      o.campaigns = std::atoi(need(i));
-    else if (!std::strcmp(a, "--events"))
-      o.chaos.events = std::atoi(need(i));
-    else if (!std::strcmp(a, "--nodes"))
-      o.chaos.num_nodes = std::atoi(need(i));
-    else if (!std::strcmp(a, "--gpus"))
-      o.chaos.gpus_per_node = std::atoi(need(i));
-    else if (!std::strcmp(a, "--k"))
-      o.chaos.k = std::atoi(need(i));
-    else if (!std::strcmp(a, "--m"))
-      o.chaos.m = std::atoi(need(i));
-    else if (!std::strcmp(a, "--retain"))
-      o.chaos.retain_versions = std::atoi(need(i));
-    else if (!std::strcmp(a, "--packet-kib"))
-      o.packet_kib = static_cast<std::size_t>(std::atoll(need(i)));
-    else if (!std::strcmp(a, "--flush"))
-      o.chaos.flush_to_remote = true;
-    else if (!std::strcmp(a, "--jsonl"))
-      o.jsonl = need(i);
-    else if (!std::strcmp(a, "--mode"))
+    if (!std::strcmp(a, "--seed")) {
+      o.chaos.seed = number<std::uint64_t>(argv[0], a, need(i), 0);
+    } else if (!std::strcmp(a, "--campaigns")) {
+      o.campaigns = number(argv[0], a, need(i), 1);
+    } else if (!std::strcmp(a, "--events")) {
+      // The schedule's minimum: a leading save and a trailing recover.
+      o.chaos.events = number(argv[0], a, need(i), 2);
+    } else if (!std::strcmp(a, "--k")) {
+      o.chaos.k = number(argv[0], a, need(i), 1);
+    } else if (!std::strcmp(a, "--m")) {
+      o.chaos.m = number(argv[0], a, need(i), 1);
+    } else if (!std::strcmp(a, "--mode")) {
       o.mode = need(i);
-    else if (!std::strcmp(a, "--dir"))
+    } else if (!std::strcmp(a, "--nodes")) {
+      o.chaos.num_nodes = number(argv[0], a, need(i), 2);
+      sim_flag = a;
+    } else if (!std::strcmp(a, "--gpus")) {
+      o.chaos.gpus_per_node = number(argv[0], a, need(i), 1);
+      sim_flag = a;
+    } else if (!std::strcmp(a, "--retain")) {
+      o.chaos.retain_versions = number(argv[0], a, need(i), 1);
+      sim_flag = a;
+    } else if (!std::strcmp(a, "--packet-kib")) {
+      // Bounded so that kib() cannot overflow.
+      o.packet_kib = number<std::size_t>(
+          argv[0], a, need(i), 1,
+          std::numeric_limits<std::size_t>::max() >> 10);
+      sim_flag = a;
+    } else if (!std::strcmp(a, "--flush")) {
+      o.chaos.flush_to_remote = true;
+      sim_flag = a;
+    } else if (!std::strcmp(a, "--jsonl")) {
+      o.jsonl = need(i);
+      sim_flag = a;
+    } else if (!std::strcmp(a, "--dir")) {
       o.dir = need(i);
-    else if (!std::strcmp(a, "--verbose"))
+      socket_flag = a;
+    } else if (!std::strcmp(a, "--verbose")) {
       o.verbose = true;
-    else
+      socket_flag = a;
+    } else {
       usage(argv[0]);
+    }
   }
   o.chaos.packet_size = kib(o.packet_kib);
-  if (o.campaigns < 1) usage(argv[0]);
   if (o.mode != "sim" && o.mode != "sockets" && o.mode != "gray")
     usage(argv[0]);
+  const char* ignored = o.mode == "sim" ? socket_flag : sim_flag;
+  if (ignored != nullptr) {
+    std::fprintf(stderr, "%s has no effect in --mode %s\n", ignored,
+                 o.mode.c_str());
+    usage(argv[0]);
+  }
   return o;
 }
 

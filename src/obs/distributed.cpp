@@ -1,7 +1,5 @@
 #include "obs/distributed.hpp"
 
-#include <time.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -47,22 +45,11 @@ const JsonValue* stats_object(const JsonValue& doc) {
 
 }  // namespace
 
-std::uint64_t snapshot_abs_ns() {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
 std::string serialize_snapshot(const Tracer& tracer, const StatsRegistry* stats,
                                const std::string& proc) {
-  // clock_ns/abs_ns sampled back to back: their difference is the tracer
-  // epoch's absolute position, the anchor offline merging aligns on.
-  const std::uint64_t clock_ns = tracer.now_ns();
-  const std::uint64_t abs_ns = snapshot_abs_ns();
   std::ostringstream os;
-  os << "{\"proc\":\"" << json_escape(proc) << "\",\"clock_ns\":" << clock_ns
-     << ",\"abs_ns\":" << abs_ns << ",\"dropped\":" << tracer.dropped_count();
+  os << "{\"proc\":\"" << json_escape(proc)
+     << "\",\"dropped\":" << tracer.dropped_count();
   if (stats != nullptr) os << ",\"stats\":" << stats->to_json();
   os << ",\"threads\":[";
   bool first_thread = true;

@@ -1,10 +1,9 @@
 // Distributed observability: turning per-process tracer buffers and stats
 // registries into one merged, clock-aligned view of a multi-process job.
 //
-// Every process in the checkpoint service (coordinator, worker daemons,
-// forked engine ranks) records spans against its own Tracer epoch and
-// counts into its own StatsRegistry. This module is the aggregation layer
-// on top:
+// Every process in the checkpoint service (coordinator, worker daemons)
+// records spans against its own Tracer epoch and counts into its own
+// StatsRegistry. This module is the aggregation layer on top:
 //
 //  * serialize_snapshot / append_snapshot_to_trace — a process serializes
 //    its tracer buffer (+ optional stats) to a self-contained JSON
@@ -15,21 +14,20 @@
 //  * estimate_clock_offset_ns — ping-pong midpoint offset estimation
 //    between two steady clocks (the classic NTP-style bound): from samples
 //    (local_send, remote, local_recv) pick the minimum-RTT exchange and
-//    estimate remote ≈ local + offset. Same-host processes share
-//    CLOCK_MONOTONIC, so snapshot_abs_ns() additionally lets offline
-//    mergers (engine mode: no coordinator to ping) align absolutely.
+//    estimate remote ≈ local + offset. The coordinator aligns every
+//    worker's snapshot this way against the worker's `clock` verb.
 //
 //  * accumulate_snapshot_stats — fold a snapshot's stats object into an
 //    aggregate registry: counters sum, gauges last-write-wins, histograms
 //    merge via HistSummary::merge (the m2 field makes this lossless).
 //
-//  * check_merged_trace — the well-formedness oracle tests and the CLI
-//    demos assert against: valid JSON, spans from ≥N processes, per-track
-//    monotone timestamps after offset correction, parent/child span ids
-//    resolving (cross-process links counted separately). Workers that were
-//    SIGKILLed take their buffers with them, so callers choose whether
-//    unresolved parents are an error (controlled tests) or expected
-//    (kill/recover demos).
+//  * check_merged_trace — the well-formedness oracle tests assert against:
+//    valid JSON, spans from ≥N processes, per-track monotone timestamps
+//    after offset correction, parent/child span ids resolving
+//    (cross-process links counted separately). Workers that were SIGKILLed
+//    take their buffers with them, so callers choose whether unresolved
+//    parents are an error (controlled tests) or expected (multi-process
+//    runs that kill or lose workers).
 #pragma once
 
 #include <cstdint>
@@ -42,14 +40,8 @@ class ChromeTraceWriter;
 class StatsRegistry;
 class Tracer;
 
-/// CLOCK_MONOTONIC now, in nanoseconds. Shared epoch for every process on
-/// one host — the absolute alignment anchor engine-mode merging uses.
-std::uint64_t snapshot_abs_ns();
-
 /// Serialize `tracer`'s buffers (and `stats`, when non-null) into one JSON
-/// document. `proc` names the originating process ("worker3"). The
-/// document carries a (clock_ns, abs_ns) pair sampled back-to-back so a
-/// merger can recover the tracer epoch's absolute position.
+/// document. `proc` names the originating process ("worker3").
 std::string serialize_snapshot(const Tracer& tracer, const StatsRegistry* stats,
                                const std::string& proc);
 

@@ -5,14 +5,15 @@
 //  * over cluster::VirtualFabric (one process drives all ranks), checked
 //    against the codec: data rows are the packed workers, parity rows
 //    CrsCodec::encode of their stripes, sums the per-packet CRC-64s; or
-//  * over net::SocketTransport (one OS thread per rank here; one process
-//    per rank in examples/transport_cli), compared against VirtualFabric.
+//  * over net::SocketTransport (one OS thread per rank; test_service and
+//    test_chaos_sockets run it in forked daemons), compared against
+//    VirtualFabric.
 // Also covers the torn-save contract (peer death mid-save fails fast and
-// rolls the attempted version back), a torn metadata refresh, the load
-// report's row outcomes, FabricSession version retention, and the step-3
-// schedule: exact wire volume, degraded reductions, and rollback at every
-// step-3 batch; and that padding slots never cross the wire on save or
-// load.
+// rolls the attempted version back, with one or m dead ranks and with
+// remote flush), a torn metadata refresh, the load report's row outcomes,
+// FabricSession version retention, and the step-3 schedule: exact wire
+// volume, degraded reductions, and rollback at every step-3 batch; and that
+// padding slots never cross the wire on save or load.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -1105,87 +1106,106 @@ TEST(FabricEngine, TcpSessionRecoversByteExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Torn save: a peer that dies before participating in a save must surface
+// Torn save: peers that die before participating in a save must surface
 // as CheckFailure on every survivor within the io-timeout budget (never a
 // hang), the torn version must be rolled back, and recovery must land on
-// the previous committed version.
+// the previous committed version. Run with one victim, and with m victims
+// at once while every save also flushes to the remote store.
 // ---------------------------------------------------------------------------
 
 TEST(FabricEngine, TornSaveFailsFastRollsBackAndRecoversOlderVersion) {
   const int g = 1, W = kNodes * g;
-  const int victim = 1;
   const auto want = expected_digests(W, 77);
-
-  TempDir dir;
-  auto eps = uds_endpoints(dir, kNodes);
-  std::latch ready(kNodes), torn(kNodes - 1), replaced(kNodes);
-  std::vector<std::int64_t> versions(kNodes, -1);
-  std::vector<std::vector<std::uint64_t>> got(kNodes);
-
-  run_ranks(kNodes, [&](int rank) {
-    auto fabric =
-        std::make_unique<net::SocketTransport>(rank, eps, fast_opts(dir));
-    core::FabricSession session(*fabric, engine_config(), g, 2);
-    auto my_shard = [&](std::uint64_t seed) {
-      std::vector<dnn::StateDict> mine;
-      mine.push_back(dnn::make_worker_state_dict(gen_config(W, seed), rank));
-      return mine;
+  struct Case {
+    std::vector<int> victims;
+    bool flush;
+  };
+  for (const Case& c : {Case{{1}, false}, Case{{1, 2}, true}}) {
+    // gtest traces are per thread: the rank threads repeat this one.
+    const std::string label = std::to_string(c.victims.size()) +
+                              " victim(s), flush " + std::to_string(c.flush);
+    SCOPED_TRACE(label);
+    const auto is_victim = [&](int rank) {
+      return std::find(c.victims.begin(), c.victims.end(), rank) !=
+             c.victims.end();
     };
-    {
-      auto mine = my_shard(77);
-      session.save(pointers(mine));
+    TempDir dir;
+    auto eps = uds_endpoints(dir, kNodes);
+    const std::ptrdiff_t survivors =
+        kNodes - static_cast<std::ptrdiff_t>(c.victims.size());
+    std::latch ready(kNodes), torn(survivors), replaced(kNodes);
+    std::vector<std::int64_t> versions(kNodes, -1);
+    std::vector<std::vector<std::uint64_t>> got(kNodes);
+
+    run_ranks(kNodes, [&](int rank) {
+      SCOPED_TRACE(label);
+      auto fabric =
+          std::make_unique<net::SocketTransport>(rank, eps, fast_opts(dir));
+      core::FabricSession session(*fabric, engine_config(c.flush), g, 2);
+      auto my_shard = [&](std::uint64_t seed) {
+        std::vector<dnn::StateDict> mine;
+        mine.push_back(
+            dnn::make_worker_state_dict(gen_config(W, seed), rank));
+        return mine;
+      };
+      {
+        auto mine = my_shard(77);
+        session.save(pointers(mine));
+      }
+      ready.arrive_and_wait();
+
+      if (is_victim(rank)) {
+        // Dies before save(v2) and never enters the collective; waits
+        // until the survivors observed the failure.
+        fabric.reset();
+        torn.wait();
+        fabric = std::make_unique<net::SocketTransport>(rank, eps,
+                                                        fast_opts(dir));
+      } else {
+        const auto t0 = std::chrono::steady_clock::now();
+        auto mine = my_shard(78);
+        EXPECT_THROW(session.save(pointers(mine)), CheckFailure)
+            << "rank " << rank;
+        const auto waited = std::chrono::steady_clock::now() - t0;
+        EXPECT_LT(waited, std::chrono::seconds(30))
+            << "rank " << rank << " did not fail fast";
+        // The torn version left nothing behind on this rank.
+        EXPECT_TRUE(fabric->store(rank).keys_with_prefix("ec/2/").empty())
+            << "rank " << rank;
+        EXPECT_TRUE(fabric->store(rank).keys_with_prefix("tmp/").empty())
+            << "rank " << rank;
+        // The aborted collective may have left half-delivered frames
+        // between the survivors too — every survivor re-pools all
+        // connections.
+        fabric->reset_all_peers();
+        torn.count_down();
+      }
+      replaced.arrive_and_wait();
+
+      // Fresh session on every rank (as after a job restart): recovery must
+      // agree on version 1 and reproduce its bytes.
+      core::FabricSession fresh(*fabric, engine_config(c.flush), g, 2);
+      std::vector<dnn::StateDict> out;
+      auto r = fresh.load(out);
+      ASSERT_TRUE(r.report.success) << "rank " << rank << ": "
+                                    << r.report.detail;
+      versions[static_cast<std::size_t>(rank)] = r.version;
+      got[static_cast<std::size_t>(rank)] = digests_of(out);
+
+      // And the next save must work again, agreeing on version 2.
+      auto mine = my_shard(79);
+      fresh.save(pointers(mine));
+      EXPECT_EQ(fresh.latest_version(), 2) << "rank " << rank;
+    });
+
+    for (int rank = 0; rank < kNodes; ++rank) {
+      EXPECT_EQ(versions[static_cast<std::size_t>(rank)], 1)
+          << "rank " << rank;
+      ASSERT_EQ(got[static_cast<std::size_t>(rank)].size(), 1u);
+      EXPECT_EQ(got[static_cast<std::size_t>(rank)][0],
+                want[static_cast<std::size_t>(rank)])
+          << "rank " << rank;
     }
-    ready.arrive_and_wait();
-
-    if (rank == victim) {
-      fabric.reset();  // dies before save(v2) — never enters the collective
-      torn.wait();     // survivors observed the failure
-      fabric = std::make_unique<net::SocketTransport>(rank, eps,
-                                                      fast_opts(dir));
-    } else {
-      const auto t0 = std::chrono::steady_clock::now();
-      auto mine = my_shard(78);
-      EXPECT_THROW(session.save(pointers(mine)), CheckFailure)
-          << "rank " << rank;
-      const auto waited = std::chrono::steady_clock::now() - t0;
-      EXPECT_LT(waited, std::chrono::seconds(30))
-          << "rank " << rank << " did not fail fast";
-      // The torn version left nothing behind on this rank.
-      EXPECT_TRUE(
-          fabric->store(rank).keys_with_prefix("ec/2/").empty())
-          << "rank " << rank;
-      EXPECT_TRUE(
-          fabric->store(rank).keys_with_prefix("tmp/").empty())
-          << "rank " << rank;
-      // The aborted collective may have left half-delivered frames between
-      // the survivors too — every survivor re-pools all connections.
-      fabric->reset_all_peers();
-      torn.count_down();
-    }
-    replaced.arrive_and_wait();
-
-    // Fresh session on every rank (as after a job restart): recovery must
-    // agree on version 1 and reproduce its bytes.
-    core::FabricSession fresh(*fabric, engine_config(), g, 2);
-    std::vector<dnn::StateDict> out;
-    auto r = fresh.load(out);
-    ASSERT_TRUE(r.report.success) << "rank " << rank << ": "
-                                  << r.report.detail;
-    versions[static_cast<std::size_t>(rank)] = r.version;
-    got[static_cast<std::size_t>(rank)] = digests_of(out);
-
-    // And the next save must work again, agreeing on version 2.
-    auto mine = my_shard(79);
-    fresh.save(pointers(mine));
-    EXPECT_EQ(fresh.latest_version(), 2) << "rank " << rank;
-  });
-
-  for (int rank = 0; rank < kNodes; ++rank) {
-    EXPECT_EQ(versions[static_cast<std::size_t>(rank)], 1) << "rank " << rank;
-    ASSERT_EQ(got[static_cast<std::size_t>(rank)].size(), 1u);
-    EXPECT_EQ(got[static_cast<std::size_t>(rank)][0],
-              want[static_cast<std::size_t>(rank)])
-        << "rank " << rank;
   }
 }
 

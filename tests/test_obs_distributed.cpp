@@ -443,7 +443,7 @@ TEST(MergedTrace, UnresolvedParentsFailOnlyWhenRequired) {
   EXPECT_EQ(lenient.cross_process_links, 1u);
 }
 
-TEST(MergedTrace, SnapshotCarriesStatsAndClockAnchor) {
+TEST(MergedTrace, SnapshotCarriesProcAndStats) {
   obs::Tracer t;
   t.enable();
   { obs::ScopedSpan s(t, "work", /*bytes=*/1 << 20); }
@@ -455,12 +455,6 @@ TEST(MergedTrace, SnapshotCarriesStatsAndClockAnchor) {
   const std::unique_ptr<obs::JsonValue> doc = obs::JsonValue::parse(snap, &perr);
   ASSERT_NE(doc, nullptr) << perr;
   EXPECT_EQ(doc->find("proc")->as_string(), "worker7");
-  ASSERT_NE(doc->find("clock_ns"), nullptr);
-  ASSERT_NE(doc->find("abs_ns"), nullptr);
-  // The anchor pair is sampled back-to-back: the absolute reading can
-  // never precede the epoch by more than the tracer's own age.
-  EXPECT_GE(doc->find("abs_ns")->as_number(),
-            doc->find("clock_ns")->as_number());
   const obs::JsonValue* stats = doc->find("stats");
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->find("counters")->find("net.send.count")->as_number(), 5);

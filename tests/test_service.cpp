@@ -1,10 +1,13 @@
 // The checkpoint service (src/svc): control-protocol framing, the
 // coordinator's admission/fan-out behaviour, and the daemon lifecycle —
 // multi-job sessions, a worker death that tears a save, replacement, and
-// bit-exact recovery of every job. Daemons run as threads here (one OS
-// process per daemon lives in examples/transport_cli --mode daemon); the
-// socket fabric between them is exactly the multi-process one.
+// bit-exact recovery of every job. Daemons mostly run as threads here; the
+// socket fabric between them is exactly the multi-process one. The merged
+// `trace` test forks one process per worker daemon, because in-process
+// daemons share one tracer and so cannot show links between processes.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -16,7 +19,9 @@
 #include <vector>
 
 #include "dnn/checkpoint_gen.hpp"
+#include "obs/distributed.hpp"
 #include "obs/json.hpp"
+#include "obs/tracer.hpp"
 #include "svc/checkpoint_service.hpp"
 
 namespace eccheck {
@@ -422,6 +427,116 @@ TEST(ServiceDaemon, MultiJobSaveLoadKillRecoverBitExact) {
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.body, "bye");
   coord_thread.join();
+}
+
+/// Forked worker daemons; SIGKILLs and reaps any child still unreaped when
+/// the test leaves early, so a failed assertion never strands a daemon.
+struct ForkedDaemons {
+  std::vector<pid_t> pids;
+
+  ForkedDaemons() = default;
+  ForkedDaemons(const ForkedDaemons&) = delete;
+  ForkedDaemons& operator=(const ForkedDaemons&) = delete;
+  ~ForkedDaemons() {
+    for (pid_t pid : pids) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  }
+
+  /// Reap every child; true when each left through exit code 0.
+  bool reap_all_clean() {
+    bool clean = true;
+    for (pid_t pid : pids) {
+      int status = 0;
+      clean &= ::waitpid(pid, &status, 0) == pid && WIFEXITED(status) &&
+               WEXITSTATUS(status) == 0;
+    }
+    pids.clear();
+    return clean;
+  }
+};
+
+// The coordinator's `trace` and `stats` verbs across real processes: each
+// worker daemon runs in its own forked process with its own tracer, and the
+// coordinator in this one. The merged trace must hold every process and
+// link spans across them (control frames from the coordinator, fabric
+// frames between workers), aligned through the coordinator's `clock`
+// ping-pong.
+TEST(ServiceDaemon, ForkedWorkersMergeTraceAndStatsAcrossProcesses) {
+  TempDir dir;
+  obs::Tracer& tracer = obs::Tracer::global();
+  // A child inherits the parent's span buffer; start every process empty.
+  tracer.clear();
+  ForkedDaemons workers;
+  for (int r = 0; r < kNodes; ++r) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0) << "fork failed for worker " << r;
+    if (pid == 0) {
+      int rc = 0;
+      try {
+        tracer.enable();
+        svc::WorkerDaemon daemon(worker_config(dir, r));
+        daemon.run();
+      } catch (...) {
+        rc = 1;
+      }
+      ::_exit(rc);
+    }
+    workers.pids.push_back(pid);
+  }
+
+  tracer.enable();
+  svc::CoordinatorConfig ccfg;
+  ccfg.client_ep = net::Endpoint::uds(dir.path + "/client.sock");
+  for (int r = 0; r < kNodes; ++r)
+    ccfg.worker_eps.push_back(net::Endpoint::uds(
+        dir.path + "/ctl" + std::to_string(r) + ".sock"));
+  ccfg.opts = fast_opts(dir);
+  ccfg.opts.io_timeout = net::Millis(60000);
+  svc::Coordinator coordinator(ccfg);
+  // No ASSERT until the coordinator thread is joined: leaving early would
+  // destroy it joinable.
+  std::thread coord_thread([&coordinator] { coordinator.run(); });
+  auto request = [&](const std::string& cmd, const std::string& args) {
+    return svc::client_request(ccfg.client_ep, cmd, args, ccfg.opts);
+  };
+
+  svc::ControlReply r = request("save", "jobT");
+  EXPECT_TRUE(r.ok) << r.body;
+  EXPECT_EQ(parse_body(r.body).digests, want_digests("jobT", 1));
+  r = request("load", "jobT");
+  EXPECT_TRUE(r.ok) << r.body;
+  EXPECT_EQ(parse_body(r.body).digests, want_digests("jobT", 1));
+
+  r = request("trace", "");
+  EXPECT_TRUE(r.ok);
+  const obs::MergedTraceCheck chk = obs::check_merged_trace(
+      r.body, 1 + kNodes, /*require_all_resolved=*/false);
+  EXPECT_TRUE(chk.ok) << chk.error;
+  EXPECT_GE(chk.cross_process_links, 3u)
+      << chk.spans << " spans from " << chk.processes << " processes";
+
+  r = request("stats", "");
+  EXPECT_TRUE(r.ok) << r.body;
+  {
+    std::string perr;
+    const std::unique_ptr<obs::JsonValue> doc =
+        obs::JsonValue::parse(r.body, &perr);
+    const obs::JsonValue* agg = doc ? doc->find("aggregate") : nullptr;
+    const obs::JsonValue* counters = agg ? agg->find("counters") : nullptr;
+    const obs::JsonValue* sends =
+        counters ? counters->find("net.send.count") : nullptr;
+    EXPECT_TRUE(sends != nullptr && sends->as_number() > 0)
+        << "aggregate stats carry no fabric traffic: " << perr << r.body;
+  }
+
+  r = request("shutdown", "");
+  EXPECT_EQ(r.body, "bye");
+  coord_thread.join();
+  tracer.disable();
+  tracer.clear();
+  EXPECT_TRUE(workers.reap_all_clean());
 }
 
 }  // namespace

@@ -188,6 +188,26 @@ TEST(SocketTransport, AbsentPeerFailsWithinRetryBudgetNotHang) {
   elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_LT(elapsed, std::chrono::seconds(3))
       << "accept deadline did not bound the failure";
+
+  // Broadcast fan-out (the epoll SendPump, not send_buffer): rank 1 of 3
+  // never binds. The root's pump fails on the dead peer before it reaches
+  // rank 2, and rank 2 hits its accept deadline waiting for the root.
+  TempDir dir3;
+  const auto eps3 = uds_endpoints(dir3, 3);
+  run_ranks(3, [&](int rank) {
+    if (rank == 1) return;
+    net::TransportOptions o3 = o;
+    o3.remote_dir = dir3.path + "/remote";
+    net::SocketTransport t(rank, eps3, o3);
+    if (rank == 0)
+      t.store(0).put("blob", Buffer(4096, Buffer::Init::kZeroed));
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_THROW(t.broadcast({0, 1, 2}, 0, "blob"), CheckFailure)
+        << "rank " << rank;
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(3))
+        << "rank " << rank << ": broadcast did not fail within its budget";
+  });
 }
 
 TEST(SocketTransport, ShutdownPeerSurfacesCheckFailureMidSequence) {
@@ -629,7 +649,8 @@ TEST(SocketTransport, CorruptFrameInsideOpenWindowFailsBothSides) {
 
 /// The pipelined plane is observable: windowed sends must leave the
 /// scatter-gather byte counter and the window/queue-depth histograms in
-/// the registry (the same registry transport_cli --stats-json serves).
+/// the registry (the same registry a worker daemon serves to the
+/// coordinator's `stats` verb).
 TEST(SocketTransport, WindowedDataPlaneExposesPipelineStats) {
   constexpr int kWorld = 3;
   TempDir dir;
