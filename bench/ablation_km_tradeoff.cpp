@@ -42,9 +42,9 @@ int main() {
     std::vector<dnn::StateDict> out;
     auto load = engine.load(cluster, 1, out);
 
-    std::printf("%-10s %-12s %-14s %-16s %-18.2f %-20.6f\n",
-                ("(" + std::to_string(k) + "," + std::to_string(m) + ")")
-                    .c_str(),
+    char code[64];
+    std::snprintf(code, sizeof code, "(%d,%d)", k, m);
+    std::printf("%-10s %-12s %-14s %-16s %-18.2f %-20.6f\n", code,
                 human_seconds(save.total_time).c_str(),
                 load.success ? human_seconds(load.resume_time).c_str() : "-",
                 human_bytes(static_cast<double>(save.network_bytes)).c_str(),

@@ -90,11 +90,10 @@ int main() {
     std::vector<int> first_k, last_k;
     for (int i = 0; i < k; ++i) first_k.push_back(i);
     for (int i = n - k; i < n; ++i) last_k.push_back(i);
-    std::printf("%-20s %-12.0f %-12.0f %-12.0f %-12.0f\n",
-                ("(" + std::to_string(n) + "," + std::to_string(g) + "," +
-                 std::to_string(k) + "," + std::to_string(n - k) + ")")
-                    .c_str(),
-                sweep, p2p_volume(cfg, first_k), p2p_volume(cfg, last_k),
+    char shape[64];
+    std::snprintf(shape, sizeof shape, "(%d,%d,%d,%d)", n, g, k, n - k);
+    std::printf("%-20s %-12.0f %-12.0f %-12.0f %-12.0f\n", shape, sweep,
+                p2p_volume(cfg, first_k), p2p_volume(cfg, last_k),
                 best_exhaustive(cfg));
   }
   std::printf(

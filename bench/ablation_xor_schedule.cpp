@@ -61,11 +61,10 @@ int main() {
         ec::expand_to_bitmatrix(ec::normalized_cauchy_matrix(k, m, f));
     auto naive = ec::naive_xor_program(bm, k, m, w);
     auto opt = ec::optimize_xor_program(bm, k, m, w);
+    char code[64];
+    std::snprintf(code, sizeof code, "(%d,%d,%d)", k, m, w);
     std::printf("%-14s %-12d %-12d %d->%-8d %-10.1f%% %-12.2f %-12.2f\n",
-                ("(" + std::to_string(k) + "," + std::to_string(m) + "," +
-                 std::to_string(w) + ")")
-                    .c_str(),
-                naive.xor_count(), opt.xor_count(), naive.memory_passes(),
+                code, naive.xor_count(), opt.xor_count(), naive.memory_passes(),
                 opt.memory_passes(),
                 100.0 * (naive.memory_passes() - opt.memory_passes()) /
                     naive.memory_passes(),

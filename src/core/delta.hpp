@@ -1,9 +1,10 @@
 // Dirty-region tracking for incremental checkpoints (ECCheckConfig::delta).
 //
-// A delta save diffs each worker's freshly packed packets against the
-// cached packets of the last committed version in kDirtyBlock-byte blocks,
-// merges adjacent dirty blocks into extents, and ships only those extents'
-// XOR-deltas over the fabric. Extents are exchanged between
+// A delta save packs each of a worker's live packets in turn into one
+// reused scratch packet, diffs it against the cached packet of the last
+// committed version in kDirtyBlock-byte blocks, merges adjacent dirty
+// blocks into extents, and ships only those extents' XOR-deltas over the
+// fabric. Extents are exchanged between
 // ranks as tiny serialized manifests (all ranks must walk the identical
 // extent list SPMD-style), so the wire format here is part of the save
 // protocol.

@@ -519,20 +519,6 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
       packet_counts(fabric.store(home), ns, version, W, cfg.k, P);
   const std::size_t B = counts.B;
 
-  // Pack each sited worker's tensor bytes into B fixed-size packets.
-  {
-    obs::ScopedSpan pspan("engine.save.pack", decs.size() * B * P);
-    for (const auto& [w, dec] : decs) {
-      const int site = members.site(w / g);
-      std::vector<Buffer> packets = pack_packets(dec.tensor_data, P, B);
-      for (std::size_t b = 0; b < B; ++b)
-        fabric.store(site).put(local_key(ns, version, w, static_cast<int>(b)),
-                               std::move(packets[b]));
-    }
-  }
-  rep.stall_time = since(t0);
-  rep.breakdown["step1_snapshot"] = rep.stall_time;
-
   // ---- Incremental path (cfg.delta): patch the last version in place -----
   // When every site still holds a valid base cache of one common committed
   // version and the global dirty ratio is small enough, the stripe is not
@@ -543,12 +529,24 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   // and each parity row folded with P' = P ⊕ G·Δ — bit-identical to the
   // full four-step protocol by code linearity. Any prerequisite failure on
   // any rank (first save, rolled-back base, shape change, pruned base,
-  // degraded membership) falls through to the full path below.
+  // degraded membership) falls through to the full path below, which only
+  // then packs the shards.
   bool delta_used = false;
   const bool delta_wanted = cfg.delta.enabled && members.full();
   std::map<int, Buffer> carried_sums;  // node → its row's patched CRC sums
+  // Sited worker → its dirty extents and its Δ payload (new ⊕ base of each
+  // extent, concatenated in manifest order), kept by the source until the
+  // base cache is patched after the commit barrier.
+  std::map<int, std::vector<DirtyExtent>> local_extents;
+  std::map<int, Buffer> staged;
   if (delta_wanted) {
-    std::map<int, std::vector<DirtyExtent>> local_extents;  // worker → dirty
+    // The eligibility step is the delta path's snapshot: each live packet
+    // is packed into one reused scratch packet, diffed against the base
+    // cache, and each dirty extent's Δ appended while the scratch is still
+    // cache-hot. No pack of the shard is kept, and after this pass the
+    // delta path reads no live tensor byte.
+    Buffer scratch(P, Buffer::Init::kUninitialized);
+    std::vector<std::byte> delta_bytes;  // the current worker's Δ
     auto delta_state = [&](int node) {
       NodeFlag f;  // flag = usable common base version, 0 = no delta here
       cluster::Store& store = fabric.store(node);
@@ -581,27 +579,42 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
           return f;
         // Identical tensor keys mean identical live counts: the dead
         // padding slots are zero in both versions and cannot be dirty.
+        const std::vector<ByteSpan>& tensors = decs.at(w).tensor_data;
         std::vector<DirtyExtent> wext;
+        delta_bytes.clear();
         const auto live =
             static_cast<int>(counts.live[static_cast<std::size_t>(w)]);
         for (int b = 0; b < live; ++b) {
           if (!store.contains(base_local_key(ns, w, b))) return f;
           const Buffer& base = store.get(base_local_key(ns, w, b));
-          const Buffer& next = store.get(local_key(ns, version, w, b));
-          if (base.size() != next.size()) return f;
-          std::vector<DirtyExtent> pext =
-              diff_packet(b, base.span(), next.span(), kDirtyBlock);
-          wext.insert(wext.end(), pext.begin(), pext.end());
+          if (base.size() != P) return f;
+          pack_packet(tensors, static_cast<std::size_t>(b), scratch.span());
+          for (const DirtyExtent& e :
+               diff_packet(b, base.span(), scratch.span(), kDirtyBlock)) {
+            const std::size_t at = delta_bytes.size();
+            delta_bytes.insert(delta_bytes.end(), scratch.data() + e.offset,
+                               scratch.data() + e.offset + e.length);
+            xor_into(MutableByteSpan(delta_bytes.data() + at, e.length),
+                     base.span().subspan(e.offset, e.length));
+            wext.push_back(e);
+          }
         }
         dirty += dirty_bytes(wext);
         local_extents[w] = std::move(wext);
+        staged[w] = Buffer::copy_of(delta_bytes);
       }
       f.flag = static_cast<std::uint64_t>(mv);
       f.workers = dirty;
       return f;
     };
+    std::map<int, NodeFlag> local_flags;
+    for (int node : driven) local_flags[node] = delta_state(node);
+    rep.stall_time = since(t0);
+    rep.breakdown["step1_snapshot"] = rep.stall_time;
+
     const std::vector<NodeFlag> dflags = exchange_flags(
-        fabric, tmp_prefix(ns, version) + "delta/flag/", delta_state, act);
+        fabric, tmp_prefix(ns, version) + "delta/flag/",
+        [&](int node) { return local_flags.at(node); }, act);
     std::uint64_t base_version = dflags[0].flag;
     std::uint64_t total_dirty = 0;
     for (int node = 0; node < n; ++node) {
@@ -669,8 +682,11 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
           carried_sums.emplace(node, store.get(sums_key(ns, bv)).clone());
       }
 
-      // One worker at a time, and its Δ erased everywhere before the next:
-      // at most one Δ payload is live per rank.
+      // One worker at a time: its source puts the staged Δ under the patch
+      // key, ships it and takes it back once every destination has folded
+      // it in, and the destinations drop their copies before the next
+      // worker's. Each source keeps its own workers' Δ until the base cache
+      // is patched after the commit barrier.
       std::uint64_t extent_count = 0;
       for (int w = 0; w < W; ++w) {
         const std::vector<DirtyExtent>& wext =
@@ -683,23 +699,8 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         const std::string dk = delta_patch_key(ns, version, w);
         const std::uint64_t wbytes = dirty_bytes(wext);
 
-        // Δ = new ⊕ base of every extent, concatenated in manifest order
-        // into one payload staged at the source.
-        if (fabric.drives(src)) {
-          cluster::Store& store = fabric.store(src);
-          Buffer d(wbytes, Buffer::Init::kUninitialized);
-          for_each_packet_run(wext, P, [&](int b, auto run, std::uint64_t at) {
-            const Buffer& next = store.get(local_key(ns, version, w, b));
-            const Buffer& base = store.get(base_local_key(ns, w, b));
-            for (const DirtyExtent& e : run) {
-              std::memcpy(d.data() + at, next.data() + e.offset, e.length);
-              xor_into(d.span().subspan(at, e.length),
-                       base.span().subspan(e.offset, e.length));
-              at += e.length;
-            }
-          });
-          store.put(dk, std::move(d));
-        }
+        if (fabric.drives(src))
+          fabric.store(src).put(dk, std::move(staged.at(w)));
 
         // One frame per destination: the data node plus each parity node
         // (k+m distinct nodes, so no destination repeats).
@@ -812,10 +813,10 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
                   codec.update_row(cfg.k + r, c, e.offset, d, pkt);
                 });
 
-        // Drop the Δ staging copies everywhere they landed.
+        // Drop the copies where the Δ landed; the source takes its own back.
         for (int node : dests)
-          if (fabric.drives(node)) fabric.store(node).erase(dk);
-        if (fabric.drives(src)) fabric.store(src).erase(dk);
+          if (node != src && fabric.drives(node)) fabric.store(node).erase(dk);
+        if (fabric.drives(src)) staged.at(w) = fabric.store(src).take(dk);
       }
       fabric.stats().add("delta.extents.count", extent_count);
       for (int node : act) {
@@ -828,7 +829,26 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
       delta_used = true;
     }
   }
-  if (cfg.delta.enabled && !delta_used) fabric.stats().add("delta.fallback.count");
+  if (!delta_used) {
+    if (cfg.delta.enabled) fabric.stats().add("delta.fallback.count");
+    local_extents.clear();  // a fallback's staged Δ goes unused
+    staged.clear();
+    // Pack each sited worker's tensor bytes into B fixed-size packets: the
+    // full path's snapshot, whose end is the stall.
+    {
+      obs::ScopedSpan pspan("engine.save.pack", decs.size() * B * P);
+      for (const auto& [w, dec] : decs) {
+        const int site = members.site(w / g);
+        std::vector<Buffer> packets = pack_packets(dec.tensor_data, P, B);
+        for (std::size_t b = 0; b < B; ++b)
+          fabric.store(site).put(
+              local_key(ns, version, w, static_cast<int>(b)),
+              std::move(packets[b]));
+      }
+    }
+    rep.stall_time = since(t0);
+    rep.breakdown["step1_snapshot"] = rep.stall_time;
+  }
 
   // ---- Step 3: data packets to their data nodes, parity to parity nodes --
   // A row homed on a dead rank is skipped entirely: the degraded stripe
@@ -995,14 +1015,15 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         }
       }
     }
-    // Step 3 ends here on both paths, before the base-cache retirement,
-    // CRC sums and commit markers below.
+    // Step 3 ends here on both paths, before the base-cache update, CRC
+    // sums and commit markers below.
     rep.breakdown["step3_encode_pipeline"] = since(t0);
   }  // if (!delta_used)
 
   // Publish checksums and the commit marker. Without incremental saves the
-  // staging copies are dropped first; with them they are retired into the
-  // base cache once the commit barrier has passed (below).
+  // staging copies are dropped first; with them a full save retires them
+  // into the base cache, and a delta save patches the cache with its Δ,
+  // once the commit barrier has passed (below).
   if (!delta_wanted) {
     for (const auto& [w, dec] : decs) {
       (void)dec;
@@ -1070,6 +1091,24 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
       store.erase(base_mark_key(ns));
       for (int l = 0; l < g; ++l) {
         const int w = node * g + l;
+        if (delta_used) {
+          // The eligibility diff proved the cache and the tensor keys equal
+          // to the new version outside the dirty extents: patch it in place,
+          // base ⊕ Δ = new.
+          const Buffer& delta = staged.at(w);
+          for_each_packet_run(
+              local_extents.at(w), P, [&](int b, auto run, std::uint64_t at) {
+                const std::string bk = base_local_key(ns, w, b);
+                Buffer pkt = store.take(bk);
+                for (const DirtyExtent& e : run) {
+                  xor_into(pkt.subspan(e.offset, e.length),
+                           delta.subspan(at, e.length));
+                  at += e.length;
+                }
+                store.put(bk, std::move(pkt));
+              });
+          continue;
+        }
         for (int b = 0; b < static_cast<int>(B); ++b)
           store.put(base_local_key(ns, w, b),
                     store.take(local_key(ns, version, w, b)));

@@ -1,5 +1,9 @@
 #include "core/protocol.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+
 namespace eccheck::core {
 
 Decomposition decompose(const dnn::StateDict& sd) {
@@ -30,33 +34,44 @@ std::vector<Buffer> pack_packets(const std::vector<ByteSpan>& tensor_data,
                 "payload " << total << " B does not fit in " << num_packets
                            << " packets of " << packet_size << " B");
 
-  // Each byte is written once: live packets take the payload and only the
-  // last one's tail is zeroed; padding packets are zero throughout.
+  // Each byte is written once: live packets take the payload and their
+  // zero tail; padding packets are zero throughout.
   std::vector<Buffer> packets;
   packets.reserve(num_packets);
-  for (std::size_t i = 0; i < num_packets; ++i)
-    packets.emplace_back(packet_size, i < live
-                                          ? Buffer::Init::kUninitialized
-                                          : Buffer::Init::kZeroed);
-  if (const std::size_t used = total % packet_size; used != 0)
-    std::memset(packets[live - 1].data() + used, 0, packet_size - used);
-
-  std::size_t pkt = 0, off = 0;
-  for (const auto& src : tensor_data) {
-    std::size_t copied = 0;
-    while (copied < src.size()) {
-      const std::size_t room = packet_size - off;
-      const std::size_t n = std::min(room, src.size() - copied);
-      std::memcpy(packets[pkt].data() + off, src.data() + copied, n);
-      copied += n;
-      off += n;
-      if (off == packet_size) {
-        ++pkt;
-        off = 0;
-      }
+  for (std::size_t i = 0; i < num_packets; ++i) {
+    if (i >= live) {
+      packets.emplace_back(packet_size, Buffer::Init::kZeroed);
+      continue;
     }
+    Buffer& pkt =
+        packets.emplace_back(packet_size, Buffer::Init::kUninitialized);
+    pack_packet(tensor_data, i, pkt.span());
   }
   return packets;
+}
+
+void pack_packet(const std::vector<ByteSpan>& tensor_data, std::size_t b,
+                 MutableByteSpan out) {
+  const std::size_t size = out.size();
+  ECC_CHECK(size > 0);
+  ECC_CHECK_MSG(b <= SIZE_MAX / size, "packet index " << b << " overflows");
+  // `at` is the payload offset of the current tensor's first byte; the
+  // tensors are contiguous, so the next byte to write, b·P + filled, always
+  // lies at or past it.
+  const std::size_t first = b * size;
+  std::size_t at = 0, filled = 0;
+  for (const ByteSpan& src : tensor_data) {
+    if (filled == size) break;
+    const std::size_t next = first + filled;
+    if (at + src.size() > next) {
+      const std::size_t from = next - at;
+      const std::size_t n = std::min(src.size() - from, size - filled);
+      std::memcpy(out.data() + filled, src.data() + from, n);
+      filled += n;
+    }
+    at += src.size();
+  }
+  if (filled < size) std::memset(out.data() + filled, 0, size - filled);
 }
 
 void unpack_packets(const std::vector<ByteSpan>& packets,

@@ -43,6 +43,12 @@ std::vector<Buffer> pack_packets(const std::vector<ByteSpan>& tensor_data,
                                  std::size_t packet_size,
                                  std::size_t num_packets);
 
+/// Write packet `b` of pack_packets' layout, with packet size out.size(),
+/// into `out`: the payload bytes [b·P, (b+1)·P), zeros past the payload's
+/// end. A slot past the live count comes out all zeros.
+void pack_packet(const std::vector<ByteSpan>& tensor_data, std::size_t b,
+                 MutableByteSpan out);
+
 /// Inverse of pack_packets: copy packet bytes back into the skeleton's
 /// tensors (sizes come from the tensor keys component).
 void unpack_packets(const std::vector<ByteSpan>& packets,

@@ -78,7 +78,10 @@ core::Membership members_from_csv(const std::string& csv) {
 
 std::string csv_of(const std::vector<int>& ranks) {
   std::string out;
-  for (int r : ranks) out += (out.empty() ? "" : ",") + std::to_string(r);
+  for (int r : ranks) {
+    if (!out.empty()) out += ',';
+    out += std::to_string(r);
+  }
   return out;
 }
 

@@ -15,7 +15,9 @@
 // without usable base sums must recompute them. A delta save moves the
 // base row and leaves an undo overlay: older versions must materialize
 // bit-exact, and a delta save torn ahead of any of its fabric ops must put
-// the base version back byte for byte.
+// the base version back byte for byte. The base cache, which a delta save
+// patches in place after its commit, must equal the packing of the last
+// committed shards, also after a torn save and after a fallback.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -164,11 +166,13 @@ TEST_P(DeltaCodecTest, UpdateParityMatchesFullReencode) {
                               P - at - n);
         end = at + n;
       }
-      for (std::size_t x = 0; x < P; ++x)
-        if (!covered[x])
+      for (std::size_t x = 0; x < P; ++x) {
+        if (!covered[x]) {
           ASSERT_EQ(was.data()[x], now.data()[x])
               << "step " << step << " row " << r << ": byte " << x
               << " changed outside the footprint";
+        }
+      }
       ASSERT_EQ(crc64(now.span()), crc64(was.span()) ^ change)
           << "step " << step << " parity row " << r;
     }
@@ -403,8 +407,8 @@ std::uint64_t delta_fanout(int w, int g) {
 }
 
 /// Worker w's dirty bytes in one delta save, from its node's base cache
-/// before and after the save (the save retires the new packets into the
-/// cache), diffed in the save's dirty-tracking blocks.
+/// before and after the save (the save brings the cache to the new
+/// packets), diffed in the save's dirty-tracking blocks.
 std::uint64_t worker_dirty_bytes(const StoreImage& before,
                                  const StoreImage& after, int w) {
   const std::string prefix = "base/local/" + std::to_string(w) + "/";
@@ -456,8 +460,8 @@ std::vector<StoreImage> base_caches(cluster::VirtualCluster& vc) {
 }
 
 /// Both save paths stamp the end of step 3 at the same point — after the
-/// parity encode or the Δ patch, before the base-cache retirement, CRC
-/// sums and commit markers — so the stamps are ordered on either path.
+/// parity encode or the Δ patch, before the base-cache update, CRC sums
+/// and commit markers — so the stamps are ordered on either path.
 void expect_stage_order(const ckpt::SaveReport& rep, const std::string& what) {
   const bool delta = stat_of(rep, "delta.save.count") == 1;
   const std::string step3 =
@@ -1375,7 +1379,7 @@ int delta_save_killed_at(const KillCase& c, int kill_at, bool kill_node) {
     const std::string where = "node " + std::to_string(node);
     expect_identical(raw_image(store, "ec/2/"),
                      v2_before[static_cast<std::size_t>(node)], where + " v2");
-    // A killed peer may have let earlier nodes retire their base cache
+    // A killed peer may have let earlier nodes patch their base cache
     // after v3's commit markers; only a thrown error leaves it untouched.
     if (!kill_node)
       expect_identical(raw_image(store, "base/"),
@@ -1437,8 +1441,31 @@ INSTANTIATE_TEST_SUITE_P(
                       KillCase{3, 2, 3, KernelMode::kXorBitmatrix}),
     kill_case_name);
 
-// A traced delta save shows its layers: the pack, the eligibility diff and
-// each patch, with the Δ bytes it folded in.
+/// Runs `save` with the global tracer on and returns its span counts and
+/// the bytes recorded per span name.
+struct SpanTally {
+  std::map<std::string, std::uint64_t> count, bytes;
+};
+
+SpanTally traced(const std::function<void()>& save) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.enable();
+  save();
+  tracer.disable();
+  SpanTally t;
+  for (const obs::Tracer::ThreadTrack& track : tracer.snapshot())
+    for (const obs::Tracer::SpanRec& rec : track.spans) {
+      ++t.count[rec.name];
+      t.bytes[rec.name] += rec.bytes;
+    }
+  tracer.clear();
+  return t;
+}
+
+// A traced delta save shows its layers: the fused pack-and-diff eligibility
+// pass and each patch, with the Δ bytes it folded in. It never packs the
+// shard; a fallback save packs it once.
 TEST(DeltaEngine, DeltaSaveRecordsItsStageSpans) {
   const int g = 1, W = kNodes * g;
   const dnn::SparseUpdateSpec spec = sparse_spec(0.01);
@@ -1450,27 +1477,207 @@ TEST(DeltaEngine, DeltaSaveRecordsItsStageSpans) {
   for (int w = 0; w < W; ++w)
     dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)], spec, w, 1);
 
-  obs::Tracer& tracer = obs::Tracer::global();
-  tracer.clear();
-  tracer.enable();
-  const ckpt::SaveReport rep = session.save(pointers(shards));
-  tracer.disable();
-  std::map<std::string, std::uint64_t> spans, bytes;
-  for (const obs::Tracer::ThreadTrack& track : tracer.snapshot())
-    for (const obs::Tracer::SpanRec& rec : track.spans) {
-      ++spans[rec.name];
-      bytes[rec.name] += rec.bytes;
-    }
-  tracer.clear();
+  ckpt::SaveReport rep;
+  SpanTally t = traced([&] { rep = session.save(pointers(shards)); });
+  auto& [spans, bytes] = t;
 
   ASSERT_EQ(stat_of(rep, "delta.save.count"), 1u);
-  EXPECT_EQ(spans["engine.save.pack"], 1u);
+  EXPECT_EQ(spans["engine.save.pack"], 0u);
   EXPECT_EQ(spans["engine.save.diff"], static_cast<std::uint64_t>(kNodes));
   EXPECT_GT(spans["engine.save.delta.patch"], 0u);
   // Each patch carries its worker's Δ bytes: every dirty worker's Δ is
   // folded into its data row and the m parity rows.
   EXPECT_EQ(bytes["engine.save.delta.patch"],
             (1 + kM) * stat_of(rep, "delta.dirty.bytes"));
+
+  // A vanished base marker forces the fallback, which packs exactly once.
+  vc.host(1).erase(core::keys::base_mark_key(""));
+  for (int w = 0; w < W; ++w)
+    dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)], spec, w, 2);
+  ckpt::SaveReport fallback;
+  SpanTally f = traced([&] { fallback = session.save(pointers(shards)); });
+  ASSERT_EQ(stat_of(fallback, "delta.fallback.count"), 1u);
+  EXPECT_EQ(f.count["engine.save.pack"], 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The base cache. A delta save never packs the shard: it patches each
+// site's cache in place with the Δ it built during the diff, once the
+// commit barrier has passed. The cache must still equal pack_packets of
+// the saved shards, and a torn save must leave it at the last commit.
+// ---------------------------------------------------------------------------
+
+/// Every sited worker's cached packets equal `packets[w]`.
+void expect_base_cache(cluster::VirtualCluster& vc, int g,
+                       const std::vector<std::vector<Buffer>>& packets,
+                       const std::string& what) {
+  for (int w = 0; w < static_cast<int>(packets.size()); ++w) {
+    const cluster::Store& store = vc.host(w / g);
+    const std::vector<Buffer>& want = packets[static_cast<std::size_t>(w)];
+    for (int b = 0; b < static_cast<int>(want.size()); ++b) {
+      const std::string key = core::keys::base_local_key("", w, b);
+      ASSERT_TRUE(store.contains(key)) << what << ": " << key;
+      EXPECT_TRUE(store.get(key) == want[static_cast<std::size_t>(b)])
+          << what << ": " << key << " differs from the packed shard";
+    }
+  }
+}
+
+/// pack_packets of each shard, padded to the common packet count.
+std::vector<std::vector<Buffer>> packings(
+    const std::vector<dnn::StateDict>& shards, std::size_t P) {
+  std::size_t B = 1;
+  for (const auto& sd : shards)
+    B = std::max(B, core::packets_needed(sd.tensor_bytes(), P));
+  std::vector<std::vector<Buffer>> out;
+  for (const auto& sd : shards)
+    out.push_back(core::pack_packets(core::decompose(sd).tensor_data, P, B));
+  return out;
+}
+
+void expect_patched_cache_tracks_the_packing(KernelMode kernel, int g) {
+  const int W = kNodes * g;
+  const dnn::SparseUpdateSpec spec = sparse_spec(0.01);
+  std::vector<dnn::StateDict> shards = sparse_shards(spec, W);
+  const core::ECCheckConfig cfg = delta_config(true, false, kernel);
+
+  cluster::VirtualCluster vc(vc_config(g));
+  cluster::VirtualFabric inner(vc);
+  testutil::SendBuffersTap fabric(inner);
+  core::FabricSession session(fabric, cfg, g, 2);
+  session.save(pointers(shards));  // v1: full, seeds the cache
+  expect_base_cache(vc, g, packings(shards, cfg.packet_size), "after v1");
+
+  for (std::int64_t v = 2; v <= 4; ++v) {
+    for (int w = 0; w < W; ++w)
+      dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)], spec, w,
+                               v - 1);
+    const ckpt::SaveReport rep = session.save(pointers(shards));
+    ASSERT_EQ(stat_of(rep, "delta.save.count"), 1u) << "v" << v;
+    expect_base_cache(vc, g, packings(shards, cfg.packet_size),
+                      "after delta save v" + std::to_string(v));
+  }
+
+  // A save torn at its first Δ transfer rolls back; the cache still holds
+  // v4's packing.
+  const std::vector<std::vector<Buffer>> v4 =
+      packings(shards, cfg.packet_size);
+  for (int w = 0; w < W; ++w)
+    dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)], spec, w, 4);
+  fabric.before_send_buffers = [](int, int, const testutil::KeyPairs& pairs) {
+    if (is_delta_transfer(pairs))
+      throw CheckFailure("injected peer death mid-delta transfer");
+  };
+  EXPECT_THROW(session.save(pointers(shards)), CheckFailure);
+  fabric.before_send_buffers = nullptr;
+  for (int node = 0; node < kNodes; ++node)
+    EXPECT_TRUE(vc.host(node).keys_with_prefix("tmp/").empty())
+        << "node " << node;
+  expect_base_cache(vc, g, v4, "after the torn save");
+
+  // The retry is a delta save off that cache and loads bit-exact.
+  const ckpt::SaveReport retry = session.save(pointers(shards));
+  EXPECT_EQ(stat_of(retry, "delta.save.count"), 1u);
+  expect_base_cache(vc, g, packings(shards, cfg.packet_size), "after retry");
+  std::vector<dnn::StateDict> out;
+  const auto l = session.load(out);
+  ASSERT_TRUE(l.report.success) << l.report.detail;
+  EXPECT_EQ(digests_of(out), digests_of(shards));
+}
+
+TEST(DeltaBaseCache, PatchedInPlaceEqualsThePacking) {
+  for (KernelMode kernel : {KernelMode::kGfTable, KernelMode::kXorBitmatrix})
+    for (int g : {1, 2}) {
+      SCOPED_TRACE(std::string(kernel == KernelMode::kGfTable ? "gftable"
+                                                              : "bitmatrix") +
+                   " g=" + std::to_string(g));
+      expect_patched_cache_tracks_the_packing(kernel, g);
+    }
+}
+
+// A global fallback after some nodes passed the eligibility step locally —
+// they diffed and staged a Δ — must pack, save exactly as a delta-off
+// session would, leave no delta staging behind, and re-arm the delta path.
+TEST(DeltaBaseCache, MixedFallbackMatchesFullSaveAndReArms) {
+  enum class Veto { kHeavyWorker, kEvictedCache, kEvictedPacket };
+  for (Veto veto :
+       {Veto::kHeavyWorker, Veto::kEvictedCache, Veto::kEvictedPacket}) {
+    const char* name = veto == Veto::kHeavyWorker    ? "heavy worker"
+                       : veto == Veto::kEvictedCache ? "evicted base cache"
+                                                     : "evicted base packet";
+    SCOPED_TRACE(name);
+    const int g = 1, W = kNodes * g;
+    // Worker 0 holds 33 live packets, the others two each: rewriting all
+    // of worker 0's rows dirties far more than kMaxDirtyRatio of the live
+    // bytes, while every node's own eligibility check passes.
+    std::vector<dnn::SparseUpdateSpec> specs(W, sparse_spec(0.01));
+    for (int w = 1; w < W; ++w)
+      specs[static_cast<std::size_t>(w)].embedding_rows = 64;
+    std::vector<dnn::StateDict> shards;
+    for (int w = 0; w < W; ++w)
+      shards.push_back(dnn::make_sparse_model_shard(
+          specs[static_cast<std::size_t>(w)], w));
+    auto update = [&](std::int64_t it, bool heavy) {
+      for (int w = 0; w < W; ++w) {
+        dnn::SparseUpdateSpec s = specs[static_cast<std::size_t>(w)];
+        if (heavy && w == 0) s.row_density = 1.0;
+        dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)], s, w,
+                                 it);
+      }
+    };
+
+    cluster::VirtualCluster vc_delta(vc_config(g)), vc_full(vc_config(g));
+    cluster::VirtualFabric fab_delta(vc_delta), fab_full(vc_full);
+    core::FabricSession on(fab_delta, delta_config(true), g, 2);
+    core::FabricSession off(fab_full, delta_config(false), g, 2);
+    auto save_both = [&](std::int64_t v) {
+      const ckpt::SaveReport rep = on.save(pointers(shards));
+      off.save(pointers(shards));
+      for (int node = 0; node < kNodes; ++node) {
+        const std::string where =
+            "node " + std::to_string(node) + " after v" + std::to_string(v);
+        expect_identical(snapshot(vc_delta.host(node), "ec/"),
+                         snapshot(vc_full.host(node), "ec/"), where);
+        EXPECT_TRUE(vc_delta.host(node)
+                        .keys_with_prefix(core::keys::tmp_prefix("", v) +
+                                          "delta/")
+                        .empty())
+            << where;
+        EXPECT_TRUE(vc_delta.host(node).keys_with_prefix("tmp/").empty())
+            << where;
+      }
+      return rep;
+    };
+
+    save_both(1);  // full, seeds the cache
+    update(1, false);
+    ASSERT_EQ(stat_of(save_both(2), "delta.save.count"), 1u);
+
+    update(2, veto == Veto::kHeavyWorker);
+    if (veto == Veto::kEvictedCache)
+      for (const std::string& key : vc_delta.host(2).keys_with_prefix("base/"))
+        vc_delta.host(2).erase(key);
+    if (veto == Veto::kEvictedPacket)  // worker 3's last live packet
+      vc_delta.host(3).erase(core::keys::base_local_key("", 3, 1));
+    const ckpt::SaveReport fallback = save_both(3);
+    EXPECT_EQ(stat_of(fallback, "delta.save.count"), 0u);
+    EXPECT_EQ(stat_of(fallback, "delta.fallback.count"), 1u);
+    expect_base_cache(vc_delta, g, packings(shards, kib(16)),
+                      "after the fallback");
+
+    update(3, false);
+    const ckpt::SaveReport light = save_both(4);
+    EXPECT_EQ(stat_of(light, "delta.save.count"), 1u);
+    EXPECT_EQ(stat_of(light, "delta.fallback.count"), 0u);
+    expect_base_cache(vc_delta, g, packings(shards, kib(16)),
+                      "after the next light save");
+
+    std::vector<dnn::StateDict> out;
+    const auto l = on.load(out);
+    ASSERT_TRUE(l.report.success) << l.report.detail;
+    EXPECT_EQ(l.version, 4);
+    EXPECT_EQ(digests_of(out), digests_of(shards));
+  }
 }
 }  // namespace
 }  // namespace eccheck

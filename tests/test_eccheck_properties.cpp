@@ -120,8 +120,15 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{6, 2, 4, 2}),
     [](const auto& info) {
       const auto& s = info.param;
-      return "n" + std::to_string(s.nodes) + "g" + std::to_string(s.gpus) +
-             "k" + std::to_string(s.k) + "m" + std::to_string(s.m);
+      std::string name = "n";
+      name += std::to_string(s.nodes);
+      name += "g";
+      name += std::to_string(s.gpus);
+      name += "k";
+      name += std::to_string(s.k);
+      name += "m";
+      name += std::to_string(s.m);
+      return name;
     });
 
 TEST(ECCheckProperties, KernelAndWidthVariantsAreBitExact) {

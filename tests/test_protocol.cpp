@@ -92,6 +92,56 @@ TEST(Protocol, PaddingPacketsAreZeroed) {
         << "packet " << b;
 }
 
+// pack_packet writes one packet of pack_packets' layout: both must match
+// the zero-padded concatenation of the tensors, packet by packet, wherever
+// the tensor boundaries fall.
+TEST(Protocol, PackPacketMatchesPackPacketsLayout) {
+  struct Layout {
+    const char* what;
+    std::vector<std::size_t> sizes;  // tensor byte counts
+    std::size_t P;
+    std::size_t padding;             // slots past the live count
+  };
+  const std::vector<Layout> layouts = {
+      {"tensors straddling boundaries", {100, 700, 33, 2000, 1}, 256, 0},
+      {"zero-length tensors", {0, 300, 0, 0, 257, 0}, 128, 1},
+      {"exact multiple of P", {256, 512, 0, 256}, 256, 0},
+      {"padding slots", {10, 20}, 64, 3},
+      {"no payload", {0, 0}, 64, 2},
+      {"one tensor larger than many packets", {5000}, 512, 1},
+  };
+  for (const Layout& l : layouts) {
+    SCOPED_TRACE(l.what);
+    std::vector<Buffer> tensors;
+    std::vector<ByteSpan> views;
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < l.sizes.size(); ++i) {
+      tensors.emplace_back(l.sizes[i], Buffer::Init::kUninitialized);
+      fill_random(tensors.back().span(), 40 + i);
+      views.push_back(tensors.back().span());
+      total += l.sizes[i];
+    }
+    const std::size_t B = packets_needed(total, l.P) + l.padding;
+    Buffer want(B * l.P);
+    std::size_t at = 0;
+    for (ByteSpan t : views) {
+      if (!t.empty()) std::memcpy(want.data() + at, t.data(), t.size());
+      at += t.size();
+    }
+    const std::vector<Buffer> packets = pack_packets(views, l.P, B);
+    ASSERT_EQ(packets.size(), B);
+    Buffer scratch(l.P, Buffer::Init::kUninitialized);
+    for (std::size_t b = 0; b < B; ++b) {
+      // Stale bytes in the reused scratch must all be overwritten.
+      fill_random(scratch.span(), 900 + b);
+      pack_packet(views, b, scratch.span());
+      const Buffer expected = Buffer::copy_of(want.subspan(b * l.P, l.P));
+      EXPECT_EQ(scratch, expected) << "pack_packet, packet " << b;
+      EXPECT_EQ(packets[b], expected) << "pack_packets, packet " << b;
+    }
+  }
+}
+
 TEST(Protocol, PackRejectsOverflow) {
   dnn::StateDict sd = sample_state_dict();
   Decomposition d = decompose(sd);
