@@ -272,20 +272,33 @@ void for_each_packet_run(const std::vector<DirtyExtent>& ext, std::size_t P,
   }
 }
 
-/// The `sums_key` blob of chunk row `row` of `version` on `store`: the
-/// CRC-64 of each packet, slot j·B + b.
-Buffer row_sums(const cluster::Store& store, const std::string& ns,
+/// crc64 of a P-byte packet of zeros, without a buffer: the sum of every
+/// zero slot (a dead data tail, an unfolded parity slot, a dead target).
+std::uint64_t zero_sum(std::size_t P) { return ~crc64_shift(~0ULL, P); }
+
+/// Per-packet CRC-64s of one chunk row, slot j·B + b, taken where each
+/// packet is produced (DESIGN.md §7). Keyed by node.
+using RowSums = std::map<int, std::vector<std::uint64_t>>;
+
+/// The `sums_key` blob holding `sums`.
+Buffer sums_blob(const std::vector<std::uint64_t>& sums) {
+  return Buffer::copy_of(std::as_bytes(std::span(sums)));
+}
+
+/// The fallback for a row whose sums were not taken as it was produced:
+/// rereads every packet of chunk row `row` of `version` on `node` and
+/// counts `integrity.sums.rescan.count`.
+Buffer row_sums(cluster::Fabric& fabric, int node, const std::string& ns,
                 std::int64_t version, int row, int per_chunk, std::size_t B) {
-  Buffer sums(static_cast<std::size_t>(per_chunk) * B * 8,
-              Buffer::Init::kUninitialized);
+  fabric.stats().add("integrity.sums.rescan.count");
+  const cluster::Store& store = fabric.store(node);
+  std::vector<std::uint64_t> sums;
+  sums.reserve(static_cast<std::size_t>(per_chunk) * B);
   for (int j = 0; j < per_chunk; ++j)
-    for (std::size_t b = 0; b < B; ++b) {
-      const std::uint64_t crc = crc64(
-          store.get(row_key(ns, version, row, j, static_cast<int>(b))).span());
-      std::memcpy(sums.data() + (static_cast<std::size_t>(j) * B + b) * 8,
-                  &crc, 8);
-    }
-  return sums;
+    for (std::size_t b = 0; b < B; ++b)
+      sums.push_back(crc64(
+          store.get(row_key(ns, version, row, j, static_cast<int>(b))).span()));
+  return sums_blob(sums);
 }
 
 /// (start, length) byte ranges of one packet, ascending and disjoint.
@@ -829,21 +842,48 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
       delta_used = true;
     }
   }
+  // The full path's row sums, for each driven, alive node (DESIGN.md §7):
+  // every slot starts as a zero slot, and each live packet's sum is taken
+  // where the packet is produced, so the commit never rereads the row.
+  RowSums taken_sums;
+  auto taken_sum = [&](int node, int j, std::size_t b) -> std::uint64_t* {
+    const auto it = taken_sums.find(node);
+    return it == taken_sums.end()
+               ? nullptr
+               : &it->second[static_cast<std::size_t>(j) * B + b];
+  };
   if (!delta_used) {
     if (cfg.delta.enabled) fabric.stats().add("delta.fallback.count");
     local_extents.clear();  // a fallback's staged Δ goes unused
     staged.clear();
-    // Pack each sited worker's tensor bytes into B fixed-size packets: the
-    // full path's snapshot, whose end is the stall.
+    if (cfg.verify_integrity)
+      for (int node : driven)
+        if (members.is_alive(node))
+          taken_sums[node].assign(static_cast<std::size_t>(per_chunk) * B,
+                                  zero_sum(P));
+    // Pack each sited worker's tensor bytes into B fixed-size packets (the
+    // padding behind its live packets is zero): the full path's snapshot,
+    // whose end is the stall. A worker sited on its data node is home, and
+    // its live packets' sums are taken while each packet is cache-hot.
     {
       obs::ScopedSpan pspan("engine.save.pack", decs.size() * B * P);
       for (const auto& [w, dec] : decs) {
         const int site = members.site(w / g);
-        std::vector<Buffer> packets = pack_packets(dec.tensor_data, P, B);
-        for (std::size_t b = 0; b < B; ++b)
-          fabric.store(site).put(
-              local_key(ns, version, w, static_cast<int>(b)),
-              std::move(packets[b]));
+        const int c = plan.chunk_of_worker(w);
+        const bool home = site == plan.data_nodes[static_cast<std::size_t>(c)];
+        const std::size_t live = counts.live[static_cast<std::size_t>(w)];
+        for (std::size_t b = 0; b < B; ++b) {
+          Buffer pkt(P, b < live ? Buffer::Init::kUninitialized
+                                 : Buffer::Init::kZeroed);
+          if (b < live) {
+            pack_packet(dec.tensor_data, b, pkt.span());
+            if (std::uint64_t* sum =
+                    home ? taken_sum(site, w - c * per_chunk, b) : nullptr)
+              *sum = crc64(pkt.span());
+          }
+          fabric.store(site).put(local_key(ns, version, w, static_cast<int>(b)),
+                                 std::move(pkt));
+        }
       }
     }
     rep.stall_time = since(t0);
@@ -860,8 +900,13 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
     // 3a: every live data packet not yet on its data node, one batch per
     // (src, dst) edge; the data node zero-fills the dead rest of the row.
     // Packets already home move into their rows after 3b, which still
-    // encodes from them.
-    std::map<std::pair<int, int>, KeyPairs> relocate;
+    // encodes from them. The data node takes each arrived packet's sum as
+    // its edge returns.
+    struct Relocation {
+      KeyPairs keys;
+      std::vector<std::pair<int, std::size_t>> slots;  // per key: (j, b)
+    };
+    std::map<std::pair<int, int>, Relocation> relocate;
     for (int c = 0; c < cfg.k; ++c) {
       const int dst = plan.data_nodes[static_cast<std::size_t>(c)];
       if (!members.is_alive(dst)) continue;
@@ -871,10 +916,12 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         if (src == dst) continue;
         const std::size_t live = counts.live[static_cast<std::size_t>(wsrc)];
         if (live > 0) {
-          KeyPairs& batch = relocate[{src, dst}];
-          for (int b = 0; b < static_cast<int>(live); ++b)
-            batch.emplace_back(local_key(ns, version, wsrc, b),
-                               row_key(ns, version, c, j, b));
+          Relocation& batch = relocate[{src, dst}];
+          for (int b = 0; b < static_cast<int>(live); ++b) {
+            batch.keys.emplace_back(local_key(ns, version, wsrc, b),
+                                    row_key(ns, version, c, j, b));
+            batch.slots.emplace_back(j, b);
+          }
         }
         if (fabric.drives(dst))
           for (int b = static_cast<int>(live); b < static_cast<int>(B); ++b)
@@ -882,8 +929,14 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
                                   Buffer(P, Buffer::Init::kZeroed));
       }
     }
-    for (const auto& [edge, batch] : relocate)
-      fabric.send_buffers(edge.first, edge.second, batch);
+    for (const auto& [edge, batch] : relocate) {
+      const auto [src, dst] = edge;
+      fabric.send_buffers(src, dst, batch.keys);
+      for (std::size_t i = 0; i < batch.keys.size(); ++i)
+        if (std::uint64_t* sum =
+                taken_sum(dst, batch.slots[i].first, batch.slots[i].second))
+          *sum = crc64(fabric.store(dst).get(batch.keys[i].second).span());
+    }
 
     // 3b: parity, one packet slot b at a time. Every participant site
     // computes its GF partial and ships it straight to the parity node,
@@ -987,6 +1040,9 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
               row = store.take(red.keys[s]);
             folded = true;
           }
+          if (std::uint64_t* sum = folded ? taken_sum(op.dest_node, op.group, b)
+                                          : nullptr)
+            *sum = crc64(row.span());
           store.put(row_key(ns, version, cfg.k + op.parity_row, op.group,
                             static_cast<int>(b)),
                     folded ? std::move(row) : Buffer(P, Buffer::Init::kZeroed));
@@ -1036,14 +1092,17 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
     if (!members.is_alive(node)) continue;
     if (cfg.verify_integrity) {
       const auto carried = carried_sums.find(node);
-      if (delta_used && carried == carried_sums.end())
+      Buffer sums;
+      if (!delta_used) {
+        sums = sums_blob(taken_sums.at(node));
+      } else if (carried != carried_sums.end()) {
+        sums = std::move(carried->second);
+      } else {
         fabric.stats().add("delta.sums.fallback.count");
-      fabric.store(node).put(
-          sums_key(ns, version),
-          carried != carried_sums.end()
-              ? std::move(carried->second)
-              : row_sums(fabric.store(node), ns, version,
-                         plan.generator_row_of_node(node), per_chunk, B));
+        sums = row_sums(fabric, node, ns, version,
+                        plan.generator_row_of_node(node), per_chunk, B);
+      }
+      fabric.store(node).put(sums_key(ns, version), std::move(sums));
     }
     fabric.store(node).put(commit_key(ns, version),
                            Buffer::copy_of(as_bytes_of(version)));
@@ -1207,6 +1266,12 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         const Buffer& sums = store.get(sums_key(ns, version));
         const std::size_t B_row =
             sums.size() / 8 / static_cast<std::size_t>(pch);
+        // The sums must cover the whole row: a blob cut short would leave
+        // its last packets unscrubbed.
+        intact = B_row > 0 &&
+                 sums.size() == B_row * 8 * static_cast<std::size_t>(pch) &&
+                 !store.contains(
+                     row_key(ns, version, row, 0, static_cast<int>(B_row)));
         for (int j = 0; intact && j < pch; ++j) {
           for (std::size_t b = 0; intact && b < B_row; ++b) {
             const std::string rk =
@@ -1394,6 +1459,9 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   // ranks) receives each basis packet once and decodes all its rows from
   // it. Dead slots are zero on both sides: a dead source packet is neither
   // sent nor multiplied, and a dead target slot is stored as zeros.
+  // A row rebuilt for an alive node driven here gets its sums as each
+  // packet is decoded (DESIGN.md §7).
+  RowSums rebuilt_sums;
   auto reconstruct = [&](const std::vector<int>& basis,
                          const std::vector<int>& targets) {
     if (targets.empty()) return;
@@ -1402,21 +1470,33 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
       return tmp_prefix(ns, version) + "load/rec/" + std::to_string(s) + "/" +
              std::to_string(j) + "/" + std::to_string(b);
     };
-    // Rows homed on a dead rank materialize on the adopter instead.
+    // Rows homed on a dead rank materialize on the adopter instead. So a
+    // basis row is read on its node's site: re-encoding the lost parity
+    // rows reads a dead node's data row, just rebuilt, on the adopter.
+    auto source_site = [&](int s) {
+      return members.site(node_of_row(basis[static_cast<std::size_t>(s)]));
+    };
     std::map<int, std::vector<int>> on_site;  // target site → indices ti
-    for (int ti = 0; ti < static_cast<int>(targets.size()); ++ti)
-      on_site[members.site(node_of_row(targets[static_cast<std::size_t>(ti)]))]
-          .push_back(ti);
+    std::vector<std::vector<std::uint64_t>*> sums(targets.size(), nullptr);
+    for (int ti = 0; ti < static_cast<int>(targets.size()); ++ti) {
+      const int node = node_of_row(targets[static_cast<std::size_t>(ti)]);
+      on_site[members.site(node)].push_back(ti);
+      if (cfg.verify_integrity && members.is_alive(node) &&
+          fabric.drives(node)) {
+        sums[static_cast<std::size_t>(ti)] = &rebuilt_sums[node];
+        sums[static_cast<std::size_t>(ti)]->assign(
+            static_cast<std::size_t>(per_chunk) * B, zero_sum(P));
+      }
+    }
     for (int j = 0; j < per_chunk; ++j) {
       for (int b = 0; b < static_cast<int>(B); ++b) {
         auto live = [&](int row) {
           return static_cast<std::size_t>(b) < counts.row_live(row, j);
         };
-        // Basis rows live on alive nodes; a live one away from the target
-        // site crosses to it.
+        // A live basis packet away from the target site crosses to it.
         auto fetched = [&](int s, int tsite) {
-          const int srow = basis[static_cast<std::size_t>(s)];
-          return node_of_row(srow) != tsite && live(srow);
+          return source_site(s) != tsite &&
+                 live(basis[static_cast<std::size_t>(s)]);
         };
         const bool any_source = std::any_of(basis.begin(), basis.end(), live);
         for (const auto& [tsite, tis] : on_site) {
@@ -1431,7 +1511,7 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
             for (int s = 0; s < cfg.k; ++s) {
               const int srow = basis[static_cast<std::size_t>(s)];
               if (fetched(s, tsite))
-                fabric.send_buffer(node_of_row(srow), tsite,
+                fabric.send_buffer(source_site(s), tsite,
                                    row_key(ns, version, srow, j, b),
                                    rec_key(s, j, b));
             }
@@ -1453,6 +1533,11 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
               codec.mul_packet(T.at(ti, s), pkt.span(), acc.span(), accumulate);
               accumulate = true;
             }
+            if (std::vector<std::uint64_t>* rebuilt =
+                    live(target_row) ? sums[static_cast<std::size_t>(ti)]
+                                     : nullptr)
+              (*rebuilt)[static_cast<std::size_t>(j) * B +
+                          static_cast<std::size_t>(b)] = crc64(acc.span());
             store.put(row_key(ns, version, target_row, j, b), std::move(acc));
           }
           if (any_target)
@@ -1531,16 +1616,22 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
     reconstruct(data_basis, parity_targets);
   }
 
-  // Replaced/rescued nodes now hold their chunk and metadata: refresh their
-  // checksums and commit marker so future recoveries see them as survivors.
+  // Every alive node whose row this load rebuilt or refetched now holds its
+  // chunk and metadata: refresh its checksums and commit marker so future
+  // recoveries see it as a survivor — also where a stale marker outlived
+  // corrupt or missing sums. A rebuilt row's sums were taken as it was
+  // decoded; only a refetched row is reread.
   for (int node : driven) {
     if (!members.is_alive(node)) continue;
+    const std::uint64_t flag = flags[static_cast<std::size_t>(node)].flag;
+    if (flag == 1) continue;  // intact: its sums and marker stand
     cluster::Store& store = fabric.store(node);
-    if (store.contains(commit_key(ns, version))) continue;
     if (cfg.verify_integrity)
       store.put(sums_key(ns, version),
-                row_sums(store, ns, version, plan.generator_row_of_node(node),
-                         per_chunk, B));
+                flag == 0 ? sums_blob(rebuilt_sums.at(node))
+                          : row_sums(fabric, node, ns, version,
+                                     plan.generator_row_of_node(node),
+                                     per_chunk, B));
     store.put(commit_key(ns, version), Buffer::copy_of(as_bytes_of(version)));
   }
 

@@ -12,13 +12,15 @@
 // rolls the attempted version back, with one or m dead ranks and with
 // remote flush), a torn metadata refresh, the load report's row outcomes,
 // FabricSession version retention, and the step-3 schedule: exact wire
-// volume, degraded reductions, and rollback at every step-3 batch; and that
-// padding slots never cross the wire on save or load.
+// volume, degraded reductions, and rollback at every step-3 batch; that
+// padding slots never cross the wire on save or load; and that every save
+// and repair leaves sums matching the stored rows without rereading them.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
+#include <barrier>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -175,6 +177,28 @@ cluster::ClusterConfig vc_config(int gpus) {
 // node, and — with the remote flush — all of it in the remote store too.
 // ---------------------------------------------------------------------------
 
+/// `store` holds row `row` of version `v` committed, and its sums blob is the
+/// CRC-64 of each stored packet, slot j·B + b.
+void expect_sums_match_row(const cluster::Store& store, const std::string& ns,
+                           std::int64_t v, int row, int per_chunk,
+                           std::size_t B) {
+  using core::keys::row_key;
+  EXPECT_TRUE(store.contains(core::keys::commit_key(ns, v)));
+  ASSERT_TRUE(store.contains(core::keys::sums_key(ns, v)));
+  const Buffer& sums = store.get(core::keys::sums_key(ns, v));
+  ASSERT_EQ(sums.size(), static_cast<std::size_t>(per_chunk) * B * 8);
+  for (int j = 0; j < per_chunk; ++j)
+    for (std::size_t b = 0; b < B; ++b) {
+      std::uint64_t got;
+      std::memcpy(&got,
+                  sums.data() + (static_cast<std::size_t>(j) * B + b) * 8, 8);
+      EXPECT_EQ(got,
+                crc64(store.get(row_key(ns, v, row, j, static_cast<int>(b)))
+                          .span()))
+          << "row " << row << " stripe " << j << " slot " << b;
+    }
+}
+
 void expect_closed_form(cluster::Fabric& fabric, const cluster::Store& remote,
                         const core::ECCheckConfig& cfg,
                         const std::vector<dnn::StateDict>& shards,
@@ -236,20 +260,7 @@ void expect_closed_form(cluster::Fabric& fabric, const cluster::Store& remote,
     EXPECT_EQ(store.keys_with_prefix(core::keys::version_prefix(ns, v) + "row/")
                   .size(),
               static_cast<std::size_t>(per_chunk) * B);
-    const Buffer& sums = store.get(core::keys::sums_key(ns, v));
-    ASSERT_EQ(sums.size(), static_cast<std::size_t>(per_chunk) * B * 8);
-    for (int j = 0; j < per_chunk; ++j)
-      for (std::size_t b = 0; b < B; ++b) {
-        std::uint64_t got;
-        std::memcpy(&got,
-                    sums.data() + (static_cast<std::size_t>(j) * B + b) * 8,
-                    8);
-        EXPECT_EQ(got, crc64(store.get(row_key(ns, v, row, j,
-                                               static_cast<int>(b)))
-                                 .span()))
-            << "stripe " << j << " slot " << b;
-      }
-    EXPECT_TRUE(store.contains(commit_key(ns, v)));
+    expect_sums_match_row(store, ns, v, row, per_chunk, B);
     for (int w = 0; w < W; ++w) {
       EXPECT_TRUE(store.get(meta_key(ns, v, w)) ==
                   decs[static_cast<std::size_t>(w)].metadata_blob)
@@ -878,6 +889,201 @@ TEST(FabricEngine, DegradedLoadShipsEachBasisPacketOncePerSite) {
             (decoded + live[6] + live[7]) * cfg.packet_size);
 }
 
+// ---------------------------------------------------------------------------
+// Row sums taken where each packet is produced: after every save and every
+// repair, each alive node's sums blob is the CRC-64 of each stored row
+// packet, and no row was reread for its sums (`integrity.sums.rescan.count`
+// stays 0). Covered on uniform and padded shards, on full and degraded
+// saves, and on every loss set of size ≤ m on load (workflow A, workflow B,
+// degraded), in both kernel modes, over VirtualFabric and over sockets.
+// ---------------------------------------------------------------------------
+
+std::uint64_t rescans(const std::map<std::string, std::uint64_t>& stats) {
+  const auto it = stats.find("integrity.sums.rescan.count");
+  return it == stats.end() ? 0 : it->second;
+}
+
+/// A loss of at most m nodes before a load: the `dead` stay dead through it
+/// (a degraded load), the `replaced` come back empty.
+struct LossCase {
+  std::vector<int> dead, replaced;
+
+  bool is_dead(int node) const {
+    return std::find(dead.begin(), dead.end(), node) != dead.end();
+  }
+  bool is_replaced(int node) const {
+    return std::find(replaced.begin(), replaced.end(), node) != replaced.end();
+  }
+  std::vector<int> alive() const {
+    std::vector<int> nodes;
+    for (int node = 0; node < kNodes; ++node)
+      if (!is_dead(node)) nodes.push_back(node);
+    return nodes;
+  }
+  core::Membership members() const {
+    return dead.empty() ? core::Membership{} : core::Membership::of(alive());
+  }
+  std::string name() const {
+    std::string s = "dead {";
+    for (int node : dead) s += std::to_string(node) + ",";
+    s += "} replaced {";
+    for (int node : replaced) s += std::to_string(node) + ",";
+    return s + "}";
+  }
+};
+
+/// Every loss set of size ≤ m (the empty one too), split every way into
+/// dead and replaced nodes.
+std::vector<LossCase> loss_cases() {
+  std::vector<std::vector<int>> sets = {{}};
+  for (int a = 0; a < kNodes; ++a) {
+    sets.push_back({a});
+    for (int b = a + 1; b < kNodes; ++b) sets.push_back({a, b});
+  }
+  std::vector<LossCase> cases;
+  for (const std::vector<int>& set : sets)
+    for (unsigned mask = 0; mask < (1u << set.size()); ++mask) {
+      LossCase lc;
+      for (std::size_t i = 0; i < set.size(); ++i)
+        ((mask >> i) & 1u ? lc.dead : lc.replaced).push_back(set[i]);
+      cases.push_back(lc);
+    }
+  return cases;
+}
+
+core::Placement test_plan(int g) {
+  core::PlacementConfig pc;
+  pc.num_nodes = kNodes;
+  pc.gpus_per_node = g;
+  pc.k = kK;
+  pc.m = kM;
+  return core::plan_placement(pc);
+}
+
+const char* kernel_name(ec::KernelMode kernel) {
+  return kernel == ec::KernelMode::kGfTable ? "gftable" : "bitmatrix";
+}
+
+/// Each of `nodes` holds version 1 committed with sums matching its row.
+void expect_sums_on(cluster::VirtualCluster& vc, const core::Placement& plan,
+                    std::size_t B, const std::vector<int>& nodes) {
+  for (int node : nodes) {
+    SCOPED_TRACE("node " + std::to_string(node));
+    expect_sums_match_row(vc.host(node), "", 1,
+                          plan.generator_row_of_node(node),
+                          plan.workers_per_chunk(), B);
+  }
+}
+
+TEST(FabricEngine, RowSumsMatchStoredPacketsAfterEverySaveAndRepair) {
+  const int g = 2, W = kNodes * g;
+  const core::Placement plan = test_plan(g);
+  const std::vector<int> everyone = {0, 1, 2, 3};
+  for (const ec::KernelMode kernel :
+       {ec::KernelMode::kGfTable, ec::KernelMode::kXorBitmatrix})
+    for (const bool padded : {false, true}) {
+      SCOPED_TRACE(std::string(kernel_name(kernel)) +
+                   (padded ? ", padded shards" : ", uniform shards"));
+      const auto shards = small_shards(W, 43, padded);
+      core::ECCheckConfig cfg = engine_config();
+      cfg.kernel = kernel;
+      const std::vector<std::size_t> live = live_counts(shards, cfg.packet_size);
+      const std::size_t B = *std::max_element(live.begin(), live.end());
+
+      // Degraded saves: a dead data node (2), a dead parity node (3), and
+      // both, where the adopter folds two participants into one partial.
+      // Replacing the dead then rebuilds their rows.
+      for (const std::vector<int>& dead :
+           {std::vector<int>{2}, std::vector<int>{3}, std::vector<int>{2, 3}}) {
+        const LossCase lc{dead, {}};
+        SCOPED_TRACE("degraded save, " + lc.name());
+        cluster::VirtualCluster vc(vc_config(g));
+        cluster::VirtualFabric fabric(vc);
+        for (int node : dead) vc.kill(node);
+        const ckpt::SaveReport rep =
+            core::fabric_save(fabric, cfg, pointers(shards), 1, lc.members());
+        EXPECT_EQ(rescans(rep.stats), 0u);
+        expect_sums_on(vc, plan, B, lc.alive());
+        for (int node : dead) vc.replace(node);
+        std::vector<dnn::StateDict> out;
+        const ckpt::LoadReport l = core::fabric_load(fabric, cfg, 1, out);
+        ASSERT_TRUE(l.success) << l.detail;
+        EXPECT_EQ(digests_of(out), digests_of(shards));
+        EXPECT_EQ(rescans(l.stats), 0u);
+        expect_sums_on(vc, plan, B, everyone);
+      }
+
+      // A full save, then every loss case. A degraded load is followed by
+      // the full load that rebuilds the dead nodes once replaced, and each
+      // repair leaves every store as the save left it.
+      cluster::VirtualCluster vc(vc_config(g));
+      cluster::VirtualFabric fabric(vc);
+      const ckpt::SaveReport rep =
+          core::fabric_save(fabric, cfg, pointers(shards), 1);
+      EXPECT_EQ(rescans(rep.stats), 0u);
+      expect_closed_form(fabric, vc.remote(), cfg, shards, 1);
+      std::vector<StoreImage> saved;
+      for (int node = 0; node < kNodes; ++node)
+        saved.push_back(snapshot(vc.host(node)));
+      for (const LossCase& lc : loss_cases()) {
+        SCOPED_TRACE(lc.name());
+        for (int node : lc.dead) vc.kill(node);
+        for (int node : lc.replaced) {
+          vc.kill(node);
+          vc.replace(node);
+        }
+        std::vector<dnn::StateDict> out;
+        const ckpt::LoadReport l =
+            core::fabric_load(fabric, cfg, 1, out, lc.members());
+        ASSERT_TRUE(l.success) << l.detail;
+        EXPECT_EQ(l.detail.find("degraded") != std::string::npos,
+                  !lc.dead.empty())
+            << l.detail;
+        EXPECT_EQ(digests_of(out), digests_of(shards));
+        EXPECT_EQ(rescans(l.stats), 0u);
+        expect_sums_on(vc, plan, B, lc.alive());
+        if (!lc.dead.empty()) {
+          for (int node : lc.dead) vc.replace(node);
+          const ckpt::LoadReport heal = core::fabric_load(fabric, cfg, 1, out);
+          ASSERT_TRUE(heal.success) << heal.detail;
+          EXPECT_EQ(digests_of(out), digests_of(shards));
+          EXPECT_EQ(rescans(heal.stats), 0u);
+        }
+        for (int node = 0; node < kNodes; ++node)
+          expect_identical(snapshot(vc.host(node)),
+                           saved[static_cast<std::size_t>(node)],
+                           "node " + std::to_string(node) + " after repair");
+      }
+    }
+}
+
+// The one repair that still rereads rows for their sums: rows refetched
+// from the remote flush after more than m nodes lost their stores, one
+// rescan per refetched row.
+TEST(FabricEngine, RemoteRefetchIsTheOnlyRowSumsRescan) {
+  const int g = 2, W = kNodes * g;
+  const auto shards = small_shards(W, 47, /*padded=*/true);
+  const core::ECCheckConfig cfg = engine_config(/*flush=*/true);
+  const std::vector<std::size_t> live = live_counts(shards, cfg.packet_size);
+  cluster::VirtualCluster vc(vc_config(g));
+  cluster::VirtualFabric fabric(vc);
+  const ckpt::SaveReport rep =
+      core::fabric_save(fabric, cfg, pointers(shards), 1);
+  EXPECT_EQ(rescans(rep.stats), 0u);
+  for (int node : {0, 1, 2}) {
+    vc.kill(node);
+    vc.replace(node);
+  }
+  std::vector<dnn::StateDict> out;
+  const ckpt::LoadReport l = core::fabric_load(fabric, cfg, 1, out);
+  ASSERT_TRUE(l.success) << l.detail;
+  EXPECT_NE(l.detail.find("remote fallback"), std::string::npos) << l.detail;
+  EXPECT_EQ(digests_of(out), digests_of(shards));
+  EXPECT_EQ(rescans(l.stats), 3u);
+  expect_sums_on(vc, test_plan(g),
+                 *std::max_element(live.begin(), live.end()), {0, 1, 2, 3});
+}
+
 // A peer dying at any step-3 batch — data relocation or any slot's partials
 // — must leave no staging key behind after FabricSession's rollback, keep
 // the previous version loadable bit-exact, and let the retried save commit
@@ -1102,6 +1308,93 @@ TEST(FabricEngine, TcpSessionRecoversByteExact) {
     ASSERT_EQ(got[static_cast<std::size_t>(rank)].size(), 1u);
     EXPECT_EQ(got[static_cast<std::size_t>(rank)][0],
               want[static_cast<std::size_t>(rank)]);
+  }
+}
+
+// The row-sums checks of RowSumsMatchStoredPacketsAfterEverySaveAndRepair
+// over UDS, one thread per rank: a dead rank's transport is torn down and
+// sits out the degraded load, a replaced one comes back empty, and each
+// rank checks its own store.
+TEST(FabricEngine, SocketRowSumsMatchStoredPacketsAfterEveryRepair) {
+  const int g = 2, W = kNodes * g;
+  const core::Placement plan = test_plan(g);
+  const auto shards = small_shards(W, 53, /*padded=*/true);
+  const std::vector<LossCase> cases = loss_cases();
+  for (const ec::KernelMode kernel :
+       {ec::KernelMode::kGfTable, ec::KernelMode::kXorBitmatrix}) {
+    SCOPED_TRACE(kernel_name(kernel));
+    core::ECCheckConfig cfg = engine_config();
+    cfg.kernel = kernel;
+    const std::vector<std::size_t> live = live_counts(shards, cfg.packet_size);
+    const std::size_t B = *std::max_element(live.begin(), live.end());
+    TempDir dir;
+    const auto eps = uds_endpoints(dir, kNodes);
+    std::barrier sync(kNodes);
+    run_ranks(kNodes, [&](int rank) {
+      SCOPED_TRACE(std::string(kernel_name(kernel)) + ", rank " +
+                   std::to_string(rank));
+      auto fabric =
+          std::make_unique<net::SocketTransport>(rank, eps, fast_opts(dir));
+      const int row = plan.generator_row_of_node(rank);
+      // A load that throws is a failure, not an exit: this rank must still
+      // meet the others at every barrier.
+      auto check_load = [&](const core::Membership& members) {
+        std::vector<dnn::StateDict> out;
+        ckpt::LoadReport l;
+        try {
+          l = core::fabric_load(*fabric, cfg, 1, out, members);
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "load threw: " << e.what();
+          return;
+        }
+        EXPECT_TRUE(l.success) << l.detail;
+        std::vector<std::uint64_t> want;
+        for (int w : core::fabric_sited_workers(*fabric, g, members))
+          want.push_back(shards[static_cast<std::size_t>(w)].digest());
+        EXPECT_EQ(digests_of(out), want);
+        EXPECT_EQ(rescans(l.stats), 0u);
+        expect_sums_match_row(fabric->store(rank), "", 1, row,
+                              plan.workers_per_chunk(), B);
+      };
+      const ckpt::SaveReport rep = core::fabric_save(
+          *fabric, cfg,
+          {&shards[static_cast<std::size_t>(rank * g)],
+           &shards[static_cast<std::size_t>(rank * g + 1)]},
+          1);
+      EXPECT_EQ(rescans(rep.stats), 0u);
+      expect_sums_match_row(fabric->store(rank), "", 1, row,
+                            plan.workers_per_chunk(), B);
+      const StoreImage saved = snapshot(fabric->store(rank));
+
+      for (const LossCase& lc : cases) {
+        SCOPED_TRACE(lc.name());
+        sync.arrive_and_wait();  // every rank is done with the last case
+        if (lc.is_dead(rank) || lc.is_replaced(rank)) {
+          fabric.reset();
+        } else {
+          for (int node : lc.dead) fabric->reset_peer(node);
+          for (int node : lc.replaced) fabric->reset_peer(node);
+        }
+        if (lc.is_replaced(rank))
+          fabric =
+              std::make_unique<net::SocketTransport>(rank, eps, fast_opts(dir));
+        sync.arrive_and_wait();
+        if (!lc.is_dead(rank)) check_load(lc.members());
+        if (!lc.dead.empty()) {
+          // The dead come back empty, and a full load rebuilds them.
+          sync.arrive_and_wait();
+          if (lc.is_dead(rank))
+            fabric = std::make_unique<net::SocketTransport>(rank, eps,
+                                                            fast_opts(dir));
+          else
+            for (int node : lc.dead) fabric->reset_peer(node);
+          sync.arrive_and_wait();
+          check_load(core::Membership{});
+        }
+        expect_identical(snapshot(fabric->store(rank)), saved,
+                         "rank " + std::to_string(rank) + " after repair");
+      }
+    });
   }
 }
 

@@ -118,6 +118,63 @@ TEST(Integrity, ScrubRewritesChecksumsAfterRecovery) {
   EXPECT_EQ(digests_of(out), want);
 }
 
+// A node whose sums blob is corrupt (a flipped byte), missing, or cut short
+// must fail the scrub, so the load rebuilds its row — here the row has a
+// flipped byte too, which a cut-short blob would leave unscrubbed. The load
+// must also rewrite its sums, although its commit marker survived.
+// Otherwise the node fails the scrub on every later load and never counts
+// as a survivor again, or its corrupt packet serves as a decode source:
+// losing two more nodes (still m) would leave one chunk, or a wrong one.
+TEST(Integrity, RebuiltRowGetsFreshSumsDespiteItsCommitMarker) {
+  const std::string sums_key = "ec/1/sums";
+  enum class Fault { kFlip, kErase, kCutShort };
+  for (const Fault fault : {Fault::kFlip, Fault::kErase, Fault::kCutShort}) {
+    SCOPED_TRACE(fault == Fault::kFlip    ? "sums byte flipped"
+                 : fault == Fault::kErase ? "sums erased"
+                                          : "sums cut to one slot");
+    VirtualCluster cluster(cluster_config());
+    auto shards = make_shards(4);
+    auto want = digests_of(shards);
+    core::ECCheckEngine engine(ec_config());
+    engine.save(cluster, shards, 1);
+    const Buffer saved = cluster.host(3).get(sums_key).clone();
+    Buffer tampered = saved.clone();
+    switch (fault) {
+      case Fault::kFlip:
+        tampered.data()[5] ^= std::byte{0x01};
+        cluster.host(3).put(sums_key, std::move(tampered));
+        break;
+      case Fault::kErase:
+        cluster.host(3).erase(sums_key);
+        break;
+      case Fault::kCutShort:
+        cluster.host(3).put(sums_key,
+                            Buffer::copy_of(tampered.span().subspan(0, 8)));
+        break;
+    }
+    corrupt_node_chunk(cluster, engine, 3, 1);
+
+    std::vector<dnn::StateDict> out;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      SCOPED_TRACE("load " + std::to_string(attempt));
+      auto load = engine.load(cluster, 1, out);
+      ASSERT_TRUE(load.success) << load.detail;
+      EXPECT_NE(load.detail.find("workflow A"), std::string::npos)
+          << load.detail;
+      EXPECT_EQ(digests_of(out), want);
+      EXPECT_TRUE(cluster.host(3).get(sums_key) == saved);
+    }
+
+    cluster.kill(0);
+    cluster.kill(1);
+    cluster.replace(0);
+    cluster.replace(1);
+    auto load = engine.load(cluster, 1, out);
+    ASSERT_TRUE(load.success) << load.detail;
+    EXPECT_EQ(digests_of(out), want);
+  }
+}
+
 TEST(Integrity, DisablingVerificationSkipsScrub) {
   VirtualCluster cluster(cluster_config());
   auto shards = make_shards(4);
