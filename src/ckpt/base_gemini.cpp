@@ -141,6 +141,9 @@ LoadReport GeminiReplicationEngine::load(cluster::VirtualCluster& cluster,
   }
 
   rep.success = true;
+  rep.detail = "refilled " + std::to_string(refill_tasks.size()) + " of " +
+               std::to_string(cluster.world_size()) +
+               " shards from group replicas";
   rep.resume_time = resume_finish;
   rep.total_time = total_finish;
   finalize_stats();

@@ -89,6 +89,8 @@ LoadReport remote_load(cluster::VirtualCluster& cluster, std::int64_t version,
     out[static_cast<std::size_t>(w)] = dnn::deserialize_state_dict(blob.span());
   }
   rep.success = true;
+  rep.detail = "read " + std::to_string(cluster.world_size()) +
+               " shards from remote storage";
   rep.resume_time = finish;
   rep.total_time = finish;
   rep.stats =

@@ -60,18 +60,10 @@ ECCheckEngine::ECCheckEngine(ECCheckConfig cfg) : cfg_(cfg) {
   ECC_CHECK(cfg_.packet_size > 0);
 }
 
-Placement ECCheckEngine::plan_for(int num_nodes, int gpus_per_node) const {
-  PlacementConfig pc;
-  pc.num_nodes = num_nodes;
-  pc.gpus_per_node = gpus_per_node;
-  pc.k = cfg_.k;
-  pc.m = cfg_.m;
-  return plan_placement(pc);
-}
-
 Placement ECCheckEngine::plan_for(
     const cluster::VirtualCluster& cluster) const {
-  return plan_for(cluster.num_nodes(), cluster.gpus_per_node());
+  return core::plan_for(cluster.num_nodes(), cluster.gpus_per_node(), cfg_.k,
+                        cfg_.m);
 }
 
 ckpt::SaveReport ECCheckEngine::save(cluster::VirtualCluster& cluster,
@@ -124,7 +116,8 @@ ckpt::SaveReport ECCheckEngine::schedule_save(
   ckpt::SaveReport rep;
   const auto stats_base = cluster.stats().counters();
 
-  const Placement plan = plan_for(cluster.num_nodes(), cluster.gpus_per_node());
+  const Placement plan = core::plan_for(
+      cluster.num_nodes(), cluster.gpus_per_node(), cfg_.k, cfg_.m);
   const int W = cluster.world_size();
   const int per_chunk = plan.workers_per_chunk();
   const std::size_t P = cfg_.packet_size;
@@ -155,7 +148,7 @@ ckpt::SaveReport ECCheckEngine::schedule_save(
       pack_done[static_cast<std::size_t>(w)].push_back(
           cluster.host_copy(node, P, {snap}));
   }
-  rep.breakdown["step1_snapshot"] = stall;
+  rep.breakdown[stage_key(Stage::kSnapshot)] = stall;
   rep.stall_time = stall;
 
   // ---- Step 2: broadcast metadata + tensor keys --------------------------
@@ -173,7 +166,7 @@ ckpt::SaveReport ECCheckEngine::schedule_save(
           std::max(meta_bcast_finish, cluster.timeline().finish_time(t));
     }
   }
-  rep.breakdown["step2_metadata_broadcast"] = meta_bcast_finish;
+  rep.breakdown[stage_key(Stage::kMetadataBroadcast)] = meta_bcast_finish;
 
   // ---- Step 3: encode → XOR-reduce → P2P ---------------------------------
   // A stripe is one (reduction group j, buffer b) pair: it touches packet b
@@ -321,17 +314,14 @@ ckpt::SaveReport ECCheckEngine::schedule_save(
   Seconds encode_finish = stall;
   for (Seconds f : row_finish) encode_finish = std::max(encode_finish, f);
   encode_finish = std::max(encode_finish, meta_bcast_finish);
-  rep.breakdown["step3_encode_pipeline"] = encode_finish;
+  rep.breakdown[stage_key(Stage::kEncodePipeline)] = encode_finish;
   rep.total_time = encode_finish;
 
   // ---- Step 4: low-frequency remote flush --------------------------------
   if (cfg_.flush_to_remote) {
     Seconds flush_finish = encode_finish;
     for (int row = 0; row < cfg_.k + cfg_.m; ++row) {
-      const int node = row < cfg_.k
-                           ? plan.data_nodes[static_cast<std::size_t>(row)]
-                           : plan.parity_nodes[static_cast<std::size_t>(
-                                 row - cfg_.k)];
+      const int node = plan.node_of_row(row);
       for (int j = 0; j < per_chunk; ++j) {
         for (int b = 0; b < static_cast<int>(B); ++b) {
           cluster::TaskId t = cluster.remote_write(node, P, {});
@@ -341,7 +331,7 @@ ckpt::SaveReport ECCheckEngine::schedule_save(
         }
       }
     }
-    rep.breakdown["step4_remote_flush"] = flush_finish;
+    rep.breakdown[stage_key(Stage::kRemoteFlush)] = flush_finish;
     rep.total_time = std::max(rep.total_time, flush_finish);
   }
 
@@ -362,7 +352,8 @@ ckpt::LoadReport ECCheckEngine::schedule_load(
   if (!moved.success) return rep;
   const auto stats_base = cluster.stats().counters();
 
-  const Placement plan = plan_for(cluster.num_nodes(), cluster.gpus_per_node());
+  const Placement plan = core::plan_for(
+      cluster.num_nodes(), cluster.gpus_per_node(), cfg_.k, cfg_.m);
   const int W = cluster.world_size();
   const int n = cluster.num_nodes();
   const int per_chunk = plan.workers_per_chunk();
@@ -372,12 +363,6 @@ ckpt::LoadReport ECCheckEngine::schedule_load(
             static_cast<int>(moved.metadata_refreshed.size()) == n);
   const std::vector<WorkerSizes> sizes = worker_sizes(out);
   const std::size_t B = uniform_packets(sizes, P);
-
-  auto node_of_row = [&](int row) {
-    return row < cfg_.k
-               ? plan.data_nodes[static_cast<std::size_t>(row)]
-               : plan.parity_nodes[static_cast<std::size_t>(row - cfg_.k)];
-  };
 
   // ---- which chunk rows survived, as the byte plane's round 1 agreed ----
   std::vector<int> survivor_rows, missing_rows, refetched_rows;
@@ -405,7 +390,7 @@ ckpt::LoadReport ECCheckEngine::schedule_load(
                                  0);
   std::vector<Seconds> node_meta_ready(static_cast<std::size_t>(n), 0);
   for (int row : refetched_rows) {
-    const int node = node_of_row(row);
+    const int node = plan.node_of_row(row);
     Seconds fetched = 0;
     for (int j = 0; j < per_chunk; ++j)
       for (int b = 0; b < static_cast<int>(B); ++b) {
@@ -476,16 +461,17 @@ ckpt::LoadReport ECCheckEngine::schedule_load(
       for (int b = 0; b < static_cast<int>(B); ++b) {
         // Partial products at each survivor, one per target row.
         for (const int target_row : targets) {
-          const int target_node = node_of_row(target_row);
+          const int target_node = plan.node_of_row(target_row);
           cluster::TaskId carry = -1;
           for (int s = 0; s < cfg_.k; ++s) {
-            const int snode = node_of_row(basis[static_cast<std::size_t>(s)]);
+            const int snode =
+                plan.node_of_row(basis[static_cast<std::size_t>(s)]);
             cluster::TaskId part = cluster.cpu_code(snode, P, {gate});
             if (carry < 0) {
               carry = part;
             } else {
               const int prev_node =
-                  node_of_row(basis[static_cast<std::size_t>(s - 1)]);
+                  plan.node_of_row(basis[static_cast<std::size_t>(s - 1)]);
               cluster::TaskId arrive = carry;
               if (prev_node != snode)
                 arrive = cluster.net_send(prev_node, snode, P, {carry}, false,
@@ -494,7 +480,7 @@ ckpt::LoadReport ECCheckEngine::schedule_load(
             }
           }
           const int last_node =
-              node_of_row(basis[static_cast<std::size_t>(cfg_.k - 1)]);
+              plan.node_of_row(basis[static_cast<std::size_t>(cfg_.k - 1)]);
           cluster::TaskId done = carry;
           if (last_node != target_node)
             done = cluster.net_send(last_node, target_node, P, {carry}, false,

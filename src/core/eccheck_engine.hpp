@@ -108,7 +108,6 @@ class ECCheckEngine final : public ckpt::CheckpointEngine {
   /// The communication plan for a given cluster shape (exposed for tests
   /// and the placement ablation bench).
   Placement plan_for(const cluster::VirtualCluster& cluster) const;
-  Placement plan_for(int num_nodes, int gpus_per_node) const;
 
   ckpt::SaveReport save(cluster::VirtualCluster& cluster,
                         const std::vector<dnn::StateDict>& shards,

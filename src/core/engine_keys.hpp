@@ -11,11 +11,25 @@
 //   <ns>tmp/<version>/local/<w>/<b>      staging copy of worker w's packet b
 //   <ns>tmp/<version>/partial/<j>/<r>/<s> site s's GF partial of parity row
 //                                        r, group j (reused across slots b)
+//   <ns>tmp/<version>/load/rec/<s>/<j>/<b>  basis row s's packet b of stripe
+//                                        j, shipped to a decode target's site
+//   <ns>tmp/<version>/load/refill/<w>/<b> worker w's packet b, shipped from
+//                                        its data node to the worker's site
+//
+// The SPMD flag rounds (one 16-byte flag per node, all-gathered and erased
+// again) key each node's flag as a prefix followed by "<node>":
+//
+//   <ns>tmp/<version>/delta/flag/<node>  a delta save's base version and
+//                                        dirty bytes
+//   <ns>tmp/<version>/load/flag<i>/<node> a load's round i ∈ {1, 2}: row
+//                                        state and metadata extent
+//   <ns>tmp/vers/<node>                  the newest committed version the
+//                                        node knows (unversioned)
 //
 // Everything under "<ns>ec/<version>/" is the durable footprint of one
 // version (version_prefix); "<ns>tmp/<version>/" holds transient staging
-// keys that a completed save always erases (tmp_prefix — a torn save rolls
-// them back).
+// keys that a completed save or load always erases (tmp_prefix — a torn
+// save rolls them back).
 //
 // Incremental checkpointing (ECCheckConfig::delta) adds an unversioned
 // base cache at each worker's site — the packed packets of the last
@@ -73,12 +87,23 @@ inline std::string row_key(const std::string& ns, std::int64_t v, int row,
   return row_prefix(ns, v, row) + std::to_string(j) + "/" + std::to_string(b);
 }
 
+/// Prefix of version v's metadata blobs; worker w's key is the prefix
+/// followed by "<w>".
+inline std::string meta_prefix(const std::string& ns, std::int64_t v) {
+  return version_prefix(ns, v) + "meta/";
+}
+
 inline std::string meta_key(const std::string& ns, std::int64_t v, int w) {
-  return version_prefix(ns, v) + "meta/" + std::to_string(w);
+  return meta_prefix(ns, v) + std::to_string(w);
+}
+
+/// Prefix of version v's tensor-keys blobs, named like meta_prefix's.
+inline std::string keys_prefix(const std::string& ns, std::int64_t v) {
+  return version_prefix(ns, v) + "keys/";
 }
 
 inline std::string keys_key(const std::string& ns, std::int64_t v, int w) {
-  return version_prefix(ns, v) + "keys/" + std::to_string(w);
+  return keys_prefix(ns, v) + std::to_string(w);
 }
 
 inline std::string commit_key(const std::string& ns, std::int64_t v) {
@@ -108,6 +133,43 @@ inline std::string local_key(const std::string& ns, std::int64_t v, int w,
                              int b) {
   return tmp_prefix(ns, v) + "local/" + std::to_string(w) + "/" +
          std::to_string(b);
+}
+
+/// Prefix of version v's parity partials, erased once after step 3.
+inline std::string partial_prefix(const std::string& ns, std::int64_t v) {
+  return tmp_prefix(ns, v) + "partial/";
+}
+
+inline std::string partial_key(const std::string& ns, std::int64_t v, int j,
+                               int r, int site) {
+  return partial_prefix(ns, v) + std::to_string(j) + "/" + std::to_string(r) +
+         "/" + std::to_string(site);
+}
+
+inline std::string load_rec_key(const std::string& ns, std::int64_t v, int s,
+                                int j, int b) {
+  return tmp_prefix(ns, v) + "load/rec/" + std::to_string(s) + "/" +
+         std::to_string(j) + "/" + std::to_string(b);
+}
+
+inline std::string load_refill_key(const std::string& ns, std::int64_t v,
+                                   int w, int b) {
+  return tmp_prefix(ns, v) + "load/refill/" + std::to_string(w) + "/" +
+         std::to_string(b);
+}
+
+inline std::string delta_flag_prefix(const std::string& ns, std::int64_t v) {
+  return tmp_prefix(ns, v) + "delta/flag/";
+}
+
+inline std::string load_flag_prefix(const std::string& ns, std::int64_t v,
+                                    int round) {
+  return tmp_prefix(ns, v) + "load/flag" + std::to_string(round) + "/";
+}
+
+/// Unversioned: fabric_newest_version runs before any version is chosen.
+inline std::string newest_flag_prefix(const std::string& ns) {
+  return ns + "tmp/vers/";
 }
 
 inline std::string base_prefix(const std::string& ns) { return ns + "base/"; }

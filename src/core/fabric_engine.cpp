@@ -6,8 +6,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <span>
 
 #include "common/bytes.hpp"
@@ -56,16 +58,13 @@ std::vector<int> driven_nodes(cluster::Fabric& fabric) {
   return nodes;
 }
 
-std::vector<int> all_nodes(int n) {
-  std::vector<int> nodes(static_cast<std::size_t>(n));
-  std::iota(nodes.begin(), nodes.end(), 0);
-  return nodes;
-}
-
 /// The ranks participating in collectives under `members`: the alive list,
 /// or everyone under full membership.
 std::vector<int> active_nodes(int n, const Membership& members) {
-  return members.full() ? all_nodes(n) : members.alive;
+  if (!members.full()) return members.alive;
+  std::vector<int> nodes(static_cast<std::size_t>(n));
+  std::iota(nodes.begin(), nodes.end(), 0);
+  return nodes;
 }
 
 /// Nodes whose per-node protocol state this process is responsible for:
@@ -76,6 +75,15 @@ std::vector<int> sited_nodes(cluster::Fabric& fabric,
   std::vector<int> nodes;
   for (int node = 0; node < fabric.world_size(); ++node)
     if (fabric.drives(members.site(node))) nodes.push_back(node);
+  return nodes;
+}
+
+/// The nodes of `act` that this process drives, ascending.
+std::vector<int> alive_driven(cluster::Fabric& fabric,
+                              const std::vector<int>& act) {
+  std::vector<int> nodes;
+  for (int node : act)
+    if (fabric.drives(node)) nodes.push_back(node);
   return nodes;
 }
 
@@ -144,6 +152,39 @@ std::uint64_t get_u64_le(const std::byte* p) {
   return v;
 }
 
+/// `fields` as consecutive u64 LE: the layout of every fixed-size record
+/// here (a node flag, a moved marker, the base-cache marker).
+Buffer u64_record(std::initializer_list<std::uint64_t> fields) {
+  Buffer buf(fields.size() * 8, Buffer::Init::kUninitialized);
+  std::byte* p = buf.data();
+  for (const std::uint64_t v : fields) {
+    put_u64_le(p, v);
+    p += 8;
+  }
+  return buf;
+}
+
+/// Reads the u64_record under `key` into `fields`; false, with `fields`
+/// untouched, when the store holds no record of that many fields there.
+bool read_record(const cluster::Store& store, const std::string& key,
+                 std::initializer_list<std::uint64_t*> fields) {
+  if (!store.contains(key) || store.get(key).size() != fields.size() * 8)
+    return false;
+  const std::byte* p = store.get(key).data();
+  for (std::uint64_t* field : fields) {
+    *field = get_u64_le(p);
+    p += 8;
+  }
+  return true;
+}
+
+/// Whether W workers fill a world of n nodes evenly and split into k data
+/// chunks: the only worker counts a stored metadata extent may name.
+bool valid_worker_count(std::uint64_t W, int n, int k) {
+  return W > 0 && W % static_cast<std::uint64_t>(n) == 0 &&
+         W % static_cast<std::uint64_t>(k) == 0;
+}
+
 /// One SPMD flag round: every driven node contributes 16 bytes
 /// (flag, worker-count) under a per-node tmp key, all_gather makes all n
 /// contributions visible everywhere, and the tmp keys are erased again.
@@ -170,10 +211,7 @@ std::vector<NodeFlag> exchange_flags(
   for (int node : act) {
     if (!fabric.drives(node)) continue;
     const NodeFlag f = local(node);
-    Buffer buf(16, Buffer::Init::kZeroed);
-    put_u64_le(buf.data(), f.flag);
-    put_u64_le(buf.data() + 8, f.workers);
-    fabric.store(node).put(fkey(node), std::move(buf));
+    fabric.store(node).put(fkey(node), u64_record({f.flag, f.workers}));
   }
   try {
     fabric.all_gather(act, fkey);
@@ -187,11 +225,10 @@ std::vector<NodeFlag> exchange_flags(
   std::vector<NodeFlag> flags(static_cast<std::size_t>(n));
   const int home = home_node(fabric, act);
   for (int node : act) {
-    const Buffer& buf = fabric.store(home).get(fkey(node));
-    ECC_CHECK(buf.size() == 16);
-    flags[static_cast<std::size_t>(node)].flag = get_u64_le(buf.data());
-    flags[static_cast<std::size_t>(node)].workers =
-        get_u64_le(buf.data() + 8);
+    NodeFlag& f = flags[static_cast<std::size_t>(node)];
+    ECC_CHECK_MSG(read_record(fabric.store(home), fkey(node),
+                              {&f.flag, &f.workers}),
+                  "no well-formed flag of rank " << node);
   }
   erase_all();
   return flags;
@@ -285,6 +322,15 @@ Buffer sums_blob(const std::vector<std::uint64_t>& sums) {
   return Buffer::copy_of(std::as_bytes(std::span(sums)));
 }
 
+/// Publishes a node's chunk row of `version`: its CRC sums (`sums`, empty
+/// when integrity checks are off), then the commit marker that makes the
+/// row a survivor to later loads.
+void commit_row(cluster::Store& store, const std::string& ns,
+                std::int64_t version, Buffer sums) {
+  if (!sums.empty()) store.put(sums_key(ns, version), std::move(sums));
+  store.put(commit_key(ns, version), Buffer::copy_of(as_bytes_of(version)));
+}
+
 /// The fallback for a row whose sums were not taken as it was produced:
 /// rereads every packet of chunk row `row` of `version` on `node` and
 /// counts `integrity.sums.rescan.count`.
@@ -348,19 +394,40 @@ bool apply_undo(ByteSpan undo, MutableByteSpan pkt) {
 struct Moved {
   std::int64_t to = 0;
   int row = 0;
+
+  Buffer blob() const {
+    return u64_record(
+        {static_cast<std::uint64_t>(to), static_cast<std::uint64_t>(row)});
+  }
 };
 
 Moved moved_of(const cluster::Store& store, const std::string& ns,
                std::int64_t version) {
-  Moved m;
-  if (!store.contains(moved_key(ns, version))) return m;
-  const Buffer& buf = store.get(moved_key(ns, version));
-  if (buf.size() != 16) return m;
-  const auto to = static_cast<std::int64_t>(get_u64_le(buf.data()));
-  const std::uint64_t row = get_u64_le(buf.data() + 8);
-  if (to <= version || row > static_cast<std::uint64_t>(INT32_MAX)) return m;
-  m.to = to;
-  m.row = static_cast<int>(row);
+  std::uint64_t to = 0;
+  std::uint64_t row = 0;
+  if (!read_record(store, moved_key(ns, version), {&to, &row}) ||
+      static_cast<std::int64_t>(to) <= version ||
+      row > static_cast<std::uint64_t>(INT32_MAX))
+    return {};
+  return {static_cast<std::int64_t>(to), static_cast<int>(row)};
+}
+
+/// The base cache's marker: the committed version its packets hold and the
+/// shape they were packed at (packets per worker, packet size, GPUs per
+/// node).
+struct BaseMark {
+  std::uint64_t version = 0;
+  std::uint64_t B = 0;
+  std::uint64_t P = 0;
+  std::uint64_t g = 0;
+
+  Buffer blob() const { return u64_record({version, B, P, g}); }
+};
+
+/// `store`'s base-cache marker; all zeros when it holds none.
+BaseMark base_mark_of(const cluster::Store& store, const std::string& ns) {
+  BaseMark m;
+  read_record(store, base_mark_key(ns), {&m.version, &m.B, &m.P, &m.g});
   return m;
 }
 
@@ -435,65 +502,157 @@ std::vector<int> fabric_sited_workers(cluster::Fabric& fabric,
 }
 
 // ---------------------------------------------------------------------------
-// save
+// save and load: the protocol's steps over one per-operation context
 // ---------------------------------------------------------------------------
 
-ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
-                             const std::vector<const dnn::StateDict*>& shards,
-                             std::int64_t version,
-                             const Membership& members) {
-  const auto t0 = Clock::now();
-  const int n = fabric.world_size();
-  ECC_CHECK_MSG(cfg.k + cfg.m == n, "k+m must equal the fabric world size");
-  members.check(n);
+namespace {
+
+using KeyPairs = std::vector<std::pair<std::string, std::string>>;
+
+/// What every step of one fabric_save or fabric_load reads.
+struct Op {
+  Op(cluster::Fabric& fabric, const ECCheckConfig& cfg, std::int64_t version,
+     const Membership& members)
+      : fabric(fabric), cfg(cfg), members(members), version(version),
+        ns(cfg.key_namespace), n(fabric.world_size()),
+        act(active_nodes(n, members)), driven(driven_nodes(fabric)),
+        mine(alive_driven(fabric, act)),
+        codec(cfg.k, cfg.m, cfg.gf_width, cfg.kernel), P(cfg.packet_size) {
+    ECC_CHECK_MSG(cfg.k + cfg.m == n, "k+m must equal the fabric world size");
+    members.check(n);
+  }
+
+  /// Fixes every rank's chunk role for `gpus` workers per node.
+  void set_shape(int gpus) {
+    g = gpus;
+    W = n * g;
+    plan = plan_for(n, g, cfg.k, cfg.m);
+    per_chunk = plan.workers_per_chunk();
+  }
+  /// Uniform B and the dead slots, from the tensor-keys blobs every rank
+  /// holds after step 2 (or the load's metadata refresh).
+  void count_packets(std::vector<std::vector<dnn::TensorMeta>>* tkeys) {
+    counts = packet_counts(fabric.store(home_node(fabric, act)), ns, version,
+                           W, cfg.k, P, tkeys);
+    B = counts.B;
+  }
+
+  const Clock::time_point t0 = Clock::now();
+  cluster::Fabric& fabric;
+  const ECCheckConfig& cfg;
+  const Membership& members;
+  const std::int64_t version;
+  const std::string& ns;
+  const int n;
+  const std::vector<int> act;     ///< the participating (alive) ranks
+  const std::vector<int> driven;  ///< the ranks this process drives
+  const std::vector<int> mine;    ///< the alive ranks it drives
+  const ec::CrsCodec codec;
+  const std::size_t P;
+  int g = 0;  ///< workers per node
+  int W = 0;
+  Placement plan;
+  int per_chunk = 0;
+  PacketCounts counts;
+  std::size_t B = 1;
+};
+
+/// What the delta flag exchange agreed on: the base version every rank
+/// patches (0 = the full path) and the dirty bytes.
+struct DeltaVote {
+  std::int64_t base = 0;
+  std::uint64_t dirty = 0;
+  double ratio = 0;  ///< dirty share of the live bytes
+};
+
+/// One fabric_save. Its steps, in protocol order, are the member functions.
+struct SaveOp : Op {
+  SaveOp(cluster::Fabric& fabric, const ECCheckConfig& cfg,
+         const std::vector<const dnn::StateDict*>& shards,
+         std::int64_t version, const Membership& members);
+
+  void share_metadata(const std::vector<const dnn::StateDict*>& shards);
+  DeltaVote delta_snapshot();
+  NodeFlag delta_state(int node, Buffer& scratch,
+                       std::vector<std::byte>& delta_bytes);
+  void delta_patch(const DeltaVote& vote);
+  template <typename Apply>
+  void patch_row(int dst, int row, int w, int j,
+                 const std::vector<DirtyExtent>& wext, std::int64_t bv,
+                 std::vector<Ranges>& footprints, Apply&& apply);
+  void pack();
+  void relocate_data();
+  void encode_parity();
+  void commit(bool delta_used);
+  void flush_to_remote();
+  void update_base_cache(bool delta_used);
+
+  void stamp(Stage stage) { rep.breakdown[stage_key(stage)] = since(t0); }
+  void stamp_stall() {
+    rep.stall_time = since(t0);
+    rep.breakdown[stage_key(Stage::kSnapshot)] = rep.stall_time;
+  }
+  /// Where the full path keeps the sum of slot (j, b) of `node`'s row, or
+  /// nullptr when it takes none there.
+  std::uint64_t* taken_sum(int node, int j, std::size_t b) {
+    const auto it = taken_sums.find(node);
+    return it == taken_sums.end()
+               ? nullptr
+               : &it->second[static_cast<std::size_t>(j) * B + b];
+  }
+
+  const std::vector<int> handled;  ///< the ranks this process sites
+  const bool delta_wanted;         ///< a base cache is kept
+  ckpt::SaveReport rep;
+  std::map<int, Decomposition> decs;  ///< sited worker → decomposition
+  // A delta save's sited worker → its dirty extents and its Δ payload (new
+  // ⊕ base of each extent, concatenated in manifest order), kept by the
+  // source until the base cache is patched after the commit barrier.
+  std::map<int, std::vector<DirtyExtent>> local_extents;
+  std::map<int, Buffer> staged;
+  std::map<int, Buffer> carried_sums;  ///< node → its row's patched sums
+  /// The full path's sums per driven alive node (DESIGN.md §7): every slot
+  /// starts as a zero slot, and each live packet's sum is taken where the
+  /// packet is produced, so the commit never rereads the row.
+  RowSums taken_sums;
+};
+
+SaveOp::SaveOp(cluster::Fabric& fabric, const ECCheckConfig& cfg,
+               const std::vector<const dnn::StateDict*>& shards,
+               std::int64_t version, const Membership& members)
+    : Op(fabric, cfg, version, members),
+      handled(sited_nodes(fabric, members)),
+      delta_wanted(cfg.delta.enabled && members.full()) {
   const int n_alive = members.alive_count(n);
   ECC_CHECK_MSG(n_alive >= cfg.k, "degraded save impossible: only "
                                       << n_alive << " of " << n
                                       << " ranks alive, need at least k="
                                       << cfg.k);
-  const std::vector<int> act = active_nodes(n, members);
-  const std::vector<int> driven = driven_nodes(fabric);
-  const std::vector<int> handled = sited_nodes(fabric, members);
   ECC_CHECK_MSG(!handled.empty(),
                 "this process sites no rank under the given membership");
   ECC_CHECK_MSG(!shards.empty() && shards.size() % handled.size() == 0,
                 "need the same number of shards per sited rank");
-  const int g = static_cast<int>(shards.size() / handled.size());
-  const int W = n * g;
-  ECC_CHECK_MSG(W % cfg.k == 0, "k must divide the worker count");
-
-  PlacementConfig pc;
-  pc.num_nodes = n;
-  pc.gpus_per_node = g;
-  pc.k = cfg.k;
-  pc.m = cfg.m;
-  const Placement plan = plan_placement(pc);
-  const ec::CrsCodec codec(cfg.k, cfg.m, cfg.gf_width, cfg.kernel);
-  const int per_chunk = plan.workers_per_chunk();
-  const std::size_t P = cfg.packet_size;
+  const int gpus = static_cast<int>(shards.size() / handled.size());
+  ECC_CHECK_MSG(n * gpus % cfg.k == 0, "k must divide the worker count");
+  set_shape(gpus);
   ECC_CHECK_MSG(P % codec.packet_granularity() == 0,
                 "packet_size must be a multiple of the codec granularity");
-  const std::string& ns = cfg.key_namespace;
+}
 
-  ckpt::SaveReport rep;
-  const auto stats_base = fabric.stats().counters();
-  obs::ScopedSpan span("engine.save[" + fabric.fabric_name() + "]");
-
+/// Steps 1–2: decompose each sited worker's shard, keep its metadata and
+/// tensor-keys blobs at its site and give every node every worker's blobs.
+void SaveOp::share_metadata(const std::vector<const dnn::StateDict*>& shards) {
   std::map<int, int> shard_index;  // worker → index into `shards`
-  {
-    int idx = 0;
-    for (int node : handled)  // ascending, matching fabric_sited_workers
-      for (int l = 0; l < g; ++l) {
-        const int w = node * g + l;
-        shard_index[w] = idx++;
-        ECC_CHECK_MSG(
-            shards[static_cast<std::size_t>(shard_index[w])] != nullptr,
-            "null shard for worker " << w);
-      }
-  }
+  for (int node : handled)  // ascending, matching fabric_sited_workers
+    for (int l = 0; l < g; ++l) {
+      const int w = node * g + l;
+      const int idx = static_cast<int>(shard_index.size());
+      shard_index[w] = idx;
+      ECC_CHECK_MSG(shards[static_cast<std::size_t>(idx)] != nullptr,
+                    "null shard for worker " << w);
+    }
 
   // ---- Step 1: decompose + serialize the tiny components -----------------
-  std::map<int, Decomposition> decs;  // sited worker → decomposition
   for (const auto& [w, si] : shard_index) {
     const int site = members.site(w / g);
     Decomposition dec = decompose(*shards[static_cast<std::size_t>(si)]);
@@ -524,562 +683,521 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
       }
     }
   }
-  rep.breakdown["step2_metadata_broadcast"] = since(t0);
+  stamp(Stage::kMetadataBroadcast);
+  count_packets(nullptr);  // uniform so reduction groups align (§III-C)
+}
 
-  // Uniform packets-per-worker so reduction groups align (§III-C).
-  const int home = home_node(fabric, act);
-  const PacketCounts counts =
-      packet_counts(fabric.store(home), ns, version, W, cfg.k, P);
-  const std::size_t B = counts.B;
+/// The delta path's snapshot, fused with its eligibility check: each live
+/// packet is packed into one reused scratch packet, diffed against the base
+/// cache, and each dirty extent's Δ appended while the scratch is still
+/// cache-hot. No pack of the shard is kept, and after this pass the delta
+/// path reads no live tensor byte. Then one flag exchange carries each
+/// rank's base version and dirty bytes: the save takes the delta path only
+/// if every rank names the same base version and the dirty bytes are at
+/// most kMaxDirtyRatio of the live bytes.
+DeltaVote SaveOp::delta_snapshot() {
+  Buffer scratch(P, Buffer::Init::kUninitialized);
+  std::vector<std::byte> delta_bytes;  // the current worker's Δ
+  std::map<int, NodeFlag> local_flags;
+  for (int node : driven)
+    local_flags[node] = delta_state(node, scratch, delta_bytes);
+  stamp_stall();
 
-  // ---- Incremental path (cfg.delta): patch the last version in place -----
-  // When every site still holds a valid base cache of one common committed
-  // version and the global dirty ratio is small enough, the stripe is not
-  // re-encoded: each node moves its own chunk row of the base version under
-  // the new version locally, only the dirty regions' XOR-deltas travel
-  // (one payload per worker to the data node and to each of the m parity
-  // nodes; DESIGN.md §7), the data row is XOR-patched
-  // and each parity row folded with P' = P ⊕ G·Δ — bit-identical to the
-  // full four-step protocol by code linearity. Any prerequisite failure on
-  // any rank (first save, rolled-back base, shape change, pruned base,
-  // degraded membership) falls through to the full path below, which only
-  // then packs the shards.
-  bool delta_used = false;
-  const bool delta_wanted = cfg.delta.enabled && members.full();
-  std::map<int, Buffer> carried_sums;  // node → its row's patched CRC sums
-  // Sited worker → its dirty extents and its Δ payload (new ⊕ base of each
-  // extent, concatenated in manifest order), kept by the source until the
-  // base cache is patched after the commit barrier.
-  std::map<int, std::vector<DirtyExtent>> local_extents;
-  std::map<int, Buffer> staged;
-  if (delta_wanted) {
-    // The eligibility step is the delta path's snapshot: each live packet
-    // is packed into one reused scratch packet, diffed against the base
-    // cache, and each dirty extent's Δ appended while the scratch is still
-    // cache-hot. No pack of the shard is kept, and after this pass the
-    // delta path reads no live tensor byte.
-    Buffer scratch(P, Buffer::Init::kUninitialized);
-    std::vector<std::byte> delta_bytes;  // the current worker's Δ
-    auto delta_state = [&](int node) {
-      NodeFlag f;  // flag = usable common base version, 0 = no delta here
-      cluster::Store& store = fabric.store(node);
-      if (!store.contains(base_mark_key(ns))) return f;
-      const Buffer& mark = store.get(base_mark_key(ns));
-      if (mark.size() != 32) return f;
-      const auto mv = static_cast<std::int64_t>(get_u64_le(mark.data()));
-      if (mv <= 0 || mv >= version) return f;
-      if (get_u64_le(mark.data() + 8) != B ||
-          get_u64_le(mark.data() + 16) != P ||
-          get_u64_le(mark.data() + 24) != static_cast<std::uint64_t>(g))
-        return f;
-      // The base rows being patched must still be committed on this node —
-      // a torn delta save rolls its version keys back, which breaks exactly
-      // this check and forces the safe full re-encode.
-      const int row = plan.generator_row_of_node(node);
-      if (!store.contains(commit_key(ns, mv)) ||
-          !store.contains(row_key(ns, mv, row, 0, 0)))
-        return f;
-      obs::ScopedSpan diff_span("engine.save.diff");
-      std::uint64_t dirty = 0;
-      for (int l = 0; l < g; ++l) {
-        const int w = node * g + l;
-        // Tensor shapes must be stable or the packet layout shifted.
-        if (!store.contains(base_keys_key(ns, w))) return f;
-        const Buffer& cached = store.get(base_keys_key(ns, w));
-        const Buffer& fresh = store.get(keys_key(ns, version, w));
-        if (cached.size() != fresh.size() ||
-            std::memcmp(cached.data(), fresh.data(), fresh.size()) != 0)
-          return f;
-        // Identical tensor keys mean identical live counts: the dead
-        // padding slots are zero in both versions and cannot be dirty.
-        const std::vector<ByteSpan>& tensors = decs.at(w).tensor_data;
-        std::vector<DirtyExtent> wext;
-        delta_bytes.clear();
-        const auto live =
-            static_cast<int>(counts.live[static_cast<std::size_t>(w)]);
-        for (int b = 0; b < live; ++b) {
-          if (!store.contains(base_local_key(ns, w, b))) return f;
-          const Buffer& base = store.get(base_local_key(ns, w, b));
-          if (base.size() != P) return f;
-          pack_packet(tensors, static_cast<std::size_t>(b), scratch.span());
-          for (const DirtyExtent& e :
-               diff_packet(b, base.span(), scratch.span(), kDirtyBlock)) {
-            const std::size_t at = delta_bytes.size();
-            delta_bytes.insert(delta_bytes.end(), scratch.data() + e.offset,
-                               scratch.data() + e.offset + e.length);
-            xor_into(MutableByteSpan(delta_bytes.data() + at, e.length),
-                     base.span().subspan(e.offset, e.length));
-            wext.push_back(e);
-          }
-        }
-        dirty += dirty_bytes(wext);
-        local_extents[w] = std::move(wext);
-        staged[w] = Buffer::copy_of(delta_bytes);
-      }
-      f.flag = static_cast<std::uint64_t>(mv);
-      f.workers = dirty;
+  const std::vector<NodeFlag> dflags = exchange_flags(
+      fabric, keys::delta_flag_prefix(ns, version),
+      [&](int node) { return local_flags.at(node); }, act);
+  DeltaVote vote;
+  std::uint64_t base_version = dflags[0].flag;
+  for (const NodeFlag& f : dflags) {
+    if (f.flag != base_version)
+      base_version = 0;  // disagreeing or missing base on some rank
+    vote.dirty += f.workers;
+  }
+  // Dirty share of the live bytes: a full save never ships dead slots.
+  std::uint64_t live_bytes = 0;
+  for (const std::size_t live : counts.live) live_bytes += live * P;
+  vote.ratio = live_bytes == 0 ? 0.0
+                               : static_cast<double>(vote.dirty) /
+                                     static_cast<double>(live_bytes);
+  if (vote.ratio <= kMaxDirtyRatio)
+    vote.base = static_cast<std::int64_t>(base_version);
+  return vote;
+}
+
+/// One node's part of delta_snapshot. Its flag is the usable common base
+/// version (0 = no delta here), paired with its workers' dirty bytes.
+NodeFlag SaveOp::delta_state(int node, Buffer& scratch,
+                             std::vector<std::byte>& delta_bytes) {
+  NodeFlag f;
+  cluster::Store& store = fabric.store(node);
+  const BaseMark mark = base_mark_of(store, ns);
+  const auto mv = static_cast<std::int64_t>(mark.version);
+  if (mv <= 0 || mv >= version || mark.B != B || mark.P != P ||
+      mark.g != static_cast<std::uint64_t>(g))
+    return f;
+  // The base rows being patched must still be committed on this node — a
+  // torn delta save rolls its version keys back, which breaks exactly this
+  // check and forces the safe full re-encode.
+  const int row = plan.generator_row_of_node(node);
+  if (!store.contains(commit_key(ns, mv)) ||
+      !store.contains(row_key(ns, mv, row, 0, 0)))
+    return f;
+  obs::ScopedSpan diff_span("engine.save.diff");
+  std::uint64_t dirty = 0;
+  for (int l = 0; l < g; ++l) {
+    const int w = node * g + l;
+    // Tensor shapes must be stable or the packet layout shifted.
+    if (!store.contains(base_keys_key(ns, w))) return f;
+    const Buffer& cached = store.get(base_keys_key(ns, w));
+    const Buffer& fresh = store.get(keys_key(ns, version, w));
+    if (cached.size() != fresh.size() ||
+        std::memcmp(cached.data(), fresh.data(), fresh.size()) != 0)
       return f;
-    };
-    std::map<int, NodeFlag> local_flags;
-    for (int node : driven) local_flags[node] = delta_state(node);
-    rep.stall_time = since(t0);
-    rep.breakdown["step1_snapshot"] = rep.stall_time;
-
-    const std::vector<NodeFlag> dflags = exchange_flags(
-        fabric, tmp_prefix(ns, version) + "delta/flag/",
-        [&](int node) { return local_flags.at(node); }, act);
-    std::uint64_t base_version = dflags[0].flag;
-    std::uint64_t total_dirty = 0;
-    for (int node = 0; node < n; ++node) {
-      if (dflags[static_cast<std::size_t>(node)].flag != base_version)
-        base_version = 0;  // disagreeing or missing base on some rank
-      total_dirty += dflags[static_cast<std::size_t>(node)].workers;
+    // Identical tensor keys mean identical live counts: the dead padding
+    // slots are zero in both versions and cannot be dirty.
+    const std::vector<ByteSpan>& tensors = decs.at(w).tensor_data;
+    std::vector<DirtyExtent> wext;
+    delta_bytes.clear();
+    const auto live =
+        static_cast<int>(counts.live[static_cast<std::size_t>(w)]);
+    for (int b = 0; b < live; ++b) {
+      if (!store.contains(base_local_key(ns, w, b))) return f;
+      const Buffer& base = store.get(base_local_key(ns, w, b));
+      if (base.size() != P) return f;
+      pack_packet(tensors, static_cast<std::size_t>(b), scratch.span());
+      for (const DirtyExtent& e :
+           diff_packet(b, base.span(), scratch.span(), kDirtyBlock)) {
+        const std::size_t at = delta_bytes.size();
+        delta_bytes.insert(delta_bytes.end(), scratch.data() + e.offset,
+                           scratch.data() + e.offset + e.length);
+        xor_into(MutableByteSpan(delta_bytes.data() + at, e.length),
+                 base.span().subspan(e.offset, e.length));
+        wext.push_back(e);
+      }
     }
-    // Dirty share of the live bytes: a full save never ships dead slots.
-    std::uint64_t live_bytes = 0;
-    for (const std::size_t live : counts.live) live_bytes += live * P;
-    const double dirty_ratio =
-        live_bytes == 0 ? 0.0
-                        : static_cast<double>(total_dirty) /
-                              static_cast<double>(live_bytes);
-    if (base_version != 0 && dirty_ratio <= kMaxDirtyRatio) {
-      obs::ScopedSpan dspan("engine.save.delta", total_dirty);
-      const auto bv = static_cast<std::int64_t>(base_version);
-      fabric.stats().add("delta.save.count");
-      fabric.stats().add("delta.dirty.bytes", total_dirty);
+    dirty += dirty_bytes(wext);
+    local_extents[w] = std::move(wext);
+    staged[w] = Buffer::copy_of(delta_bytes);
+  }
+  f.flag = static_cast<std::uint64_t>(mv);
+  f.workers = dirty;
+  return f;
+}
 
-      // Every rank must walk the identical extent list: publish each sited
-      // worker's manifest and all-gather them like the step-2 metadata.
-      for (int node : act) {
-        if (!fabric.drives(node)) continue;
-        for (int l = 0; l < g; ++l) {
-          const int w = node * g + l;
-          fabric.store(node).put(delta_manifest_key(ns, version, w),
-                                 serialize_extents(local_extents[w]));
-        }
-      }
-      for (int l = 0; l < g; ++l) {
-        fabric.all_gather(act, [&](int node) {
-          return delta_manifest_key(ns, version, node * g + l);
-        });
-      }
-      std::vector<std::vector<DirtyExtent>> all_extents(
-          static_cast<std::size_t>(W));
-      for (int w = 0; w < W; ++w)
-        all_extents[static_cast<std::size_t>(w)] = deserialize_extents(
-            fabric.store(home).get(delta_manifest_key(ns, version, w)).span());
+/// Step 3 of a delta save: the stripe is not re-encoded. Each node moves
+/// its own chunk row of the base version under the new version locally,
+/// only the dirty regions' XOR-deltas travel (one payload per worker to the
+/// data node and to each of the m parity nodes; DESIGN.md §7), the data row
+/// is XOR-patched and each parity row folded with P' = P ⊕ G·Δ —
+/// bit-identical to the full four-step protocol by code linearity.
+void SaveOp::delta_patch(const DeltaVote& vote) {
+  obs::ScopedSpan dspan("engine.save.delta", vote.dirty);
+  fabric.stats().add("delta.save.count");
+  fabric.stats().add("delta.dirty.bytes", vote.dirty);
+  const std::int64_t bv = vote.base;
 
-      // Move the base version's rows under the new version — a local
-      // re-keying on every node that copies no byte; only deltas cross the
-      // wire. The base version keeps a moved marker, written before the
-      // first move so a rollback finds every moved packet, and gains an
-      // undo overlay of the bytes the patches below change (DESIGN.md §7).
-      for (int node : driven) {
-        const int row = plan.generator_row_of_node(node);
-        cluster::Store& store = fabric.store(node);
-        Buffer moved(16, Buffer::Init::kZeroed);
-        put_u64_le(moved.data(), static_cast<std::uint64_t>(version));
-        put_u64_le(moved.data() + 8, static_cast<std::uint64_t>(row));
-        store.put(moved_key(ns, bv), std::move(moved));
-        for (int j = 0; j < per_chunk; ++j)
-          for (int b = 0; b < static_cast<int>(B); ++b)
-            store.rename(row_key(ns, bv, row, j, b),
-                         row_key(ns, version, row, j, b));
-        // The CRC sums are carried too (DESIGN.md §7): the patches below
-        // fold their changes into the base version's sums, so the commit
-        // never rereads the row. Without usable base sums the node
-        // recomputes them in full at commit.
-        if (cfg.verify_integrity && store.contains(sums_key(ns, bv)) &&
-            store.get(sums_key(ns, bv)).size() ==
-                static_cast<std::size_t>(per_chunk) * B * 8)
-          carried_sums.emplace(node, store.get(sums_key(ns, bv)).clone());
-      }
+  // Every rank must walk the identical extent list: publish each sited
+  // worker's manifest and all-gather them like the step-2 metadata.
+  for (int node : mine) {
+    for (int l = 0; l < g; ++l) {
+      const int w = node * g + l;
+      fabric.store(node).put(delta_manifest_key(ns, version, w),
+                             serialize_extents(local_extents[w]));
+    }
+  }
+  for (int l = 0; l < g; ++l) {
+    fabric.all_gather(act, [&](int node) {
+      return delta_manifest_key(ns, version, node * g + l);
+    });
+  }
+  const cluster::Store& home = fabric.store(home_node(fabric, act));
+  std::vector<std::vector<DirtyExtent>> all_extents(
+      static_cast<std::size_t>(W));
+  for (int w = 0; w < W; ++w)
+    all_extents[static_cast<std::size_t>(w)] = deserialize_extents(
+        home.get(delta_manifest_key(ns, version, w)).span());
 
-      // One worker at a time: its source puts the staged Δ under the patch
-      // key, ships it and takes it back once every destination has folded
-      // it in, and the destinations drop their copies before the next
-      // worker's. Each source keeps its own workers' Δ until the base cache
-      // is patched after the commit barrier.
-      std::uint64_t extent_count = 0;
-      for (int w = 0; w < W; ++w) {
-        const std::vector<DirtyExtent>& wext =
-            all_extents[static_cast<std::size_t>(w)];
-        if (wext.empty()) continue;
-        extent_count += wext.size();
-        const int c = plan.chunk_of_worker(w);
-        const int j = w - c * per_chunk;
-        const int src = w / g;  // full membership: the worker's own node
-        const std::string dk = delta_patch_key(ns, version, w);
-        const std::uint64_t wbytes = dirty_bytes(wext);
+  // Move the base version's rows under the new version — a local re-keying
+  // on every node that copies no byte; only deltas cross the wire. The base
+  // version keeps a moved marker, written before the first move so a
+  // rollback finds every moved packet, and gains an undo overlay of the
+  // bytes the patches below change (DESIGN.md §7).
+  for (int node : driven) {
+    const int row = plan.generator_row_of_node(node);
+    cluster::Store& store = fabric.store(node);
+    store.put(moved_key(ns, bv), Moved{version, row}.blob());
+    for (int j = 0; j < per_chunk; ++j)
+      for (int b = 0; b < static_cast<int>(B); ++b)
+        store.rename(row_key(ns, bv, row, j, b),
+                     row_key(ns, version, row, j, b));
+    // The CRC sums are carried too (DESIGN.md §7): the patches below fold
+    // their changes into the base version's sums, so the commit never
+    // rereads the row. Without usable base sums the node recomputes them in
+    // full at commit.
+    if (cfg.verify_integrity && store.contains(sums_key(ns, bv)) &&
+        store.get(sums_key(ns, bv)).size() ==
+            static_cast<std::size_t>(per_chunk) * B * 8)
+      carried_sums.emplace(node, store.get(sums_key(ns, bv)).clone());
+  }
 
-        if (fabric.drives(src))
-          fabric.store(src).put(dk, std::move(staged.at(w)));
+  // One worker at a time: its source puts the staged Δ under the patch
+  // key, ships it and takes it back once every destination has folded it
+  // in, and the destinations drop their copies before the next worker's.
+  // Each source keeps its own workers' Δ until the base cache is patched
+  // after the commit barrier.
+  std::uint64_t extent_count = 0;
+  std::vector<Ranges> footprints;  // per extent of the current run
+  for (int w = 0; w < W; ++w) {
+    const std::vector<DirtyExtent>& wext =
+        all_extents[static_cast<std::size_t>(w)];
+    if (wext.empty()) continue;
+    extent_count += wext.size();
+    const int c = plan.chunk_of_worker(w);
+    const int j = w - c * per_chunk;
+    const int src = w / g;  // full membership: the worker's own node
+    const std::string dk = delta_patch_key(ns, version, w);
+    if (fabric.drives(src)) fabric.store(src).put(dk, std::move(staged.at(w)));
 
-        // One frame per destination: the data node plus each parity node
-        // (k+m distinct nodes, so no destination repeats).
-        std::vector<int> dests;
-        dests.push_back(plan.data_nodes[static_cast<std::size_t>(c)]);
-        for (int r = 0; r < cfg.m; ++r)
-          dests.push_back(plan.parity_nodes[static_cast<std::size_t>(r)]);
-        for (int dst : dests)
-          if (dst != src) fabric.send_buffers(src, dst, {{dk, dk}});
+    // One frame per destination: the data node plus each parity node (k+m
+    // distinct nodes, so no destination repeats).
+    std::vector<int> dests;
+    dests.push_back(plan.data_nodes[static_cast<std::size_t>(c)]);
+    for (int r = 0; r < cfg.m; ++r)
+      dests.push_back(plan.parity_nodes[static_cast<std::size_t>(r)]);
+    for (int dst : dests)
+      if (dst != src) fabric.send_buffers(src, dst, {{dk, dk}});
 
-        // Patch in place, slicing the payload by the all-gathered manifest:
-        // XOR on the data row, G·Δ fold on each parity row. The length
-        // check comes first, so a short payload never reads out of bounds.
-        // Each extent's footprint is every byte its patch may touch: the
-        // extent on the data row, the codec's footprint of it on a parity
-        // row (in bitmatrix mode that reaches into every strip). The
-        // footprints' pre-images join the base version's undo overlay
-        // before any byte changes. A carried sum takes each extent's
-        // raw-CRC change over its footprint while the bytes are cache-hot,
-        // shifted past the rest of the packet.
-        const auto raw_crc = gf::simd::active().crc64;
-        // The raw CRC register over the ranges, the gaps read as zeros.
-        auto ranges_crc = [&](const Buffer& pkt, const Ranges& ranges) {
-          std::uint64_t reg = 0;
-          std::size_t end = ranges.front().first;
-          for (const auto& [at, len] : ranges) {
-            reg = raw_crc(crc64_shift(reg, at - end), pkt.data() + at, len);
-            end = at + len;
-          }
-          return reg;
-        };
-        std::vector<Ranges> footprints;  // per extent of the current run
-        auto patch = [&](int dst, int row, auto&& apply) {
-          if (!fabric.drives(dst)) return;
-          obs::ScopedSpan pspan("engine.save.delta.patch", wbytes);
-          cluster::Store& store = fabric.store(dst);
-          const Buffer& delta = store.get(dk);
-          ECC_CHECK_MSG(delta.size() == wbytes,
-                        "delta payload of worker " << w << " has "
-                                                   << delta.size()
-                                                   << " bytes, manifest says "
-                                                   << wbytes);
-          const auto sums = carried_sums.find(dst);
-          const bool carry = sums != carried_sums.end();
-          for_each_packet_run(wext, P, [&](int b, auto run, std::uint64_t at) {
-            const std::string rk = row_key(ns, version, row, j, b);
-            Buffer pkt = store.take(rk);
-            std::uint64_t change = 0;
-            try {
-              ECC_CHECK(pkt.size() == P);
-              footprints.clear();
-              std::size_t undo_bytes = 0;
-              for (const DirtyExtent& e : run) {
-                footprints.push_back(
-                    e.length == 0 ? Ranges{}
-                    : row < cfg.k
-                        ? Ranges{{e.offset, e.length}}
-                        : codec.update_footprint(e.offset, e.length, P));
-                for (const auto& range : footprints.back())
-                  undo_bytes += kUndoHeader + range.second;
-              }
-              const std::string uk = undo_key(ns, bv, j, b);
-              const std::size_t held =
-                  store.contains(uk) ? store.get(uk).size() : 0;
-              Buffer undo(held + undo_bytes, Buffer::Init::kUninitialized);
-              if (held > 0)
-                std::memcpy(undo.data(), store.get(uk).data(), held);
-              std::byte* out = undo.data() + held;
-              for (const Ranges& ranges : footprints)
-                out = capture_undo(pkt, ranges, out);
-              store.put(uk, std::move(undo));
-
-              for (std::size_t x = 0; x < run.size(); ++x) {
-                const DirtyExtent& e = run[x];
-                const Ranges& ranges = footprints[x];
-                const ByteSpan d = delta.span().subspan(at, e.length);
-                at += e.length;
-                if (ranges.empty()) continue;
-                if (!carry) {
-                  apply(e, d, pkt.span());
-                  continue;
-                }
-                const std::uint64_t before = ranges_crc(pkt, ranges);
-                apply(e, d, pkt.span());
-                change ^= crc64_shift(before ^ ranges_crc(pkt, ranges),
-                                      P - ranges.back().first -
-                                          ranges.back().second);
-              }
-            } catch (...) {
-              // Back into the row: the overlay undoes any partial patch.
-              store.put(rk, std::move(pkt));
-              throw;
-            }
-            store.put(rk, std::move(pkt));
-            if (carry)
-              xor_into(sums->second.subspan(
-                           (static_cast<std::size_t>(j) * B +
-                            static_cast<std::size_t>(b)) * 8,
-                           8),
-                       as_bytes_of(change));
-          });
-        };
-        patch(dests[0], c, [](const DirtyExtent& e, ByteSpan d,
-                              MutableByteSpan pkt) {
-          xor_into(pkt.subspan(e.offset, e.length), d);
-        });
-        for (int r = 0; r < cfg.m; ++r)
-          patch(dests[static_cast<std::size_t>(1 + r)], cfg.k + r,
+    patch_row(dests[0], c, w, j, wext, bv, footprints,
+              [](const DirtyExtent& e, ByteSpan d, MutableByteSpan pkt) {
+                xor_into(pkt.subspan(e.offset, e.length), d);
+              });
+    for (int r = 0; r < cfg.m; ++r)
+      patch_row(dests[static_cast<std::size_t>(1 + r)], cfg.k + r, w, j, wext,
+                bv, footprints,
                 [&](const DirtyExtent& e, ByteSpan d, MutableByteSpan pkt) {
                   codec.update_row(cfg.k + r, c, e.offset, d, pkt);
                 });
 
-        // Drop the copies where the Δ landed; the source takes its own back.
-        for (int node : dests)
-          if (node != src && fabric.drives(node)) fabric.store(node).erase(dk);
-        if (fabric.drives(src)) staged.at(w) = fabric.store(src).take(dk);
-      }
-      fabric.stats().add("delta.extents.count", extent_count);
-      for (int node : act) {
-        if (!fabric.drives(node)) continue;
-        for (int w = 0; w < W; ++w)
-          fabric.store(node).erase(delta_manifest_key(ns, version, w));
-      }
-      rep.breakdown["delta_dirty_ratio"] = dirty_ratio;
-      rep.breakdown["step3_delta_patch"] = since(t0);
-      delta_used = true;
-    }
+    // Drop the copies where the Δ landed; the source takes its own back.
+    for (int node : dests)
+      if (node != src && fabric.drives(node)) fabric.store(node).erase(dk);
+    if (fabric.drives(src)) staged.at(w) = fabric.store(src).take(dk);
   }
-  // The full path's row sums, for each driven, alive node (DESIGN.md §7):
-  // every slot starts as a zero slot, and each live packet's sum is taken
-  // where the packet is produced, so the commit never rereads the row.
-  RowSums taken_sums;
-  auto taken_sum = [&](int node, int j, std::size_t b) -> std::uint64_t* {
-    const auto it = taken_sums.find(node);
-    return it == taken_sums.end()
-               ? nullptr
-               : &it->second[static_cast<std::size_t>(j) * B + b];
+  fabric.stats().add("delta.extents.count", extent_count);
+  for (int node : mine)
+    for (int w = 0; w < W; ++w)
+      fabric.store(node).erase(delta_manifest_key(ns, version, w));
+  rep.breakdown["delta_dirty_ratio"] = vote.ratio;
+  stamp(Stage::kDeltaPatch);
+}
+
+/// Patches worker w's Δ into slot j of chunk row `row` on `dst` in place,
+/// slicing the payload by the all-gathered manifest `wext`: `apply` is the
+/// XOR on the data row or the G·Δ fold on a parity row. The length check
+/// comes first, so a short payload never reads out of bounds. Each
+/// extent's footprint is every byte its patch may touch: the extent on the
+/// data row, the codec's footprint of it on a parity row (in bitmatrix mode
+/// that reaches into every strip). The footprints' pre-images join bv's
+/// undo overlay before any byte changes. A carried sum takes each extent's
+/// raw-CRC change over its footprint while the bytes are cache-hot, shifted
+/// past the rest of the packet.
+template <typename Apply>
+void SaveOp::patch_row(int dst, int row, int w, int j,
+                       const std::vector<DirtyExtent>& wext, std::int64_t bv,
+                       std::vector<Ranges>& footprints, Apply&& apply) {
+  if (!fabric.drives(dst)) return;
+  const std::uint64_t wbytes = dirty_bytes(wext);
+  obs::ScopedSpan pspan("engine.save.delta.patch", wbytes);
+  cluster::Store& store = fabric.store(dst);
+  const Buffer& delta = store.get(delta_patch_key(ns, version, w));
+  ECC_CHECK_MSG(delta.size() == wbytes,
+                "delta payload of worker " << w << " has " << delta.size()
+                                           << " bytes, manifest says "
+                                           << wbytes);
+  const auto raw_crc = gf::simd::active().crc64;
+  // The raw CRC register over the ranges, the gaps read as zeros.
+  auto ranges_crc = [&](const Buffer& pkt, const Ranges& ranges) {
+    std::uint64_t reg = 0;
+    std::size_t end = ranges.front().first;
+    for (const auto& [at, len] : ranges) {
+      reg = raw_crc(crc64_shift(reg, at - end), pkt.data() + at, len);
+      end = at + len;
+    }
+    return reg;
   };
-  if (!delta_used) {
-    if (cfg.delta.enabled) fabric.stats().add("delta.fallback.count");
-    local_extents.clear();  // a fallback's staged Δ goes unused
-    staged.clear();
-    if (cfg.verify_integrity)
-      for (int node : driven)
-        if (members.is_alive(node))
-          taken_sums[node].assign(static_cast<std::size_t>(per_chunk) * B,
-                                  zero_sum(P));
-    // Pack each sited worker's tensor bytes into B fixed-size packets (the
-    // padding behind its live packets is zero): the full path's snapshot,
-    // whose end is the stall. A worker sited on its data node is home, and
-    // its live packets' sums are taken while each packet is cache-hot.
-    {
-      obs::ScopedSpan pspan("engine.save.pack", decs.size() * B * P);
-      for (const auto& [w, dec] : decs) {
-        const int site = members.site(w / g);
-        const int c = plan.chunk_of_worker(w);
-        const bool home = site == plan.data_nodes[static_cast<std::size_t>(c)];
-        const std::size_t live = counts.live[static_cast<std::size_t>(w)];
-        for (std::size_t b = 0; b < B; ++b) {
-          Buffer pkt(P, b < live ? Buffer::Init::kUninitialized
-                                 : Buffer::Init::kZeroed);
-          if (b < live) {
-            pack_packet(dec.tensor_data, b, pkt.span());
-            if (std::uint64_t* sum =
-                    home ? taken_sum(site, w - c * per_chunk, b) : nullptr)
-              *sum = crc64(pkt.span());
-          }
-          fabric.store(site).put(local_key(ns, version, w, static_cast<int>(b)),
-                                 std::move(pkt));
+  const auto sums = carried_sums.find(dst);
+  const bool carry = sums != carried_sums.end();
+  for_each_packet_run(wext, P, [&](int b, auto run, std::uint64_t at) {
+    const std::string rk = row_key(ns, version, row, j, b);
+    Buffer pkt = store.take(rk);
+    std::uint64_t change = 0;
+    try {
+      ECC_CHECK(pkt.size() == P);
+      footprints.clear();
+      std::size_t undo_bytes = 0;
+      for (const DirtyExtent& e : run) {
+        footprints.push_back(
+            e.length == 0 ? Ranges{}
+            : row < cfg.k ? Ranges{{e.offset, e.length}}
+                          : codec.update_footprint(e.offset, e.length, P));
+        for (const auto& range : footprints.back())
+          undo_bytes += kUndoHeader + range.second;
+      }
+      const std::string uk = undo_key(ns, bv, j, b);
+      const std::size_t held = store.contains(uk) ? store.get(uk).size() : 0;
+      Buffer undo(held + undo_bytes, Buffer::Init::kUninitialized);
+      if (held > 0) std::memcpy(undo.data(), store.get(uk).data(), held);
+      std::byte* out = undo.data() + held;
+      for (const Ranges& ranges : footprints)
+        out = capture_undo(pkt, ranges, out);
+      store.put(uk, std::move(undo));
+
+      for (std::size_t x = 0; x < run.size(); ++x) {
+        const DirtyExtent& e = run[x];
+        const Ranges& ranges = footprints[x];
+        const ByteSpan d = delta.span().subspan(at, e.length);
+        at += e.length;
+        if (ranges.empty()) continue;
+        if (!carry) {
+          apply(e, d, pkt.span());
+          continue;
         }
+        const std::uint64_t before = ranges_crc(pkt, ranges);
+        apply(e, d, pkt.span());
+        change ^= crc64_shift(before ^ ranges_crc(pkt, ranges),
+                              P - ranges.back().first - ranges.back().second);
+      }
+    } catch (...) {
+      // Back into the row: the overlay undoes any partial patch.
+      store.put(rk, std::move(pkt));
+      throw;
+    }
+    store.put(rk, std::move(pkt));
+    if (carry)
+      xor_into(sums->second.subspan((static_cast<std::size_t>(j) * B +
+                                     static_cast<std::size_t>(b)) * 8,
+                                    8),
+               as_bytes_of(change));
+  });
+}
+
+/// The full path's snapshot, whose end is the stall: pack each sited
+/// worker's tensor bytes into B fixed-size packets (the padding behind its
+/// live packets is zero). A worker sited on its data node is home, and its
+/// live packets' sums are taken while each packet is cache-hot.
+void SaveOp::pack() {
+  if (cfg.delta.enabled) fabric.stats().add("delta.fallback.count");
+  local_extents.clear();  // a fallback's staged Δ goes unused
+  staged.clear();
+  if (cfg.verify_integrity)
+    for (int node : mine)
+      taken_sums[node].assign(static_cast<std::size_t>(per_chunk) * B,
+                              zero_sum(P));
+  {
+    obs::ScopedSpan pspan("engine.save.pack", decs.size() * B * P);
+    for (const auto& [w, dec] : decs) {
+      const int site = members.site(w / g);
+      const int c = plan.chunk_of_worker(w);
+      const bool home = site == plan.data_nodes[static_cast<std::size_t>(c)];
+      const std::size_t live = counts.live[static_cast<std::size_t>(w)];
+      for (std::size_t b = 0; b < B; ++b) {
+        Buffer pkt(P, b < live ? Buffer::Init::kUninitialized
+                               : Buffer::Init::kZeroed);
+        if (b < live) {
+          pack_packet(dec.tensor_data, b, pkt.span());
+          if (std::uint64_t* sum =
+                  home ? taken_sum(site, w - c * per_chunk, b) : nullptr)
+            *sum = crc64(pkt.span());
+        }
+        fabric.store(site).put(local_key(ns, version, w, static_cast<int>(b)),
+                               std::move(pkt));
       }
     }
-    rep.stall_time = since(t0);
-    rep.breakdown["step1_snapshot"] = rep.stall_time;
   }
+  stamp_stall();
+}
 
-  // ---- Step 3: data packets to their data nodes, parity to parity nodes --
-  // A row homed on a dead rank is skipped entirely: the degraded stripe
-  // keeps the n_alive ≥ k rows hosted by survivors (reduced redundancy —
-  // any k of them still decode), rather than blocking the save.
-  if (!delta_used) {
-    using KeyPairs = std::vector<std::pair<std::string, std::string>>;
-
-    // 3a: every live data packet not yet on its data node, one batch per
-    // (src, dst) edge; the data node zero-fills the dead rest of the row.
-    // Packets already home move into their rows after 3b, which still
-    // encodes from them. The data node takes each arrived packet's sum as
-    // its edge returns.
-    struct Relocation {
-      KeyPairs keys;
-      std::vector<std::pair<int, std::size_t>> slots;  // per key: (j, b)
-    };
-    std::map<std::pair<int, int>, Relocation> relocate;
-    for (int c = 0; c < cfg.k; ++c) {
-      const int dst = plan.data_nodes[static_cast<std::size_t>(c)];
-      if (!members.is_alive(dst)) continue;
-      for (int j = 0; j < per_chunk; ++j) {
-        const int wsrc = c * per_chunk + j;
-        const int src = members.site(wsrc / g);
-        if (src == dst) continue;
-        const std::size_t live = counts.live[static_cast<std::size_t>(wsrc)];
-        if (live > 0) {
-          Relocation& batch = relocate[{src, dst}];
-          for (int b = 0; b < static_cast<int>(live); ++b) {
-            batch.keys.emplace_back(local_key(ns, version, wsrc, b),
-                                    row_key(ns, version, c, j, b));
-            batch.slots.emplace_back(j, b);
-          }
+/// 3a: every live data packet not yet on its data node, one batch per (src,
+/// dst) edge; the data node zero-fills the dead rest of the row. Packets
+/// already home move into their rows at the end of encode_parity, which
+/// still encodes from them. The data node takes each arrived packet's sum
+/// as its edge returns.
+void SaveOp::relocate_data() {
+  struct Relocation {
+    KeyPairs keys;
+    std::vector<std::pair<int, std::size_t>> slots;  // per key: (j, b)
+  };
+  std::map<std::pair<int, int>, Relocation> relocate;
+  for (int c = 0; c < cfg.k; ++c) {
+    const int dst = plan.data_nodes[static_cast<std::size_t>(c)];
+    if (!members.is_alive(dst)) continue;
+    for (int j = 0; j < per_chunk; ++j) {
+      const int wsrc = c * per_chunk + j;
+      const int src = members.site(wsrc / g);
+      if (src == dst) continue;
+      const std::size_t live = counts.live[static_cast<std::size_t>(wsrc)];
+      if (live > 0) {
+        Relocation& batch = relocate[{src, dst}];
+        for (int b = 0; b < static_cast<int>(live); ++b) {
+          batch.keys.emplace_back(local_key(ns, version, wsrc, b),
+                                  row_key(ns, version, c, j, b));
+          batch.slots.emplace_back(j, b);
         }
-        if (fabric.drives(dst))
-          for (int b = static_cast<int>(live); b < static_cast<int>(B); ++b)
-            fabric.store(dst).put(row_key(ns, version, c, j, b),
-                                  Buffer(P, Buffer::Init::kZeroed));
       }
+      if (fabric.drives(dst))
+        for (int b = static_cast<int>(live); b < static_cast<int>(B); ++b)
+          fabric.store(dst).put(row_key(ns, version, c, j, b),
+                                Buffer(P, Buffer::Init::kZeroed));
     }
-    for (const auto& [edge, batch] : relocate) {
-      const auto [src, dst] = edge;
-      fabric.send_buffers(src, dst, batch.keys);
-      for (std::size_t i = 0; i < batch.keys.size(); ++i)
+  }
+  for (const auto& [edge, batch] : relocate) {
+    const auto [src, dst] = edge;
+    fabric.send_buffers(src, dst, batch.keys);
+    for (std::size_t i = 0; i < batch.keys.size(); ++i)
+      if (std::uint64_t* sum =
+              taken_sum(dst, batch.slots[i].first, batch.slots[i].second))
+        *sum = crc64(fabric.store(dst).get(batch.keys[i].second).span());
+  }
+}
+
+/// 3b: parity, one packet slot b at a time. Every participant site computes
+/// its GF partial and ships it straight to the parity node, which takes the
+/// first partial as the row and XOR-folds the rest in. GF addition is XOR,
+/// so the row is bit-identical to CrsCodec::encode of the stripe, and each
+/// reduction moves one packet per remote participant site —
+/// actual_comm_volume less the dead slots, exactly actual_comm_volume for
+/// equal shards. Participants sited together (adoption can fold several
+/// dead participants onto one survivor) pre-accumulate locally. A reduction
+/// whose parity node is dead has nowhere to land and is skipped. A site
+/// whose participants are all padding at slot b has a zero partial there:
+/// it neither computes nor ships it, and a parity slot with no live partial
+/// is stored as zeros.
+void SaveOp::encode_parity() {
+  struct Reduction {
+    const ReductionOp* op;
+    std::vector<int> sites;                // first-appearance order
+    std::vector<std::vector<int>> chunks;  // per site: its chunks c
+    std::vector<std::string> keys;         // per site: staging key
+    std::vector<std::size_t> live;         // per site: live slots [0, n)
+  };
+  // Staging keys name (j, r, site) but not b, so each slot's partials
+  // overwrite the previous slot's buffers instead of allocating afresh.
+  std::vector<Reduction> reductions;
+  std::vector<std::size_t> bounds = {0, B};  // where the live set changes
+  for (const ReductionOp& op : plan.reductions) {
+    if (!members.is_alive(op.dest_node)) continue;
+    Reduction red{&op, {}, {}, {}, {}};
+    for (int c = 0; c < cfg.k; ++c) {
+      const int pw = op.participants[static_cast<std::size_t>(c)];
+      const int ps = members.site(pw / g);
+      auto it = std::find(red.sites.begin(), red.sites.end(), ps);
+      if (it == red.sites.end()) {
+        red.sites.push_back(ps);
+        red.chunks.emplace_back();
+        red.keys.push_back(
+            keys::partial_key(ns, version, op.group, op.parity_row, ps));
+        red.live.push_back(0);
+        it = red.sites.end() - 1;
+      }
+      const auto s = static_cast<std::size_t>(it - red.sites.begin());
+      red.chunks[s].push_back(c);
+      red.live[s] =
+          std::max(red.live[s], counts.live[static_cast<std::size_t>(pw)]);
+    }
+    bounds.insert(bounds.end(), red.live.begin(), red.live.end());
+    reductions.push_back(std::move(red));
+  }
+  std::sort(bounds.begin(), bounds.end());
+  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+
+  // The live partials, hence the ship batches, change only at `bounds`:
+  // build the batches once per run of slots between two bounds.
+  for (std::size_t run = 0; run + 1 < bounds.size(); ++run) {
+    const std::size_t lo = bounds[run];
+    std::map<std::pair<int, int>, KeyPairs> ship;
+    for (const Reduction& red : reductions)
+      for (std::size_t s = 0; s < red.sites.size(); ++s)
+        if (red.live[s] > lo && red.sites[s] != red.op->dest_node)
+          ship[{red.sites[s], red.op->dest_node}].emplace_back(red.keys[s],
+                                                               red.keys[s]);
+    for (std::size_t b = lo; b < bounds[run + 1]; ++b) {
+      for (const Reduction& red : reductions) {
+        const ReductionOp& op = *red.op;
+        for (std::size_t s = 0; s < red.sites.size(); ++s) {
+          if (red.live[s] <= b || !fabric.drives(red.sites[s])) continue;
+          cluster::Store& store = fabric.store(red.sites[s]);
+          Buffer part = store.contains(red.keys[s])
+                            ? store.take(red.keys[s])
+                            : Buffer(P, Buffer::Init::kUninitialized);
+          bool accumulate = false;
+          for (int c : red.chunks[s]) {
+            const int pw = op.participants[static_cast<std::size_t>(c)];
+            if (counts.live[static_cast<std::size_t>(pw)] <= b) continue;
+            codec.encode_partial(
+                cfg.k + op.parity_row, c,
+                store.get(local_key(ns, version, pw, static_cast<int>(b)))
+                    .span(),
+                part.span(), accumulate);
+            accumulate = true;
+          }
+          store.put(red.keys[s], std::move(part));
+        }
+      }
+      for (const auto& [edge, batch] : ship)
+        fabric.send_buffers(edge.first, edge.second, batch);
+      for (const Reduction& red : reductions) {
+        const ReductionOp& op = *red.op;
+        if (!fabric.drives(op.dest_node)) continue;
+        cluster::Store& store = fabric.store(op.dest_node);
+        // Fold by liveness, not key presence: a dead site's staging key may
+        // still hold an earlier slot's partial.
+        Buffer row;
+        bool folded = false;
+        for (std::size_t s = 0; s < red.keys.size(); ++s) {
+          if (red.live[s] <= b) continue;
+          if (folded)
+            xor_into(row.span(), store.get(red.keys[s]).span());
+          else
+            row = store.take(red.keys[s]);
+          folded = true;
+        }
         if (std::uint64_t* sum =
-                taken_sum(dst, batch.slots[i].first, batch.slots[i].second))
-          *sum = crc64(fabric.store(dst).get(batch.keys[i].second).span());
-    }
-
-    // 3b: parity, one packet slot b at a time. Every participant site
-    // computes its GF partial and ships it straight to the parity node,
-    // which takes the first partial as the row and XOR-folds the rest in.
-    // GF addition is XOR, so the row is bit-identical to CrsCodec::encode
-    // of the stripe, and each reduction moves one packet per remote
-    // participant site — actual_comm_volume less the dead slots, exactly
-    // actual_comm_volume for equal shards. Participants sited together
-    // (adoption can fold several dead participants onto one survivor)
-    // pre-accumulate locally. A reduction whose parity node is dead has
-    // nowhere to land and is skipped. A site whose participants are all
-    // padding at slot b has a zero partial there: it neither computes nor
-    // ships it, and a parity slot with no live partial is stored as zeros.
-    struct Reduction {
-      const ReductionOp* op;
-      std::vector<int> sites;                 // first-appearance order
-      std::vector<std::vector<int>> chunks;   // per site: its chunks c
-      std::vector<std::string> keys;          // per site: staging key
-      std::vector<std::size_t> live;          // per site: live slots [0, n)
-    };
-    // Staging keys name (j, r, site) but not b, so each slot's partials
-    // overwrite the previous slot's buffers instead of allocating afresh.
-    std::vector<Reduction> reductions;
-    std::vector<std::size_t> bounds = {0, B};  // where the live set changes
-    for (const ReductionOp& op : plan.reductions) {
-      if (!members.is_alive(op.dest_node)) continue;
-      Reduction red{&op, {}, {}, {}, {}};
-      for (int c = 0; c < cfg.k; ++c) {
-        const int pw = op.participants[static_cast<std::size_t>(c)];
-        const int ps = members.site(pw / g);
-        auto it = std::find(red.sites.begin(), red.sites.end(), ps);
-        if (it == red.sites.end()) {
-          red.sites.push_back(ps);
-          red.chunks.emplace_back();
-          red.keys.push_back(tmp_prefix(ns, version) + "partial/" +
-                             std::to_string(op.group) + "/" +
-                             std::to_string(op.parity_row) + "/" +
-                             std::to_string(ps));
-          red.live.push_back(0);
-          it = red.sites.end() - 1;
-        }
-        const auto s = static_cast<std::size_t>(it - red.sites.begin());
-        red.chunks[s].push_back(c);
-        red.live[s] =
-            std::max(red.live[s], counts.live[static_cast<std::size_t>(pw)]);
-      }
-      bounds.insert(bounds.end(), red.live.begin(), red.live.end());
-      reductions.push_back(std::move(red));
-    }
-    std::sort(bounds.begin(), bounds.end());
-    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
-
-    // The live partials, hence the ship batches, change only at `bounds`:
-    // build the batches once per run of slots between two bounds.
-    for (std::size_t run = 0; run + 1 < bounds.size(); ++run) {
-      const std::size_t lo = bounds[run];
-      std::map<std::pair<int, int>, KeyPairs> ship;
-      for (const Reduction& red : reductions)
-        for (std::size_t s = 0; s < red.sites.size(); ++s)
-          if (red.live[s] > lo && red.sites[s] != red.op->dest_node)
-            ship[{red.sites[s], red.op->dest_node}].emplace_back(red.keys[s],
-                                                                 red.keys[s]);
-      for (std::size_t b = lo; b < bounds[run + 1]; ++b) {
-        for (const Reduction& red : reductions) {
-          const ReductionOp& op = *red.op;
-          for (std::size_t s = 0; s < red.sites.size(); ++s) {
-            if (red.live[s] <= b || !fabric.drives(red.sites[s])) continue;
-            cluster::Store& store = fabric.store(red.sites[s]);
-            Buffer part = store.contains(red.keys[s])
-                              ? store.take(red.keys[s])
-                              : Buffer(P, Buffer::Init::kUninitialized);
-            bool accumulate = false;
-            for (int c : red.chunks[s]) {
-              const int pw = op.participants[static_cast<std::size_t>(c)];
-              if (counts.live[static_cast<std::size_t>(pw)] <= b) continue;
-              codec.encode_partial(
-                  cfg.k + op.parity_row, c,
-                  store.get(local_key(ns, version, pw, static_cast<int>(b)))
-                      .span(),
-                  part.span(), accumulate);
-              accumulate = true;
-            }
-            store.put(red.keys[s], std::move(part));
-          }
-        }
-        for (const auto& [edge, batch] : ship)
-          fabric.send_buffers(edge.first, edge.second, batch);
-        for (const Reduction& red : reductions) {
-          const ReductionOp& op = *red.op;
-          if (!fabric.drives(op.dest_node)) continue;
-          cluster::Store& store = fabric.store(op.dest_node);
-          // Fold by liveness, not key presence: a dead site's staging key
-          // may still hold an earlier slot's partial.
-          Buffer row;
-          bool folded = false;
-          for (std::size_t s = 0; s < red.keys.size(); ++s) {
-            if (red.live[s] <= b) continue;
-            if (folded)
-              xor_into(row.span(), store.get(red.keys[s]).span());
-            else
-              row = store.take(red.keys[s]);
-            folded = true;
-          }
-          if (std::uint64_t* sum = folded ? taken_sum(op.dest_node, op.group, b)
-                                          : nullptr)
-            *sum = crc64(row.span());
-          store.put(row_key(ns, version, cfg.k + op.parity_row, op.group,
-                            static_cast<int>(b)),
-                    folded ? std::move(row) : Buffer(P, Buffer::Init::kZeroed));
-        }
+                folded ? taken_sum(op.dest_node, op.group, b) : nullptr)
+          *sum = crc64(row.span());
+        store.put(row_key(ns, version, cfg.k + op.parity_row, op.group,
+                          static_cast<int>(b)),
+                  folded ? std::move(row) : Buffer(P, Buffer::Init::kZeroed));
       }
     }
-    for (int node : act)
-      if (fabric.drives(node))
-        for (const std::string& key : fabric.store(node).keys_with_prefix(
-                 tmp_prefix(ns, version) + "partial/"))
-          fabric.store(node).erase(key);
+  }
+  for (int node : mine)
+    for (const std::string& key : fabric.store(node).keys_with_prefix(
+             keys::partial_prefix(ns, version)))
+      fabric.store(node).erase(key);
 
-    // 3a's home packets: moved into their rows, or copied when the base
-    // cache below still needs them.
-    for (int c = 0; c < cfg.k; ++c) {
-      const int dst = plan.data_nodes[static_cast<std::size_t>(c)];
-      if (!members.is_alive(dst) || !fabric.drives(dst)) continue;
-      cluster::Store& store = fabric.store(dst);
-      for (int j = 0; j < per_chunk; ++j) {
-        const int wsrc = c * per_chunk + j;
-        if (members.site(wsrc / g) != dst) continue;
-        for (int b = 0; b < static_cast<int>(B); ++b) {
-          const std::string lk = local_key(ns, version, wsrc, b);
-          store.put(row_key(ns, version, c, j, b),
-                    delta_wanted ? store.get(lk).clone() : store.take(lk));
-        }
+  // 3a's home packets: moved into their rows, or copied when the base cache
+  // still needs them.
+  for (int c = 0; c < cfg.k; ++c) {
+    const int dst = plan.data_nodes[static_cast<std::size_t>(c)];
+    if (!members.is_alive(dst) || !fabric.drives(dst)) continue;
+    cluster::Store& store = fabric.store(dst);
+    for (int j = 0; j < per_chunk; ++j) {
+      const int wsrc = c * per_chunk + j;
+      if (members.site(wsrc / g) != dst) continue;
+      for (int b = 0; b < static_cast<int>(B); ++b) {
+        const std::string lk = local_key(ns, version, wsrc, b);
+        store.put(row_key(ns, version, c, j, b),
+                  delta_wanted ? store.get(lk).clone() : store.take(lk));
       }
     }
-    // Step 3 ends here on both paths, before the base-cache update, CRC
-    // sums and commit markers below.
-    rep.breakdown["step3_encode_pipeline"] = since(t0);
-  }  // if (!delta_used)
+  }
+}
 
-  // Publish checksums and the commit marker. Without incremental saves the
-  // staging copies are dropped first; with them a full save retires them
-  // into the base cache, and a delta save patches the cache with its Δ,
-  // once the commit barrier has passed (below).
+/// Publishes checksums and the commit marker. Without incremental saves the
+/// staging copies are dropped first; with them a full save retires them
+/// into the base cache, and a delta save patches the cache with its Δ, once
+/// the commit barrier has passed (update_base_cache).
+void SaveOp::commit(bool delta_used) {
   if (!delta_wanted) {
     for (const auto& [w, dec] : decs) {
       (void)dec;
@@ -1088,11 +1206,10 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         fabric.store(site).erase(local_key(ns, version, w, b));
     }
   }
-  for (int node : driven) {
-    if (!members.is_alive(node)) continue;
+  for (int node : mine) {
+    Buffer sums;
     if (cfg.verify_integrity) {
       const auto carried = carried_sums.find(node);
-      Buffer sums;
       if (!delta_used) {
         sums = sums_blob(taken_sums.at(node));
       } else if (carried != carried_sums.end()) {
@@ -1102,338 +1219,368 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         sums = row_sums(fabric, node, ns, version,
                         plan.generator_row_of_node(node), per_chunk, B);
       }
-      fabric.store(node).put(sums_key(ns, version), std::move(sums));
     }
-    fabric.store(node).put(commit_key(ns, version),
-                           Buffer::copy_of(as_bytes_of(version)));
+    commit_row(fabric.store(node), ns, version, std::move(sums));
   }
-
-  // ---- Step 4: low-frequency remote flush --------------------------------
-  if (cfg.flush_to_remote) {
-    for (int row = 0; row < cfg.k + cfg.m; ++row) {
-      const int node =
-          row < cfg.k
-              ? plan.data_nodes[static_cast<std::size_t>(row)]
-              : plan.parity_nodes[static_cast<std::size_t>(row - cfg.k)];
-      if (!members.is_alive(node)) continue;  // row was not produced
-      for (int j = 0; j < per_chunk; ++j)
-        for (int b = 0; b < static_cast<int>(B); ++b) {
-          const std::string rk = row_key(ns, version, row, j, b);
-          fabric.remote_write(node, rk, rk);
-        }
-    }
-    for (int w = 0; w < W; ++w) {
-      const int site = members.site(w / g);
-      fabric.remote_write(site, meta_key(ns, version, w),
-                          meta_key(ns, version, w));
-      fabric.remote_write(site, keys_key(ns, version, w),
-                          keys_key(ns, version, w));
-    }
-    // Every chunk must be durable before the commit marker appears: a crash
-    // between barrier and commit leaves an uncommitted (invisible) flush,
-    // never a committed torn one.
-    fabric.barrier(act);
-    fabric.remote_write(members.site(0), commit_key(ns, version),
-                        commit_key(ns, version));
-    rep.breakdown["step4_remote_flush"] = since(t0);
-  }
-
-  fabric.barrier(act);
-  // The base cache follows the commit, so it is never ahead of a committed
-  // version: a save torn anywhere before this point leaves it as it was.
-  if (delta_wanted) {
-    for (int node : handled) {
-      cluster::Store& store = fabric.store(node);
-      // Crash-safe order: erase the marker first, re-put it only after
-      // every cached byte belongs to the new version. A store observed
-      // between the two reads as "no base" and re-encodes in full.
-      store.erase(base_mark_key(ns));
-      for (int l = 0; l < g; ++l) {
-        const int w = node * g + l;
-        if (delta_used) {
-          // The eligibility diff proved the cache and the tensor keys equal
-          // to the new version outside the dirty extents: patch it in place,
-          // base ⊕ Δ = new.
-          const Buffer& delta = staged.at(w);
-          for_each_packet_run(
-              local_extents.at(w), P, [&](int b, auto run, std::uint64_t at) {
-                const std::string bk = base_local_key(ns, w, b);
-                Buffer pkt = store.take(bk);
-                for (const DirtyExtent& e : run) {
-                  xor_into(pkt.subspan(e.offset, e.length),
-                           delta.subspan(at, e.length));
-                  at += e.length;
-                }
-                store.put(bk, std::move(pkt));
-              });
-          continue;
-        }
-        for (int b = 0; b < static_cast<int>(B); ++b)
-          store.put(base_local_key(ns, w, b),
-                    store.take(local_key(ns, version, w, b)));
-        store.put(base_keys_key(ns, w),
-                  store.get(keys_key(ns, version, w)).clone());
-      }
-      Buffer mark(32, Buffer::Init::kZeroed);
-      put_u64_le(mark.data(), static_cast<std::uint64_t>(version));
-      put_u64_le(mark.data() + 8, B);
-      put_u64_le(mark.data() + 16, P);
-      put_u64_le(mark.data() + 24, static_cast<std::uint64_t>(g));
-      store.put(base_mark_key(ns), std::move(mark));
-    }
-  }
-  rep.total_time = since(t0);
-  rep.stats = obs::StatsRegistry::delta(fabric.stats().counters(), stats_base);
-  fill_traffic(rep.stats, &rep.network_bytes, &rep.remote_bytes);
-  return rep;
 }
 
-// ---------------------------------------------------------------------------
-// load
-// ---------------------------------------------------------------------------
+/// Step 4: the low-frequency remote flush.
+void SaveOp::flush_to_remote() {
+  for (int row = 0; row < cfg.k + cfg.m; ++row) {
+    const int node = plan.node_of_row(row);
+    if (!members.is_alive(node)) continue;  // row was not produced
+    for (int j = 0; j < per_chunk; ++j)
+      for (int b = 0; b < static_cast<int>(B); ++b) {
+        const std::string rk = row_key(ns, version, row, j, b);
+        fabric.remote_write(node, rk, rk);
+      }
+  }
+  for (int w = 0; w < W; ++w) {
+    const int site = members.site(w / g);
+    fabric.remote_write(site, meta_key(ns, version, w),
+                        meta_key(ns, version, w));
+    fabric.remote_write(site, keys_key(ns, version, w),
+                        keys_key(ns, version, w));
+  }
+  // Every chunk must be durable before the commit marker appears: a crash
+  // between barrier and commit leaves an uncommitted (invisible) flush,
+  // never a committed torn one.
+  fabric.barrier(act);
+  fabric.remote_write(members.site(0), commit_key(ns, version),
+                      commit_key(ns, version));
+  stamp(Stage::kRemoteFlush);
+}
 
-ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
-                             std::int64_t version,
-                             std::vector<dnn::StateDict>& out,
-                             const Membership& members) {
-  const auto t0 = Clock::now();
-  const int n = fabric.world_size();
-  ECC_CHECK_MSG(cfg.k + cfg.m == n, "k+m must equal the fabric world size");
-  members.check(n);
-  const std::vector<int> driven = driven_nodes(fabric);
-  const std::string& ns = cfg.key_namespace;
-  const std::vector<int> act = active_nodes(n, members);
+/// Runs after the commit barrier, so the base cache is never ahead of a
+/// committed version: a save torn anywhere before leaves it as it was.
+void SaveOp::update_base_cache(bool delta_used) {
+  for (int node : handled) {
+    cluster::Store& store = fabric.store(node);
+    // Crash-safe order: erase the marker first, re-put it only after every
+    // cached byte belongs to the new version. A store observed between the
+    // two reads as "no base" and re-encodes in full.
+    store.erase(base_mark_key(ns));
+    for (int l = 0; l < g; ++l) {
+      const int w = node * g + l;
+      if (delta_used) {
+        // The eligibility diff proved the cache and the tensor keys equal
+        // to the new version outside the dirty extents: patch it in place,
+        // base ⊕ Δ = new.
+        const Buffer& delta = staged.at(w);
+        for_each_packet_run(
+            local_extents.at(w), P, [&](int b, auto run, std::uint64_t at) {
+              const std::string bk = base_local_key(ns, w, b);
+              Buffer pkt = store.take(bk);
+              for (const DirtyExtent& e : run) {
+                xor_into(pkt.subspan(e.offset, e.length),
+                         delta.subspan(at, e.length));
+                at += e.length;
+              }
+              store.put(bk, std::move(pkt));
+            });
+        continue;
+      }
+      for (int b = 0; b < static_cast<int>(B); ++b)
+        store.put(base_local_key(ns, w, b),
+                  store.take(local_key(ns, version, w, b)));
+      store.put(base_keys_key(ns, w),
+                store.get(keys_key(ns, version, w)).clone());
+    }
+    store.put(base_mark_key(ns),
+              BaseMark{static_cast<std::uint64_t>(version), B, P,
+                       static_cast<std::uint64_t>(g)}
+                  .blob());
+  }
+}
 
-  ckpt::LoadReport rep;
-  const auto stats_base = fabric.stats().counters();
-  obs::ScopedSpan span("engine.load[" + fabric.fabric_name() + "]");
-  auto finalize = [&]() {
+/// One fabric_load. Its steps, in protocol order, are the member functions.
+struct LoadOp : Op {
+  LoadOp(cluster::Fabric& fabric, const ECCheckConfig& cfg,
+         std::int64_t version, const Membership& members)
+      : Op(fabric, cfg, version, members),
+        stats_base(fabric.stats().counters()) {}
+
+  NodeFlag scrub_row(int node);
+  void scrub_and_agree();
+  std::optional<std::string> rescue_from_remote();
+  std::optional<std::string> refresh_metadata();
+  void decode_rows(const std::vector<int>& basis,
+                   const std::vector<int>& targets);
+  void reconstruct();
+  void refill(std::vector<dnn::StateDict>& out);
+  void restore_parity();
+  void recommit();
+  void drop_adopted_rows();
+  std::string detail() const;
+
+  ckpt::LoadReport finish() {
     rep.total_time = since(t0);
     rep.stats =
         obs::StatsRegistry::delta(fabric.stats().counters(), stats_base);
-  };
-
-  // The placement (and with it each node's chunk row) depends on the worker
-  // count W, which a freshly replaced rank does not know — so roles are
-  // derived lazily: first from each node's own stored metadata extent, then
-  // from the fabric-wide agreed W.
-  auto role_plan = [&](int gpus) {
-    PlacementConfig pc;
-    pc.num_nodes = n;
-    pc.gpus_per_node = gpus;
-    pc.k = cfg.k;
-    pc.m = cfg.m;
-    return plan_placement(pc);
-  };
-  const ec::CrsCodec codec(cfg.k, cfg.m, cfg.gf_width, cfg.kernel);
-  const std::size_t P = cfg.packet_size;
-
-  // A version whose row a later delta save moved on gets it back first.
-  for (int node : driven)
-    if (members.is_alive(node))
-      materialize_version(fabric.store(node), ns, version);
-
-  // ---- round 1: every rank reports chunk intactness + metadata extent ----
-  // flag 0 = nothing usable, 1 = chunk row intact (commit + packets + CRC
-  // scrub), each paired with the number of workers whose metadata and
-  // tensor-keys blobs are both held (the step-2 broadcast makes that W on
-  // any honest survivor). A refresh torn between a worker's two blobs must
-  // not let a node pass for a full metadata holder.
-  auto local_state = [&](int node) {
-    NodeFlag f;
-    cluster::Store& store = fabric.store(node);
-    const std::string meta_prefix = version_prefix(ns, version) + "meta/";
-    for (const std::string& key : store.keys_with_prefix(meta_prefix))
-      if (store.contains(version_prefix(ns, version) + "keys/" +
-                         key.substr(meta_prefix.size())))
-        ++f.workers;
-    // A node whose metadata extent is not a valid world shape cannot even
-    // name its own chunk row — treat it as lost.
-    if (f.workers == 0 ||
-        f.workers % static_cast<std::uint64_t>(n) != 0 ||
-        f.workers % static_cast<std::uint64_t>(cfg.k) != 0) {
-      f.flag = 0;
-      return f;
-    }
-    const int row = role_plan(static_cast<int>(f.workers) / n)
-                        .generator_row_of_node(node);
-    bool intact = store.contains(commit_key(ns, version)) &&
-                  store.contains(row_key(ns, version, row, 0, 0));
-    if (intact && cfg.verify_integrity) {
-      intact = store.contains(sums_key(ns, version));
-      if (intact) {
-        const int pch = static_cast<int>(f.workers) / cfg.k;
-        const Buffer& sums = store.get(sums_key(ns, version));
-        const std::size_t B_row =
-            sums.size() / 8 / static_cast<std::size_t>(pch);
-        // The sums must cover the whole row: a blob cut short would leave
-        // its last packets unscrubbed.
-        intact = B_row > 0 &&
-                 sums.size() == B_row * 8 * static_cast<std::size_t>(pch) &&
-                 !store.contains(
-                     row_key(ns, version, row, 0, static_cast<int>(B_row)));
-        for (int j = 0; intact && j < pch; ++j) {
-          for (std::size_t b = 0; intact && b < B_row; ++b) {
-            const std::string rk =
-                row_key(ns, version, row, j, static_cast<int>(b));
-            if (!store.contains(rk)) {
-              intact = false;
-              break;
-            }
-            std::uint64_t want;
-            std::memcpy(&want,
-                        sums.data() +
-                            (static_cast<std::size_t>(j) * B_row + b) * 8,
-                        8);
-            intact = crc64(store.get(rk).span()) == want;
-          }
-        }
-      }
-    }
-    f.flag = intact ? 1 : 0;
-    return f;
-  };
-  std::vector<NodeFlag> flags = exchange_flags(
-      fabric, tmp_prefix(ns, version) + "load/flag1/", local_state, act);
-  // Round 1's metadata extents, before a remote rescue overwrites them.
-  std::vector<std::uint64_t> held;
-  for (const NodeFlag& f : flags) held.push_back(f.workers);
-
-  std::uint64_t W64 = 0;
-  for (const NodeFlag& f : flags) W64 = std::max(W64, f.workers);
-  int survivors = 0;
-  for (const NodeFlag& f : flags) survivors += f.flag >= 1 ? 1 : 0;
-
-  // ---- catastrophic path: fewer than k chunks left -----------------------
-  int remote_rescued_rows = 0;
-  if (survivors < cfg.k && !members.full()) {
-    // Degraded membership: the dead ranks cannot be asked to rescue
-    // anything, and the remote-rescue round below assumes full
-    // participation — fail precisely instead.
+    return std::move(rep);
+  }
+  /// The one failure exit: every rank takes it with the same detail.
+  ckpt::LoadReport fail(std::string why) {
     rep.success = false;
-    rep.detail = "only " + std::to_string(survivors) + " chunks survive on " +
-                 std::to_string(members.alive_count(n)) +
-                 " alive ranks, need k=" + std::to_string(cfg.k);
-    finalize();
-    return rep;
-  }
-  if (survivors < cfg.k) {
-    const int self = driven.front();
-    const bool remote_ok =
-        fabric.remote_contains(self, commit_key(ns, version)) &&
-        fabric.remote_contains(self, row_key(ns, version, 0, 0, 0));
-    if (!remote_ok) {
-      rep.success = false;
-      rep.detail = "only " + std::to_string(survivors) +
-                   " chunks survive, need k=" + std::to_string(cfg.k) +
-                   " and no remote copy exists";
-      finalize();
-      return rep;
-    }
-    if (W64 == 0) {
-      // Even the metadata is gone from every host — count workers from the
-      // remote flush (each rank sees the same shared store).
-      W64 = fabric
-                .remote_list(self, ns + "ec/" + std::to_string(version) +
-                                       "/meta/")
-                .size();
-      if (W64 == 0 || W64 % static_cast<std::uint64_t>(n) != 0 ||
-          W64 % static_cast<std::uint64_t>(cfg.k) != 0) {
-        rep.success = false;
-        rep.detail = "no usable metadata for version " +
-                     std::to_string(version) + " on hosts or remote";
-        finalize();
-        return rep;
-      }
-    }
-    const int pch = static_cast<int>(W64) / cfg.k;
-    const Placement rplan = role_plan(static_cast<int>(W64) / n);
-    std::size_t B_remote = 0;
-    while (fabric.remote_contains(
-        self, row_key(ns, version, 0, 0, static_cast<int>(B_remote))))
-      ++B_remote;
-    for (int node = 0; node < n; ++node) {
-      if (!fabric.drives(node)) continue;
-      if (flags[static_cast<std::size_t>(node)].flag >= 1) continue;
-      const int row = rplan.generator_row_of_node(node);
-      for (int j = 0; j < pch; ++j)
-        for (int b = 0; b < static_cast<int>(B_remote); ++b) {
-          const std::string rk = row_key(ns, version, row, j, b);
-          fabric.remote_read(node, rk, rk);
-        }
-      // The step-2 invariant (every node holds every worker's metadata)
-      // comes back from the remote flush too.
-      for (int w = 0; w < static_cast<int>(W64); ++w)
-        for (const std::string& key :
-             {meta_key(ns, version, w), keys_key(ns, version, w)})
-          if (!fabric.store(node).contains(key))
-            fabric.remote_read(node, key, key);
-    }
-    flags = exchange_flags(fabric, tmp_prefix(ns, version) + "load/flag2/",
-                           [&](int node) {
-                             NodeFlag f = flags[static_cast<std::size_t>(node)];
-                             if (f.flag == 0) f.flag = 2;
-                             f.workers = W64;
-                             return f;
-                           },
-                           act);
-    // Count rescued rows from the agreed flags so every rank reports the
-    // same detail, including survivors that rescued nothing themselves.
-    for (const NodeFlag& f : flags) remote_rescued_rows += f.flag == 2;
-    survivors = n;
+    rep.detail = std::move(why);
+    return finish();
   }
 
-  ECC_CHECK_MSG(W64 > 0 && W64 % static_cast<std::uint64_t>(n) == 0 &&
-                    W64 % static_cast<std::uint64_t>(cfg.k) == 0,
+  const obs::StatsRegistry::CounterMap stats_base;
+  ckpt::LoadReport rep;
+  // Per node, from the flag rounds: 0 = nothing usable, 1 = chunk row
+  // intact, 2 = row refetched from the remote flush; and the number of
+  // workers whose blobs it holds.
+  std::vector<NodeFlag> flags;
+  std::vector<NodeFlag> round1;  ///< before a remote rescue rewrites them
+  std::uint64_t W64 = 0;         ///< the agreed worker count
+  int survivors = 0;
+  int remote_rescued_rows = 0;
+  std::vector<std::vector<dnn::TensorMeta>> tkeys;
+  std::vector<int> missing_rows;
+  std::vector<int> missing_parity;
+  bool data_lost = false;
+  /// Each rebuilt row's sums, per alive node driven here (DESIGN.md §7).
+  RowSums rebuilt_sums;
+};
+
+/// Round 1 for one node: flag 1 = chunk row intact (commit + packets + CRC
+/// scrub), paired with the number of workers whose metadata and
+/// tensor-keys blobs are both held (the step-2 broadcast makes that W on
+/// any honest survivor). A refresh torn between a worker's two blobs must
+/// not let a node pass for a full metadata holder.
+NodeFlag LoadOp::scrub_row(int node) {
+  NodeFlag f;
+  cluster::Store& store = fabric.store(node);
+  const std::string meta_prefix = keys::meta_prefix(ns, version);
+  for (const std::string& key : store.keys_with_prefix(meta_prefix))
+    if (store.contains(keys::keys_prefix(ns, version) +
+                       key.substr(meta_prefix.size())))
+      ++f.workers;
+  // A node whose metadata extent is not a valid world shape cannot even
+  // name its own chunk row — treat it as lost.
+  if (!valid_worker_count(f.workers, n, cfg.k)) return f;
+  const int row = plan_for(n, static_cast<int>(f.workers) / n, cfg.k, cfg.m)
+                      .generator_row_of_node(node);
+  if (!store.contains(commit_key(ns, version)) ||
+      !store.contains(row_key(ns, version, row, 0, 0)))
+    return f;
+  if (cfg.verify_integrity) {
+    if (!store.contains(sums_key(ns, version))) return f;
+    const std::size_t pch = f.workers / static_cast<std::uint64_t>(cfg.k);
+    const Buffer& sums = store.get(sums_key(ns, version));
+    const std::size_t B_row = sums.size() / 8 / pch;
+    // The sums must cover the whole row: a blob cut short would leave its
+    // last packets unscrubbed.
+    if (B_row == 0 || sums.size() != B_row * 8 * pch ||
+        store.contains(row_key(ns, version, row, 0, static_cast<int>(B_row))))
+      return f;
+    for (std::size_t j = 0; j < pch; ++j)
+      for (std::size_t b = 0; b < B_row; ++b) {
+        const std::string rk = row_key(ns, version, row, static_cast<int>(j),
+                                       static_cast<int>(b));
+        std::uint64_t want;
+        std::memcpy(&want, sums.data() + (j * B_row + b) * 8, 8);
+        if (!store.contains(rk) || crc64(store.get(rk).span()) != want)
+          return f;
+      }
+  }
+  f.flag = 1;
+  return f;
+}
+
+/// Round 1: every rank reports its chunk's intactness and metadata extent.
+void LoadOp::scrub_and_agree() {
+  flags = exchange_flags(fabric, keys::load_flag_prefix(ns, version, 1),
+                         [&](int node) { return scrub_row(node); }, act);
+  round1 = flags;
+  for (const NodeFlag& f : flags) {
+    W64 = std::max(W64, f.workers);
+    survivors += f.flag >= 1 ? 1 : 0;
+  }
+}
+
+/// The catastrophic path, fewer than k chunks left: the lost rows and any
+/// missing metadata come back from the remote flush, and round 2 agrees on
+/// the result. Returns why it cannot when the remote store holds no copy.
+std::optional<std::string> LoadOp::rescue_from_remote() {
+  const int self = driven.front();
+  if (!fabric.remote_contains(self, commit_key(ns, version)) ||
+      !fabric.remote_contains(self, row_key(ns, version, 0, 0, 0)))
+    return "only " + std::to_string(survivors) + " chunks survive, need k=" +
+           std::to_string(cfg.k) + " and no remote copy exists";
+  if (W64 == 0) {
+    // Even the metadata is gone from every host — count workers from the
+    // remote flush (each rank sees the same shared store).
+    W64 = fabric.remote_list(self, keys::meta_prefix(ns, version)).size();
+    if (!valid_worker_count(W64, n, cfg.k))
+      return "no usable metadata for version " + std::to_string(version) +
+             " on hosts or remote";
+  }
+  const int pch = static_cast<int>(W64) / cfg.k;
+  const Placement rplan =
+      plan_for(n, static_cast<int>(W64) / n, cfg.k, cfg.m);
+  std::size_t B_remote = 0;
+  while (fabric.remote_contains(
+      self, row_key(ns, version, 0, 0, static_cast<int>(B_remote))))
+    ++B_remote;
+  for (int node = 0; node < n; ++node) {
+    if (!fabric.drives(node)) continue;
+    if (flags[static_cast<std::size_t>(node)].flag >= 1) continue;
+    const int row = rplan.generator_row_of_node(node);
+    for (int j = 0; j < pch; ++j)
+      for (int b = 0; b < static_cast<int>(B_remote); ++b) {
+        const std::string rk = row_key(ns, version, row, j, b);
+        fabric.remote_read(node, rk, rk);
+      }
+    // The step-2 invariant (every node holds every worker's metadata) comes
+    // back from the remote flush too.
+    for (int w = 0; w < static_cast<int>(W64); ++w)
+      for (const std::string& key :
+           {meta_key(ns, version, w), keys_key(ns, version, w)})
+        if (!fabric.store(node).contains(key))
+          fabric.remote_read(node, key, key);
+  }
+  flags = exchange_flags(fabric, keys::load_flag_prefix(ns, version, 2),
+                         [&](int node) {
+                           NodeFlag f = flags[static_cast<std::size_t>(node)];
+                           if (f.flag == 0) f.flag = 2;
+                           f.workers = W64;
+                           return f;
+                         },
+                         act);
+  // Count rescued rows from the agreed flags so every rank reports the
+  // same detail, including survivors that rescued nothing themselves.
+  for (const NodeFlag& f : flags) remote_rescued_rows += f.flag == 2;
+  survivors = n;
+  return std::nullopt;
+}
+
+/// Fixes the roles from the agreed worker count — a freshly replaced rank
+/// knows it only now — and gives every node every worker's blobs from one
+/// full holder. Returns why it cannot when no node holds them all.
+std::optional<std::string> LoadOp::refresh_metadata() {
+  ECC_CHECK_MSG(valid_worker_count(W64, n, cfg.k),
                 "stored worker count " << W64
                                        << " inconsistent with fabric shape");
-  const int W = static_cast<int>(W64);
-  const int g = W / n;
-  const Placement plan = role_plan(g);
-  const int per_chunk = plan.workers_per_chunk();
-  auto node_of_row = [&](int row) {
-    return row < cfg.k
-               ? plan.data_nodes[static_cast<std::size_t>(row)]
-               : plan.parity_nodes[static_cast<std::size_t>(row - cfg.k)];
-  };
-
-  // ---- metadata refresh: every node ends up with every worker's blobs ----
+  set_shape(static_cast<int>(W64) / n);
   int meta_holder = -1;
   for (int node : act) {
-    if (flags[static_cast<std::size_t>(node)].workers ==
-        static_cast<std::uint64_t>(W)) {
+    if (flags[static_cast<std::size_t>(node)].workers == W64) {
       meta_holder = node;
       break;
     }
   }
-  if (meta_holder < 0) {
-    rep.success = false;
-    rep.detail = "no surviving metadata copy for version " +
-                 std::to_string(version) + " (pruned or never saved)";
-    finalize();
-    return rep;
-  }
-  for (int node = 0; node < n; ++node)
-    rep.metadata_refreshed.push_back(
-        held[static_cast<std::size_t>(node)] != static_cast<std::uint64_t>(W));
+  if (meta_holder < 0)
+    return "no surviving metadata copy for version " +
+           std::to_string(version) + " (pruned or never saved)";
+  for (const NodeFlag& f : round1)
+    rep.metadata_refreshed.push_back(f.workers != W64);
   for (int w = 0; w < W; ++w) {
     fabric.broadcast(act, meta_holder, meta_key(ns, version, w));
     fabric.broadcast(act, meta_holder, keys_key(ns, version, w));
   }
+  count_packets(&tkeys);
+  return std::nullopt;
+}
 
-  // Uniform B and the dead slots, re-derived from the tensor-keys blobs
-  // like the save.
-  std::vector<std::vector<dnn::TensorMeta>> tkeys;
-  const PacketCounts counts = packet_counts(
-      fabric.store(home_node(fabric, act)), ns, version, W, cfg.k, P, &tkeys);
-  const std::size_t B = counts.B;
+/// Rebuilds rows `targets` from the k rows `basis`, SPMD: survivors stream
+/// their row packets to each target site, which applies the reconstruction
+/// matrix rows in basis order, so the reconstructed bytes are those the
+/// save stored. A site hosting several targets (an adopter standing in for
+/// several dead ranks) receives each basis packet once and decodes all its
+/// rows from it. Dead slots are zero on both sides: a dead source packet is
+/// neither sent nor multiplied, and a dead target slot is stored as zeros.
+/// A row rebuilt for an alive node driven here gets its sums as each packet
+/// is decoded (DESIGN.md §7).
+void LoadOp::decode_rows(const std::vector<int>& basis,
+                         const std::vector<int>& targets) {
+  if (targets.empty()) return;
+  const ec::GfMatrix T = codec.reconstruction_matrix(basis, targets);
+  // Rows homed on a dead rank materialize on the adopter instead. So a
+  // basis row is read on its node's site: re-encoding the lost parity rows
+  // reads a dead node's data row, just rebuilt, on the adopter.
+  auto source_site = [&](int s) {
+    return members.site(plan.node_of_row(basis[static_cast<std::size_t>(s)]));
+  };
+  std::map<int, std::vector<int>> on_site;  // target site → indices ti
+  std::vector<std::vector<std::uint64_t>*> sums(targets.size(), nullptr);
+  for (int ti = 0; ti < static_cast<int>(targets.size()); ++ti) {
+    const int node = plan.node_of_row(targets[static_cast<std::size_t>(ti)]);
+    on_site[members.site(node)].push_back(ti);
+    if (cfg.verify_integrity && members.is_alive(node) && fabric.drives(node)) {
+      sums[static_cast<std::size_t>(ti)] = &rebuilt_sums[node];
+      sums[static_cast<std::size_t>(ti)]->assign(
+          static_cast<std::size_t>(per_chunk) * B, zero_sum(P));
+    }
+  }
+  for (int j = 0; j < per_chunk; ++j) {
+    for (int b = 0; b < static_cast<int>(B); ++b) {
+      auto live = [&](int row) {
+        return static_cast<std::size_t>(b) < counts.row_live(row, j);
+      };
+      // A live basis packet away from the target site crosses to it.
+      auto fetched = [&](int s, int tsite) {
+        return source_site(s) != tsite &&
+               live(basis[static_cast<std::size_t>(s)]);
+      };
+      const bool any_source = std::any_of(basis.begin(), basis.end(), live);
+      for (const auto& [tsite, tis] : on_site) {
+        const bool any_target =
+            std::any_of(tis.begin(), tis.end(), [&](int ti) {
+              return live(targets[static_cast<std::size_t>(ti)]);
+            });
+        ECC_CHECK_MSG(!any_target || any_source,
+                      "live slot " << b << " of stripe " << j
+                                   << " has no live basis packet");
+        if (any_target)
+          for (int s = 0; s < cfg.k; ++s) {
+            const int srow = basis[static_cast<std::size_t>(s)];
+            if (fetched(s, tsite))
+              fabric.send_buffer(source_site(s), tsite,
+                                 row_key(ns, version, srow, j, b),
+                                 keys::load_rec_key(ns, version, s, j, b));
+          }
+        if (!fabric.drives(tsite)) continue;
+        cluster::Store& store = fabric.store(tsite);
+        for (int ti : tis) {
+          const int target_row = targets[static_cast<std::size_t>(ti)];
+          // A dead target slot is zero: no source is multiplied into it.
+          Buffer acc(P, live(target_row) ? Buffer::Init::kUninitialized
+                                         : Buffer::Init::kZeroed);
+          bool accumulate = false;
+          for (int s = 0; live(target_row) && s < cfg.k; ++s) {
+            const int srow = basis[static_cast<std::size_t>(s)];
+            if (!live(srow)) continue;
+            const Buffer& pkt =
+                fetched(s, tsite)
+                    ? store.get(keys::load_rec_key(ns, version, s, j, b))
+                    : store.get(row_key(ns, version, srow, j, b));
+            codec.mul_packet(T.at(ti, s), pkt.span(), acc.span(), accumulate);
+            accumulate = true;
+          }
+          if (std::vector<std::uint64_t>* rebuilt =
+                  live(target_row) ? sums[static_cast<std::size_t>(ti)]
+                                   : nullptr)
+            (*rebuilt)[static_cast<std::size_t>(j) * B +
+                       static_cast<std::size_t>(b)] = crc64(acc.span());
+          store.put(row_key(ns, version, target_row, j, b), std::move(acc));
+        }
+        if (any_target)
+          for (int s = 0; s < cfg.k; ++s)
+            if (fetched(s, tsite))
+              store.erase(keys::load_rec_key(ns, version, s, j, b));
+      }
+    }
+  }
+}
 
-  // ---- reconstruct lost rows from any k survivors ------------------------
-  // A dead rank's row counts as missing even if its store still held it at
-  // death: nobody can read it. Rows homed on dead ranks are reconstructed
-  // *onto the adopter's store* for the duration of the load (workflow B),
-  // then dropped again at the end.
-  std::vector<int> survivor_rows, missing_rows;
+/// Decodes the lost data rows from any k survivors (workflow B). A dead
+/// rank's row counts as missing even if its store still held it at death:
+/// nobody can read it. Rows homed on dead ranks are reconstructed onto the
+/// adopter's store for the duration of the load (drop_adopted_rows).
+void LoadOp::reconstruct() {
+  std::vector<int> survivor_rows;
   rep.rows.resize(static_cast<std::size_t>(n));
   for (int node = 0; node < n; ++node) {
     const int row = plan.generator_row_of_node(node);
@@ -1447,132 +1594,26 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   }
   std::sort(survivor_rows.begin(), survivor_rows.end());
   std::sort(missing_rows.begin(), missing_rows.end());
-  std::vector<int> missing_data, missing_parity;
+  std::vector<int> missing_data;
   for (int r : missing_rows)
     (r < cfg.k ? missing_data : missing_parity).push_back(r);
-  const bool data_lost = !missing_data.empty();
+  data_lost = !missing_data.empty();
+  decode_rows({survivor_rows.begin(), survivor_rows.begin() + cfg.k},
+              missing_data);
+}
 
-  // Distributed SPMD reconstruction: survivors stream their row packets to
-  // each target site, which applies the reconstruction matrix rows in basis
-  // order, so the reconstructed bytes are those the save stored.
-  // A site hosting several targets (an adopter standing in for several dead
-  // ranks) receives each basis packet once and decodes all its rows from
-  // it. Dead slots are zero on both sides: a dead source packet is neither
-  // sent nor multiplied, and a dead target slot is stored as zeros.
-  // A row rebuilt for an alive node driven here gets its sums as each
-  // packet is decoded (DESIGN.md §7).
-  RowSums rebuilt_sums;
-  auto reconstruct = [&](const std::vector<int>& basis,
-                         const std::vector<int>& targets) {
-    if (targets.empty()) return;
-    const ec::GfMatrix T = codec.reconstruction_matrix(basis, targets);
-    auto rec_key = [&](int s, int j, int b) {
-      return tmp_prefix(ns, version) + "load/rec/" + std::to_string(s) + "/" +
-             std::to_string(j) + "/" + std::to_string(b);
-    };
-    // Rows homed on a dead rank materialize on the adopter instead. So a
-    // basis row is read on its node's site: re-encoding the lost parity
-    // rows reads a dead node's data row, just rebuilt, on the adopter.
-    auto source_site = [&](int s) {
-      return members.site(node_of_row(basis[static_cast<std::size_t>(s)]));
-    };
-    std::map<int, std::vector<int>> on_site;  // target site → indices ti
-    std::vector<std::vector<std::uint64_t>*> sums(targets.size(), nullptr);
-    for (int ti = 0; ti < static_cast<int>(targets.size()); ++ti) {
-      const int node = node_of_row(targets[static_cast<std::size_t>(ti)]);
-      on_site[members.site(node)].push_back(ti);
-      if (cfg.verify_integrity && members.is_alive(node) &&
-          fabric.drives(node)) {
-        sums[static_cast<std::size_t>(ti)] = &rebuilt_sums[node];
-        sums[static_cast<std::size_t>(ti)]->assign(
-            static_cast<std::size_t>(per_chunk) * B, zero_sum(P));
-      }
-    }
-    for (int j = 0; j < per_chunk; ++j) {
-      for (int b = 0; b < static_cast<int>(B); ++b) {
-        auto live = [&](int row) {
-          return static_cast<std::size_t>(b) < counts.row_live(row, j);
-        };
-        // A live basis packet away from the target site crosses to it.
-        auto fetched = [&](int s, int tsite) {
-          return source_site(s) != tsite &&
-                 live(basis[static_cast<std::size_t>(s)]);
-        };
-        const bool any_source = std::any_of(basis.begin(), basis.end(), live);
-        for (const auto& [tsite, tis] : on_site) {
-          const bool any_target =
-              std::any_of(tis.begin(), tis.end(), [&](int ti) {
-                return live(targets[static_cast<std::size_t>(ti)]);
-              });
-          ECC_CHECK_MSG(!any_target || any_source,
-                        "live slot " << b << " of stripe " << j
-                                     << " has no live basis packet");
-          if (any_target)
-            for (int s = 0; s < cfg.k; ++s) {
-              const int srow = basis[static_cast<std::size_t>(s)];
-              if (fetched(s, tsite))
-                fabric.send_buffer(source_site(s), tsite,
-                                   row_key(ns, version, srow, j, b),
-                                   rec_key(s, j, b));
-            }
-          if (!fabric.drives(tsite)) continue;
-          cluster::Store& store = fabric.store(tsite);
-          for (int ti : tis) {
-            const int target_row = targets[static_cast<std::size_t>(ti)];
-            // A dead target slot is zero: no source is multiplied into it.
-            Buffer acc(P, live(target_row) ? Buffer::Init::kUninitialized
-                                           : Buffer::Init::kZeroed);
-            bool accumulate = false;
-            for (int s = 0; live(target_row) && s < cfg.k; ++s) {
-              const int srow = basis[static_cast<std::size_t>(s)];
-              if (!live(srow)) continue;
-              const Buffer& pkt =
-                  fetched(s, tsite)
-                      ? store.get(rec_key(s, j, b))
-                      : store.get(row_key(ns, version, srow, j, b));
-              codec.mul_packet(T.at(ti, s), pkt.span(), acc.span(), accumulate);
-              accumulate = true;
-            }
-            if (std::vector<std::uint64_t>* rebuilt =
-                    live(target_row) ? sums[static_cast<std::size_t>(ti)]
-                                     : nullptr)
-              (*rebuilt)[static_cast<std::size_t>(j) * B +
-                          static_cast<std::size_t>(b)] = crc64(acc.span());
-            store.put(row_key(ns, version, target_row, j, b), std::move(acc));
-          }
-          if (any_target)
-            for (int s = 0; s < cfg.k; ++s)
-              if (fetched(s, tsite)) store.erase(rec_key(s, j, b));
-        }
-      }
-    }
-  };
-
-  std::vector<int> basis(survivor_rows.begin(),
-                         survivor_rows.begin() + cfg.k);
-  reconstruct(basis, missing_data);
-
-  // ---- refill every worker's own packets and rebuild state_dicts ---------
-  // Sited, not driven: during a degraded window the adopter also refills
-  // the dead ranks' workers (their packets exist — data rows are complete
-  // after reconstruction), so `load` keeps serving every worker's bytes.
-  std::map<int, int> out_index;  // sited worker → index into `out`
-  {
-    int idx = 0;
-    for (int w = 0; w < W; ++w)
-      if (fabric.drives(members.site(w / g))) out_index[w] = idx++;
-  }
+/// Refills every worker's own packets and rebuilds its state_dict. Sited,
+/// not driven: during a degraded window the adopter also refills the dead
+/// ranks' workers (their packets exist — data rows are complete after
+/// reconstruction), so `load` keeps serving every worker's bytes.
+void LoadOp::refill(std::vector<dnn::StateDict>& out) {
   out.clear();
-  out.resize(out_index.size());
-  auto refill_key = [&](int w, int b) {
-    return tmp_prefix(ns, version) + "load/refill/" + std::to_string(w) +
-           "/" + std::to_string(b);
-  };
+  out.resize(fabric_sited_workers(fabric, g, members).size());
+  auto next = out.begin();  // the sited workers fill `out` in order
   for (int w = 0; w < W; ++w) {
     const int wsite = members.site(w / g);
     const int c = plan.chunk_of_worker(w);
-    const int src = plan.data_nodes[static_cast<std::size_t>(c)];
-    const int ssite = members.site(src);
+    const int ssite = members.site(plan.node_of_row(c));
     const int j = w - c * per_chunk;
     // Only the worker's live packets: the padding behind them is not
     // unpacked.
@@ -1581,10 +1622,11 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
       // One (src, dst) batch per worker: a pipelining transport keeps all
       // its packet frames in flight and reconciles their acks once, instead
       // of paying a round trip per packet.
-      std::vector<std::pair<std::string, std::string>> batch;
+      KeyPairs batch;
       batch.reserve(static_cast<std::size_t>(live));
       for (int b = 0; b < live; ++b)
-        batch.emplace_back(row_key(ns, version, c, j, b), refill_key(w, b));
+        batch.emplace_back(row_key(ns, version, c, j, b),
+                           keys::load_refill_key(ns, version, w, b));
       fabric.send_buffers(ssite, wsite, batch);
     }
     if (!fabric.drives(wsite)) continue;
@@ -1592,80 +1634,162 @@ ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
     std::vector<ByteSpan> packet_views;
     for (int b = 0; b < live; ++b)
       packet_views.push_back(
-          ssite == wsite ? store.get(row_key(ns, version, c, j, b)).span()
-                         : store.get(refill_key(w, b)).span());
+          ssite == wsite
+              ? store.get(row_key(ns, version, c, j, b)).span()
+              : store.get(keys::load_refill_key(ns, version, w, b)).span());
     dnn::StateDict skel = dnn::make_skeleton(
         dnn::deserialize_metadata(store.get(meta_key(ns, version, w)).span()),
         tkeys[static_cast<std::size_t>(w)]);
     unpack_packets(packet_views, skel);
-    out[static_cast<std::size_t>(out_index.at(w))] = std::move(skel);
+    *next++ = std::move(skel);
     if (ssite != wsite)
-      for (int b = 0; b < live; ++b) store.erase(refill_key(w, b));
+      for (int b = 0; b < live; ++b)
+        store.erase(keys::load_refill_key(ns, version, w, b));
   }
-  rep.resume_time = since(t0);
+}
 
-  // Restore redundancy: lost parity rows are re-encoded from the
-  // now-complete set of data rows — but only onto alive hosts; a dead
-  // rank's parity row has nowhere to live until the rank is replaced.
-  {
-    std::vector<int> data_basis;
-    for (int c = 0; c < cfg.k; ++c) data_basis.push_back(c);
-    std::vector<int> parity_targets;
-    for (int row : missing_parity)
-      if (members.is_alive(node_of_row(row))) parity_targets.push_back(row);
-    reconstruct(data_basis, parity_targets);
-  }
+/// Restores redundancy: lost parity rows are re-encoded from the
+/// now-complete set of data rows — but only onto alive hosts; a dead rank's
+/// parity row has nowhere to live until the rank is replaced.
+void LoadOp::restore_parity() {
+  std::vector<int> data_basis;
+  for (int c = 0; c < cfg.k; ++c) data_basis.push_back(c);
+  std::vector<int> parity_targets;
+  for (int row : missing_parity)
+    if (members.is_alive(plan.node_of_row(row))) parity_targets.push_back(row);
+  decode_rows(data_basis, parity_targets);
+}
 
-  // Every alive node whose row this load rebuilt or refetched now holds its
-  // chunk and metadata: refresh its checksums and commit marker so future
-  // recoveries see it as a survivor — also where a stale marker outlived
-  // corrupt or missing sums. A rebuilt row's sums were taken as it was
-  // decoded; only a refetched row is reread.
-  for (int node : driven) {
-    if (!members.is_alive(node)) continue;
+/// Every alive node whose row this load rebuilt or refetched now holds its
+/// chunk and metadata: refresh its checksums and commit marker so future
+/// recoveries see it as a survivor — also where a stale marker outlived
+/// corrupt or missing sums. A rebuilt row's sums were taken as it was
+/// decoded; only a refetched row is reread.
+void LoadOp::recommit() {
+  for (int node : mine) {
     const std::uint64_t flag = flags[static_cast<std::size_t>(node)].flag;
     if (flag == 1) continue;  // intact: its sums and marker stand
-    cluster::Store& store = fabric.store(node);
+    Buffer sums;
     if (cfg.verify_integrity)
-      store.put(sums_key(ns, version),
-                flag == 0 ? sums_blob(rebuilt_sums.at(node))
-                          : row_sums(fabric, node, ns, version,
-                                     plan.generator_row_of_node(node),
-                                     per_chunk, B));
-    store.put(commit_key(ns, version), Buffer::copy_of(as_bytes_of(version)));
+      sums = flag == 0 ? sums_blob(rebuilt_sums.at(node))
+                       : row_sums(fabric, node, ns, version,
+                                  plan.generator_row_of_node(node), per_chunk,
+                                  B);
+    commit_row(fabric.store(node), ns, version, std::move(sums));
   }
+}
 
-  // Drop the adopted rows again: while the rank is dead its row has no
-  // committed host, and leaving a copy on the adopter would let a later
-  // intactness scan double-count it.
-  if (!members.full()) {
-    for (int node = 0; node < n; ++node) {
-      if (members.is_alive(node)) continue;
-      const int site = members.site(node);
-      if (!fabric.drives(site)) continue;
-      const int row = plan.generator_row_of_node(node);
-      for (int j = 0; j < per_chunk; ++j)
-        for (int b = 0; b < static_cast<int>(B); ++b)
-          fabric.store(site).erase(row_key(ns, version, row, j, b));
-    }
+/// Drops the adopted rows again: while the rank is dead its row has no
+/// committed host, and leaving a copy on the adopter would let a later
+/// intactness scan double-count it.
+void LoadOp::drop_adopted_rows() {
+  for (int node = 0; node < n; ++node) {
+    if (members.is_alive(node) || !fabric.drives(members.site(node))) continue;
+    const int row = plan.generator_row_of_node(node);
+    for (int j = 0; j < per_chunk; ++j)
+      for (int b = 0; b < static_cast<int>(B); ++b)
+        fabric.store(members.site(node))
+            .erase(row_key(ns, version, row, j, b));
   }
+}
 
-  fabric.barrier(act);
-  rep.success = true;
+/// What the load did, the same on every rank.
+std::string LoadOp::detail() const {
+  std::string what;
   if (remote_rescued_rows > 0)
-    rep.detail = "remote fallback (refetched " +
-                 std::to_string(remote_rescued_rows) +
-                 " rows from remote storage)";
+    what = "remote fallback (refetched " + std::to_string(remote_rescued_rows) +
+           " rows from remote storage)";
   else if (data_lost)
-    rep.detail = "workflow B (decoded " + std::to_string(missing_rows.size()) +
-                 " rows)";
+    what = "workflow B (decoded " + std::to_string(missing_rows.size()) +
+           " rows)";
   else
-    rep.detail = "workflow A (all data nodes survived)";
+    what = "workflow A (all data nodes survived)";
   if (!members.full())
-    rep.detail += "; degraded (" +
-                  std::to_string(n - members.alive_count(n)) + " dead)";
-  finalize();
-  return rep;
+    what += "; degraded (" + std::to_string(n - members.alive_count(n)) +
+            " dead)";
+  return what;
+}
+
+}  // namespace
+
+ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
+                             const std::vector<const dnn::StateDict*>& shards,
+                             std::int64_t version,
+                             const Membership& members) {
+  SaveOp op(fabric, cfg, shards, version, members);
+  const auto stats_base = fabric.stats().counters();
+  obs::ScopedSpan span("engine.save[" + fabric.fabric_name() + "]");
+
+  op.share_metadata(shards);  // steps 1–2
+  // Incremental path (cfg.delta): when every site still holds a valid base
+  // cache of one common committed version and the global dirty ratio is
+  // small enough, the stripe is patched in place, not re-encoded. Any
+  // prerequisite failure on any rank (first save, rolled-back base, shape
+  // change, pruned base, degraded membership) falls through to the full
+  // path, which only then packs the shards.
+  bool delta_used = false;
+  if (op.delta_wanted) {
+    const DeltaVote vote = op.delta_snapshot();
+    delta_used = vote.base != 0;
+    if (delta_used) op.delta_patch(vote);
+  }
+  // Step 3 of a full save. A row homed on a dead rank is skipped entirely:
+  // the degraded stripe keeps the n_alive ≥ k rows hosted by survivors
+  // (reduced redundancy — any k of them still decode), rather than
+  // blocking the save.
+  if (!delta_used) {
+    op.pack();
+    op.relocate_data();  // 3a
+    op.encode_parity();  // 3b
+    // Step 3 ends here on both paths, before the CRC sums, commit markers
+    // and base-cache update.
+    op.stamp(Stage::kEncodePipeline);
+  }
+  op.commit(delta_used);
+  if (cfg.flush_to_remote) op.flush_to_remote();
+  fabric.barrier(op.act);
+  if (op.delta_wanted) op.update_base_cache(delta_used);
+
+  op.rep.total_time = since(op.t0);
+  op.rep.stats =
+      obs::StatsRegistry::delta(fabric.stats().counters(), stats_base);
+  fill_traffic(op.rep.stats, &op.rep.network_bytes, &op.rep.remote_bytes);
+  return std::move(op.rep);
+}
+
+ckpt::LoadReport fabric_load(cluster::Fabric& fabric, const ECCheckConfig& cfg,
+                             std::int64_t version,
+                             std::vector<dnn::StateDict>& out,
+                             const Membership& members) {
+  LoadOp op(fabric, cfg, version, members);
+  obs::ScopedSpan span("engine.load[" + fabric.fabric_name() + "]");
+  // A version whose row a later delta save moved on gets it back first.
+  for (int node : op.mine)
+    materialize_version(fabric.store(node), op.ns, version);
+
+  op.scrub_and_agree();  // round 1
+  if (op.survivors < cfg.k) {
+    // Degraded membership: the dead ranks cannot be asked to rescue
+    // anything, and the remote-rescue round assumes full participation —
+    // fail precisely instead.
+    if (!members.full())
+      return op.fail("only " + std::to_string(op.survivors) +
+                     " chunks survive on " +
+                     std::to_string(members.alive_count(op.n)) +
+                     " alive ranks, need k=" + std::to_string(cfg.k));
+    if (auto why = op.rescue_from_remote()) return op.fail(*why);
+  }
+  if (auto why = op.refresh_metadata()) return op.fail(*why);
+  op.reconstruct();
+  op.refill(out);
+  op.rep.resume_time = since(op.t0);
+  op.restore_parity();
+  op.recommit();
+  op.drop_adopted_rows();
+  fabric.barrier(op.act);
+  op.rep.success = true;
+  op.rep.detail = op.detail();
+  return op.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -1734,7 +1858,7 @@ std::int64_t fabric_newest_version(cluster::Fabric& fabric,
   const std::string& ns = cfg.key_namespace;
   members.check(fabric.world_size());
   std::vector<NodeFlag> flags = exchange_flags(
-      fabric, ns + "tmp/vers/",
+      fabric, keys::newest_flag_prefix(ns),
       [&](int node) {
         NodeFlag f;
         std::int64_t best = 0;

@@ -42,6 +42,30 @@
 
 namespace eccheck::core {
 
+/// The protocol's stages as a save reports them. A save stamps
+/// SaveReport::breakdown[stage_key(s)] with the time from its start to the
+/// end of stage s, on the byte plane (fabric_save) and in the simulator's
+/// schedule (ECCheckEngine::schedule_save) alike; DESIGN.md §8 maps each
+/// stage to its step function, span and benchmark metric.
+enum class Stage {
+  kSnapshot,           ///< step 1: the snapshot, whose end is the stall
+  kMetadataBroadcast,  ///< step 2: every worker's blobs on every node
+  kDeltaPatch,         ///< step 3 of a delta save: Δ shipped and folded in
+  kEncodePipeline,     ///< step 3 of a full save: encode → reduce → P2P
+  kRemoteFlush,        ///< step 4: rows and metadata in remote storage
+};
+
+constexpr const char* stage_key(Stage stage) {
+  switch (stage) {
+    case Stage::kSnapshot: return "step1_snapshot";
+    case Stage::kMetadataBroadcast: return "step2_metadata_broadcast";
+    case Stage::kDeltaPatch: return "step3_delta_patch";
+    case Stage::kEncodePipeline: return "step3_encode_pipeline";
+    case Stage::kRemoteFlush: return "step4_remote_flush";
+  }
+  return "";
+}
+
 /// Degraded-mode membership: which fabric ranks are currently alive.
 ///
 /// An empty `alive` list is full membership — every rank participates and

@@ -82,7 +82,6 @@ struct Placement {
 
   /// Data chunk that worker w's packet belongs to.
   int chunk_of_worker(int w) const { return w / workers_per_chunk(); }
-  ///
 
   bool is_data_node(int node) const;
   bool is_parity_node(int node) const;
@@ -90,6 +89,13 @@ struct Placement {
   /// Generator row stored by `node`: chunk index c for data nodes, k + r for
   /// parity nodes.
   int generator_row_of_node(int node) const;
+  /// The node storing generator row `row`: the inverse of
+  /// generator_row_of_node.
+  int node_of_row(int row) const {
+    return row < config.k
+               ? data_nodes[static_cast<std::size_t>(row)]
+               : parity_nodes[static_cast<std::size_t>(row - config.k)];
+  }
 };
 
 /// Worker w's hosting node.
@@ -100,6 +106,11 @@ inline int node_of(const PlacementConfig& cfg, int worker) {
 /// Compute the full plan: node roles via sweep-line pairing, reduction
 /// targets via the §IV-B2 rules, and the resulting inter-node P2P transfers.
 Placement plan_placement(const PlacementConfig& cfg);
+
+/// plan_placement of n nodes with g GPUs each, k data and m parity rows.
+inline Placement plan_for(int n, int g, int k, int m) {
+  return plan_placement({n, g, k, m});
+}
 
 /// Communication volume (bytes) for one checkpoint, with per-worker shard
 /// size `s`. `nominal` uses the paper's accounting (every reduction hop and

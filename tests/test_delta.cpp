@@ -387,14 +387,7 @@ std::uint64_t stat_of(const ckpt::SaveReport& rep, const std::string& key) {
 // chunk's data node, the parity nodes} other than the worker's own node.
 // ---------------------------------------------------------------------------
 
-core::Placement placement(int g) {
-  core::PlacementConfig pc;
-  pc.num_nodes = kNodes;
-  pc.gpus_per_node = g;
-  pc.k = kK;
-  pc.m = kM;
-  return core::plan_placement(pc);
-}
+core::Placement placement(int g) { return core::plan_for(kNodes, g, kK, kM); }
 
 /// Nodes other than worker w's own that receive its Δ frame.
 std::uint64_t delta_fanout(int w, int g) {

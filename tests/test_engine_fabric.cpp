@@ -209,12 +209,7 @@ void expect_closed_form(cluster::Fabric& fabric, const cluster::Store& remote,
   using core::keys::row_key;
   const std::string& ns = cfg.key_namespace;
   const int n = fabric.world_size(), W = static_cast<int>(shards.size());
-  core::PlacementConfig pc;
-  pc.num_nodes = n;
-  pc.gpus_per_node = W / n;
-  pc.k = cfg.k;
-  pc.m = cfg.m;
-  const core::Placement plan = core::plan_placement(pc);
+  const core::Placement plan = core::plan_for(n, W / n, cfg.k, cfg.m);
   const int per_chunk = plan.workers_per_chunk();
   const std::size_t P = cfg.packet_size;
   std::size_t B = 1;
@@ -524,14 +519,10 @@ TEST(FabricEngine, FullSaveMovesExactlyThePlannedVolume) {
     std::size_t B = 0;
     for (const auto& sd : shards)
       B = std::max(B, core::packets_needed(sd.tensor_bytes(), cfg.packet_size));
-    core::PlacementConfig pc;
-    pc.num_nodes = s.n;
-    pc.gpus_per_node = s.g;
-    pc.k = s.k;
-    pc.m = s.m;
-    const double want = core::actual_comm_volume(
-        core::plan_placement(pc), static_cast<double>(B * cfg.packet_size))
-                            .total();
+    const double want =
+        core::actual_comm_volume(core::plan_for(s.n, s.g, s.k, s.m),
+                                 static_cast<double>(B * cfg.packet_size))
+            .total();
     EXPECT_EQ(rep.stats.at("net.send.bytes"), static_cast<std::uint64_t>(want));
     EXPECT_EQ(fabric.ring_calls, 0);
 
@@ -743,12 +734,7 @@ TEST(FabricEngine, PaddingSlotsNeverCrossTheWire) {
     ASSERT_NE(*std::min_element(live.begin(), live.end()),
               *std::max_element(live.begin(), live.end()))
         << "shape must be padded";
-    core::PlacementConfig pc;
-    pc.num_nodes = kNodes;
-    pc.gpus_per_node = tc.g;
-    pc.k = kK;
-    pc.m = kM;
-    const core::Placement plan = core::plan_placement(pc);
+    const core::Placement plan = core::plan_for(kNodes, tc.g, kK, kM);
 
     // Save: exactly the live volume; no relocated packet is padding, and
     // each partial key ships once per slot its participant is live.
@@ -851,12 +837,7 @@ TEST(FabricEngine, DegradedLoadShipsEachBasisPacketOncePerSite) {
   cluster::VirtualFabric inner(vc);
   SendBuffersTap fabric(inner);
   core::fabric_save(fabric, cfg, pointers(shards), 1);
-  core::PlacementConfig pc;
-  pc.num_nodes = kNodes;
-  pc.gpus_per_node = g;
-  pc.k = kK;
-  pc.m = kM;
-  const core::Placement plan = core::plan_placement(pc);
+  const core::Placement plan = core::plan_for(kNodes, g, kK, kM);
   ASSERT_EQ(plan.data_nodes, (std::vector<int>{0, 2}));
   ASSERT_EQ(plan.parity_nodes, (std::vector<int>{1, 3}));
   vc.kill(0);
@@ -951,14 +932,7 @@ std::vector<LossCase> loss_cases() {
   return cases;
 }
 
-core::Placement test_plan(int g) {
-  core::PlacementConfig pc;
-  pc.num_nodes = kNodes;
-  pc.gpus_per_node = g;
-  pc.k = kK;
-  pc.m = kM;
-  return core::plan_placement(pc);
-}
+core::Placement test_plan(int g) { return core::plan_for(kNodes, g, kK, kM); }
 
 const char* kernel_name(ec::KernelMode kernel) {
   return kernel == ec::KernelMode::kGfTable ? "gftable" : "bitmatrix";

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "ckpt/base_gemini.hpp"
 #include "ckpt/base_remote.hpp"
+#include "cluster/fabric.hpp"
 #include "core/eccheck_engine.hpp"
+#include "core/fabric_engine.hpp"
 #include "dnn/checkpoint_gen.hpp"
 
 namespace eccheck {
@@ -448,6 +451,85 @@ TEST(Base3, MemoryCostScalesWithGroupSize) {
   }
   // Group of 4 stores ~2x what a group of 2 does on every node.
   EXPECT_GT(bytes[1], bytes[0] * 3 / 2);
+}
+
+// A load reports what it did. The baselines name where the shards came from,
+// so a recovery line never reads as an empty success.
+TEST(BaseEngines, LoadDetailSaysWhereTheShardsCameFrom) {
+  auto shards = dnn::make_sharded_checkpoint(shard_config(8));
+  ckpt::RemoteSyncEngine base1;
+  ckpt::RemoteTwoPhaseEngine base2;
+  ckpt::GeminiReplicationEngine base3(2);
+  const std::pair<CheckpointEngine*, std::string> cases[] = {
+      {&base1, "read 8 shards from remote storage"},
+      {&base2, "read 8 shards from remote storage"},
+      {&base3, "refilled 2 of 8 shards from group replicas"}};
+  for (const auto& [engine, want] : cases) {
+    VirtualCluster cluster(test_cluster_config());
+    engine->save(cluster, shards, 1);
+    cluster.kill(0);
+    cluster.replace(0);
+    std::vector<dnn::StateDict> out;
+    const auto load = engine->load(cluster, 1, out);
+    ASSERT_TRUE(load.success) << engine->name() << ": " << load.detail;
+    EXPECT_EQ(load.detail, want) << engine->name();
+  }
+}
+
+std::set<std::string> breakdown_keys(const ckpt::SaveReport& rep) {
+  std::set<std::string> keys;
+  for (const auto& [key, value] : rep.breakdown) keys.insert(key);
+  return keys;
+}
+
+// Every stage stamp is a time since the save began, so none exceeds the
+// save's total; the dirty ratio is the one entry that is not a time.
+void expect_stamps_within_total(const ckpt::SaveReport& rep,
+                                const std::string& what) {
+  for (const auto& [key, value] : rep.breakdown) {
+    if (key != "delta_dirty_ratio") {
+      EXPECT_LE(value, rep.total_time) << what << ": " << key;
+    }
+  }
+}
+
+// The simulator's schedule and the byte plane stamp the same stages under
+// the same keys, which bench/e2e and fig11 read by name.
+TEST(Stages, ScheduleAndBytePlaneReportOneVocabulary) {
+  auto shards = dnn::make_sharded_checkpoint(shard_config(8));
+  std::vector<const dnn::StateDict*> ptrs;
+  for (const auto& sd : shards) ptrs.push_back(&sd);
+  for (bool flush : {false, true}) {
+    core::ECCheckConfig cfg = eccheck_config(2, 2);
+    cfg.flush_to_remote = flush;
+    std::set<std::string> want = {"step1_snapshot",
+                                  "step2_metadata_broadcast",
+                                  "step3_encode_pipeline"};
+    if (flush) want.insert("step4_remote_flush");
+
+    VirtualCluster scheduled(test_cluster_config());
+    const auto sched = core::ECCheckEngine(cfg).save(scheduled, shards, 1);
+    VirtualCluster moved(test_cluster_config());
+    cluster::VirtualFabric fabric(moved);
+    const auto bytes = core::fabric_save(fabric, cfg, ptrs, 1);
+
+    const std::string what = flush ? "with flush" : "without flush";
+    EXPECT_EQ(breakdown_keys(sched), want) << what;
+    EXPECT_EQ(breakdown_keys(bytes), want) << what;
+    expect_stamps_within_total(sched, "schedule " + what);
+    expect_stamps_within_total(bytes, "fabric_save " + what);
+  }
+
+  core::ECCheckConfig cfg = eccheck_config(2, 2);
+  cfg.delta.enabled = true;
+  VirtualCluster cluster(test_cluster_config());
+  cluster::VirtualFabric fabric(cluster);
+  core::fabric_save(fabric, cfg, ptrs, 1);
+  const auto delta = core::fabric_save(fabric, cfg, ptrs, 2);
+  EXPECT_EQ(breakdown_keys(delta),
+            (std::set<std::string>{"step1_snapshot", "step2_metadata_broadcast",
+                                   "step3_delta_patch", "delta_dirty_ratio"}));
+  expect_stamps_within_total(delta, "delta save");
 }
 
 }  // namespace
