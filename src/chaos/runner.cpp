@@ -6,6 +6,7 @@
 
 #include "cluster/fabric.hpp"
 #include "cluster/failure_detector.hpp"
+#include "core/engine_keys.hpp"
 #include "dnn/checkpoint_gen.hpp"
 #include "obs/json.hpp"
 
@@ -228,8 +229,7 @@ std::int64_t ChaosRunner::attempt_save(const ChaosEvent* mid_save) {
       if (expected_row_keys_ == 0)
         expected_row_keys_ =
             cluster_.host(0)
-                .keys_with_prefix(ns_ + "ec/" + std::to_string(version) +
-                                  "/row/")
+                .keys_with_prefix(core::keys::rows_prefix(ns_, version))
                 .size();
     }
     return version;
@@ -244,10 +244,10 @@ std::int64_t ChaosRunner::attempt_save(const ChaosEvent* mid_save) {
 bool ChaosRunner::node_intact(int node, std::int64_t version) {
   if (!cluster_.alive(node)) return false;
   if (corrupted_.count({version, node})) return false;
-  const std::string prefix = ns_ + "ec/" + std::to_string(version) + "/";
   const cluster::Store& h = cluster_.host(node);
-  if (!h.contains(prefix + "commit")) return false;
-  const std::size_t rows = h.keys_with_prefix(prefix + "row/").size();
+  if (!h.contains(core::keys::commit_key(ns_, version))) return false;
+  const std::size_t rows =
+      h.keys_with_prefix(core::keys::rows_prefix(ns_, version)).size();
   if (rows == 0) return false;
   if (expected_row_keys_ > 0 && rows != expected_row_keys_) return false;
   return true;
@@ -263,8 +263,7 @@ int ChaosRunner::intact_count(std::int64_t version) {
 bool ChaosRunner::remote_committed(std::int64_t version) {
   // The remote commit marker is flushed last, so its presence implies a
   // complete remote copy.
-  return cluster_.remote().contains(ns_ + "ec/" + std::to_string(version) +
-                                    "/commit");
+  return cluster_.remote().contains(core::keys::commit_key(ns_, version));
 }
 
 ChaosRunner::VersionWindow ChaosRunner::retained_window() {
@@ -451,18 +450,14 @@ void ChaosRunner::corrupt_event(const ChaosEvent& ev) {
     const int node =
         holders[static_cast<std::size_t>(ev.picks[0] % holders.size())];
     const std::vector<std::string> rows = cluster_.host(node).keys_with_prefix(
-        ns_ + "ec/" + std::to_string(v) + "/row/");
+        core::keys::rows_prefix(ns_, v));
     if (rows.empty()) continue;
     const std::string& key =
         rows[static_cast<std::size_t>(ev.picks[1] % rows.size())];
-    Buffer chunk = cluster_.host(node).take(key);
-    if (chunk.size() == 0) {
-      cluster_.host(node).put(key, std::move(chunk));
-      continue;
-    }
+    Buffer& chunk = cluster_.host(node).get_mutable(key);
+    if (chunk.size() == 0) continue;
     chunk.data()[static_cast<std::size_t>(ev.picks[2] % chunk.size())] ^=
         std::byte{0x40};
-    cluster_.host(node).put(key, std::move(chunk));
     corrupted_.insert({v, node});
     ++summary_.corruptions;
     return;

@@ -31,6 +31,14 @@ class Store {
     return it->second;
   }
 
+  /// The value itself, to change in place; throws if absent. The reference
+  /// stays valid until the key is erased.
+  Buffer& get_mutable(const std::string& key) {
+    auto it = entries_.find(key);
+    ECC_CHECK_MSG(it != entries_.end(), "store missing key '" << key << "'");
+    return it->second;
+  }
+
   /// Move the value out (erases the key); throws if absent.
   Buffer take(const std::string& key) {
     auto it = entries_.find(key);

@@ -46,14 +46,22 @@
 //
 //   <ns>ec/<bv>/moved                    (V, row): the version and chunk
 //                                        row that now hold bv's row bytes
-//   <ns>ec/<bv>/undo/<j>/<b>             pre-images of the bytes V's patches
-//                                        changed in packet b of stripe j:
-//                                        (offset u64, length u64, bytes)…
-//                                        in capture order
+//   <ns>ec/<bv>/undo/<j>                 slot j's undo log: pre-images of
+//                                        the bytes V's patches changed in
+//                                        stripe j, one record per footprint
+//                                        range, (b u64, offset u64, length
+//                                        u64, bytes)… in capture order
 //
+// Each patch of a stripe slot (one worker's Δ on one row) appends all its
+// records to the slot's log with one put before it changes a byte; a
+// parity slot that k chunks patch holds their records in patch order.
 // A version has either its own row keys or a moved marker, never both.
 // fabric_rollback(V) restores bv before it scrubs V; materialize_version
-// rebuilds bv's row from V's, undo entries applied newest to oldest.
+// rebuilds bv's row from V's, each log's records applied newest to oldest.
+// A log that does not parse — cut short, or a record outside its packets
+// — is never applied: the packets of that slot, and with them the rest of
+// the row, are dropped instead, so the row reads as lost and the load
+// decodes it.
 //
 // The cache is valid only while the marker's version still has its commit
 // marker and its row on the same node: a torn delta save rolls the version
@@ -76,10 +84,15 @@ inline std::string tmp_prefix(const std::string& ns, std::int64_t v) {
   return ns + "tmp/" + std::to_string(v) + "/";
 }
 
+/// Prefix of every packet key of version v, whatever its chunk row.
+inline std::string rows_prefix(const std::string& ns, std::int64_t v) {
+  return version_prefix(ns, v) + "row/";
+}
+
 /// Prefix of the packet keys of chunk row `row` of version v; a packet's
 /// key is the prefix followed by "<j>/<b>".
 inline std::string row_prefix(const std::string& ns, std::int64_t v, int row) {
-  return version_prefix(ns, v) + "row/" + std::to_string(row) + "/";
+  return rows_prefix(ns, v) + std::to_string(row) + "/";
 }
 
 inline std::string row_key(const std::string& ns, std::int64_t v, int row,
@@ -118,15 +131,14 @@ inline std::string moved_key(const std::string& ns, std::int64_t v) {
   return version_prefix(ns, v) + "moved";
 }
 
-/// Prefix of version v's undo overlay; an entry's key is the prefix
-/// followed by "<j>/<b>", like its packet's under row_prefix.
+/// Prefix of version v's undo overlay; slot j's log is the prefix
+/// followed by "<j>".
 inline std::string undo_prefix(const std::string& ns, std::int64_t v) {
   return version_prefix(ns, v) + "undo/";
 }
 
-inline std::string undo_key(const std::string& ns, std::int64_t v, int j,
-                            int b) {
-  return undo_prefix(ns, v) + std::to_string(j) + "/" + std::to_string(b);
+inline std::string undo_key(const std::string& ns, std::int64_t v, int j) {
+  return undo_prefix(ns, v) + std::to_string(j);
 }
 
 inline std::string local_key(const std::string& ns, std::int64_t v, int w,

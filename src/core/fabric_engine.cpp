@@ -350,42 +350,60 @@ Buffer row_sums(cluster::Fabric& fabric, int node, const std::string& ns,
 /// (start, length) byte ranges of one packet, ascending and disjoint.
 using Ranges = std::vector<std::pair<std::size_t, std::size_t>>;
 
-/// An undo record: offset and length (u64 LE each), then the pre-image.
-constexpr std::size_t kUndoHeader = 16;
+/// Every byte one extent's patch may touch in packet b of a row, `pkt`.
+struct Footprint {
+  int b;
+  Buffer* pkt;
+  Ranges ranges;
+};
 
-/// Writes `pkt`'s bytes at `ranges` as undo records from `out` on; returns
-/// the end of what it wrote.
-std::byte* capture_undo(const Buffer& pkt, const Ranges& ranges,
+/// An undo record: packet b, offset and length (u64 LE each), then the
+/// pre-image.
+constexpr std::size_t kUndoHeader = 24;
+
+/// Writes the bytes of packet b, `pkt`, at `ranges` as undo records from
+/// `out` on; returns the end of what it wrote.
+std::byte* capture_undo(int b, const Buffer& pkt, const Ranges& ranges,
                         std::byte* out) {
   for (const auto& [at, len] : ranges) {
-    put_u64_le(out, at);
-    put_u64_le(out + 8, len);
+    put_u64_le(out, static_cast<std::uint64_t>(b));
+    put_u64_le(out + 8, at);
+    put_u64_le(out + 16, len);
     std::memcpy(out + kUndoHeader, pkt.data() + at, len);
     out += kUndoHeader + len;
   }
   return out;
 }
 
-/// Writes the pre-images of an undo entry back into `pkt`, newest record
-/// first. False, with `pkt` untouched, when a record is cut short or falls
-/// outside the packet.
-bool apply_undo(ByteSpan undo, MutableByteSpan pkt) {
-  std::vector<std::size_t> records;  // offsets into `undo`
-  for (std::size_t pos = 0; pos < undo.size();) {
-    if (undo.size() - pos < kUndoHeader) return false;
-    const std::uint64_t at = get_u64_le(undo.data() + pos);
-    const std::uint64_t len = get_u64_le(undo.data() + pos + 8);
-    if (len > undo.size() - pos - kUndoHeader || at > pkt.size() ||
-        len > pkt.size() - at)
+/// Writes the pre-images of a slot's undo log back into its packets, newest
+/// record first; `packet_of(b)` is packet b of the slot, or nullptr when the
+/// slot has none. False, with no packet touched, when the log does not
+/// parse: a record cut short, naming a missing packet or falling outside
+/// its packet.
+template <typename PacketOf>
+bool apply_undo(ByteSpan log, PacketOf&& packet_of) {
+  std::vector<std::pair<const std::byte*, Buffer*>> records;
+  std::uint64_t last_b = 0;
+  Buffer* pkt = nullptr;
+  for (std::size_t pos = 0; pos < log.size();) {
+    if (log.size() - pos < kUndoHeader) return false;
+    const std::byte* rec = log.data() + pos;
+    const std::uint64_t b = get_u64_le(rec);
+    const std::uint64_t at = get_u64_le(rec + 8);
+    const std::uint64_t len = get_u64_le(rec + 16);
+    if (len > log.size() - pos - kUndoHeader || b > INT32_MAX) return false;
+    if (pkt == nullptr || b != last_b) {
+      pkt = packet_of(static_cast<int>(b));
+      last_b = b;
+    }
+    if (pkt == nullptr || at > pkt->size() || len > pkt->size() - at)
       return false;
-    records.push_back(pos);
+    records.emplace_back(rec, pkt);
     pos += kUndoHeader + len;
   }
-  for (auto r = records.rbegin(); r != records.rend(); ++r) {
-    const std::byte* rec = undo.data() + *r;
-    std::memcpy(pkt.data() + get_u64_le(rec), rec + kUndoHeader,
-                get_u64_le(rec + 8));
-  }
+  for (auto r = records.rbegin(); r != records.rend(); ++r)
+    std::memcpy(r->second->data() + get_u64_le(r->first + 8),
+                r->first + kUndoHeader, get_u64_le(r->first + 16));
   return true;
 }
 
@@ -431,26 +449,30 @@ BaseMark base_mark_of(const cluster::Store& store, const std::string& ns) {
   return m;
 }
 
-/// Undoes the move of `version`'s row into `m.to`: writes each undo entry
-/// back into its packet, renames the packets home and drops the overlay.
-/// A packet whose entry does not fit it is dropped rather than restored
-/// wrong, so the row reads as lost and the load decodes it.
+/// Undoes the move of `version`'s row into `m.to`: writes each slot's undo
+/// log back into its packets, renames the packets home and drops the
+/// overlay. When a slot's log does not parse, the row is dropped instead of
+/// restored wrong, so it reads as lost and the load decodes it.
 void restore_moved(cluster::Store& store, const std::string& ns,
                    std::int64_t version, const Moved& m) {
   const std::string from = row_prefix(ns, m.to, m.row);
   const std::string up = undo_prefix(ns, version);
+  bool restored = true;
   for (const std::string& uk : store.keys_with_prefix(up)) {
-    const std::string rk = from + uk.substr(up.size());
-    if (store.contains(rk)) {
-      Buffer pkt = store.take(rk);
-      if (apply_undo(store.get(uk).span(), pkt.span()))
-        store.put(rk, std::move(pkt));
-    }
+    const std::string slot = from + uk.substr(up.size()) + "/";
+    restored = restored && apply_undo(store.get(uk).span(), [&](int b) {
+                 const std::string rk = slot + std::to_string(b);
+                 return store.contains(rk) ? &store.get_mutable(rk) : nullptr;
+               });
     store.erase(uk);
   }
   const std::string home = row_prefix(ns, version, m.row);
-  for (const std::string& rk : store.keys_with_prefix(from))
-    store.rename(rk, home + rk.substr(from.size()));
+  for (const std::string& rk : store.keys_with_prefix(from)) {
+    if (restored)
+      store.rename(rk, home + rk.substr(from.size()));
+    else
+      store.erase(rk);
+  }
   store.erase(moved_key(ns, version));
 }
 
@@ -478,10 +500,12 @@ void materialize_version(cluster::Store& store, const std::string& ns,
   for (auto v = overlays.rbegin(); v != overlays.rend(); ++v) {
     const std::string up = undo_prefix(ns, *v);
     for (const std::string& uk : store.keys_with_prefix(up)) {
-      const auto pkt = row.find(uk.substr(up.size()));
-      if (pkt == row.end() ||
-          !apply_undo(store.get(uk).span(), pkt->second.span()))
-        return;  // a broken overlay: the row reads as lost on this node
+      const std::string slot = uk.substr(up.size()) + "/";
+      if (!apply_undo(store.get(uk).span(), [&](int b) -> Buffer* {
+            const auto pkt = row.find(slot + std::to_string(b));
+            return pkt == row.end() ? nullptr : &pkt->second;
+          }))
+        row.clear();  // a broken log: the row reads as lost on this node
     }
   }
   const std::string home = row_prefix(ns, version, first.row);
@@ -573,13 +597,14 @@ struct SaveOp : Op {
 
   void share_metadata(const std::vector<const dnn::StateDict*>& shards);
   DeltaVote delta_snapshot();
-  NodeFlag delta_state(int node, Buffer& scratch,
+  NodeFlag delta_state(int node, std::uint64_t live_bytes,
+                       std::uint64_t& dirty_here,
                        std::vector<std::byte>& delta_bytes);
   void delta_patch(const DeltaVote& vote);
   template <typename Apply>
   void patch_row(int dst, int row, int w, int j,
                  const std::vector<DirtyExtent>& wext, std::int64_t bv,
-                 std::vector<Ranges>& footprints, Apply&& apply);
+                 Apply&& apply);
   void pack();
   void relocate_data();
   void encode_parity();
@@ -611,6 +636,7 @@ struct SaveOp : Op {
   std::map<int, std::vector<DirtyExtent>> local_extents;
   std::map<int, Buffer> staged;
   std::map<int, Buffer> carried_sums;  ///< node → its row's patched sums
+  std::vector<Footprint> footprints;  ///< patch_row's, one per extent
   /// The full path's sums per driven alive node (DESIGN.md §7): every slot
   /// starts as a zero slot, and each live packet's sum is taken where the
   /// packet is produced, so the commit never rereads the row.
@@ -687,20 +713,29 @@ void SaveOp::share_metadata(const std::vector<const dnn::StateDict*>& shards) {
   count_packets(nullptr);  // uniform so reduction groups align (§III-C)
 }
 
+/// Dirty share of the live bytes: a full save never ships dead slots.
+double dirty_ratio(std::uint64_t dirty, std::uint64_t live_bytes) {
+  return live_bytes == 0 ? 0.0
+                         : static_cast<double>(dirty) /
+                               static_cast<double>(live_bytes);
+}
+
 /// The delta path's snapshot, fused with its eligibility check: each live
-/// packet is packed into one reused scratch packet, diffed against the base
-/// cache, and each dirty extent's Δ appended while the scratch is still
-/// cache-hot. No pack of the shard is kept, and after this pass the delta
-/// path reads no live tensor byte. Then one flag exchange carries each
-/// rank's base version and dirty bytes: the save takes the delta path only
-/// if every rank names the same base version and the dirty bytes are at
-/// most kMaxDirtyRatio of the live bytes.
+/// packet is diffed against the base cache in place, straight from the
+/// tensor bytes, and each dirty extent's Δ appended while those bytes are
+/// cache-hot. Nothing is packed, and after this pass the delta path reads
+/// no live tensor byte. Then one flag exchange carries each rank's base
+/// version and dirty bytes: the save takes the delta path only if every
+/// rank names the same base version and the dirty bytes are at most
+/// kMaxDirtyRatio of the live bytes.
 DeltaVote SaveOp::delta_snapshot() {
-  Buffer scratch(P, Buffer::Init::kUninitialized);
+  std::uint64_t live_bytes = 0;
+  for (const std::size_t live : counts.live) live_bytes += live * P;
   std::vector<std::byte> delta_bytes;  // the current worker's Δ
+  std::uint64_t dirty_here = 0;        // over the nodes driven here
   std::map<int, NodeFlag> local_flags;
   for (int node : driven)
-    local_flags[node] = delta_state(node, scratch, delta_bytes);
+    local_flags[node] = delta_state(node, live_bytes, dirty_here, delta_bytes);
   stamp_stall();
 
   const std::vector<NodeFlag> dflags = exchange_flags(
@@ -713,12 +748,7 @@ DeltaVote SaveOp::delta_snapshot() {
       base_version = 0;  // disagreeing or missing base on some rank
     vote.dirty += f.workers;
   }
-  // Dirty share of the live bytes: a full save never ships dead slots.
-  std::uint64_t live_bytes = 0;
-  for (const std::size_t live : counts.live) live_bytes += live * P;
-  vote.ratio = live_bytes == 0 ? 0.0
-                               : static_cast<double>(vote.dirty) /
-                                     static_cast<double>(live_bytes);
+  vote.ratio = dirty_ratio(vote.dirty, live_bytes);
   if (vote.ratio <= kMaxDirtyRatio)
     vote.base = static_cast<std::int64_t>(base_version);
   return vote;
@@ -726,9 +756,18 @@ DeltaVote SaveOp::delta_snapshot() {
 
 /// One node's part of delta_snapshot. Its flag is the usable common base
 /// version (0 = no delta here), paired with its workers' dirty bytes.
-NodeFlag SaveOp::delta_state(int node, Buffer& scratch,
+/// `dirty_here` sums the dirty bytes of every node this process has diffed.
+/// They are a lower bound of the vote's, so once they exceed kMaxDirtyRatio
+/// of the live bytes the vote cannot pass: the node stops, builds no more
+/// Δ and votes "no base", which leaves the outcome as it was.
+NodeFlag SaveOp::delta_state(int node, std::uint64_t live_bytes,
+                             std::uint64_t& dirty_here,
                              std::vector<std::byte>& delta_bytes) {
   NodeFlag f;
+  auto over = [&] {
+    return dirty_ratio(dirty_here, live_bytes) > kMaxDirtyRatio;
+  };
+  if (over()) return f;
   cluster::Store& store = fabric.store(node);
   const BaseMark mark = base_mark_of(store, ns);
   const auto mv = static_cast<std::int64_t>(mark.version);
@@ -758,24 +797,18 @@ NodeFlag SaveOp::delta_state(int node, Buffer& scratch,
     const std::vector<ByteSpan>& tensors = decs.at(w).tensor_data;
     std::vector<DirtyExtent> wext;
     delta_bytes.clear();
-    const auto live =
-        static_cast<int>(counts.live[static_cast<std::size_t>(w)]);
-    for (int b = 0; b < live; ++b) {
-      if (!store.contains(base_local_key(ns, w, b))) return f;
-      const Buffer& base = store.get(base_local_key(ns, w, b));
+    const std::size_t live = counts.live[static_cast<std::size_t>(w)];
+    for (std::size_t b = 0; b < live; ++b) {
+      const std::string bk = base_local_key(ns, w, static_cast<int>(b));
+      if (!store.contains(bk)) return f;
+      const Buffer& base = store.get(bk);
       if (base.size() != P) return f;
-      pack_packet(tensors, static_cast<std::size_t>(b), scratch.span());
-      for (const DirtyExtent& e :
-           diff_packet(b, base.span(), scratch.span(), kDirtyBlock)) {
-        const std::size_t at = delta_bytes.size();
-        delta_bytes.insert(delta_bytes.end(), scratch.data() + e.offset,
-                           scratch.data() + e.offset + e.length);
-        xor_into(MutableByteSpan(delta_bytes.data() + at, e.length),
-                 base.span().subspan(e.offset, e.length));
-        wext.push_back(e);
-      }
+      const std::uint64_t d =
+          diff_tensors(tensors, b, base.span(), kDirtyBlock, wext, delta_bytes);
+      dirty += d;
+      dirty_here += d;
+      if (over()) return f;
     }
-    dirty += dirty_bytes(wext);
     local_extents[w] = std::move(wext);
     staged[w] = Buffer::copy_of(delta_bytes);
   }
@@ -846,7 +879,6 @@ void SaveOp::delta_patch(const DeltaVote& vote) {
   // Each source keeps its own workers' Δ until the base cache is patched
   // after the commit barrier.
   std::uint64_t extent_count = 0;
-  std::vector<Ranges> footprints;  // per extent of the current run
   for (int w = 0; w < W; ++w) {
     const std::vector<DirtyExtent>& wext =
         all_extents[static_cast<std::size_t>(w)];
@@ -867,14 +899,13 @@ void SaveOp::delta_patch(const DeltaVote& vote) {
     for (int dst : dests)
       if (dst != src) fabric.send_buffers(src, dst, {{dk, dk}});
 
-    patch_row(dests[0], c, w, j, wext, bv, footprints,
+    patch_row(dests[0], c, w, j, wext, bv,
               [](const DirtyExtent& e, ByteSpan d, MutableByteSpan pkt) {
                 xor_into(pkt.subspan(e.offset, e.length), d);
               });
     for (int r = 0; r < cfg.m; ++r)
       patch_row(dests[static_cast<std::size_t>(1 + r)], cfg.k + r, w, j, wext,
-                bv, footprints,
-                [&](const DirtyExtent& e, ByteSpan d, MutableByteSpan pkt) {
+                bv, [&](const DirtyExtent& e, ByteSpan d, MutableByteSpan pkt) {
                   codec.update_row(cfg.k + r, c, e.offset, d, pkt);
                 });
 
@@ -891,20 +922,21 @@ void SaveOp::delta_patch(const DeltaVote& vote) {
   stamp(Stage::kDeltaPatch);
 }
 
-/// Patches worker w's Δ into slot j of chunk row `row` on `dst` in place,
-/// slicing the payload by the all-gathered manifest `wext`: `apply` is the
-/// XOR on the data row or the G·Δ fold on a parity row. The length check
-/// comes first, so a short payload never reads out of bounds. Each
-/// extent's footprint is every byte its patch may touch: the extent on the
-/// data row, the codec's footprint of it on a parity row (in bitmatrix mode
-/// that reaches into every strip). The footprints' pre-images join bv's
-/// undo overlay before any byte changes. A carried sum takes each extent's
-/// raw-CRC change over its footprint while the bytes are cache-hot, shifted
-/// past the rest of the packet.
+/// Patches worker w's Δ into slot j of chunk row `row` on `dst` where its
+/// packets sit, slicing the payload by the all-gathered manifest `wext`:
+/// `apply` is the XOR on the data row or the G·Δ fold on a parity row. The
+/// length check comes first, so a short payload never reads out of bounds.
+/// Each extent's footprint is every byte its patch may touch: the extent on
+/// the data row, the codec's footprint of it on a parity row (in bitmatrix
+/// mode that reaches into every strip). Every footprint of the run is
+/// computed first, and all their pre-images join the slot's undo log in bv's
+/// overlay with one put before any byte changes. A carried sum takes each
+/// extent's raw-CRC change over its footprint while the bytes are
+/// cache-hot, shifted past the rest of the packet.
 template <typename Apply>
 void SaveOp::patch_row(int dst, int row, int w, int j,
                        const std::vector<DirtyExtent>& wext, std::int64_t bv,
-                       std::vector<Ranges>& footprints, Apply&& apply) {
+                       Apply&& apply) {
   if (!fabric.drives(dst)) return;
   const std::uint64_t wbytes = dirty_bytes(wext);
   obs::ScopedSpan pspan("engine.save.delta.patch", wbytes);
@@ -914,6 +946,37 @@ void SaveOp::patch_row(int dst, int row, int w, int j,
                 "delta payload of worker " << w << " has " << delta.size()
                                            << " bytes, manifest says "
                                            << wbytes);
+  footprints.clear();
+  {
+    static const std::string kUndoSpan = "engine.save.delta.undo";
+    obs::ScopedSpan uspan(kUndoSpan);
+    const std::string slot =
+        row_prefix(ns, version, row) + std::to_string(j) + "/";
+    std::size_t undo_bytes = 0;
+    for_each_packet_run(wext, P, [&](int b, auto run, std::uint64_t) {
+      Buffer& pkt = store.get_mutable(slot + std::to_string(b));
+      ECC_CHECK(pkt.size() == P);
+      for (const DirtyExtent& e : run) {
+        footprints.push_back(
+            {b, &pkt,
+             e.length == 0 ? Ranges{}
+             : row < cfg.k ? Ranges{{e.offset, e.length}}
+                           : codec.update_footprint(e.offset, e.length, P)});
+        for (const auto& range : footprints.back().ranges)
+          undo_bytes += kUndoHeader + range.second;
+      }
+    });
+    const std::string uk = undo_key(ns, bv, j);
+    const std::size_t held = store.contains(uk) ? store.get(uk).size() : 0;
+    Buffer undo(held + undo_bytes, Buffer::Init::kUninitialized);
+    if (held > 0) std::memcpy(undo.data(), store.get(uk).data(), held);
+    std::byte* out = undo.data() + held;
+    for (const Footprint& fp : footprints)
+      out = capture_undo(fp.b, *fp.pkt, fp.ranges, out);
+    store.put(uk, std::move(undo));
+    uspan.set_bytes(undo_bytes);
+  }
+
   const auto raw_crc = gf::simd::active().crc64;
   // The raw CRC register over the ranges, the gaps read as zeros.
   auto ranges_crc = [&](const Buffer& pkt, const Ranges& ranges) {
@@ -927,52 +990,24 @@ void SaveOp::patch_row(int dst, int row, int w, int j,
   };
   const auto sums = carried_sums.find(dst);
   const bool carry = sums != carried_sums.end();
+  auto fp = footprints.begin();
   for_each_packet_run(wext, P, [&](int b, auto run, std::uint64_t at) {
-    const std::string rk = row_key(ns, version, row, j, b);
-    Buffer pkt = store.take(rk);
+    Buffer& pkt = *fp->pkt;
     std::uint64_t change = 0;
-    try {
-      ECC_CHECK(pkt.size() == P);
-      footprints.clear();
-      std::size_t undo_bytes = 0;
-      for (const DirtyExtent& e : run) {
-        footprints.push_back(
-            e.length == 0 ? Ranges{}
-            : row < cfg.k ? Ranges{{e.offset, e.length}}
-                          : codec.update_footprint(e.offset, e.length, P));
-        for (const auto& range : footprints.back())
-          undo_bytes += kUndoHeader + range.second;
-      }
-      const std::string uk = undo_key(ns, bv, j, b);
-      const std::size_t held = store.contains(uk) ? store.get(uk).size() : 0;
-      Buffer undo(held + undo_bytes, Buffer::Init::kUninitialized);
-      if (held > 0) std::memcpy(undo.data(), store.get(uk).data(), held);
-      std::byte* out = undo.data() + held;
-      for (const Ranges& ranges : footprints)
-        out = capture_undo(pkt, ranges, out);
-      store.put(uk, std::move(undo));
-
-      for (std::size_t x = 0; x < run.size(); ++x) {
-        const DirtyExtent& e = run[x];
-        const Ranges& ranges = footprints[x];
-        const ByteSpan d = delta.span().subspan(at, e.length);
-        at += e.length;
-        if (ranges.empty()) continue;
-        if (!carry) {
-          apply(e, d, pkt.span());
-          continue;
-        }
-        const std::uint64_t before = ranges_crc(pkt, ranges);
+    for (const DirtyExtent& e : run) {
+      const Ranges& ranges = (fp++)->ranges;
+      const ByteSpan d = delta.span().subspan(at, e.length);
+      at += e.length;
+      if (ranges.empty()) continue;
+      if (!carry) {
         apply(e, d, pkt.span());
-        change ^= crc64_shift(before ^ ranges_crc(pkt, ranges),
-                              P - ranges.back().first - ranges.back().second);
+        continue;
       }
-    } catch (...) {
-      // Back into the row: the overlay undoes any partial patch.
-      store.put(rk, std::move(pkt));
-      throw;
+      const std::uint64_t before = ranges_crc(pkt, ranges);
+      apply(e, d, pkt.span());
+      change ^= crc64_shift(before ^ ranges_crc(pkt, ranges),
+                            P - ranges.back().first - ranges.back().second);
     }
-    store.put(rk, std::move(pkt));
     if (carry)
       xor_into(sums->second.subspan((static_cast<std::size_t>(j) * B +
                                      static_cast<std::size_t>(b)) * 8,
@@ -1269,14 +1304,12 @@ void SaveOp::update_base_cache(bool delta_used) {
         const Buffer& delta = staged.at(w);
         for_each_packet_run(
             local_extents.at(w), P, [&](int b, auto run, std::uint64_t at) {
-              const std::string bk = base_local_key(ns, w, b);
-              Buffer pkt = store.take(bk);
+              Buffer& pkt = store.get_mutable(base_local_key(ns, w, b));
               for (const DirtyExtent& e : run) {
                 xor_into(pkt.subspan(e.offset, e.length),
                          delta.subspan(at, e.length));
                 at += e.length;
               }
-              store.put(bk, std::move(pkt));
             });
         continue;
       }

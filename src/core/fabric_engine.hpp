@@ -153,7 +153,7 @@ void fabric_prune(cluster::Fabric& fabric, const std::string& key_namespace,
 /// Erase every key of `version` — durable and staging — from the driven
 /// alive ranks' stores: the torn-save rollback (FabricSession::save). A
 /// base version whose row a delta save of `version` moved is first restored
-/// from its undo overlay. Local per rank like fabric_prune. A rank the
+/// from its undo overlay, or dropped when a slot's log does not parse. Local per rank like fabric_prune. A rank the
 /// fabric lost mid-save is skipped; every surviving one is still scrubbed.
 /// The remote store is left alone: its commit marker is the flush's last
 /// write, so a flush torn before it stays invisible there.
@@ -165,9 +165,10 @@ void fabric_rollback(cluster::Fabric& fabric, const std::string& key_namespace,
 /// save moved it on: follow the moved markers to the version holding the
 /// row, copy that row and apply the undo overlays newest to oldest, which
 /// yields the bytes `version` committed. Then drop `version`'s overlay. A
-/// no-op for a version that holds its row; leaves the row missing, for the
-/// load to decode, when an overlay does not fit. Local, not a collective;
-/// fabric_load runs it on every driven alive rank.
+/// no-op for a version that holds its row. When a slot's undo log does not
+/// parse, no row is stored, so the row reads as lost and the load decodes
+/// it. Local, not a collective; fabric_load runs it on every driven alive
+/// rank.
 void materialize_version(cluster::Store& store, const std::string& ns,
                          std::int64_t version);
 

@@ -52,26 +52,13 @@ std::vector<Buffer> pack_packets(const std::vector<ByteSpan>& tensor_data,
 
 void pack_packet(const std::vector<ByteSpan>& tensor_data, std::size_t b,
                  MutableByteSpan out) {
-  const std::size_t size = out.size();
-  ECC_CHECK(size > 0);
-  ECC_CHECK_MSG(b <= SIZE_MAX / size, "packet index " << b << " overflows");
-  // `at` is the payload offset of the current tensor's first byte; the
-  // tensors are contiguous, so the next byte to write, b·P + filled, always
-  // lies at or past it.
-  const std::size_t first = b * size;
-  std::size_t at = 0, filled = 0;
-  for (const ByteSpan& src : tensor_data) {
-    if (filled == size) break;
-    const std::size_t next = first + filled;
-    if (at + src.size() > next) {
-      const std::size_t from = next - at;
-      const std::size_t n = std::min(src.size() - from, size - filled);
-      std::memcpy(out.data() + filled, src.data() + from, n);
-      filled += n;
-    }
-    at += src.size();
-  }
-  if (filled < size) std::memset(out.data() + filled, 0, size - filled);
+  std::size_t filled = 0;
+  for_each_packet_piece(tensor_data, b, out.size(), [&](ByteSpan src) {
+    std::memcpy(out.data() + filled, src.data(), src.size());
+    filled += src.size();
+  });
+  if (filled < out.size())
+    std::memset(out.data() + filled, 0, out.size() - filled);
 }
 
 void unpack_packets(const std::vector<ByteSpan>& packets,

@@ -17,8 +17,11 @@
 // tiny components, then copy packet bytes back into the tensors in place.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
+#include "common/check.hpp"
 #include "dnn/serializer.hpp"
 #include "dnn/state_dict.hpp"
 
@@ -42,6 +45,33 @@ std::size_t packets_needed(std::size_t payload_bytes, std::size_t packet_size);
 std::vector<Buffer> pack_packets(const std::vector<ByteSpan>& tensor_data,
                                  std::size_t packet_size,
                                  std::size_t num_packets);
+
+/// The cursor behind pack_packet: calls `piece(bytes)` for each slice of
+/// `tensor_data` that packet b of pack_packets' layout (packet size `size`)
+/// holds, in order. The slices fill the packet back to back from its first
+/// byte; its bytes past them are zeros. A zero-length tensor yields none.
+template <typename Piece>
+void for_each_packet_piece(const std::vector<ByteSpan>& tensor_data,
+                           std::size_t b, std::size_t size, Piece&& piece) {
+  ECC_CHECK(size > 0);
+  ECC_CHECK_MSG(b <= SIZE_MAX / size, "packet index " << b << " overflows");
+  // `at` is the payload offset of the current tensor's first byte; the
+  // tensors are contiguous, so the next byte to emit, b·P + filled, always
+  // lies at or past it.
+  const std::size_t first = b * size;
+  std::size_t at = 0, filled = 0;
+  for (const ByteSpan& src : tensor_data) {
+    if (filled == size) break;
+    const std::size_t next = first + filled;
+    if (at + src.size() > next) {
+      const std::size_t from = next - at;
+      const std::size_t n = std::min(src.size() - from, size - filled);
+      piece(src.subspan(from, n));
+      filled += n;
+    }
+    at += src.size();
+  }
+}
 
 /// Write packet `b` of pack_packets' layout, with packet size out.size(),
 /// into `out`: the payload bytes [b·P, (b+1)·P), zeros past the payload's

@@ -264,6 +264,78 @@ TEST(DeltaExtents, TwoLevelDiffMatchesSingleLevelReference) {
     }
 }
 
+// The in-place diff reads the tensor bytes where they sit instead of a
+// packed copy. Over random layouts — tensors straddling packets,
+// zero-length tensors, a payload that is an exact multiple of the packet
+// size or leaves a short last packet, a base packet with garbage in its
+// zero tail — it must return exactly pack_packet followed by diff_packet:
+// the same extents and, per extent, the Δ packed ⊕ base.
+TEST(DeltaExtents, InPlaceDiffMatchesPackThenDiff) {
+  SplitMix64 rng(0x1D1FF);
+  for (const std::size_t P : {64u, 192u, 4096u, 12288u})
+    for (int layout = 0; layout < 12; ++layout) {
+      std::vector<Buffer> store;
+      std::vector<ByteSpan> tensors;
+      std::size_t total = 0;
+      const std::uint64_t count = 1 + rng.next_below(10);
+      for (std::uint64_t t = 0; t < count; ++t) {
+        std::size_t bytes = 0;
+        switch (rng.next_below(4)) {
+          case 0: break;  // zero-length
+          case 1: bytes = 1 + rng.next_below(P / 2); break;
+          default: bytes = 1 + rng.next_below(3 * P); break;
+        }
+        store.emplace_back(bytes, Buffer::Init::kUninitialized);
+        fill_random(store.back().span(), rng.next());
+        tensors.push_back(store.back().span());
+        total += bytes;
+      }
+      if (layout % 3 == 0) {  // an exact multiple of P
+        const std::size_t pad = (P - total % P) % P;
+        store.emplace_back(pad, Buffer::Init::kUninitialized);
+        fill_random(store.back().span(), rng.next());
+        tensors.push_back(store.back().span());
+        total += pad;
+      }
+      const std::size_t live = core::packets_needed(total, P);
+      for (const std::size_t gran : {std::size_t{1}, std::size_t{64},
+                                     std::size_t{4096}, core::kDirtyBlock}) {
+        std::vector<core::DirtyExtent> want_ext, got_ext;
+        std::vector<std::byte> want_delta, got_delta;
+        for (std::size_t b = 0; b < live; ++b) {
+          Buffer next(P, Buffer::Init::kUninitialized);
+          core::pack_packet(tensors, b, next.span());
+          Buffer base = next.clone();
+          const std::uint64_t flips =
+              layout % 4 == 1 ? P / 8 : rng.next_below(2 + P / 256);
+          for (std::uint64_t f = 0; f < flips; ++f)
+            base.data()[rng.next_below(P)] ^= std::byte{0x5A};
+          const std::size_t payload = std::min(P, total - b * P);
+          if (payload < P && rng.next_below(2) == 0)  // garbage in the tail
+            base.data()[payload + rng.next_below(P - payload)] ^= std::byte{1};
+          for (const core::DirtyExtent& e :
+               core::diff_packet(static_cast<int>(b), base.span(),
+                                 next.span(), gran)) {
+            want_ext.push_back(e);
+            for (std::size_t i = 0; i < e.length; ++i)
+              want_delta.push_back(next.data()[e.offset + i] ^
+                                   base.data()[e.offset + i]);
+          }
+          const std::size_t from = got_ext.size();
+          const std::uint64_t dirty = core::diff_tensors(
+              tensors, b, base.span(), gran, got_ext, got_delta);
+          EXPECT_EQ(dirty, core::dirty_bytes(std::vector<core::DirtyExtent>(
+                               got_ext.begin() + from, got_ext.end())));
+        }
+        const std::string where = "P " + std::to_string(P) + " layout " +
+                                  std::to_string(layout) + " granularity " +
+                                  std::to_string(gran);
+        EXPECT_EQ(got_ext, want_ext) << where;
+        EXPECT_TRUE(got_delta == want_delta) << where;
+      }
+    }
+}
+
 TEST(DeltaExtents, ManifestRoundTripsAndRejectsTruncation) {
   const std::vector<core::DirtyExtent> ext = {
       {0, 0, 8}, {2, 4096, 512}, {31, 65528, 8}};
@@ -1290,6 +1362,107 @@ TEST(DeltaOverlay, OlderVersionsLoadBitExact) {
 
 TEST(DeltaOverlay, BitmatrixOlderVersionsLoadBitExact) {
   expect_older_versions_load_bit_exact(KernelMode::kXorBitmatrix);
+}
+
+/// How a test breaks an undo log: cut it short, or push its last record's
+/// range past the end of its packet.
+enum class LogBreak { kCutShort, kOutOfRange };
+
+/// v1 (full) and v2 (delta) at retain 2, then one node's `ec/1/undo/<j>`
+/// log (j > 0) broken as `how`, and v1 given back either by loading it
+/// (which materializes it from v2's row) or by rolling v2 back. Either way
+/// the broken slot is dropped with the rest of its row, never restored
+/// wrong: every other node gets its v1 row back byte for byte, the load
+/// decodes the node's row, and v1 and then v2 load bit-exact — with CRC
+/// sums and without, where the scrub looks only at a row's first packet.
+void expect_broken_log_drops_the_slot(LogBreak how, bool rollback,
+                                      bool integrity) {
+  const int g = 1, W = kNodes * g;
+  const dnn::SparseUpdateSpec spec = sparse_spec(0.01);
+  std::vector<dnn::StateDict> shards = sparse_shards(spec, W);
+  cluster::VirtualCluster vc(vc_config(g));
+  cluster::VirtualFabric fabric(vc);
+  core::ECCheckConfig cfg = delta_config(true);
+  cfg.verify_integrity = integrity;
+  core::FabricSession session(fabric, cfg, g, /*retain_versions=*/2);
+  session.save(pointers(shards));
+  const auto want_v1 = digests_of(shards);
+  std::vector<StoreImage> v1_rows;
+  for (int node = 0; node < kNodes; ++node)
+    v1_rows.push_back(raw_image(vc.host(node), "ec/1/row/"));
+  for (int w = 0; w < W; ++w)
+    dnn::apply_sparse_update(shards[static_cast<std::size_t>(w)], spec, w, 1);
+  ASSERT_EQ(stat_of(session.save(pointers(shards)), "delta.save.count"), 1u);
+  const auto want_v2 = digests_of(shards);
+
+  // A parity node: every worker's Δ patched its row, so it holds logs.
+  const int node = placement(g).parity_nodes[0];
+  cluster::Store& store = vc.host(node);
+  const std::vector<std::string> logs =
+      store.keys_with_prefix(core::keys::undo_prefix("", 1));
+  ASSERT_EQ(logs.size(), 2u);  // per_chunk = W / k slots
+  const std::string log_key = logs.back();
+  Buffer log = store.take(log_key);
+  ASSERT_GT(log.size(), 24u);
+  if (how == LogBreak::kCutShort) {
+    store.put(log_key, Buffer::copy_of(log.span().subspan(0, log.size() - 1)));
+  } else {
+    // Walk to the last record; its offset becomes one past what fits.
+    std::size_t pos = 0, last = 0;
+    auto u64_at = [&](std::size_t at) {
+      std::uint64_t v;
+      std::memcpy(&v, log.data() + at, 8);
+      return v;
+    };
+    while (pos < log.size()) {
+      last = pos;
+      pos += 24 + u64_at(pos + 16);
+    }
+    const std::uint64_t bad = cfg.packet_size - u64_at(last + 16) + 1;
+    std::memcpy(log.data() + last + 8, &bad, 8);
+    store.put(log_key, std::move(log));
+  }
+
+  if (rollback) {
+    core::fabric_rollback(fabric, "", 2);
+    for (int n = 0; n < kNodes; ++n) {
+      const StoreImage got = raw_image(vc.host(n), "ec/1/row/");
+      if (n == node)
+        EXPECT_TRUE(got.empty()) << "the broken row must be dropped";
+      else
+        expect_identical(got, v1_rows[static_cast<std::size_t>(n)],
+                         "v1 row on node " + std::to_string(n));
+      EXPECT_TRUE(vc.host(n).keys_with_prefix("ec/1/undo/").empty());
+      EXPECT_TRUE(vc.host(n).keys_with_prefix("ec/2/").empty());
+    }
+  }
+
+  std::vector<dnn::StateDict> out;
+  const ckpt::LoadReport l1 = core::fabric_load(fabric, cfg, 1, out);
+  ASSERT_TRUE(l1.success) << l1.detail;
+  EXPECT_EQ(digests_of(out), want_v1);
+  for (int n = 0; n < kNodes; ++n)
+    EXPECT_EQ(l1.rows[static_cast<std::size_t>(
+                  placement(g).generator_row_of_node(n))],
+              n == node ? ckpt::RowOutcome::kMissing
+                        : ckpt::RowOutcome::kIntact)
+        << "node " << n;
+  if (rollback) return;
+  const ckpt::LoadReport l2 = core::fabric_load(fabric, cfg, 2, out);
+  ASSERT_TRUE(l2.success) << l2.detail;
+  EXPECT_EQ(digests_of(out), want_v2);
+}
+
+TEST(DeltaOverlay, BrokenUndoLogDropsTheSlotAndLoadStaysBitExact) {
+  for (const LogBreak how : {LogBreak::kCutShort, LogBreak::kOutOfRange})
+    for (const bool rollback : {false, true})
+      for (const bool integrity : {true, false}) {
+        SCOPED_TRACE(std::string(how == LogBreak::kCutShort ? "cut short"
+                                                            : "out of range") +
+                     (rollback ? ", rolled back" : ", loaded") +
+                     (integrity ? "" : ", no CRC sums"));
+        expect_broken_log_drops_the_slot(how, rollback, integrity);
+      }
 }
 
 struct KillCase {
