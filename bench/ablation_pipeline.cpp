@@ -1,70 +1,14 @@
-// Ablation (§IV-C) — pipelined encode → XOR-reduce → P2P vs stage barriers,
-// in two forms: real threads on real buffers (run_pipeline), and the
-// virtual-cluster engine with cfg.pipelined toggled.
+// Ablation (§IV-C) — pipelined encode → XOR-reduce → P2P vs stage barriers:
+// the virtual-cluster engine's save with cfg.pipelined toggled. The pipeline
+// is a property of the simulator's schedule; the real byte plane runs the
+// stages on one thread per rank.
 #include <cstdio>
-#include <thread>
 
 #include "bench/harness.hpp"
-#include "common/rng.hpp"
-#include "runtime/pipeline.hpp"
 
 namespace {
 
 using namespace eccheck;
-
-/// Real-thread microbenchmark: encode and reduce stages over packet buffers.
-void real_thread_pipeline() {
-  struct Item {
-    Buffer data;
-    Buffer encoded;
-    Buffer reduced;
-  };
-  const std::size_t P = 1 << 20;
-  const int items_n = 48;
-  ec::CrsCodec codec(2, 2, 8);
-
-  auto make_items = [&] {
-    std::vector<Item> items;
-    for (int i = 0; i < items_n; ++i) {
-      Item it;
-      it.data = Buffer(P, Buffer::Init::kUninitialized);
-      fill_random(it.data.span(), static_cast<std::uint64_t>(i));
-      it.encoded = Buffer(P, Buffer::Init::kUninitialized);
-      it.reduced = Buffer(P, Buffer::Init::kUninitialized);
-      items.push_back(std::move(it));
-    }
-    return items;
-  };
-  auto encode = [&](Item& it) {
-    codec.encode_partial(2, 0, it.data.span(), it.encoded.span(), false);
-  };
-  auto reduce = [&](Item& it) {
-    std::memcpy(it.reduced.data(), it.encoded.data(), P);
-    xor_into(it.reduced.span(), it.data.span());
-  };
-
-  using Clock = std::chrono::steady_clock;
-  auto seq_items = make_items();
-  auto t0 = Clock::now();
-  for (auto& it : seq_items) {
-    encode(it);
-    reduce(it);
-  }
-  double seq = std::chrono::duration<double>(Clock::now() - t0).count();
-
-  auto pipe_items = make_items();
-  std::vector<std::function<void(Item&)>> stages = {encode, reduce};
-  auto stats = runtime::run_pipeline(pipe_items, stages, 4);
-
-  std::printf("real threads, %d x %s packets (%u hardware threads — "
-              "speedup needs >1):\n",
-              items_n, human_bytes(P).c_str(),
-              std::thread::hardware_concurrency());
-  std::printf("  sequential        %s\n", human_seconds(seq).c_str());
-  std::printf("  2-stage pipeline  %s  (speedup %.2fx)\n",
-              human_seconds(stats.wall_seconds).c_str(),
-              seq / stats.wall_seconds);
-}
 
 /// Virtual-cluster ablation: the engine's pipelined flag.
 void engine_pipeline() {
@@ -72,7 +16,7 @@ void engine_pipeline() {
   const auto model = dnn::table1_models()[1];  // GPT-2 5.3B
   auto workload = bench::make_scaled_workload(model, par);
 
-  std::printf("\nvirtual cluster, GPT-2 5.3B save:\n");
+  std::printf("virtual cluster, GPT-2 5.3B save:\n");
   for (bool pipelined : {true, false}) {
     auto cfg = bench::testbed_config();
     cfg.size_scale = workload.size_scale;
@@ -95,7 +39,6 @@ void engine_pipeline() {
 
 int main() {
   bench::print_header("Ablation: pipelined execution (encode/reduce/P2P)");
-  real_thread_pipeline();
   engine_pipeline();
   return 0;
 }

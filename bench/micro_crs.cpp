@@ -1,11 +1,10 @@
 // Microbenchmarks (§IV-A): Cauchy Reed-Solomon encode/decode throughput by
-// code shape and kernel mode, plus thread-pool encode scaling.
+// code shape and kernel mode.
 #include <benchmark/benchmark.h>
 
 #include "bench/gbench_json.hpp"
 #include "common/rng.hpp"
 #include "ec/crs_codec.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace {
 
@@ -86,35 +85,6 @@ void BM_CrsDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_CrsDecode)->Args({2, 2})->Args({4, 4});
 
-/// §IV-A thread-pool technique: one encode split into per-slice sub-tasks.
-void BM_ThreadPoolEncode(benchmark::State& state) {
-  const unsigned threads = static_cast<unsigned>(state.range(0));
-  const int k = 4, m = 2;
-  const std::size_t P = 4 << 20;
-  const std::size_t kSlice = 256 << 10;
-  CrsCodec codec(k, m, 8);
-  auto data = make_packets(k, P);
-  auto parity = make_packets(m, P);
-  runtime::ThreadPool pool(threads);
-
-  for (auto _ : state) {
-    pool.parallel_for(P / kSlice, [&](std::size_t s) {
-      const std::size_t off = s * kSlice;
-      for (int r = 0; r < m; ++r) {
-        for (int c = 0; c < k; ++c) {
-          codec.encode_partial(
-              k + r, c, data[static_cast<std::size_t>(c)].subspan(off, kSlice),
-              parity[static_cast<std::size_t>(r)].subspan(off, kSlice),
-              /*accumulate=*/c != 0);
-        }
-      }
-    });
-    benchmark::DoNotOptimize(parity[0].data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(P) * k);
-}
-BENCHMARK(BM_ThreadPoolEncode)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 }  // namespace
 

@@ -73,7 +73,6 @@ ChaosRunner::ChaosRunner(const ChaosConfig& cfg, std::ostream* jsonl)
   sc.ec.m = cfg_.m;
   sc.ec.packet_size = cfg_.packet_size;
   sc.ec.flush_to_remote = cfg_.flush_to_remote;
-  sc.ec.verify_integrity = cfg_.verify_integrity;
   sc.retain_versions = cfg_.retain_versions;
   sc.profile_iterations = 8;
   session_.emplace(core::Session::initialize(cluster_, model_, par_, sc));

@@ -4,11 +4,12 @@
 // A schedule is a flat list of events the ChaosRunner executes in order:
 // training intervals, checkpoint saves, independent kills, correlated
 // rack-burst kills (sometimes deliberately catastrophic, > m concurrent),
-// kills armed *inside* save/load windows, silent chunk corruption, and
-// explicit recovery passes. Every event also carries a swept
-// failure-detector configuration (heartbeat/timeout/quorum) and a
-// replacement-provisioning delay, so detection latency is exercised across
-// its parameter space rather than at one default.
+// kills armed *inside* save/load windows, silent chunk corruption (which
+// the load's CRC scrub must decode around), and explicit recovery passes.
+// Every event also carries a swept failure-detector configuration
+// (heartbeat/timeout/quorum) and a replacement-provisioning delay, so
+// detection latency is exercised across its parameter space rather than at
+// one default.
 //
 // Determinism contract: generate_schedule(cfg) depends only on cfg — two
 // calls with the same config produce identical schedules, which is what
@@ -67,10 +68,6 @@ struct ChaosConfig {
   std::uint64_t seed = 1;
 
   bool flush_to_remote = false;
-  /// CRC scrubbing during load. Campaigns keep it on; turning it off is the
-  /// negative control — silent corruption must then surface as a bit-exact
-  /// invariant violation instead of being decoded around.
-  bool verify_integrity = true;
   int retain_versions = 2;
   std::size_t packet_size = kib(8);
 

@@ -21,7 +21,9 @@
 //      identical to encoding), training resumes as soon as every worker has
 //      its packets, then redundancy is restored.
 // If more than m nodes failed, load falls back to the remote flush when one
-// exists, and reports failure otherwise.
+// exists, and reports failure otherwise. Every committed row carries the
+// per-packet CRC-64s of its packets, and load scrubs each row against them:
+// a silently corrupted row is an erasure, decoded around like a failed node.
 //
 // Each operation runs on two planes. The byte plane is fabric_save /
 // fabric_load (core/fabric_engine.hpp) over a VirtualFabric of the same
@@ -66,11 +68,6 @@ struct ECCheckConfig {
 
   /// Step 4: also persist chunks to remote storage during save.
   bool flush_to_remote = false;
-
-  /// Store per-packet CRC64s with each chunk and scrub them during load:
-  /// silently corrupted chunks are treated as erasures and decoded around,
-  /// exactly like a failed node (production bit-rot protection).
-  bool verify_integrity = true;
 
   /// Combine XOR-reduction partials in a binary tree instead of a chain:
   /// ⌈log2 k⌉ network hops of latency instead of k−1 (matters for large k).

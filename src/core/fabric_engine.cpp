@@ -322,12 +322,11 @@ Buffer sums_blob(const std::vector<std::uint64_t>& sums) {
   return Buffer::copy_of(std::as_bytes(std::span(sums)));
 }
 
-/// Publishes a node's chunk row of `version`: its CRC sums (`sums`, empty
-/// when integrity checks are off), then the commit marker that makes the
-/// row a survivor to later loads.
+/// Publishes a node's chunk row of `version`: its CRC sums, then the
+/// commit marker that makes the row a survivor to later loads.
 void commit_row(cluster::Store& store, const std::string& ns,
                 std::int64_t version, Buffer sums) {
-  if (!sums.empty()) store.put(sums_key(ns, version), std::move(sums));
+  store.put(sums_key(ns, version), std::move(sums));
   store.put(commit_key(ns, version), Buffer::copy_of(as_bytes_of(version)));
 }
 
@@ -867,7 +866,7 @@ void SaveOp::delta_patch(const DeltaVote& vote) {
     // their changes into the base version's sums, so the commit never
     // rereads the row. Without usable base sums the node recomputes them in
     // full at commit.
-    if (cfg.verify_integrity && store.contains(sums_key(ns, bv)) &&
+    if (store.contains(sums_key(ns, bv)) &&
         store.get(sums_key(ns, bv)).size() ==
             static_cast<std::size_t>(per_chunk) * B * 8)
       carried_sums.emplace(node, store.get(sums_key(ns, bv)).clone());
@@ -1024,10 +1023,9 @@ void SaveOp::pack() {
   if (cfg.delta.enabled) fabric.stats().add("delta.fallback.count");
   local_extents.clear();  // a fallback's staged Δ goes unused
   staged.clear();
-  if (cfg.verify_integrity)
-    for (int node : mine)
-      taken_sums[node].assign(static_cast<std::size_t>(per_chunk) * B,
-                              zero_sum(P));
+  for (int node : mine)
+    taken_sums[node].assign(static_cast<std::size_t>(per_chunk) * B,
+                            zero_sum(P));
   {
     obs::ScopedSpan pspan("engine.save.pack", decs.size() * B * P);
     for (const auto& [w, dec] : decs) {
@@ -1243,17 +1241,15 @@ void SaveOp::commit(bool delta_used) {
   }
   for (int node : mine) {
     Buffer sums;
-    if (cfg.verify_integrity) {
-      const auto carried = carried_sums.find(node);
-      if (!delta_used) {
-        sums = sums_blob(taken_sums.at(node));
-      } else if (carried != carried_sums.end()) {
-        sums = std::move(carried->second);
-      } else {
-        fabric.stats().add("delta.sums.fallback.count");
-        sums = row_sums(fabric, node, ns, version,
-                        plan.generator_row_of_node(node), per_chunk, B);
-      }
+    const auto carried = carried_sums.find(node);
+    if (!delta_used) {
+      sums = sums_blob(taken_sums.at(node));
+    } else if (carried != carried_sums.end()) {
+      sums = std::move(carried->second);
+    } else {
+      fabric.stats().add("delta.sums.fallback.count");
+      sums = row_sums(fabric, node, ns, version,
+                      plan.generator_row_of_node(node), per_chunk, B);
     }
     commit_row(fabric.store(node), ns, version, std::move(sums));
   }
@@ -1398,26 +1394,24 @@ NodeFlag LoadOp::scrub_row(int node) {
   if (!store.contains(commit_key(ns, version)) ||
       !store.contains(row_key(ns, version, row, 0, 0)))
     return f;
-  if (cfg.verify_integrity) {
-    if (!store.contains(sums_key(ns, version))) return f;
-    const std::size_t pch = f.workers / static_cast<std::uint64_t>(cfg.k);
-    const Buffer& sums = store.get(sums_key(ns, version));
-    const std::size_t B_row = sums.size() / 8 / pch;
-    // The sums must cover the whole row: a blob cut short would leave its
-    // last packets unscrubbed.
-    if (B_row == 0 || sums.size() != B_row * 8 * pch ||
-        store.contains(row_key(ns, version, row, 0, static_cast<int>(B_row))))
-      return f;
-    for (std::size_t j = 0; j < pch; ++j)
-      for (std::size_t b = 0; b < B_row; ++b) {
-        const std::string rk = row_key(ns, version, row, static_cast<int>(j),
-                                       static_cast<int>(b));
-        std::uint64_t want;
-        std::memcpy(&want, sums.data() + (j * B_row + b) * 8, 8);
-        if (!store.contains(rk) || crc64(store.get(rk).span()) != want)
-          return f;
-      }
-  }
+  if (!store.contains(sums_key(ns, version))) return f;
+  const std::size_t pch = f.workers / static_cast<std::uint64_t>(cfg.k);
+  const Buffer& sums = store.get(sums_key(ns, version));
+  const std::size_t B_row = sums.size() / 8 / pch;
+  // The sums must cover the whole row: a blob cut short would leave its
+  // last packets unscrubbed.
+  if (B_row == 0 || sums.size() != B_row * 8 * pch ||
+      store.contains(row_key(ns, version, row, 0, static_cast<int>(B_row))))
+    return f;
+  for (std::size_t j = 0; j < pch; ++j)
+    for (std::size_t b = 0; b < B_row; ++b) {
+      const std::string rk = row_key(ns, version, row, static_cast<int>(j),
+                                     static_cast<int>(b));
+      std::uint64_t want;
+      std::memcpy(&want, sums.data() + (j * B_row + b) * 8, 8);
+      if (!store.contains(rk) || crc64(store.get(rk).span()) != want)
+        return f;
+    }
   f.flag = 1;
   return f;
 }
@@ -1541,7 +1535,7 @@ void LoadOp::decode_rows(const std::vector<int>& basis,
   for (int ti = 0; ti < static_cast<int>(targets.size()); ++ti) {
     const int node = plan.node_of_row(targets[static_cast<std::size_t>(ti)]);
     on_site[members.site(node)].push_back(ti);
-    if (cfg.verify_integrity && members.is_alive(node) && fabric.drives(node)) {
+    if (members.is_alive(node) && fabric.drives(node)) {
       sums[static_cast<std::size_t>(ti)] = &rebuilt_sums[node];
       sums[static_cast<std::size_t>(ti)]->assign(
           static_cast<std::size_t>(per_chunk) * B, zero_sum(P));
@@ -1702,13 +1696,11 @@ void LoadOp::recommit() {
   for (int node : mine) {
     const std::uint64_t flag = flags[static_cast<std::size_t>(node)].flag;
     if (flag == 1) continue;  // intact: its sums and marker stand
-    Buffer sums;
-    if (cfg.verify_integrity)
-      sums = flag == 0 ? sums_blob(rebuilt_sums.at(node))
-                       : row_sums(fabric, node, ns, version,
-                                  plan.generator_row_of_node(node), per_chunk,
-                                  B);
-    commit_row(fabric.store(node), ns, version, std::move(sums));
+    commit_row(fabric.store(node), ns, version,
+               flag == 0 ? sums_blob(rebuilt_sums.at(node))
+                         : row_sums(fabric, node, ns, version,
+                                    plan.generator_row_of_node(node),
+                                    per_chunk, B));
   }
 }
 

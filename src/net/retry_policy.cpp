@@ -1,9 +1,24 @@
 #include "net/retry_policy.hpp"
 
+#include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <sstream>
 
 namespace eccheck::net {
+
+namespace {
+
+/// The longest millisecond knob. A deadline is the clock's now() plus a
+/// knob, and the service probes with an I/O timeout of 4 × heartbeat_period,
+/// so 4 × the knob must leave room for now(): an eighth of the clock's
+/// range, ≈36 years on a nanosecond clock.
+constexpr long long kMaxMillis =
+    std::chrono::duration_cast<Millis>(
+        std::chrono::steady_clock::duration::max() / 8)
+        .count();
+
+}  // namespace
 
 void RetryPolicy::set(const std::string& key, const std::string& value) {
   long long v = 0;
@@ -16,30 +31,42 @@ void RetryPolicy::set(const std::string& key, const std::string& value) {
                        "'");
   }
   ECC_CHECK_MSG(v >= 0, "retry policy: '" << key << "' must be >= 0");
+  auto millis = [&](Millis& knob) {
+    ECC_CHECK_MSG(v <= kMaxMillis, "retry policy: '"
+                                       << key << "' must be <= " << kMaxMillis
+                                       << " ms (a later deadline overflows "
+                                          "the clock)");
+    knob = Millis(v);
+  };
+  auto count = [&](int& knob) {
+    ECC_CHECK_MSG(v <= INT_MAX,
+                  "retry policy: '" << key << "' must be <= " << INT_MAX);
+    knob = static_cast<int>(v);
+  };
   if (key == "connect_timeout")
-    connect_timeout = Millis(v);
+    millis(connect_timeout);
   else if (key == "connect_retries")
-    connect_retries = static_cast<int>(v);
+    count(connect_retries);
   else if (key == "backoff_base")
-    backoff_base = Millis(v);
+    millis(backoff_base);
   else if (key == "backoff_max")
-    backoff_max = Millis(v);
+    millis(backoff_max);
   else if (key == "io_timeout")
-    io_timeout = Millis(v);
+    millis(io_timeout);
   else if (key == "heartbeat_period")
-    heartbeat_period = Millis(v);
+    millis(heartbeat_period);
   else if (key == "heartbeat_timeout")
-    heartbeat_timeout = Millis(v);
+    millis(heartbeat_timeout);
   else if (key == "suspect_probes")
-    suspect_probes = static_cast<int>(v);
+    count(suspect_probes);
   else if (key == "ack_window") {
     ECC_CHECK_MSG(v >= 1,
                   "retry policy: ack_window must be >= 1 (a window of 0 "
                   "could never send a frame)");
-    ack_window = static_cast<int>(v);
+    count(ack_window);
   } else if (key == "send_queue_frames") {
     ECC_CHECK_MSG(v >= 1, "retry policy: send_queue_frames must be >= 1");
-    send_queue_frames = static_cast<int>(v);
+    count(send_queue_frames);
   } else
     throw CheckFailure("retry policy: unknown knob '" + key + "'");
 }

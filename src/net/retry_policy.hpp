@@ -61,8 +61,9 @@ struct RetryPolicy {
   /// accepting frames for it; other peers keep draining. Must be ≥ 1.
   int send_queue_frames = 32;
 
-  /// Apply one "key=value" override; throws CheckFailure on an unknown key
-  /// or unparsable value.
+  /// Apply one "key=value" override; throws CheckFailure on an unknown key,
+  /// an unparsable or negative value, a count above INT_MAX, or a
+  /// millisecond value whose deadline could overflow the clock.
   void set(const std::string& key, const std::string& value);
 
   /// Parse a comma-separated "key=value,..." spec over `base`. Empty spec

@@ -3,10 +3,14 @@
 // the headline randomized campaigns with zero invariant violations.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "chaos/runner.hpp"
 #include "cluster/fabric.hpp"
+#include "common/crc64.hpp"
+#include "core/engine_keys.hpp"
 #include "core/session.hpp"
 #include "dnn/checkpoint_gen.hpp"
 
@@ -270,25 +274,42 @@ TEST(ChaosMidSave, TornFirstSaveLeavesNothingLoadable) {
 
 // ---- runner oracle: negative control --------------------------------------
 
-TEST(ChaosRunnerOracle, SilentCorruptionIsFlaggedWhenScrubbingIsOff) {
-  // With CRC scrubbing disabled, a flipped byte in a *data* chunk reaches
-  // the recovered state_dict — the runner's bit-exact invariant must flag
-  // it. This proves the oracle detects real corruption rather than trivially
-  // passing.
+TEST(ChaosRunnerOracle, CorruptionWithAMatchingSumIsFlaggedAsNotBitExact) {
+  // A flipped byte in a *data* chunk whose stored CRC sum is rewritten to
+  // match passes the load's scrub and reaches the recovered state_dict — the
+  // runner's bit-exact invariant must flag it. This proves the oracle
+  // detects real corruption rather than trivially passing.
   ChaosConfig cfg = small_config(5);
-  cfg.verify_integrity = false;
   ChaosRunner runner(cfg);
   ASSERT_GT(runner.force_save(), 0);
 
   const auto& placement = runner.session().placement();
   ASSERT_FALSE(placement.data_nodes.empty());
   const int victim = placement.data_nodes[0];
-  auto rows = runner.cluster().host(victim).keys_with_prefix("ec/1/row/");
+  cluster::Store& store = runner.cluster().host(victim);
+  auto rows = store.keys_with_prefix("ec/1/row/");
   ASSERT_FALSE(rows.empty());
-  Buffer chunk = runner.cluster().host(victim).take(rows[0]);
+  Buffer chunk = store.take(rows[0]);
   ASSERT_GT(chunk.size(), 0u);
   chunk.data()[0] ^= std::byte{0xff};
-  runner.cluster().host(victim).put(rows[0], std::move(chunk));
+  const std::uint64_t flipped_sum = crc64(chunk.span());
+  store.put(rows[0], std::move(chunk));
+
+  // The packet's sum sits in slot j·B + b of the row's sums blob.
+  const std::string row_prefix =
+      core::keys::row_prefix("", 1, placement.generator_row_of_node(victim));
+  int j = -1;
+  int b = -1;
+  ASSERT_EQ(std::sscanf(rows[0].substr(row_prefix.size()).c_str(), "%d/%d",
+                        &j, &b),
+            2)
+      << rows[0];
+  const std::size_t B = store.keys_with_prefix(row_prefix + "0/").size();
+  Buffer& sums = store.get_mutable(core::keys::sums_key("", 1));
+  const std::size_t slot = static_cast<std::size_t>(j) * B +
+                           static_cast<std::size_t>(b);
+  ASSERT_LE((slot + 1) * 8, sums.size());
+  std::memcpy(sums.data() + slot * 8, &flipped_sum, 8);
 
   runner.force_recovery();
   EXPECT_GT(runner.summary().violations, 0u);
@@ -300,8 +321,8 @@ TEST(ChaosRunnerOracle, SilentCorruptionIsFlaggedWhenScrubbingIsOff) {
 }
 
 TEST(ChaosRunnerOracle, ScrubbingDecodesAroundTheSameCorruption) {
-  // Positive twin of the test above: with verify_integrity on (default),
-  // the same tampering is detected by the CRC scrub, decoded around, and
+  // Positive twin of the test above: with the stored sum left alone, the
+  // same tampering is detected by the CRC scrub, decoded around, and
   // recovery stays bit-exact — zero violations.
   ChaosConfig cfg = small_config(5);
   ChaosRunner runner(cfg);

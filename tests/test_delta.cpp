@@ -1373,17 +1373,14 @@ enum class LogBreak { kCutShort, kOutOfRange };
 /// (which materializes it from v2's row) or by rolling v2 back. Either way
 /// the broken slot is dropped with the rest of its row, never restored
 /// wrong: every other node gets its v1 row back byte for byte, the load
-/// decodes the node's row, and v1 and then v2 load bit-exact — with CRC
-/// sums and without, where the scrub looks only at a row's first packet.
-void expect_broken_log_drops_the_slot(LogBreak how, bool rollback,
-                                      bool integrity) {
+/// decodes the node's row, and v1 and then v2 load bit-exact.
+void expect_broken_log_drops_the_slot(LogBreak how, bool rollback) {
   const int g = 1, W = kNodes * g;
   const dnn::SparseUpdateSpec spec = sparse_spec(0.01);
   std::vector<dnn::StateDict> shards = sparse_shards(spec, W);
   cluster::VirtualCluster vc(vc_config(g));
   cluster::VirtualFabric fabric(vc);
-  core::ECCheckConfig cfg = delta_config(true);
-  cfg.verify_integrity = integrity;
+  const core::ECCheckConfig cfg = delta_config(true);
   core::FabricSession session(fabric, cfg, g, /*retain_versions=*/2);
   session.save(pointers(shards));
   const auto want_v1 = digests_of(shards);
@@ -1455,14 +1452,12 @@ void expect_broken_log_drops_the_slot(LogBreak how, bool rollback,
 
 TEST(DeltaOverlay, BrokenUndoLogDropsTheSlotAndLoadStaysBitExact) {
   for (const LogBreak how : {LogBreak::kCutShort, LogBreak::kOutOfRange})
-    for (const bool rollback : {false, true})
-      for (const bool integrity : {true, false}) {
-        SCOPED_TRACE(std::string(how == LogBreak::kCutShort ? "cut short"
-                                                            : "out of range") +
-                     (rollback ? ", rolled back" : ", loaded") +
-                     (integrity ? "" : ", no CRC sums"));
-        expect_broken_log_drops_the_slot(how, rollback, integrity);
-      }
+    for (const bool rollback : {false, true}) {
+      SCOPED_TRACE(std::string(how == LogBreak::kCutShort ? "cut short"
+                                                          : "out of range") +
+                   (rollback ? ", rolled back" : ", loaded"));
+      expect_broken_log_drops_the_slot(how, rollback);
+    }
 }
 
 struct KillCase {

@@ -311,6 +311,61 @@ TEST_P(CrsCodecTest, PartialEncodingEqualsFullEncode) {
   }
 }
 
+// A packet encoded slice by slice, each slice through its own
+// encode_partial calls, equals the whole-packet encode: the property a
+// sliced encode relies on. In kGfTable mode a slice is a byte range of the
+// packet. The bitmatrix kernel mixes only the bytes at one offset within
+// each of the w strips, so there a slice is one offset range taken from
+// every strip, laid out as a packet of its own.
+TEST_P(CrsCodecTest, SlicedPartialEncodeMatchesWholePacketEncode) {
+  const auto [k, m, w, mode] = GetParam();
+  CrsCodec codec(k, m, w, mode);
+  auto data = make_data(k, 123);
+
+  std::vector<Buffer> whole;
+  for (int r = 0; r < m; ++r) whole.emplace_back(kPacket);
+  {
+    std::vector<ByteSpan> in;
+    for (auto& d : data) in.push_back(d.span());
+    std::vector<MutableByteSpan> out;
+    for (auto& p : whole) out.push_back(p.span());
+    codec.encode(in, out);
+  }
+
+  const std::size_t strips =
+      mode == KernelMode::kXorBitmatrix ? static_cast<std::size_t>(w) : 1;
+  const std::size_t strip = kPacket / strips;
+  // Uneven slices of [0, strip), each a multiple of 8 bytes.
+  const std::vector<std::size_t> cuts{0, 8, strip / 4, strip / 2 + 8, strip};
+  std::vector<Buffer> sliced;
+  for (int r = 0; r < m; ++r)
+    sliced.emplace_back(kPacket, Buffer::Init::kUninitialized);
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+    const std::size_t lo = cuts[i], len = cuts[i + 1] - lo;
+    auto gather = [&](const Buffer& pkt) {
+      Buffer out(strips * len, Buffer::Init::kUninitialized);
+      for (std::size_t s = 0; s < strips; ++s)
+        std::memcpy(out.data() + s * len, pkt.data() + s * strip + lo, len);
+      return out;
+    };
+    std::vector<Buffer> src;
+    for (const Buffer& d : data) src.push_back(gather(d));
+    for (int r = 0; r < m; ++r) {
+      Buffer acc(strips * len, Buffer::Init::kUninitialized);
+      for (int c = 0; c < k; ++c)
+        codec.encode_partial(k + r, c, src[static_cast<std::size_t>(c)].span(),
+                             acc.span(), c != 0);
+      for (std::size_t s = 0; s < strips; ++s)
+        std::memcpy(sliced[static_cast<std::size_t>(r)].data() + s * strip + lo,
+                    acc.data() + s * len, len);
+    }
+  }
+  for (int r = 0; r < m; ++r)
+    EXPECT_EQ(sliced[static_cast<std::size_t>(r)],
+              whole[static_cast<std::size_t>(r)])
+        << "row " << r;
+}
+
 TEST_P(CrsCodecTest, ReconstructionMatrixRebuildsLostParity) {
   const auto [k, m, w, mode] = GetParam();
   if (m < 1) return;

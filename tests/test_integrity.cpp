@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/eccheck_engine.hpp"
+#include "core/engine_keys.hpp"
 #include "dnn/checkpoint_gen.hpp"
 
 namespace eccheck {
@@ -175,21 +176,41 @@ TEST(Integrity, RebuiltRowGetsFreshSumsDespiteItsCommitMarker) {
   }
 }
 
-TEST(Integrity, DisablingVerificationSkipsScrub) {
-  VirtualCluster cluster(cluster_config());
-  auto shards = make_shards(4);
-  auto cfg = ec_config();
-  cfg.verify_integrity = false;
-  core::ECCheckEngine engine(cfg);
-  engine.save(cluster, shards, 1);
-  corrupt_node_chunk(cluster, engine, 0, 1);
-  std::vector<dnn::StateDict> out;
-  auto load = engine.load(cluster, 1, out);
-  // Without scrubbing the corruption goes unnoticed (workflow A) and the
-  // restored bytes differ — exactly the failure mode verify_integrity stops.
-  ASSERT_TRUE(load.success);
-  EXPECT_NE(load.detail.find("workflow A"), std::string::npos);
-  EXPECT_NE(digests_of(out), digests_of(shards));
+// A row that keeps its commit marker, its first packet and its sums but has
+// lost a later packet is not a survivor: the scrub checks every packet the
+// sums cover, so the load reports the row missing, decodes it bit-exact and
+// puts the lost packet back.
+TEST(Integrity, RowMissingALaterPacketIsDecodedAround) {
+  struct Case {
+    int node;  // 0 holds data row 0, 3 a parity row
+    int j, b;
+  };
+  for (const Case tc : {Case{0, 0, 1}, Case{0, 1, 0}, Case{3, 0, 1},
+                        Case{3, 1, 0}}) {
+    SCOPED_TRACE("node " + std::to_string(tc.node) + " packet " +
+                 std::to_string(tc.j) + "/" + std::to_string(tc.b));
+    VirtualCluster cluster(cluster_config());
+    auto shards = make_shards(4);
+    core::ECCheckEngine engine(ec_config());
+    engine.save(cluster, shards, 1);
+    const int row = engine.plan_for(cluster).generator_row_of_node(tc.node);
+    cluster::Store& store = cluster.host(tc.node);
+    const std::string lost = core::keys::row_key("", 1, row, tc.j, tc.b);
+    ASSERT_TRUE(store.contains(core::keys::commit_key("", 1)));
+    ASSERT_TRUE(store.contains(core::keys::row_key("", 1, row, 0, 0)));
+    ASSERT_TRUE(store.contains(core::keys::sums_key("", 1)));
+    ASSERT_TRUE(store.contains(lost));
+    const Buffer saved = store.take(lost);
+
+    std::vector<dnn::StateDict> out;
+    auto load = engine.load(cluster, 1, out);
+    ASSERT_TRUE(load.success) << load.detail;
+    EXPECT_EQ(load.rows[static_cast<std::size_t>(row)],
+              ckpt::RowOutcome::kMissing);
+    EXPECT_EQ(digests_of(out), digests_of(shards));
+    ASSERT_TRUE(store.contains(lost));
+    EXPECT_TRUE(store.get(lost) == saved);
+  }
 }
 
 TEST(TreeReduction, RecoversIdentically) {

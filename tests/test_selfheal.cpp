@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <map>
@@ -267,6 +268,36 @@ TEST(RetryPolicy, ParseOverridesAndDescribeRoundTrips) {
   // A zero-frame window could never send anything; reject it at parse time.
   EXPECT_THROW(net::RetryPolicy::parse("ack_window=0"), CheckFailure);
   EXPECT_THROW(net::RetryPolicy::parse("send_queue_frames=0"), CheckFailure);
+  // Counts above INT_MAX must not wrap: 2^32 would become a window of 0,
+  // 2^31 a negative retry count.
+  EXPECT_THROW(net::RetryPolicy::parse("ack_window=4294967296"), CheckFailure);
+  EXPECT_THROW(net::RetryPolicy::parse("send_queue_frames=4294967296"),
+               CheckFailure);
+  EXPECT_THROW(net::RetryPolicy::parse("connect_retries=2147483648"),
+               CheckFailure);
+  EXPECT_THROW(net::RetryPolicy::parse("suspect_probes=2147483648"),
+               CheckFailure);
+  EXPECT_EQ(net::RetryPolicy::parse("connect_retries=2147483647")
+                .connect_retries,
+            2147483647);
+  // A millisecond knob is added to the clock's now() for a deadline; one
+  // whose nanoseconds could overflow that sum is rejected, a day is not.
+  for (const char* knob :
+       {"connect_timeout", "backoff_base", "backoff_max", "io_timeout",
+        "heartbeat_period", "heartbeat_timeout"}) {
+    SCOPED_TRACE(knob);
+    const std::string k = knob;
+    EXPECT_THROW(net::RetryPolicy::parse(k + "=9300000000000"), CheckFailure);
+    EXPECT_THROW(net::RetryPolicy::parse(k + "=9223372036854775807"),
+                 CheckFailure);
+    EXPECT_NO_THROW(net::RetryPolicy::parse(k + "=86400000"));
+  }
+  // The environment spec is outside input too.
+  ASSERT_EQ(::setenv("ECCHECK_NET_RETRY", "ack_window=4294967296", 1), 0);
+  EXPECT_THROW(net::RetryPolicy::from_env(), CheckFailure);
+  ASSERT_EQ(::setenv("ECCHECK_NET_RETRY", "io_timeout=9300000000000", 1), 0);
+  EXPECT_THROW(net::RetryPolicy::from_env(), CheckFailure);
+  ASSERT_EQ(::unsetenv("ECCHECK_NET_RETRY"), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,7 @@
 // obs::Tracer tests: disabled cost model, concurrent recording, per-thread
-// span nesting, Chrome-trace export validity, and the built-in thread-pool /
-// pipeline instrumentation sites.
+// span nesting and Chrome-trace export validity.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <functional>
-#include <future>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,8 +9,6 @@
 
 #include "obs/chrome_trace.hpp"
 #include "obs/tracer.hpp"
-#include "runtime/pipeline.hpp"
-#include "runtime/thread_pool.hpp"
 #include "tests/json_checker.hpp"
 
 namespace eccheck {
@@ -145,74 +138,6 @@ TEST(Tracer, ClearDropsSpansButKeepsRegistrations) {
   EXPECT_EQ(t.span_count(), 0u);
   { obs::ScopedSpan span(t, "y"); }
   EXPECT_EQ(t.span_count(), 1u);
-}
-
-// --- built-in instrumentation sites ----------------------------------------
-// These run against the global tracer (the sites are hardwired to it), so
-// each test enables, runs, disables, snapshots, and clears.
-
-std::set<std::string> global_span_names() {
-  std::set<std::string> names;
-  for (const auto& track : obs::Tracer::global().snapshot())
-    for (const auto& s : track.spans) names.insert(s.name);
-  return names;
-}
-
-TEST(TracerSites, ThreadPoolRecordsWaitRunAndQueueDepth) {
-  auto& t = obs::Tracer::global();
-  t.clear();
-  t.enable();
-  {
-    runtime::ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    std::vector<std::future<void>> futs;
-    for (int i = 0; i < 16; ++i)
-      futs.push_back(pool.submit([&] { ++ran; }, "test.task"));
-    for (auto& f : futs) f.get();
-    EXPECT_EQ(ran.load(), 16);
-    pool.parallel_for(32, [&](std::size_t) { ++ran; }, "test.chunks");
-    EXPECT_EQ(ran.load(), 48);
-  }
-  t.disable();
-
-  auto names = global_span_names();
-  EXPECT_TRUE(names.count("pool.wait"));
-  EXPECT_TRUE(names.count("test.task"));
-  EXPECT_TRUE(names.count("test.chunks"));
-  bool saw_worker = false, saw_depth = false;
-  for (const auto& track : t.snapshot()) {
-    if (track.name.rfind("pool/worker", 0) == 0 && !track.spans.empty())
-      saw_worker = true;
-    for (const auto& c : track.counters)
-      if (c.name == "pool.queue_depth") saw_depth = true;
-  }
-  EXPECT_TRUE(saw_worker);
-  EXPECT_TRUE(saw_depth);
-  t.clear();
-}
-
-TEST(TracerSites, PipelineStagesBecomeNamedTracks) {
-  auto& t = obs::Tracer::global();
-  t.clear();
-  t.enable();
-  std::vector<int> items(12, 0);
-  std::vector<std::function<void(int&)>> stages = {
-      [](int& v) { v += 1; },
-      [](int& v) { v *= 2; },
-  };
-  runtime::run_pipeline(items, stages, 2, {"double_in", "double_out"});
-  t.disable();
-
-  for (int v : items) EXPECT_EQ(v, 2);
-  std::set<std::string> track_names;
-  for (const auto& track : t.snapshot())
-    if (!track.spans.empty()) track_names.insert(track.name);
-  EXPECT_TRUE(track_names.count("pipe/double_in"));
-  EXPECT_TRUE(track_names.count("pipe/double_out"));
-  auto names = global_span_names();
-  EXPECT_TRUE(names.count("double_in"));
-  EXPECT_TRUE(names.count("double_out"));
-  t.clear();
 }
 
 }  // namespace
