@@ -5,8 +5,8 @@
 //
 //   blocking   ack_window=1 — stop-and-wait, one CRC-echo RTT per frame;
 //   pipelined  ack_window=W — up to W frames in flight per connection,
-//              acks reconciled at flush/barrier points, multi-peer
-//              fan-outs through the epoll SendPump.
+//              acks reconciled at flush/barrier points; a fan-out root
+//              sends to every peer through the window, then flushes.
 //
 // Both legs use writev framing. Workloads (--workload) differ only in the
 // shards each rank saves:

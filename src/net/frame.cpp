@@ -1,5 +1,7 @@
 #include "net/frame.hpp"
 
+#include <cstring>
+
 #include "common/check.hpp"
 
 namespace eccheck::net {
@@ -57,6 +59,39 @@ void encode_frame_header(const FrameHeader& h, std::uint8_t* out) {
   put_u32(out + 20, h.aux);
   put_u64(out + 24, h.payload_len);
   put_u64(out + 32, h.payload_crc);
+}
+
+Buffer encode_frame_head(const FrameHeader& h) {
+  const bool traced = h.trace.trace_id != 0;
+  const std::size_t trace_bytes = traced ? kTraceContextBytes : 0;
+  Buffer head(kFrameHeaderBytes + trace_bytes + h.key.size(),
+              Buffer::Init::kUninitialized);
+  std::uint8_t* p = reinterpret_cast<std::uint8_t*>(head.data());
+  encode_frame_header(h, p);
+  if (traced) encode_trace_context(h.trace, p + kFrameHeaderBytes);
+  std::memcpy(p + kFrameHeaderBytes + trace_bytes, h.key.data(),
+              h.key.size());
+  return head;
+}
+
+void encode_ack(std::uint32_t src_rank, std::uint32_t seq, std::uint64_t crc,
+                std::uint8_t* out) {
+  FrameHeader ack;
+  ack.type = FrameType::kAck;
+  ack.src_rank = src_rank;
+  ack.aux = seq;
+  ack.payload_crc = crc;
+  encode_frame_header(ack, out);
+}
+
+FrameHeader check_ack(const std::uint8_t* in, const std::string& ctx) {
+  std::uint32_t key_len = 0;
+  bool has_trace = false;
+  FrameHeader ack = decode_frame_header(in, &key_len, &has_trace);
+  ECC_CHECK_MSG(ack.type == FrameType::kAck && key_len == 0 && !has_trace &&
+                    ack.payload_len == 0,
+                ctx << ": expected ack, got " << frame_type_name(ack.type));
+  return ack;
 }
 
 void encode_trace_context(const WireTraceContext& t, std::uint8_t* out) {

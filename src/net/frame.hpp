@@ -87,6 +87,22 @@ inline constexpr std::uint64_t kMaxPayloadLen = 1ull << 31;
 /// callers control whether it rides in the same write.
 void encode_frame_header(const FrameHeader& h, std::uint8_t* out);
 
+/// Serialize header [+trace context] [+key] of `h` into one buffer — the
+/// whole frame up to its payload, which callers write as a separate slice.
+Buffer encode_frame_head(const FrameHeader& h);
+
+/// Serialize the kAck frame `src_rank` sends for the frame it received as
+/// sequence `seq` (the echo the sender's window matches) with payload CRC
+/// `crc` into `out[kFrameHeaderBytes]`.
+void encode_ack(std::uint32_t src_rank, std::uint32_t seq, std::uint64_t crc,
+                std::uint8_t* out);
+
+/// Parse `in[kFrameHeaderBytes]` as an ack; throws CheckFailure (prefixed
+/// by `ctx`) unless it is a kAck with no key, no trace context and no
+/// payload. The returned header's aux is the acknowledged sequence and its
+/// payload_crc the echoed CRC.
+FrameHeader check_ack(const std::uint8_t* in, const std::string& ctx);
+
 /// Serialize h.trace into `out[kTraceContextBytes]`.
 void encode_trace_context(const WireTraceContext& t, std::uint8_t* out);
 

@@ -64,9 +64,6 @@ void RetryPolicy::set(const std::string& key, const std::string& value) {
                   "retry policy: ack_window must be >= 1 (a window of 0 "
                   "could never send a frame)");
     count(ack_window);
-  } else if (key == "send_queue_frames") {
-    ECC_CHECK_MSG(v >= 1, "retry policy: send_queue_frames must be >= 1");
-    count(send_queue_frames);
   } else
     throw CheckFailure("retry policy: unknown knob '" + key + "'");
 }
@@ -99,8 +96,7 @@ std::string RetryPolicy::describe() const {
      << ",heartbeat_period=" << heartbeat_period.count()
      << ",heartbeat_timeout=" << heartbeat_timeout.count()
      << ",suspect_probes=" << suspect_probes
-     << ",ack_window=" << ack_window
-     << ",send_queue_frames=" << send_queue_frames;
+     << ",ack_window=" << ack_window;
   return os.str();
 }
 

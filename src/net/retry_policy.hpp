@@ -18,8 +18,8 @@
 //   heartbeat_period   250   worker → coordinator liveness beat interval
 //   heartbeat_timeout 1500   silence before the coordinator suspects
 //   suspect_probes       2   failed probes before a suspect is declared dead
-//   ack_window           8   data frames in flight per connection (count)
-//   send_queue_frames   32   frames queued per peer in the send pump (count)
+//   ack_window           8   frames in flight per connection on the data
+//                            plane and fan-out roots (count)
 #pragma once
 
 #include <string>
@@ -49,17 +49,13 @@ struct RetryPolicy {
   int suspect_probes = 2;
 
   /// Sliding ack window: data frames a connection may have in flight before
-  /// the sender must reconcile a CRC-echo ack. 1 = stop-and-wait (the
-  /// pre-pipelining behavior, and always used for control frames); larger
+  /// the sender must reconcile a CRC-echo ack; broadcast and barrier-release
+  /// roots send through it too. 1 = stop-and-wait (the pre-pipelining
+  /// behavior, and always used for the remaining control frames); larger
   /// windows let collectives overlap transfers with ack latency. Must be
   /// ≥ 1 — a window of 0 could never send anything, so it is rejected at
   /// parse/set time.
   int ack_window = 8;
-
-  /// Bound on frames queued per peer inside the epoll send pump — one slow
-  /// peer can absorb at most this much backlog before the pump stops
-  /// accepting frames for it; other peers keep draining. Must be ≥ 1.
-  int send_queue_frames = 32;
 
   /// Apply one "key=value" override; throws CheckFailure on an unknown key,
   /// an unparsable or negative value, a count above INT_MAX, or a

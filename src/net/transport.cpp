@@ -113,14 +113,11 @@ SocketTransport::SocketTransport(int rank, std::vector<Endpoint> peers,
   // (ECCHECK_NET_RETRY) applies over whatever the caller configured, so
   // multi-process harnesses can retune forked ranks without plumbing flags.
   static_cast<RetryPolicy&>(opts_) = RetryPolicy::from_env(opts_);
-  // parse() rejects these, but the fields are also settable directly —
-  // validate at construction, not when the first window stalls forever.
+  // parse() rejects it, but the field is also settable directly — validate
+  // at construction, not when the first window stalls forever.
   ECC_CHECK_MSG(opts_.ack_window >= 1,
                 "transport: ack_window must be >= 1, got "
                     << opts_.ack_window);
-  ECC_CHECK_MSG(opts_.send_queue_frames >= 1,
-                "transport: send_queue_frames must be >= 1, got "
-                    << opts_.send_queue_frames);
   listener_ = listen_on(peers_[self_idx()]);
 }
 
@@ -269,19 +266,6 @@ SocketTransport::InConn& SocketTransport::conn_from(int peer) {
   }
 }
 
-Buffer SocketTransport::build_head(const FrameHeader& h) const {
-  const bool traced = h.trace.trace_id != 0;
-  const std::size_t trace_bytes = traced ? kTraceContextBytes : 0;
-  Buffer head(kFrameHeaderBytes + trace_bytes + h.key.size(),
-              Buffer::Init::kUninitialized);
-  std::uint8_t* p = reinterpret_cast<std::uint8_t*>(head.data());
-  encode_frame_header(h, p);
-  if (traced) encode_trace_context(h.trace, p + kFrameHeaderBytes);
-  std::memcpy(p + kFrameHeaderBytes + trace_bytes, h.key.data(),
-              h.key.size());
-  return head;
-}
-
 void SocketTransport::reap_acks(OutConn& c, std::size_t target,
                                 const std::string& ctx) {
   while (c.window.size() > target) {
@@ -314,14 +298,7 @@ void SocketTransport::reap_acks(OutConn& c, std::size_t target,
                         Clock::now() - t0)
                         .count()));
     for (std::size_t off = 0; off < have; off += kFrameHeaderBytes) {
-      std::uint32_t ack_key_len = 0;
-      bool ack_trace = false;
-      FrameHeader ack =
-          decode_frame_header(buf + off, &ack_key_len, &ack_trace);
-      ECC_CHECK_MSG(ack.type == FrameType::kAck && ack_key_len == 0 &&
-                        !ack_trace && ack.payload_len == 0,
-                    ctx << ": expected ack, got "
-                        << frame_type_name(ack.type));
+      const FrameHeader ack = check_ack(buf + off, ctx);
       // Acks are matched by the sequence the receiver stamped into aux, not
       // by queue position: within the open window they may be reconciled in
       // any order (a misordering peer is still verified frame by frame).
@@ -410,7 +387,7 @@ void SocketTransport::send_frame(int dst, FrameType type,
       h.trace.parent_span = span.span_id();
       h.trace.op = static_cast<std::uint32_t>(type);
     }
-    const Buffer head = build_head(h);
+    const Buffer head = encode_frame_head(h);
 
     Buffer mangled;  // must outlive the write below
     ByteSpan wire_payload = payload;
@@ -448,43 +425,6 @@ void SocketTransport::send_frame(int dst, FrameType type,
     stats_->add("net.io_error.count");
     throw;
   }
-}
-
-void SocketTransport::pump_frames(std::vector<PumpFrame> frames,
-                                  const char* what) {
-  std::size_t total = 0;
-  for (const PumpFrame& f : frames)
-    total += f.owned.empty() ? f.payload.size() : f.owned.size();
-  obs::ScopedSpan span(std::string("net.pump[") + tag() + "]", total);
-  stats_->add("net.pump.count");
-  SendPump pump(opts_.io_timeout, stats_, opts_.send_queue_frames);
-  for (PumpFrame& f : frames) {
-    OutConn& c = conn_to(f.peer);
-    f.header.src_rank = static_cast<std::uint32_t>(rank_);
-    // Parent every hop under the pump span, mirroring send_frame's
-    // per-frame stamping — the merged trace shows the fan-out as one span
-    // with world_size receive edges.
-    if (span.active() && span.span_id() != 0) {
-      const obs::TraceContext tc = obs::current_trace_context();
-      f.header.trace.trace_id = tc.trace_id;
-      f.header.trace.parent_span = span.span_id();
-      f.header.trace.op = static_cast<std::uint32_t>(f.header.type);
-    }
-    pump.enqueue(f.peer, &c, who(std::string(what) + " to", f.peer),
-                 build_head(f.header), f.payload, std::move(f.owned),
-                 f.header.payload_crc);
-  }
-  const std::vector<SendPump::Failure> failures = pump.run();
-  if (failures.empty()) return;
-  // Dead peers' connections are in an undefined protocol state — drop them
-  // so a later retry reconnects cleanly — then fail the collective with the
-  // first typed message (the others died the same way).
-  for (const SendPump::Failure& f : failures) out_.erase(f.peer);
-  stats_->add("net.io_error.count", failures.size());
-  std::string msg = failures.front().message;
-  if (failures.size() > 1)
-    msg += " (+" + std::to_string(failures.size() - 1) + " more peers)";
-  throw CheckFailure(msg);
 }
 
 SocketTransport::Received SocketTransport::recv_frame(int src,
@@ -531,16 +471,12 @@ SocketTransport::Received SocketTransport::recv_frame(int src,
     stats_->add("net.recv.count");
     span.set_bytes(r.payload.size());
 
-    FrameHeader ack;
-    ack.type = FrameType::kAck;
-    ack.src_rank = static_cast<std::uint32_t>(rank_);
     // Stamp the per-connection sequence of the frame being acknowledged:
     // both sides count acknowledged frames on this stream since the hello,
     // so the sender can reconcile windowed acks even out of order.
-    ack.aux = c.ack_seq++;
-    ack.payload_crc = r.header.payload_crc;
     std::uint8_t ack_hdr[kFrameHeaderBytes];
-    encode_frame_header(ack, ack_hdr);
+    encode_ack(static_cast<std::uint32_t>(rank_), c.ack_seq++,
+               r.header.payload_crc, ack_hdr);
     write_full(c.sock, ack_hdr, sizeof(ack_hdr), opts_.io_timeout, ctx);
     return r;
   } catch (...) {
@@ -607,41 +543,15 @@ void SocketTransport::broadcast(const std::vector<int>& nodes, int root,
   if (!contains(nodes, rank_)) return;
   obs::ScopedSpan span("fabric.broadcast");
   if (rank_ == root) {
-    std::size_t fan_out = 0;
+    // Every peer's frame rides the window, so the sends overlap the acks;
+    // flushing afterwards makes the call return fully reconciled. Re-resolve
+    // per fan-out send, mirroring the simulated collective.
     for (int dst : nodes)
-      if (dst != root) ++fan_out;
-    if (opts_.ack_window > 1 && fan_out > 1) {
-      // Epoll fan-out: all peers' frames in flight together, each peer
-      // bounded by its own progress deadline — a dead peer no longer
-      // serializes the broadcast behind its timeout.
-      const Buffer& payload = store_.get(key);
-      std::vector<PumpFrame> frames;
-      frames.reserve(fan_out);
-      for (int dst : nodes) {
-        if (dst == root) continue;
-        PumpFrame f;
-        f.peer = dst;
-        f.header.type = FrameType::kPut;
-        f.header.key = key;
-        f.header.payload_len = payload.size();
-        f.header.payload_crc = crc64(payload.span());
-        f.payload = payload.span();
-        if (corrupt_next_ && !payload.empty()) {
-          corrupt_next_ = false;
-          f.owned = Buffer::copy_of(payload.span());
-          f.owned.data()[0] ^= std::byte{0x5a};
-          stats_->add("net.corrupt.injected");
-        }
-        frames.push_back(std::move(f));
-      }
-      pump_frames(std::move(frames), "broadcast");
-    } else {
-      for (int dst : nodes) {
-        if (dst == root) continue;
-        // Re-resolve per fan-out send, mirroring the simulated collective.
-        send_frame(dst, FrameType::kPut, key, 0, store_.get(key).span());
-      }
-    }
+      if (dst != root)
+        send_frame(dst, FrameType::kPut, key, 0, store_.get(key).span(),
+                   opts_.ack_window);
+    for (int dst : nodes)
+      if (dst != root) flush_acks(dst);
   } else {
     Received r = recv_frame(root, FrameType::kPut);
     ECC_CHECK(r.header.key == key);
@@ -894,26 +804,11 @@ void SocketTransport::barrier(const std::vector<int>& nodes) {
     // proceeds.
     for (int n : nodes)
       if (n != root) recv_frame(n, FrameType::kBarrier);
-    std::size_t fan_out = 0;
     for (int n : nodes)
-      if (n != root) ++fan_out;
-    if (opts_.ack_window > 1 && fan_out > 1) {
-      // Release everyone through the pump: at large world sizes the
-      // serial release otherwise costs world_size ack round trips.
-      std::vector<PumpFrame> frames;
-      frames.reserve(fan_out);
-      for (int n : nodes) {
-        if (n == root) continue;
-        PumpFrame f;
-        f.peer = n;
-        f.header.type = FrameType::kBarrier;
-        frames.push_back(std::move(f));
-      }
-      pump_frames(std::move(frames), "barrier release");
-    } else {
-      for (int n : nodes)
-        if (n != root) send_frame(n, FrameType::kBarrier, "", 0, {});
-    }
+      if (n != root)
+        send_frame(n, FrameType::kBarrier, "", 0, {}, opts_.ack_window);
+    for (int n : nodes)
+      if (n != root) flush_acks(n);
   } else {
     send_frame(root, FrameType::kBarrier, "", 0, {});
     recv_frame(root, FrameType::kBarrier);

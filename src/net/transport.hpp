@@ -22,17 +22,17 @@
 // the receiver stamps every CRC-echo ack with the per-connection sequence
 // of the frame it acknowledges, and the sender reconciles acks (possibly
 // out of order) whenever the window is full, at explicit flush points, and
-// always before a barrier returns. Control frames (hello, barrier, pure
-// net_send traffic) stay stop-and-wait. ack_window=1 makes data frames
-// stop-and-wait too (one ack RTT per frame). Multi-peer fan-outs
-// (broadcast root, barrier release) run through an epoll SendPump
-// (net/send_pump.hpp) with bounded per-peer queues so one dead peer stalls
-// only its own queue. Deferred acks weaken per-call completion only on the
-// SENDER side: the receiving rank's matching SPMD call still blocks until
-// the bytes landed and verified, and every deferred failure (dead peer,
-// CRC mismatch) surfaces as typed CheckFailure at the next reconciliation
-// point, which the checkpoint protocols place before any commit (their
-// saves end with a barrier).
+// always before a barrier returns. The hello, the barrier check-in and
+// pure net_send traffic stay stop-and-wait. ack_window=1 makes data frames
+// stop-and-wait too (one ack RTT per frame). A fan-out root (broadcast,
+// barrier release) sends to each peer in turn through the same window,
+// then flushes every peer's acks, so the call returns fully reconciled;
+// the first peer that fails ends it. Deferred acks weaken per-call
+// completion only on the SENDER side: the receiving rank's matching SPMD
+// call still blocks until the bytes landed and verified, and every
+// deferred failure (dead peer, CRC mismatch) surfaces as typed
+// CheckFailure at the next reconciliation point, which the checkpoint
+// protocols place before any commit (their saves end with a barrier).
 //
 // Peer death — a connect that exhausts its retry budget, an EOF, a reset,
 // or a timeout — surfaces as the repo-wide CheckFailure, exactly like a
@@ -57,11 +57,28 @@
 #include "cluster/fabric.hpp"
 #include "net/frame.hpp"
 #include "net/retry_policy.hpp"
-#include "net/send_pump.hpp"
 #include "net/socket.hpp"
 #include "obs/stats.hpp"
 
 namespace eccheck::net {
+
+/// One frame sent but not yet CRC-echo-acknowledged: the sequence number it
+/// was sent as on its connection and the payload CRC the ack must echo.
+struct PendingAck {
+  std::uint32_t seq = 0;
+  std::uint64_t crc = 0;
+};
+
+/// Pooled outbound connection with its sliding ack window. next_seq counts
+/// acknowledged frame types sent since the hello; the receiver counts the
+/// same stream on its side and stamps each ack's aux with the sequence it
+/// acknowledges, which is what lets a sender reconcile acks out of order
+/// within the window.
+struct OutConn {
+  Socket sock;
+  std::deque<PendingAck> window;
+  std::uint32_t next_seq = 0;
+};
 
 /// Every timing knob (connect budget, backoff, io_timeout, heartbeat
 /// cadence) lives in the inherited RetryPolicy — one struct, one parser
@@ -202,15 +219,12 @@ class SocketTransport final : public cluster::Fabric {
   /// for later.
   InConn& conn_from(int peer);
 
-  /// Serialize header [+trace context] [+key] of `h` into one buffer (the
-  /// payload never rides here — it goes out as its own writev slice).
-  Buffer build_head(const FrameHeader& h) const;
-
   /// One data frame to `dst`: header+key+payload out (scatter-gather when
   /// enabled), then reconcile CRC-echo acks until fewer than `window`
   /// remain outstanding on the connection. window=1 is stop-and-wait —
   /// identical to the pre-pipelining transport — and is what control
-  /// frames use; data-plane callers pass opts_.ack_window.
+  /// frames use; data-plane callers and fan-out roots pass
+  /// opts_.ack_window.
   void send_frame(int dst, FrameType type, const std::string& key,
                   std::uint32_t aux, ByteSpan payload, int window = 1);
 
@@ -226,19 +240,6 @@ class SocketTransport final : public cluster::Fabric {
   /// blocking read, then whatever burst already landed — so a full window
   /// flush costs ~one syscall, not one per frame.
   void reap_acks(OutConn& c, std::size_t target, const std::string& ctx);
-
-  /// Fan a set of frames out through the epoll SendPump and convert
-  /// contained per-peer failures into one typed CheckFailure (after the
-  /// healthy peers finished; failed connections are dropped). Each frame's
-  /// trace context is parented under the pump span. `header` must carry
-  /// type/aux/key/payload_len/payload_crc; src_rank is stamped here.
-  struct PumpFrame {
-    int peer = -1;
-    FrameHeader header;
-    ByteSpan payload;
-    Buffer owned;  ///< backs the payload when the pump must own the bytes
-  };
-  void pump_frames(std::vector<PumpFrame> frames, const char* what);
 
   struct Received {
     FrameHeader header;

@@ -6,7 +6,6 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -151,32 +150,16 @@ void send_control(const net::Socket& s, net::FrameType type,
       h.trace.op = static_cast<std::uint32_t>(type);
     }
   }
-  const std::size_t trace_bytes =
-      h.trace.trace_id != 0 ? net::kTraceContextBytes : 0;
-
-  std::vector<std::uint8_t> head(net::kFrameHeaderBytes + trace_bytes +
-                                 key.size());
-  net::encode_frame_header(h, head.data());
-  if (trace_bytes > 0)
-    net::encode_trace_context(h.trace, head.data() + net::kFrameHeaderBytes);
-  std::memcpy(head.data() + net::kFrameHeaderBytes + trace_bytes, key.data(),
-              key.size());
-  net::write_full(s, head.data(), head.size(), io_timeout, ctx);
-  if (!payload.empty())
-    net::write_full(s, payload.data(), payload.size(), io_timeout, ctx);
+  const Buffer head = net::encode_frame_head(h);
+  const net::IoSlice slices[2] = {{head.data(), head.size()},
+                                  {payload.data(), payload.size()}};
+  net::writev_full(s, slices, 2, io_timeout, ctx);
 
   // Same end-to-end contract as the data fabric: the receiver acks with the
   // payload CRC after verifying it.
   std::uint8_t ack_hdr[net::kFrameHeaderBytes];
   net::read_full(s, ack_hdr, sizeof(ack_hdr), io_timeout, ctx);
-  std::uint32_t ack_key_len = 0;
-  bool ack_trace = false;
-  net::FrameHeader ack =
-      net::decode_frame_header(ack_hdr, &ack_key_len, &ack_trace);
-  ECC_CHECK_MSG(ack.type == net::FrameType::kAck && ack_key_len == 0 &&
-                    !ack_trace,
-                ctx << ": expected ack, got "
-                    << net::frame_type_name(ack.type));
+  const net::FrameHeader ack = net::check_ack(ack_hdr, ctx);
   ECC_CHECK_MSG(ack.payload_crc == h.payload_crc,
                 ctx << ": ack CRC mismatch — payload corrupted in flight");
 }
@@ -207,12 +190,8 @@ ControlFrame recv_control(const net::Socket& s, net::FrameType expect,
   ECC_CHECK_MSG(crc64(r.payload.span()) == r.header.payload_crc,
                 ctx << ": payload CRC mismatch — wire corruption");
 
-  net::FrameHeader ack;
-  ack.type = net::FrameType::kAck;
-  ack.src_rank = 0;
-  ack.payload_crc = r.header.payload_crc;
   std::uint8_t ack_hdr[net::kFrameHeaderBytes];
-  net::encode_frame_header(ack, ack_hdr);
+  net::encode_ack(0, 0, r.header.payload_crc, ack_hdr);
   net::write_full(s, ack_hdr, sizeof(ack_hdr), io_timeout, ctx);
   return r;
 }

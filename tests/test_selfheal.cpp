@@ -244,7 +244,7 @@ TEST(RetryPolicy, ParseOverridesAndDescribeRoundTrips) {
   const net::RetryPolicy p = net::RetryPolicy::parse(
       "connect_timeout=7,connect_retries=3,backoff_base=1,backoff_max=9,"
       "io_timeout=1234,heartbeat_period=55,heartbeat_timeout=220,"
-      "suspect_probes=4,ack_window=16,send_queue_frames=64");
+      "suspect_probes=4,ack_window=16");
   EXPECT_EQ(p.connect_timeout.count(), 7);
   EXPECT_EQ(p.connect_retries, 3);
   EXPECT_EQ(p.backoff_base.count(), 1);
@@ -254,7 +254,6 @@ TEST(RetryPolicy, ParseOverridesAndDescribeRoundTrips) {
   EXPECT_EQ(p.heartbeat_timeout.count(), 220);
   EXPECT_EQ(p.suspect_probes, 4);
   EXPECT_EQ(p.ack_window, 16);
-  EXPECT_EQ(p.send_queue_frames, 64);
 
   // describe() → parse() is the identity; partial specs override `base`.
   const net::RetryPolicy again = net::RetryPolicy::parse(p.describe());
@@ -264,15 +263,15 @@ TEST(RetryPolicy, ParseOverridesAndDescribeRoundTrips) {
   EXPECT_EQ(partial.heartbeat_period.count(), 55);
 
   EXPECT_THROW(net::RetryPolicy::parse("warp_speed=9"), CheckFailure);
+  // No per-peer send queue exists to bound: the name is an unknown knob,
+  // from a spec and from the environment alike.
+  EXPECT_THROW(net::RetryPolicy::parse("send_queue_frames=32"), CheckFailure);
   EXPECT_THROW(net::RetryPolicy::parse("io_timeout=fast"), CheckFailure);
   // A zero-frame window could never send anything; reject it at parse time.
   EXPECT_THROW(net::RetryPolicy::parse("ack_window=0"), CheckFailure);
-  EXPECT_THROW(net::RetryPolicy::parse("send_queue_frames=0"), CheckFailure);
   // Counts above INT_MAX must not wrap: 2^32 would become a window of 0,
   // 2^31 a negative retry count.
   EXPECT_THROW(net::RetryPolicy::parse("ack_window=4294967296"), CheckFailure);
-  EXPECT_THROW(net::RetryPolicy::parse("send_queue_frames=4294967296"),
-               CheckFailure);
   EXPECT_THROW(net::RetryPolicy::parse("connect_retries=2147483648"),
                CheckFailure);
   EXPECT_THROW(net::RetryPolicy::parse("suspect_probes=2147483648"),
@@ -296,6 +295,8 @@ TEST(RetryPolicy, ParseOverridesAndDescribeRoundTrips) {
   ASSERT_EQ(::setenv("ECCHECK_NET_RETRY", "ack_window=4294967296", 1), 0);
   EXPECT_THROW(net::RetryPolicy::from_env(), CheckFailure);
   ASSERT_EQ(::setenv("ECCHECK_NET_RETRY", "io_timeout=9300000000000", 1), 0);
+  EXPECT_THROW(net::RetryPolicy::from_env(), CheckFailure);
+  ASSERT_EQ(::setenv("ECCHECK_NET_RETRY", "send_queue_frames=32", 1), 0);
   EXPECT_THROW(net::RetryPolicy::from_env(), CheckFailure);
   ASSERT_EQ(::unsetenv("ECCHECK_NET_RETRY"), 0);
 }
