@@ -46,7 +46,6 @@
 
 #include <sys/types.h>
 
-#include "net/retry_policy.hpp"
 #include "net/socket.hpp"
 
 namespace eccheck::chaos {

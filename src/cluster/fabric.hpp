@@ -70,19 +70,16 @@ class Fabric {
                            const std::string& dst_key) = 0;
 
   /// Batched send_buffer over one (src, dst) pair: copy every
-  /// store(src)[pair.first] into store(dst)[pair.second], in order. The
-  /// default is the plain loop — semantically (and for VirtualFabric's
-  /// virtual timeline, exactly) equivalent to calling send_buffer per
-  /// pair — but a pipelining transport may override it to keep several
-  /// frames in flight and reconcile their acks once at the end, which is
-  /// why batch-shaped protocol loops (the engine's refill step) should
-  /// declare the batch instead of looping themselves.
+  /// store(src)[pair.first] into store(dst)[pair.second], in order.
+  /// Semantically equivalent to calling send_buffer per pair, but a
+  /// pipelining transport keeps several frames in flight and reconciles
+  /// their acks once at the end, which is why batch-shaped protocol loops
+  /// (the engine's refill step) declare the batch instead of looping
+  /// themselves. No default body: a decorator that forgot to forward the
+  /// batch would silently de-batch every save.
   virtual void send_buffers(
       int src, int dst,
-      const std::vector<std::pair<std::string, std::string>>& pairs) {
-    for (const auto& [src_key, dst_key] : pairs)
-      send_buffer(src, dst, src_key, dst_key);
-  }
+      const std::vector<std::pair<std::string, std::string>>& pairs) = 0;
 
   /// Copy store(root)[key] to every other node in `nodes` under `key`.
   virtual void broadcast(const std::vector<int>& nodes, int root,
@@ -164,6 +161,13 @@ class VirtualFabric final : public Fabric {
   void send_buffer(int src, int dst, const std::string& src_key,
                    const std::string& dst_key) override {
     c_.send_buffer(at(src), at(dst), src_key, dst_key, {});
+  }
+  /// The plain per-pair loop: exactly send_buffer's virtual timeline.
+  void send_buffers(
+      int src, int dst,
+      const std::vector<std::pair<std::string, std::string>>& pairs) override {
+    for (const auto& [src_key, dst_key] : pairs)
+      send_buffer(src, dst, src_key, dst_key);
   }
   void broadcast(const std::vector<int>& nodes, int root,
                  const std::string& key) override {

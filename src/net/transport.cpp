@@ -109,12 +109,7 @@ SocketTransport::SocketTransport(int rank, std::vector<Endpoint> peers,
   ECC_CHECK_MSG(rank_ >= 0 && rank_ < static_cast<int>(peers_.size()),
                 "transport rank " << rank_ << " outside peer table of "
                                   << peers_.size());
-  // One override surface for every timing/window knob: the environment spec
-  // (ECCHECK_NET_RETRY) applies over whatever the caller configured, so
-  // multi-process harnesses can retune forked ranks without plumbing flags.
-  static_cast<RetryPolicy&>(opts_) = RetryPolicy::from_env(opts_);
-  // parse() rejects it, but the field is also settable directly — validate
-  // at construction, not when the first window stalls forever.
+  // Validate at construction, not when the first window stalls forever.
   ECC_CHECK_MSG(opts_.ack_window >= 1,
                 "transport: ack_window must be >= 1, got "
                     << opts_.ack_window);

@@ -18,21 +18,23 @@
 //
 // Data plane: frames go out via scatter-gather writev directly from the
 // source buffers (no copy into a frame buffer), and each connection keeps a
-// sliding window of up to RetryPolicy::ack_window data frames in flight —
-// the receiver stamps every CRC-echo ack with the per-connection sequence
-// of the frame it acknowledges, and the sender reconciles acks (possibly
-// out of order) whenever the window is full, at explicit flush points, and
-// always before a barrier returns. The hello, the barrier check-in and
-// pure net_send traffic stay stop-and-wait. ack_window=1 makes data frames
-// stop-and-wait too (one ack RTT per frame). A fan-out root (broadcast,
-// barrier release) sends to each peer in turn through the same window,
-// then flushes every peer's acks, so the call returns fully reconciled;
-// the first peer that fails ends it. Deferred acks weaken per-call
-// completion only on the SENDER side: the receiving rank's matching SPMD
-// call still blocks until the bytes landed and verified, and every
-// deferred failure (dead peer, CRC mismatch) surfaces as typed
-// CheckFailure at the next reconciliation point, which the checkpoint
-// protocols place before any commit (their saves end with a barrier).
+// sliding window of up to TransportOptions::ack_window data frames in
+// flight — the receiver stamps every CRC-echo ack with the per-connection
+// sequence of the frame it acknowledges, and the sender reconciles acks
+// (possibly out of order) whenever the window is full, at explicit flush
+// points, and always before a barrier returns. The hello, the barrier
+// check-in and pure net_send traffic stay stop-and-wait. ack_window=1
+// makes data frames stop-and-wait too (one ack RTT per frame). A batch
+// (send_buffers) sends every frame through the window and reconciles its
+// peer's acks once, at its end. A fan-out root (broadcast, barrier
+// release) sends to each peer in turn through the same window, then
+// flushes every peer's acks, so the call returns fully reconciled; the
+// first peer that fails ends it. Deferred acks weaken per-call completion
+// only on the SENDER side: the receiving rank's matching SPMD call still
+// blocks until the bytes landed and verified, and every deferred failure
+// (dead peer, CRC mismatch) surfaces as typed CheckFailure at the next
+// reconciliation point, which the checkpoint protocols place before any
+// commit (their saves end with a barrier).
 //
 // Peer death — a connect that exhausts its retry budget, an EOF, a reset,
 // or a timeout — surfaces as the repo-wide CheckFailure, exactly like a
@@ -56,7 +58,6 @@
 
 #include "cluster/fabric.hpp"
 #include "net/frame.hpp"
-#include "net/retry_policy.hpp"
 #include "net/socket.hpp"
 #include "obs/stats.hpp"
 
@@ -80,11 +81,41 @@ struct OutConn {
   std::uint32_t next_seq = 0;
 };
 
-/// Every timing knob (connect budget, backoff, io_timeout, heartbeat
-/// cadence) lives in the inherited RetryPolicy — one struct, one parser
-/// (RetryPolicy::parse / from_env); the fields below are the non-timing
-/// transport configuration.
-struct TransportOptions : RetryPolicy {
+/// Every knob of the socket stack — connect budget, backoff, I/O deadline,
+/// heartbeat cadence, ack window, socket options — in one struct that the
+/// caller fills in code; the transport runs exactly what it is handed.
+/// Anything that opens a socket (fabric ranks, control-channel clients,
+/// the service daemons' heartbeats) derives its timing from one of these.
+struct TransportOptions {
+  /// Per-attempt connect timeout; total connect budget is
+  /// connect_retries+1 attempts with exponential backoff between them
+  /// (backoff_base, doubling per attempt, capped at backoff_max).
+  Millis connect_timeout{1000};
+  int connect_retries = 10;
+  Millis backoff_base{10};
+  Millis backoff_max{500};
+
+  /// Deadline for each read/write/accept — the bound on how long a dead
+  /// peer can stall a collective before CheckFailure.
+  Millis io_timeout{5000};
+
+  /// Liveness layer (svc): workers beat the coordinator every
+  /// heartbeat_period; heartbeat_timeout of silence makes a worker
+  /// suspect; suspect_probes consecutive failed probes confirm death
+  /// (the wall-clock analogue of FailureDetectorConfig's quorum).
+  Millis heartbeat_period{250};
+  Millis heartbeat_timeout{1500};
+  int suspect_probes = 2;
+
+  /// Sliding ack window: data frames a connection may have in flight before
+  /// the sender must reconcile a CRC-echo ack; broadcast and barrier-release
+  /// roots send through it too. 1 = stop-and-wait (the pre-pipelining
+  /// behavior, and always used for the remaining control frames); larger
+  /// windows let collectives overlap transfers with ack latency. Must be
+  /// ≥ 1 — a window of 0 could never send anything, so the constructor
+  /// rejects it.
+  int ack_window = 8;
+
   /// TCP_NODELAY on both connected and accepted sockets (default on: the
   /// frame protocol is ack-per-frame, so Nagle/delayed-ack interplay adds a
   /// full RTT of latency per frame). Off exists for A/B benchmarking.

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
-#include <cmath>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -115,16 +114,6 @@ std::uint64_t parse_wire_u64(const std::string& tok, const char* what) {
     throw BadRequest("bad " + std::string(what) + " '" + tok + "'" +
                      (ec == std::errc::result_out_of_range ? " (out of range)"
                                                            : ""));
-  return v;
-}
-
-double parse_wire_double(const std::string& tok, const char* what) {
-  double v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (ec != std::errc() || ptr != tok.data() + tok.size() ||
-      !std::isfinite(v))
-    throw BadRequest("bad " + std::string(what) + " '" + tok + "'");
   return v;
 }
 
@@ -245,7 +234,6 @@ dnn::CheckpointGenConfig job_gen_config(const std::string& job,
 WorkerDaemon::WorkerDaemon(WorkerDaemonConfig cfg)
     : cfg_(std::move(cfg)),
       fabric_(cfg_.rank, cfg_.fabric_eps, cfg_.fabric_opts),
-      faulty_(fabric_, cfg_.faults, [this] { fabric_.corrupt_next_frame(); }),
       control_listener_(net::listen_on(cfg_.control_ep)) {
   ECC_CHECK_MSG(cfg_.ec.k + cfg_.ec.m == fabric_.world_size(),
                 "worker daemon: k+m=" << cfg_.ec.k + cfg_.ec.m
@@ -311,7 +299,7 @@ core::FabricSession& WorkerDaemon::session_for(const std::string& job) {
   core::ECCheckConfig jcfg = cfg_.ec;
   jcfg.key_namespace = job + "/";
   return sessions_
-      .try_emplace(job, faulty_, jcfg, cfg_.gpus_per_node,
+      .try_emplace(job, fabric_, jcfg, cfg_.gpus_per_node,
                    cfg_.retain_versions)
       .first->second;
 }
@@ -424,10 +412,8 @@ std::string WorkerDaemon::handle(const std::string& command,
       // given time, but keep the listener's accept backlog — exactly what a
       // SIGSTOP'd process looks like from the outside. The reply goes out
       // first (see run()); the stall starts after.
-      std::istringstream is(args);
-      int ms = 0;
-      is >> ms;
-      ECC_CHECK_MSG(ms > 0, "freeze expects '<ms>', got '" << args << "'");
+      const int ms = static_cast<int>(parse_wire_int(
+          args, "freeze ms", 1, std::numeric_limits<int>::max()));
       const auto until = std::chrono::steady_clock::now() +
                          std::chrono::milliseconds(ms);
       frozen_until_ns_.store(
@@ -438,30 +424,12 @@ std::string WorkerDaemon::handle(const std::string& command,
       return "ok frozen_ms=" + std::to_string(ms);
     }
     if (command == "inject") {
-      const ParsedArgs pa = parse_args(args);
-      ECC_CHECK_MSG(!pa.pos.empty(),
-                    "inject expects 'corrupt | drop <p> | delay <p> <ms> | "
-                    "off', got '" << args << "'");
-      if (pa.pos[0] == "corrupt") {
-        // One-shot: the next fabric frame goes out with a flipped payload
-        // byte, driving the receiver's wire-CRC-mismatch path.
-        fabric_.corrupt_next_frame();
-        return "ok armed=corrupt";
-      }
-      cluster::FaultSpec spec = faulty_.spec();
-      if (pa.pos[0] == "off") {
-        spec.drop_prob = spec.delay_prob = spec.corrupt_prob = 0;
-      } else if (pa.pos[0] == "drop" && pa.pos.size() == 2) {
-        spec.drop_prob = parse_wire_double(pa.pos[1], "drop probability");
-      } else if (pa.pos[0] == "delay" && pa.pos.size() == 3) {
-        spec.delay_prob = parse_wire_double(pa.pos[1], "delay probability");
-        spec.delay_ms = static_cast<int>(parse_wire_int(
-            pa.pos[2], "delay ms", 0, std::numeric_limits<int>::max()));
-      } else {
-        ECC_CHECK_MSG(false, "bad inject spec '" << args << "'");
-      }
-      faulty_.set_spec(spec);
-      return "ok";
+      if (args != "corrupt")
+        throw BadRequest("inject expects 'corrupt', got '" + args + "'");
+      // One-shot: the next fabric frame goes out with a flipped payload
+      // byte, driving the receiver's wire-CRC-mismatch path.
+      fabric_.corrupt_next_frame();
+      return "ok armed=corrupt";
     }
     if (command == "status") {
       std::ostringstream os;

@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "cluster/failure_detector.hpp"
-#include "cluster/faulty_fabric.hpp"
 #include "core/session.hpp"
 #include "dnn/checkpoint_gen.hpp"
 #include "net/frame.hpp"
@@ -103,9 +102,6 @@ std::int64_t parse_wire_int(const std::string& tok, const char* what,
                             std::int64_t min, std::int64_t max);
 std::uint64_t parse_wire_u64(const std::string& tok, const char* what);
 
-/// Checked double parsing (fault-injection probabilities), same contract.
-double parse_wire_double(const std::string& tok, const char* what);
-
 struct ControlReply {
   bool ok = false;            ///< response status was kStatusOk
   std::string body;           ///< response payload (error text when !ok)
@@ -151,9 +147,6 @@ struct WorkerDaemonConfig {
   /// superseded) makes the daemon exit. Unset = legacy standalone mode,
   /// no liveness traffic at all.
   std::optional<net::Endpoint> coordinator_ep;
-  /// Seeded frame-level fault injection on the data fabric (chaos runs);
-  /// inactive by default. Runtime-adjustable via the `inject` verb.
-  cluster::FaultSpec faults;
 };
 
 /// Single-threaded command server wrapping a SocketTransport rank and a
@@ -166,11 +159,11 @@ struct WorkerDaemonConfig {
 /// `obs [stats]` (obs::serialize_snapshot of this process — tracer
 /// buffers + fabric stats; `obs stats` returns the stats object alone),
 /// `freeze <ms>` (stop serving AND heartbeating for ms — a deterministic
-/// gray failure), `inject corrupt | drop <p> | delay <p> <ms> | off`
-/// (arm data-plane faults), `exit`. A failed collective save leaves the
-/// daemon alive: FabricSession already rolled back the torn version, the
-/// error travels back in the response, and the next `reset` re-arms the
-/// fabric.
+/// gray failure), `inject corrupt` (flip one payload byte of the next
+/// outgoing data frame after its CRC is computed), `exit`. A failed
+/// collective save leaves the daemon alive: FabricSession already rolled
+/// back the torn version, the error travels back in the response, and the
+/// next `reset` re-arms the fabric.
 ///
 /// Epoch fencing: `epoch=E` on save/load must match the worker's current
 /// epoch (adopted monotonically from join replies and `reset epoch=`),
@@ -211,8 +204,7 @@ class WorkerDaemon {
   void stop_beats();
 
   WorkerDaemonConfig cfg_;
-  net::SocketTransport fabric_;
-  cluster::FaultyFabric faulty_;  ///< sessions run through this decorator
+  net::SocketTransport fabric_;  ///< every session runs on this directly
   net::Socket control_listener_;
   std::map<std::string, core::FabricSession> sessions_;
   std::uint64_t saves_ok_ = 0;

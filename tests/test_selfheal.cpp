@@ -22,7 +22,6 @@
 #include "common/check.hpp"
 #include "core/fabric_engine.hpp"
 #include "dnn/checkpoint_gen.hpp"
-#include "net/retry_policy.hpp"
 #include "obs/json.hpp"
 #include "svc/checkpoint_service.hpp"
 
@@ -234,71 +233,6 @@ TEST(LivenessTracker, HardEvidenceSkipsTheProbeQuorum) {
   // mark_dead: immediate external evidence (EOF mid-request).
   t.mark_dead(1);
   EXPECT_EQ(t.dead(), (std::vector<int>{0, 1}));
-}
-
-// ---------------------------------------------------------------------------
-// RetryPolicy: one spec string controls every socket timing knob.
-// ---------------------------------------------------------------------------
-
-TEST(RetryPolicy, ParseOverridesAndDescribeRoundTrips) {
-  const net::RetryPolicy p = net::RetryPolicy::parse(
-      "connect_timeout=7,connect_retries=3,backoff_base=1,backoff_max=9,"
-      "io_timeout=1234,heartbeat_period=55,heartbeat_timeout=220,"
-      "suspect_probes=4,ack_window=16");
-  EXPECT_EQ(p.connect_timeout.count(), 7);
-  EXPECT_EQ(p.connect_retries, 3);
-  EXPECT_EQ(p.backoff_base.count(), 1);
-  EXPECT_EQ(p.backoff_max.count(), 9);
-  EXPECT_EQ(p.io_timeout.count(), 1234);
-  EXPECT_EQ(p.heartbeat_period.count(), 55);
-  EXPECT_EQ(p.heartbeat_timeout.count(), 220);
-  EXPECT_EQ(p.suspect_probes, 4);
-  EXPECT_EQ(p.ack_window, 16);
-
-  // describe() → parse() is the identity; partial specs override `base`.
-  const net::RetryPolicy again = net::RetryPolicy::parse(p.describe());
-  EXPECT_EQ(again.describe(), p.describe());
-  const net::RetryPolicy partial = net::RetryPolicy::parse("io_timeout=42", p);
-  EXPECT_EQ(partial.io_timeout.count(), 42);
-  EXPECT_EQ(partial.heartbeat_period.count(), 55);
-
-  EXPECT_THROW(net::RetryPolicy::parse("warp_speed=9"), CheckFailure);
-  // No per-peer send queue exists to bound: the name is an unknown knob,
-  // from a spec and from the environment alike.
-  EXPECT_THROW(net::RetryPolicy::parse("send_queue_frames=32"), CheckFailure);
-  EXPECT_THROW(net::RetryPolicy::parse("io_timeout=fast"), CheckFailure);
-  // A zero-frame window could never send anything; reject it at parse time.
-  EXPECT_THROW(net::RetryPolicy::parse("ack_window=0"), CheckFailure);
-  // Counts above INT_MAX must not wrap: 2^32 would become a window of 0,
-  // 2^31 a negative retry count.
-  EXPECT_THROW(net::RetryPolicy::parse("ack_window=4294967296"), CheckFailure);
-  EXPECT_THROW(net::RetryPolicy::parse("connect_retries=2147483648"),
-               CheckFailure);
-  EXPECT_THROW(net::RetryPolicy::parse("suspect_probes=2147483648"),
-               CheckFailure);
-  EXPECT_EQ(net::RetryPolicy::parse("connect_retries=2147483647")
-                .connect_retries,
-            2147483647);
-  // A millisecond knob is added to the clock's now() for a deadline; one
-  // whose nanoseconds could overflow that sum is rejected, a day is not.
-  for (const char* knob :
-       {"connect_timeout", "backoff_base", "backoff_max", "io_timeout",
-        "heartbeat_period", "heartbeat_timeout"}) {
-    SCOPED_TRACE(knob);
-    const std::string k = knob;
-    EXPECT_THROW(net::RetryPolicy::parse(k + "=9300000000000"), CheckFailure);
-    EXPECT_THROW(net::RetryPolicy::parse(k + "=9223372036854775807"),
-                 CheckFailure);
-    EXPECT_NO_THROW(net::RetryPolicy::parse(k + "=86400000"));
-  }
-  // The environment spec is outside input too.
-  ASSERT_EQ(::setenv("ECCHECK_NET_RETRY", "ack_window=4294967296", 1), 0);
-  EXPECT_THROW(net::RetryPolicy::from_env(), CheckFailure);
-  ASSERT_EQ(::setenv("ECCHECK_NET_RETRY", "io_timeout=9300000000000", 1), 0);
-  EXPECT_THROW(net::RetryPolicy::from_env(), CheckFailure);
-  ASSERT_EQ(::setenv("ECCHECK_NET_RETRY", "send_queue_frames=32", 1), 0);
-  EXPECT_THROW(net::RetryPolicy::from_env(), CheckFailure);
-  ASSERT_EQ(::unsetenv("ECCHECK_NET_RETRY"), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -196,9 +196,11 @@ TEST(ServiceProtocol, MalformedWireIntegersGetTypedRefusalsNotCrashes) {
   expect_bad("save", "jobX 1 epoch=banana", "epoch");
   expect_bad("save", "jobX 1 epoch=1 alive=1,x,3", "alive rank");
   expect_bad("load", "jobX alive=0,zz,2", "alive rank");
-  expect_bad("inject", "drop nan", "drop probability");
-  expect_bad("inject", "delay 0.5 -7", "delay ms");
-  expect_bad("inject", "delay 0.5 1e99", "delay ms");
+  expect_bad("freeze", "12garbage", "freeze ms");  // not a 12 ms freeze
+  // 2^80 is a range refusal, not a freeze clamped to INT_MAX ms.
+  expect_bad("freeze", "1208925819614629174706176", "freeze ms");
+  // `corrupt` is the only fault a worker injects.
+  expect_bad("inject", "drop 0.5", "inject expects 'corrupt'");
 
   for (int r = 0; r < kNodes; ++r)
     svc::client_request(net::Endpoint::uds(dir.path + "/ctl" +
@@ -516,6 +518,10 @@ TEST(ServiceDaemon, ForkedWorkersMergeTraceAndStatsAcrossProcesses) {
   EXPECT_TRUE(chk.ok) << chk.error;
   EXPECT_GE(chk.cross_process_links, 3u)
       << chk.spans << " spans from " << chk.processes << " processes";
+  // The daemon hands its sessions the transport itself, so a service save
+  // reaches SocketTransport::send_buffers' batched, flush-once path.
+  EXPECT_NE(r.body.find("net.batch["), std::string::npos)
+      << "no service save ran a batched send";
 
   r = request("stats", "");
   EXPECT_TRUE(r.ok) << r.body;

@@ -448,6 +448,18 @@ TEST(SocketTransport, TornRemoteWriterLeavesOnlyValidChunks) {
 // Windowed / pipelined data plane (PR: async pipelined transport).
 // ---------------------------------------------------------------------------
 
+/// A zero-frame window could never send anything: the constructor refuses
+/// it up front instead of letting the first windowed send stall forever.
+TEST(SocketTransport, ZeroAckWindowIsRejectedAtConstruction) {
+  TempDir dir;
+  net::TransportOptions o = fast_opts(dir);
+  o.ack_window = 0;
+  EXPECT_THROW(net::SocketTransport(0, uds_endpoints(dir, 2), o),
+               CheckFailure);
+  o.ack_window = 1;
+  EXPECT_NO_THROW(net::SocketTransport(0, uds_endpoints(dir, 2), o));
+}
+
 /// Every ack window must produce byte-identical stores: the pipelining is a
 /// pure performance change. Covers ack_window ∈ {4, 16} and the
 /// stop-and-wait plane (ack_window=1) the benches A/B against.
