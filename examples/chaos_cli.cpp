@@ -18,7 +18,6 @@
 // the process exits 1 and prints the exact command line that replays the
 // failing campaign — determinism is the whole point: same seed, same schedule,
 // same failure.
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,11 +28,13 @@
 
 #include "chaos/runner.hpp"
 #include "chaos/socket_campaign.hpp"
+#include "examples/cli_number.hpp"
 #include "common/units.hpp"
 
 namespace {
 
 using namespace eccheck;
+using examples::number;
 
 struct Options {
   chaos::ChaosConfig chaos;
@@ -71,21 +72,6 @@ struct Options {
   std::exit(2);
 }
 
-/// The whole token as an integer in [lo, hi]; anything else is a usage
-/// error (std::atoi would read "abc" as 0 and "12x" as 12).
-template <typename T>
-T number(const char* argv0, const char* flag, const char* tok, T lo,
-         T hi = std::numeric_limits<T>::max()) {
-  T v{};
-  const char* end = tok + std::strlen(tok);
-  const auto [ptr, ec] = std::from_chars(tok, end, v);
-  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
-    std::fprintf(stderr, "%s: bad value '%s'\n", flag, tok);
-    usage(argv0);
-  }
-  return v;
-}
-
 Options parse(int argc, char** argv) {
   Options o;
   auto need = [&](int& i) {
@@ -98,31 +84,31 @@ Options parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (!std::strcmp(a, "--seed")) {
-      o.chaos.seed = number<std::uint64_t>(argv[0], a, need(i), 0);
+      o.chaos.seed = number<std::uint64_t>(usage, argv[0], a, need(i), 0);
     } else if (!std::strcmp(a, "--campaigns")) {
-      o.campaigns = number(argv[0], a, need(i), 1);
+      o.campaigns = number(usage, argv[0], a, need(i), 1);
     } else if (!std::strcmp(a, "--events")) {
       // The schedule's minimum: a leading save and a trailing recover.
-      o.chaos.events = number(argv[0], a, need(i), 2);
+      o.chaos.events = number(usage, argv[0], a, need(i), 2);
     } else if (!std::strcmp(a, "--k")) {
-      o.chaos.k = number(argv[0], a, need(i), 1);
+      o.chaos.k = number(usage, argv[0], a, need(i), 1);
     } else if (!std::strcmp(a, "--m")) {
-      o.chaos.m = number(argv[0], a, need(i), 1);
+      o.chaos.m = number(usage, argv[0], a, need(i), 1);
     } else if (!std::strcmp(a, "--mode")) {
       o.mode = need(i);
     } else if (!std::strcmp(a, "--nodes")) {
-      o.chaos.num_nodes = number(argv[0], a, need(i), 2);
+      o.chaos.num_nodes = number(usage, argv[0], a, need(i), 2);
       sim_flag = a;
     } else if (!std::strcmp(a, "--gpus")) {
-      o.chaos.gpus_per_node = number(argv[0], a, need(i), 1);
+      o.chaos.gpus_per_node = number(usage, argv[0], a, need(i), 1);
       sim_flag = a;
     } else if (!std::strcmp(a, "--retain")) {
-      o.chaos.retain_versions = number(argv[0], a, need(i), 1);
+      o.chaos.retain_versions = number(usage, argv[0], a, need(i), 1);
       sim_flag = a;
     } else if (!std::strcmp(a, "--packet-kib")) {
       // Bounded so that kib() cannot overflow.
       o.packet_kib = number<std::size_t>(
-          argv[0], a, need(i), 1,
+          usage, argv[0], a, need(i), 1,
           std::numeric_limits<std::size_t>::max() >> 10);
       sim_flag = a;
     } else if (!std::strcmp(a, "--flush")) {

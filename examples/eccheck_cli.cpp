@@ -12,15 +12,18 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
 #include "bench/harness.hpp"
 #include "core/grouped_engine.hpp"
+#include "examples/cli_number.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/tracer.hpp"
 
 using namespace eccheck;
+using examples::number;
 
 namespace {
 
@@ -62,8 +65,9 @@ struct Options {
       "  --stats-json FILE         write per-stage stats (byte counters per\n"
       "                            edge kind, resource busy time) as JSON\n"
       "  --profile-out FILE        write wall-clock Chrome-trace JSON of the\n"
-      "                            real data plane (pool workers, pipeline\n"
-      "                            stages, codec slices); same FILE as\n"
+      "                            real data plane (engine.*, session.*,\n"
+      "                            net.*, fabric.* spans and codec\n"
+      "                            encode/decode); same FILE as\n"
       "                            --trace-out merges both into one trace\n",
       argv0);
   std::exit(2);
@@ -77,20 +81,24 @@ Options parse(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (!std::strcmp(a, "--nodes")) o.nodes = std::atoi(need(i));
-    else if (!std::strcmp(a, "--gpus")) o.gpus = std::atoi(need(i));
-    else if (!std::strcmp(a, "--k")) o.k = std::atoi(need(i));
-    else if (!std::strcmp(a, "--m")) o.m = std::atoi(need(i));
-    else if (!std::strcmp(a, "--group-size")) o.group_size = std::atoi(need(i));
+    auto num = [&](int lo) { return number(usage, argv[0], a, need(i), lo); };
+    if (!std::strcmp(a, "--nodes")) o.nodes = num(1);
+    else if (!std::strcmp(a, "--gpus")) o.gpus = num(1);
+    else if (!std::strcmp(a, "--k")) o.k = num(1);
+    else if (!std::strcmp(a, "--m")) o.m = num(0);
+    else if (!std::strcmp(a, "--group-size")) o.group_size = num(1);
     else if (!std::strcmp(a, "--engine")) o.engine = need(i);
     else if (!std::strcmp(a, "--model")) o.model = need(i);
-    else if (!std::strcmp(a, "--tp")) o.tp = std::atoi(need(i));
+    else if (!std::strcmp(a, "--tp")) o.tp = num(0);
     else if (!std::strcmp(a, "--fsdp")) o.fsdp = true;
     else if (!std::strcmp(a, "--flush")) o.flush = true;
     else if (!std::strcmp(a, "--seed"))
-      o.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+      o.seed = number<std::uint64_t>(usage, argv[0], a, need(i), 0);
     else if (!std::strcmp(a, "--packet-kib"))
-      o.packet_kib = static_cast<std::size_t>(std::atoll(need(i)));
+      // Bounded so that kib() cannot overflow.
+      o.packet_kib = number<std::size_t>(
+          usage, argv[0], a, need(i), 1,
+          std::numeric_limits<std::size_t>::max() >> 10);
     else if (!std::strcmp(a, "--trace-out")) o.trace_out = need(i);
     else if (!std::strcmp(a, "--stats-json")) o.stats_json = need(i);
     else if (!std::strcmp(a, "--profile-out")) o.profile_out = need(i);
@@ -98,7 +106,7 @@ Options parse(int argc, char** argv) {
       std::stringstream ss(need(i));
       std::string part;
       while (std::getline(ss, part, ',')) {
-        const int node = std::atoi(part.c_str());
+        const int node = number(usage, argv[0], a, part.c_str(), 0);
         // Deduplicate: kill() rejects already-dead nodes, and a user typing
         // --fail 1,1 means one failure of node 1, not two.
         if (std::find(o.failures.begin(), o.failures.end(), node) ==

@@ -55,7 +55,9 @@ ChaosRunner::ChaosRunner(const ChaosConfig& cfg, std::ostream* jsonl)
         c.num_nodes = cfg.num_nodes;
         c.gpus_per_node = cfg.gpus_per_node;
         return c;
-      }()) {
+      }()),
+      oracle_(cfg.seed, summary_.violations, summary_.violation_messages,
+              jsonl) {
   ECC_CHECK_MSG(cfg_.k + cfg_.m == cfg_.num_nodes,
                 "chaos campaign needs k + m == num_nodes (got k="
                     << cfg_.k << " m=" << cfg_.m << " nodes="
@@ -101,7 +103,7 @@ const CampaignSummary& ChaosRunner::run() {
 }
 
 void ChaosRunner::run_event(const ChaosEvent& ev, std::size_t index) {
-  cur_event_ = index;
+  oracle_.set_event(index);
   switch (ev.kind) {
     case EventKind::kTrain:
       clock_ += ev.train_seconds;
@@ -210,15 +212,13 @@ std::int64_t ChaosRunner::attempt_save(const ChaosEvent* mid_save) {
     plan_.disarm();
     const std::size_t fired = collect_fired();
     ++summary_.saves;
-    // Golden digests keyed by the version the session used. That number
-    // may be reused — after a torn save's rollback, or once every holder of
-    // the newest committed version was lost — so drop whatever the oracle
-    // still holds for it. A torn save records nothing: the session rolled
-    // it back, so it can never load.
+    // Golden digests keyed by the version the session used; the oracle
+    // replaces a reused number's entry. A torn save records nothing: the
+    // session rolled it back, so it can never load.
     const std::int64_t version = session_->latest_version();
-    std::vector<std::uint64_t>& g = golden_[version];
-    g.clear();
-    for (const dnn::StateDict& sd : shards) g.push_back(sd.digest());
+    std::vector<std::uint64_t> golden;
+    for (const dnn::StateDict& sd : shards) golden.push_back(sd.digest());
+    oracle_.commit(version, std::move(golden));
     std::erase_if(corrupted_,
                   [&](const auto& vn) { return vn.first == version; });
     clock_ += std::max(0.0, rep.total_time);
@@ -316,7 +316,7 @@ void ChaosRunner::recover(const ChaosEvent& ev, const ChaosEvent* mid_load) {
           msg << "detection of node " << n << " took "
               << obs::json_number(latency) << "s (max_latency "
               << obs::json_number(fd.max_latency()) << "s)";
-          violation("detection_bounds", msg.str());
+          oracle_.violation("detection_bounds", msg.str());
         }
         detect_t = std::max(detect_t, det);
       }
@@ -365,7 +365,7 @@ void ChaosRunner::recover(const ChaosEvent& ev, const ChaosEvent* mid_load) {
         std::ostringstream msg;
         msg << "oracle proves version " << oracle_v
             << " recoverable but load failed: " << r.report.detail;
-        violation("availability", msg.str());
+        oracle_.violation("availability", msg.str());
       }
       ++summary_.unrecoverable;
       return;
@@ -375,39 +375,12 @@ void ChaosRunner::recover(const ChaosEvent& ev, const ChaosEvent* mid_load) {
       probe_load_ops_ = plan_.op_count() - ops_before;
 
     // ---- invariants on the successful load ------------------------------
-    if (r.version < 1 || r.version > session_->latest_version()) {
-      std::ostringstream msg;
-      msg << "loaded version " << r.version << " outside [1, "
-          << session_->latest_version() << "]";
-      violation("monotone_version", msg.str());
-    }
-    if (oracle_v > 0 && r.version < oracle_v) {
-      std::ostringstream msg;
-      msg << "loaded version " << r.version
-          << " but the oracle proves version " << oracle_v
-          << " is recoverable";
-      violation("newest_recoverable", msg.str());
-    }
-    const auto git = golden_.find(r.version);
-    if (git == golden_.end()) {
-      std::ostringstream msg;
-      msg << "loaded version " << r.version << " was never saved";
-      violation("bitexact", msg.str());
-    } else if (out.size() != git->second.size()) {
-      std::ostringstream msg;
-      msg << "loaded " << out.size() << " shards, saved "
-          << git->second.size();
-      violation("bitexact", msg.str());
-    } else {
-      for (std::size_t w = 0; w < out.size(); ++w) {
-        if (out[w].digest() != git->second[w]) {
-          std::ostringstream msg;
-          msg << "version " << r.version << " worker " << w
-              << " digest mismatch after recovery";
-          violation("bitexact", msg.str());
-        }
-      }
-    }
+    oracle_.check_range("load", r.version, std::max<std::int64_t>(1, oracle_v),
+                        session_->latest_version());
+    std::map<int, std::uint64_t> loaded;
+    for (std::size_t w = 0; w < out.size(); ++w)
+      loaded[static_cast<int>(w)] = out[w].digest();
+    oracle_.check_digests("load", r.version, loaded);
 
     summary_.resume_latency.observe(r.report.resume_time);
     clock_ += std::max(0.0, r.report.total_time);
@@ -429,13 +402,13 @@ void ChaosRunner::recover(const ChaosEvent& ev, const ChaosEvent* mid_load) {
         std::ostringstream msg;
         msg << "node " << n << " lacks a committed complete chunk of "
             << "version " << r.version << " after recovery";
-        violation("redundancy", msg.str());
+        oracle_.violation("redundancy", msg.str());
       }
     }
     return;
   }
-  violation("recovery_stuck",
-            "detect/replace/load did not converge within 8 attempts");
+  oracle_.violation("recovery_stuck",
+                    "detect/replace/load did not converge within 8 attempts");
 }
 
 void ChaosRunner::corrupt_event(const ChaosEvent& ev) {
@@ -460,21 +433,6 @@ void ChaosRunner::corrupt_event(const ChaosEvent& ev) {
     corrupted_.insert({v, node});
     ++summary_.corruptions;
     return;
-  }
-}
-
-void ChaosRunner::violation(const std::string& invariant,
-                            const std::string& message) {
-  std::ostringstream os;
-  os << "seed=" << cfg_.seed << " event=" << cur_event_ << " [" << invariant
-     << "] " << message;
-  ++summary_.violations;
-  if (summary_.violation_messages.size() < 64)
-    summary_.violation_messages.push_back(os.str());
-  if (jsonl_ != nullptr) {
-    *jsonl_ << "{\"seed\":" << cfg_.seed << ",\"event\":" << cur_event_
-            << ",\"violation\":\"" << obs::json_escape(invariant)
-            << "\",\"message\":\"" << obs::json_escape(message) << "\"}\n";
   }
 }
 

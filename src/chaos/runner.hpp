@@ -5,21 +5,21 @@
 // The runner owns the whole stack — a VirtualCluster with a FaultPlan installed
 // as its fault hook, and a Session over a small synthetic model — plus an
 // *independent oracle* of what must be recoverable: golden shard digests for
-// every completed save, keyed by the version the session used (a torn save is
-// rolled back and never loads), and per-version intact-node counts scanned
-// directly from the stores (commit marker + full row-key count, minus
-// known-corrupted chunks). The oracle is deliberately conservative (it treats a
-// whole chunk as lost when one packet was corrupted), so the engine is allowed
-// to do better than it predicts but never worse.
+// every completed save (a chaos::Oracle; a torn save is rolled back and never
+// loads), and per-version intact-node counts scanned directly from the stores
+// (commit marker + full row-key count, minus known-corrupted chunks). The
+// scan is deliberately conservative (it treats a whole chunk as lost when one
+// packet was corrupted), so the engine may do better than it predicts but
+// never worse.
 //
 // Invariant catalogue (each violation carries the campaign seed):
 //   bitexact            a successful load returns the exact digests recorded
 //                       when that version was saved — no silent corruption;
-//   newest_recoverable  load never falls back past the newest version the
-//                       oracle can prove recoverable;
+//   version_range       the loaded version lies in [floor, latest_version],
+//                       floor being the newest version the scan proves
+//                       recoverable (1 when none is);
 //   availability        if the oracle proves any retained version
 //                       recoverable, load must not fail;
-//   monotone_version    the loaded version is in [1, latest_version];
 //   redundancy          after a fully-clean successful load, every node
 //                       again holds a committed, complete chunk (workflow B
 //                       restored parity redundancy);
@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
+#include "chaos/oracle.hpp"
 #include "chaos/schedule.hpp"
 #include "core/session.hpp"
 #include "obs/stats.hpp"
@@ -86,7 +87,6 @@ class ChaosRunner {
   // ---- introspection / test hooks ---------------------------------------
   cluster::VirtualCluster& cluster() { return cluster_; }
   core::Session& session() { return *session_; }
-  FaultPlan& plan() { return plan_; }
   const CampaignSummary& summary() const { return summary_; }
 
   /// Clean save of the next iteration's shards; returns the version, or -1
@@ -125,7 +125,6 @@ class ChaosRunner {
   bool remote_committed(std::int64_t version);
   std::int64_t oracle_first_recoverable();
 
-  void violation(const std::string& invariant, const std::string& message);
   void emit_event_line(const ChaosEvent& ev, std::size_t index);
 
   ChaosConfig cfg_;
@@ -136,13 +135,12 @@ class ChaosRunner {
   std::optional<core::Session> session_;
   FaultPlan plan_;
   CampaignSummary summary_;
+  Oracle oracle_;   ///< golden digests, load checks, violation sink
   std::string ns_;  ///< engine key namespace
 
   Seconds clock_ = 0;  ///< campaign virtual time
   std::int64_t iteration_ = 0;
-  std::size_t cur_event_ = 0;
   std::map<int, Seconds> pending_fail_time_;  ///< dead node → failure clock
-  std::map<std::int64_t, std::vector<std::uint64_t>> golden_;
   std::set<std::pair<std::int64_t, int>> corrupted_;  ///< (version, node)
   std::size_t expected_row_keys_ = 0;  ///< per-node row keys of a clean save
   std::uint64_t probe_save_ops_ = 0;   ///< fabric ops of one clean save

@@ -4,11 +4,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <memory>
 #include <sstream>
-#include <string_view>
 #include <thread>
 
 #include "chaos/schedule.hpp"
@@ -30,29 +31,30 @@ void sleep_ms(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-/// Crude but sufficient JSON field scan: the integer right after
-/// `"key":`. Returns `fallback` when the key is absent.
-std::int64_t json_int_field(const std::string& body, const std::string& key,
-                            std::int64_t fallback) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = body.find(needle);
-  if (at == std::string::npos) return fallback;
-  return std::atoll(body.c_str() + at + needle.size());
+/// Waits up to `secs` for child `pid` to exit, else SIGKILLs and reaps it.
+/// True when it exited on its own.
+bool reap_within(pid_t pid, double secs) {
+  const auto start = Clock::now();
+  while (elapsed_s(start) < secs) {
+    if (::waitpid(pid, nullptr, WNOHANG) == pid) return true;
+    sleep_ms(50);
+  }
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, nullptr, 0);
+  return false;
 }
 
-/// Per-rank "state" values in workers-array order (rank order).
-std::vector<std::string> json_states(const std::string& body) {
-  std::vector<std::string> out;
-  std::size_t at = 0;
-  const std::string needle = "\"state\":\"";
-  while ((at = body.find(needle, at)) != std::string::npos) {
-    at += needle.size();
-    const std::size_t end = body.find('"', at);
-    if (end == std::string::npos) break;
-    out.push_back(body.substr(at, end - at));
-    at = end;
-  }
-  return out;
+constexpr std::int64_t kNoCeiling = std::numeric_limits<std::int64_t>::max();
+
+/// Reads the integer field `key` of a JSON object into `out`; false when
+/// `obj` is null or the field is missing or not an integer.
+bool int_field(const obs::JsonValue* obj, const char* key, std::int64_t* out) {
+  const obs::JsonValue* v = obj != nullptr ? obj->find(key) : nullptr;
+  if (v == nullptr || !v->is_number()) return false;
+  const double x = v->as_number();
+  if (!(std::abs(x) < 1e15) || x != std::trunc(x)) return false;
+  *out = static_cast<std::int64_t>(x);
+  return true;
 }
 
 }  // namespace
@@ -76,7 +78,9 @@ std::string SocketCampaignSummary::to_json() const {
 }
 
 SocketCampaign::SocketCampaign(SocketCampaignConfig cfg)
-    : cfg_(std::move(cfg)), world_(cfg_.k + cfg_.m) {
+    : cfg_(std::move(cfg)),
+      oracle_(cfg_.seed, summary_.violations, summary_.violation_messages),
+      world_(cfg_.k + cfg_.m) {
   ECC_CHECK_MSG(!cfg_.dir.empty(), "socket campaign needs a scratch dir");
   ECC_CHECK(cfg_.k >= 1 && cfg_.m >= 1);
   summary_.seed = cfg_.seed;
@@ -85,10 +89,9 @@ SocketCampaign::SocketCampaign(SocketCampaignConfig cfg)
 
 SocketCampaign::~SocketCampaign() {
   // Leave no orphans behind, whatever state the campaign died in.
-  for (const auto& [rank, pid] : worker_pids_) {
-    (void)rank;
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, nullptr, 0);
+  for (const auto& entry : worker_pids_) {
+    ::kill(entry.second, SIGKILL);
+    ::waitpid(entry.second, nullptr, 0);
   }
   if (coordinator_pid_ > 0) {
     ::kill(coordinator_pid_, SIGKILL);
@@ -124,6 +127,21 @@ net::TransportOptions campaign_opts(const SocketCampaignConfig& cfg,
   return o;
 }
 
+/// Forks a child that runs `serve`, then exits 0 (1 when it throws).
+pid_t fork_daemon(const char* what, const std::function<void()>& serve) {
+  const pid_t pid = ::fork();
+  ECC_CHECK_MSG(pid >= 0, "fork failed for " << what);
+  if (pid == 0) {
+    try {
+      serve();
+      ::_exit(0);
+    } catch (...) {
+      ::_exit(1);
+    }
+  }
+  return pid;
+}
+
 }  // namespace
 
 void SocketCampaign::spawn_worker(int rank) {
@@ -139,19 +157,9 @@ void SocketCampaign::spawn_worker(int rank) {
   wcfg.ec.packet_size = 4096;
   wcfg.gpus_per_node = 1;
   wcfg.coordinator_ep = liveness_ep();
-
-  const pid_t pid = ::fork();
-  ECC_CHECK_MSG(pid >= 0, "fork failed for worker " << rank);
-  if (pid == 0) {
-    try {
-      svc::WorkerDaemon daemon(std::move(wcfg));
-      daemon.run();
-      ::_exit(0);
-    } catch (...) {
-      ::_exit(1);
-    }
-  }
-  worker_pids_[rank] = pid;
+  worker_pids_[rank] = fork_daemon("worker", [&wcfg] {
+    svc::WorkerDaemon(std::move(wcfg)).run();
+  });
 }
 
 void SocketCampaign::spawn_coordinator() {
@@ -168,23 +176,13 @@ void SocketCampaign::spawn_coordinator() {
   ccfg.max_queue = 8;
   ccfg.data_k = cfg_.k;
   ccfg.parity_m = cfg_.m;
-
-  const pid_t pid = ::fork();
-  ECC_CHECK_MSG(pid >= 0, "fork failed for coordinator");
-  if (pid == 0) {
-    try {
-      svc::Coordinator coord(std::move(ccfg));
-      coord.run();
-      ::_exit(0);
-    } catch (...) {
-      ::_exit(1);
-    }
-  }
-  coordinator_pid_ = pid;
+  coordinator_pid_ = fork_daemon("coordinator", [&ccfg] {
+    svc::Coordinator(std::move(ccfg)).run();
+  });
 }
 
-SocketCampaign::Reply SocketCampaign::request(const std::string& command,
-                                              const std::string& args) {
+svc::ControlReply SocketCampaign::request(const std::string& command,
+                                          const std::string& args) {
   const net::TransportOptions opts =
       campaign_opts(cfg_, cfg_.client_io_timeout);
   const auto start = Clock::now();
@@ -197,115 +195,107 @@ SocketCampaign::Reply SocketCampaign::request(const std::string& command,
         sleep_ms(50);
         continue;
       }
-      return {r.ok, r.status, r.body};
+      return r;
     } catch (const CheckFailure& e) {
       if (elapsed_s(start) > 30.0)
-        return {false, svc::kStatusError,
-                std::string("coordinator unreachable: ") + e.what()};
+        return {false, std::string("coordinator unreachable: ") + e.what(),
+                0, svc::kStatusError};
       sleep_ms(100);
     }
   }
 }
 
-namespace {
-
-// Strict numeric field parsing for worker report lines. A truncated or
-// corrupted token must surface as a campaign violation naming the token,
-// never as an uncaught std::invalid_argument killing the driver.
-bool parse_field_i64(std::string_view sv, std::int64_t& out) {
-  const char* end = sv.data() + sv.size();
-  auto [ptr, ec] = std::from_chars(sv.data(), end, out);
-  return ec == std::errc() && ptr == end && !sv.empty();
-}
-
-bool parse_field_hex64(std::string_view sv, std::uint64_t& out) {
-  const char* end = sv.data() + sv.size();
-  auto [ptr, ec] = std::from_chars(sv.data(), end, out, 16);
-  return ec == std::errc() && ptr == end && !sv.empty();
-}
-
-}  // namespace
-
-SocketCampaign::ParsedBody SocketCampaign::parse_body(
+std::optional<SocketCampaign::Health> SocketCampaign::read_health(
     const std::string& body) {
-  ParsedBody p;
-  p.degraded = body.find("degraded") != std::string::npos;
-  std::istringstream is(body);
-  std::string tok;
-  while (is >> tok) {
-    if (tok == ";") break;
-    if (tok.rfind("version=", 0) == 0) {
-      if (!parse_field_i64(std::string_view(tok).substr(8), p.version))
-        violation("protocol", "malformed version token \"" + tok + "\"");
-    } else if (tok.rfind("iteration=", 0) == 0) {
-      if (!parse_field_i64(std::string_view(tok).substr(10), p.iteration))
-        violation("protocol", "malformed iteration token \"" + tok + "\"");
-    } else if (tok.size() > 2 && tok[0] == 'w' &&
-               tok.find(':') != std::string::npos) {
-      const std::size_t colon = tok.find(':');
-      std::int64_t rank = 0;
-      std::uint64_t digest = 0;
-      if (!parse_field_i64(std::string_view(tok).substr(1, colon - 1), rank) ||
-          rank < 0 || rank >= static_cast<std::int64_t>(world_) ||
-          !parse_field_hex64(std::string_view(tok).substr(colon + 1), digest)) {
-        violation("protocol", "malformed digest token \"" + tok + "\"");
-        continue;
-      }
-      p.digests[static_cast<int>(rank)] = digest;
-    }
+  const std::unique_ptr<obs::JsonValue> doc = obs::JsonValue::parse(body);
+  const obs::JsonValue* workers = doc ? doc->find("workers") : nullptr;
+  Health h;
+  bool ok = int_field(doc.get(), "repairs", &h.repairs) &&
+            int_field(doc.get(), "fenced_beats", &h.fenced_beats) &&
+            int_field(doc ? doc->find("redundancy") : nullptr, "effective_m",
+                      &h.effective_m) &&
+            workers != nullptr && workers->is_array();
+  for (std::size_t i = 0; ok && i < workers->as_array().size(); ++i) {
+    const obs::JsonValue* state = workers->as_array()[i].find("state");
+    ok = state != nullptr && state->is_string();
+    if (ok) h.states.push_back(state->as_string());
   }
-  return p;
-}
-
-void SocketCampaign::verify_digests(const char* op, const ParsedBody& p) {
-  // Bit-exactness oracle: shard content is a pure function of
-  // (job, iteration, worker), recomputed here independently of the service.
-  const dnn::CheckpointGenConfig gen =
-      svc::job_gen_config(cfg_.job, p.iteration, world_);
-  if (static_cast<int>(p.digests.size()) != world_) {
-    violation("bitexact", std::string(op) + " covered " +
-                              std::to_string(p.digests.size()) + " of " +
-                              std::to_string(world_) + " workers");
-    return;
-  }
-  for (int w = 0; w < world_; ++w) {
-    const auto it = p.digests.find(w);
-    if (it == p.digests.end()) {
-      violation("bitexact",
-                std::string(op) + " missing worker " + std::to_string(w));
-      return;
-    }
-    const std::uint64_t want = dnn::make_worker_state_dict(gen, w).digest();
-    if (it->second != want) {
-      violation("bitexact", std::string(op) + " worker " + std::to_string(w) +
-                                " digest mismatch at version " +
-                                std::to_string(p.version));
-      return;
-    }
-  }
+  if (ok) return h;
+  oracle_.violation("protocol",
+                    "malformed health body: " + body.substr(0, 200));
+  return std::nullopt;
 }
 
 bool SocketCampaign::wait_health(
     const std::string& what, double deadline_s,
-    const std::function<bool(const std::string&)>& pred) {
+    const std::function<bool(const Health&)>& pred) {
   const auto start = Clock::now();
   while (elapsed_s(start) < deadline_s) {
-    const Reply r = request("health", "");
-    if (r.ok && pred(r.body)) return true;
+    const svc::ControlReply r = request("health", "");
+    if (r.ok) {
+      const std::optional<Health> h = read_health(r.body);
+      if (!h) return false;
+      if (pred(*h)) return true;
+    }
     sleep_ms(150);
   }
-  violation("repair", "timed out waiting for " + what + " after " +
-                          std::to_string(deadline_s) + "s");
+  oracle_.violation("repair", "timed out waiting for " + what + " after " +
+                                  std::to_string(deadline_s) + "s");
   return false;
 }
 
-void SocketCampaign::violation(const std::string& invariant,
-                               const std::string& msg) {
-  ++summary_.violations;
-  summary_.violation_messages.push_back(
-      invariant + ": " + msg + " (seed " + std::to_string(cfg_.seed) + ")");
-  std::fprintf(stderr, "socket-campaign VIOLATION %s\n",
-               summary_.violation_messages.back().c_str());
+bool SocketCampaign::await_declared(const std::string& what) {
+  return wait_health(what, 20.0, [this](const Health& h) {
+    for (int r : dead_)
+      if (static_cast<std::size_t>(r) >= h.states.size() ||
+          h.states[static_cast<std::size_t>(r)] != "dead")
+        return false;
+    return true;
+  });
+}
+
+std::optional<svc::ShardReply> SocketCampaign::read_reply(
+    const svc::ControlReply& r) {
+  try {
+    return svc::ShardReply::parse(r.body);
+  } catch (const svc::BadRequest& e) {
+    oracle_.violation("protocol", std::string("malformed reply: ") + e.what());
+    return std::nullopt;
+  }
+}
+
+void SocketCampaign::record_save(const svc::ShardReply& s) {
+  // Committed versions strictly increase. Shard content is a pure function
+  // of (job, iteration), so the golden digests are recomputed here,
+  // independently of the service. A save that committed without some
+  // ranks' replies (lost=) vouches only for the workers it names; the
+  // oracle still records all of them, and the next load checks every one.
+  oracle_.check_range("save", s.version, last_version_ + 1, kNoCeiling);
+  oracle_.commit(s.version, dnn::shard_digests(svc::job_gen_config(
+                                cfg_.job, s.iteration, world_)));
+  oracle_.check_digests("save", s.version, s.digests,
+                        /*partial=*/!s.lost.empty());
+  last_version_ = s.version;
+  ++summary_.saves_ok;
+  if (s.detail.find("degraded") != std::string::npos)
+    ++summary_.degraded_saves;
+}
+
+std::optional<svc::ShardReply> SocketCampaign::load_and_check(
+    const std::string& what) {
+  const svc::ControlReply r = request("load", cfg_.job);
+  if (!r.ok) {
+    oracle_.violation("availability", what + " failed: " + r.body);
+    return std::nullopt;
+  }
+  std::optional<svc::ShardReply> l = read_reply(r);
+  if (!l) return std::nullopt;
+  ++summary_.loads_ok;
+  // A save the client saw fail committed on fewer than k ranks, so a load
+  // returns exactly the newest save the client saw commit.
+  oracle_.check_range("load", l->version, last_version_, last_version_);
+  oracle_.check_digests("load", l->version, l->digests);
+  return l;
 }
 
 int SocketCampaign::pick_victim(std::uint64_t pick) {
@@ -333,79 +323,46 @@ void SocketCampaign::do_kill(int victim, bool gray) {
   declared_waited_ = false;
 }
 
-namespace {
-
-/// All ranks in `dead` shown as "dead" in the health body's workers array.
-bool all_declared(const std::string& body, const std::set<int>& dead) {
-  const std::vector<std::string> states = json_states(body);
-  for (int r : dead)
-    if (static_cast<std::size_t>(r) >= states.size() ||
-        states[static_cast<std::size_t>(r)] != "dead")
-      return false;
-  return true;
+void SocketCampaign::do_degraded_load(const std::string& declaration) {
+  // Availability invariant: once deaths are declared and dead ≤ m, load
+  // MUST serve — workflow B decodes the missing rows and the adopter
+  // answers for the dead ranks' workers.
+  declared_waited_ = await_declared(declaration);
+  const std::optional<svc::ShardReply> l = load_and_check(
+      "load with " + std::to_string(dead_.size()) + " declared dead ranks");
+  if (l && (l->detail.find("degraded") != std::string::npos || !dead_.empty()))
+    ++summary_.degraded_loads;
 }
 
-}  // namespace
-
-void SocketCampaign::do_degraded_load() {
-  // Availability invariant: deaths are declared and dead ≤ m, so load MUST
-  // serve — workflow B decodes the missing rows and the adopter answers
-  // for the dead ranks' workers.
-  const Reply r = request("load", cfg_.job);
-  if (!r.ok) {
-    violation("availability", "load with " + std::to_string(dead_.size()) +
-                                  " declared dead ranks failed: " + r.body);
-    return;
-  }
-  const ParsedBody p = parse_body(r.body);
-  ++summary_.loads_ok;
-  if (p.degraded || !dead_.empty()) ++summary_.degraded_loads;
-  if (p.version != last_version_)
-    violation("monotone", "load returned version " +
-                              std::to_string(p.version) + ", expected " +
-                              std::to_string(last_version_));
-  verify_digests("load", p);
-}
-
-void SocketCampaign::do_save(bool expect_failure_ok) {
+void SocketCampaign::do_save() {
   // A save right after an undeclared kill legitimately tears (the dead
   // peer is still in the membership); once deaths are declared the next
   // attempt runs degraded and must commit.
   for (int attempt = 0; attempt < 6; ++attempt) {
-    if (!dead_.empty() && !declared_waited_) {
-      declared_waited_ = wait_health(
-          "death declaration of ranks {" +
-              std::to_string(*dead_.begin()) + "..}",
-          20.0, [this](const std::string& b) { return all_declared(b, dead_); });
-    }
-    const Reply r = request("save", cfg_.job);
+    if (!dead_.empty() && !declared_waited_)
+      declared_waited_ = await_declared("death declaration of ranks {" +
+                                        std::to_string(*dead_.begin()) + "..}");
+    const svc::ControlReply r = request("save", cfg_.job);
     if (!r.ok) {
       ++summary_.saves_failed;
-      if (expect_failure_ok) return;
       sleep_ms(100);
       continue;
     }
-    const ParsedBody p = parse_body(r.body);
-    if (p.version <= last_version_)
-      violation("monotone", "save committed version " +
-                                std::to_string(p.version) + " after " +
-                                std::to_string(last_version_));
-    verify_digests("save", p);
-    last_version_ = p.version;
-    last_iteration_ = p.iteration;
-    ++summary_.saves_ok;
-    if (p.degraded) ++summary_.degraded_saves;
+    if (const std::optional<svc::ShardReply> s = read_reply(r))
+      record_save(*s);
     return;
   }
-  violation("availability", "save never committed within 6 attempts with " +
-                                std::to_string(dead_.size()) + " dead ranks");
+  oracle_.violation("availability",
+                    "save never committed within 6 attempts with " +
+                        std::to_string(dead_.size()) + " dead ranks");
 }
 
 void SocketCampaign::do_corrupt() {
   // Arm a one-byte payload flip on a live worker's next fabric frame, then
   // drive a save through it: the receiver sees a genuine wire CRC
   // mismatch, the collective tears, every survivor rolls back, and the
-  // retry commits clean.
+  // retry commits clean. (If the frame hits a retried or reset path, the
+  // first attempt commits, still bound by the digest oracle.)
   const int target = pick_victim(static_cast<std::uint64_t>(world_ - 1));
   try {
     const svc::ControlReply r = svc::client_request(
@@ -419,34 +376,19 @@ void SocketCampaign::do_corrupt() {
   if (cfg_.verbose)
     std::fprintf(stderr, "socket-campaign: armed corrupt frame on rank %d\n",
                  target);
-  const Reply r = request("save", cfg_.job);
-  if (r.ok) {
-    // The corrupted frame happened to hit a retried/reset path; the commit
-    // is still bound by the digest oracle.
-    const ParsedBody p = parse_body(r.body);
-    verify_digests("save", p);
-    last_version_ = p.version;
-    last_iteration_ = p.iteration;
-    ++summary_.saves_ok;
-  } else {
-    ++summary_.saves_failed;
-    // Rollback must leave the service able to commit the retry.
-    do_save(/*expect_failure_ok=*/false);
-  }
+  do_save();
 }
 
 void SocketCampaign::do_recover() {
   if (dead_.empty()) return;
   if (!declared_waited_)
-    declared_waited_ = wait_health(
-        "death declaration before repair", 20.0,
-        [this](const std::string& b) { return all_declared(b, dead_); });
+    declared_waited_ = await_declared("death declaration before repair");
 
-  const Reply before = request("health", "");
-  const std::int64_t repairs0 =
-      before.ok ? json_int_field(before.body, "repairs", 0) : 0;
-  const std::int64_t fenced0 =
-      before.ok ? json_int_field(before.body, "fenced_beats", 0) : 0;
+  const svc::ControlReply before = request("health", "");
+  std::optional<Health> h0;
+  if (before.ok && !(h0 = read_health(before.body))) return;
+  const std::int64_t repairs0 = h0 ? h0->repairs : 0;
+  const std::int64_t fenced0 = h0 ? h0->fenced_beats : 0;
 
   // Gray corpses first: SIGCONT wakes them, their next beat carries a
   // stale rank (declared dead) and gets a fenced reply — the daemon must
@@ -454,24 +396,11 @@ void SocketCampaign::do_recover() {
   for (int r : stopped_) {
     const pid_t pid = worker_pids_.at(r);
     ECC_CHECK(::kill(pid, SIGCONT) == 0);
-    const auto start = Clock::now();
-    bool exited = false;
-    while (elapsed_s(start) < 10.0) {
-      int status = 0;
-      if (::waitpid(pid, &status, WNOHANG) == pid) {
-        exited = true;
-        break;
-      }
-      sleep_ms(50);
-    }
-    if (exited) {
+    if (reap_within(pid, 10.0))
       ++summary_.fenced_exits;
-    } else {
-      violation("fencing", "resurrected rank " + std::to_string(r) +
-                               " did not fence-exit within 10s");
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
-    }
+    else
+      oracle_.violation("fencing", "resurrected rank " + std::to_string(r) +
+                                       " did not fence-exit within 10s");
   }
 
   // Replacements join on the dead ranks' endpoints; the repair controller
@@ -482,13 +411,11 @@ void SocketCampaign::do_recover() {
 
   const bool healed = wait_health(
       "repair of ranks to full redundancy", 45.0,
-      [&](const std::string& b) {
-        if (json_int_field(b, "repairs", 0) <= repairs0) return false;
-        if (json_int_field(b, "effective_m", -1) != cfg_.m) return false;
-        const std::vector<std::string> states = json_states(b);
-        for (const std::string& s : states)
+      [&](const Health& h) {
+        if (h.repairs <= repairs0 || h.effective_m != cfg_.m) return false;
+        for (const std::string& s : h.states)
           if (s != "alive") return false;
-        return !states.empty();
+        return !h.states.empty();
       });
   if (healed) {
     ++summary_.repairs;
@@ -497,42 +424,28 @@ void SocketCampaign::do_recover() {
     declared_waited_ = false;
     // The corpse's stale beats (if any arrived before it exited) must have
     // been answered with a fence, never re-admission.
-    const Reply after = request("health", "");
-    if (after.ok && !repaired.empty() &&
-        json_int_field(after.body, "fenced_beats", 0) < fenced0)
-      violation("fencing", "fenced_beats went backwards");
+    const svc::ControlReply after = request("health", "");
+    if (after.ok && !repaired.empty()) {
+      const std::optional<Health> h = read_health(after.body);
+      if (h && h->fenced_beats < fenced0)
+        oracle_.violation("fencing", "fenced_beats went backwards");
+    }
   }
 
   // Full redundancy restored: the next save must commit non-degraded and
   // the loaded bytes must still be exact.
-  do_save(/*expect_failure_ok=*/false);
-  const Reply r = request("load", cfg_.job);
-  if (!r.ok) {
-    violation("availability", "post-repair load failed: " + r.body);
-    return;
-  }
-  const ParsedBody p = parse_body(r.body);
-  ++summary_.loads_ok;
-  if (p.degraded)
-    violation("repair", "post-repair load still reports degraded: " + r.body);
-  verify_digests("load", p);
+  do_save();
+  const std::optional<svc::ShardReply> l = load_and_check("post-repair load");
+  if (l && l->detail.find("degraded") != std::string::npos)
+    oracle_.violation("repair",
+                      "post-repair load still reports degraded: " + l->body());
 }
 
 void SocketCampaign::shutdown_service() {
   request("shutdown", "");
-  const auto start = Clock::now();
-  auto reap = [&](pid_t pid) {
-    while (elapsed_s(start) < 10.0) {
-      if (::waitpid(pid, nullptr, WNOHANG) == pid) return true;
-      sleep_ms(50);
-    }
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, nullptr, 0);
-    return false;
-  };
   for (const auto& [rank, pid] : worker_pids_)
-    if (dead_.count(rank) == 0) reap(pid);
-  if (coordinator_pid_ > 0) reap(coordinator_pid_);
+    if (dead_.count(rank) == 0) reap_within(pid, 10.0);
+  if (coordinator_pid_ > 0) reap_within(coordinator_pid_, 10.0);
   worker_pids_.clear();
   coordinator_pid_ = -1;
 }
@@ -554,7 +467,7 @@ const SocketCampaignSummary& SocketCampaign::run() {
   const std::vector<ChaosEvent> schedule = generate_schedule(scfg);
 
   for (const ChaosEvent& ev : schedule) {
-    ++summary_.events;
+    oracle_.set_event(++summary_.events);
     if (cfg_.verbose)
       std::fprintf(stderr, "socket-campaign: event %zu %s\n", summary_.events,
                    event_kind_name(ev.kind));
@@ -564,7 +477,7 @@ const SocketCampaignSummary& SocketCampaign::run() {
                                   1000));
         break;
       case EventKind::kSave:
-        do_save(/*expect_failure_ok=*/false);
+        do_save();
         break;
       case EventKind::kKill:
       case EventKind::kMidLoadKill: {
@@ -572,34 +485,27 @@ const SocketCampaignSummary& SocketCampaign::run() {
         const bool gray = next_kill_gray_;
         next_kill_gray_ = !next_kill_gray_;
         do_kill(pick_victim(ev.picks.empty() ? 0 : ev.picks[0]), gray);
-        declared_waited_ = wait_health(
-            "death declaration", 20.0,
-            [this](const std::string& b) { return all_declared(b, dead_); });
-        do_degraded_load();
+        do_degraded_load("death declaration");
         break;
       }
       case EventKind::kMidSaveKill: {
         if (static_cast<int>(dead_.size()) >= cfg_.m) break;
         const int victim = pick_victim(ev.picks.empty() ? 0 : ev.picks[0]);
         // Fire the save, then land the kill inside its fabric-op window.
-        Reply rep;
+        svc::ControlReply rep;
         std::thread saver([&] { rep = request("save", cfg_.job); });
         sleep_ms(20 + static_cast<int>(ev.op_frac * 120));
         do_kill(victim, /*gray=*/false);
         saver.join();
-        if (rep.ok) {
-          const ParsedBody p = parse_body(rep.body);
-          verify_digests("save", p);
-          last_version_ = p.version;
-          last_iteration_ = p.iteration;
-          ++summary_.saves_ok;
-        } else {
-          ++summary_.saves_failed;  // torn: survivors rolled back
+        // The save either tore (fewer than k ranks committed it; they
+        // rolled it back) or committed on at least k ranks, perhaps without
+        // the victim's reply. Then the load below must return it.
+        if (!rep.ok) {
+          ++summary_.saves_failed;
+        } else if (const std::optional<svc::ShardReply> s = read_reply(rep)) {
+          record_save(*s);
         }
-        declared_waited_ = wait_health(
-            "death declaration after mid-save kill", 20.0,
-            [this](const std::string& b) { return all_declared(b, dead_); });
-        do_degraded_load();
+        do_degraded_load("death declaration after mid-save kill");
         break;
       }
       case EventKind::kCorrupt:
@@ -616,18 +522,12 @@ const SocketCampaignSummary& SocketCampaign::run() {
   // at least one hard death, one gray failure, and one corrupt frame.
   if (summary_.violations == 0 && summary_.sigkills == 0) {
     do_kill(pick_victim(1), /*gray=*/false);
-    declared_waited_ = wait_health(
-        "forced SIGKILL declaration", 20.0,
-        [this](const std::string& b) { return all_declared(b, dead_); });
-    do_degraded_load();
+    do_degraded_load("forced SIGKILL declaration");
     do_recover();
   }
   if (summary_.violations == 0 && summary_.sigstops == 0) {
     do_kill(pick_victim(2), /*gray=*/true);
-    declared_waited_ = wait_health(
-        "forced SIGSTOP declaration", 20.0,
-        [this](const std::string& b) { return all_declared(b, dead_); });
-    do_degraded_load();
+    do_degraded_load("forced SIGSTOP declaration");
     do_recover();
   }
   if (summary_.violations == 0 && summary_.corrupts == 0) do_corrupt();
@@ -635,15 +535,8 @@ const SocketCampaignSummary& SocketCampaign::run() {
 
   // Final verification at full strength, then an orderly shutdown.
   if (summary_.violations == 0) {
-    do_save(/*expect_failure_ok=*/false);
-    const Reply r = request("load", cfg_.job);
-    if (!r.ok) {
-      violation("availability", "final load failed: " + r.body);
-    } else {
-      const ParsedBody p = parse_body(r.body);
-      ++summary_.loads_ok;
-      verify_digests("load", p);
-    }
+    do_save();
+    load_and_check("final load");
   }
   shutdown_service();
   return summary_;

@@ -23,30 +23,38 @@
 // UDS paths are what make gray-failure replacement possible at all.
 //
 // The driver is its own oracle: shard content is a pure function of
-// (job, iteration), so every save/load response's digests are checked
-// against the closed form. Invariants, each violation carrying the seed:
+// (job, iteration), so each committed save records its closed-form digests
+// with a chaos::Oracle, and every save/load reply (a svc::ShardReply) is
+// checked against them. Invariants, each violation carrying the seed:
 //
-//   bitexact      save/load digests equal the closed-form digests and
-//                 cover every worker (dead ranks' shards included — the
-//                 adopter serves them during degraded windows);
-//   monotone      committed versions strictly increase;
-//   availability  once deaths are declared and dead ≤ m, load succeeds;
-//   fencing       a resurrected (SIGCONT'd) corpse exits on its first
-//                 fenced beat and never commits anything;
-//   repair        every recovery converges within its deadline to all
-//                 ranks alive at full effective redundancy.
+//   bitexact       save/load digests equal the closed-form digests and
+//                  cover every worker (dead ranks' shards included — the
+//                  adopter serves them during degraded windows); a save
+//                  that committed without some ranks' replies is checked
+//                  on the workers it names, its load on all of them;
+//   version_range  a committed save's version exceeds the previous one,
+//                  and a load returns exactly the newest committed save;
+//   availability   once deaths are declared and dead ≤ m, load succeeds;
+//   fencing        a resurrected (SIGCONT'd) corpse exits on its first
+//                  fenced beat and never commits anything;
+//   repair         every recovery converges within its deadline to all
+//                  ranks alive at full effective redundancy;
+//   protocol       every save/load reply and `health` body parses.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <sys/types.h>
 
+#include "chaos/oracle.hpp"
 #include "net/socket.hpp"
+#include "svc/checkpoint_service.hpp"
 
 namespace eccheck::chaos {
 
@@ -109,19 +117,13 @@ class SocketCampaign {
   /// final full-redundancy save/load, and shut everything down.
   const SocketCampaignSummary& run();
 
-  const SocketCampaignSummary& summary() const { return summary_; }
-
  private:
-  struct Reply {
-    bool ok = false;
-    std::uint32_t status = 0;
-    std::string body;
-  };
-  struct ParsedBody {
-    std::int64_t version = 0;
-    std::int64_t iteration = 0;
-    std::map<int, std::uint64_t> digests;
-    bool degraded = false;
+  /// The fields of the coordinator's `health` JSON the campaign reads.
+  struct Health {
+    std::int64_t repairs = 0;
+    std::int64_t fenced_beats = 0;
+    std::int64_t effective_m = 0;
+    std::vector<std::string> states;  ///< per-rank liveness, rank order
   };
 
   net::Endpoint client_ep() const;
@@ -131,34 +133,42 @@ class SocketCampaign {
   void spawn_worker(int rank);
   /// Client request with bounded busy-retry; connect/io failures after the
   /// deadline become a violation.
-  Reply request(const std::string& command, const std::string& args);
-  ParsedBody parse_body(const std::string& body);
-  /// Check a committed body's digests against the (job, iteration) closed
-  /// form across all world workers.
-  void verify_digests(const char* op, const ParsedBody& p);
-  /// health poll until `pred(body)` or deadline; returns the last body.
+  svc::ControlReply request(const std::string& command,
+                            const std::string& args);
+  /// Parse a `health` body or a save/load reply; a malformed one is a
+  /// `protocol` violation.
+  std::optional<Health> read_health(const std::string& body);
+  std::optional<svc::ShardReply> read_reply(const svc::ControlReply& r);
+  /// Poll `health` until `pred` holds; a `repair` violation past the
+  /// deadline. False on timeout or a malformed body.
   bool wait_health(const std::string& what, double deadline_s,
-                   const std::function<bool(const std::string&)>& pred);
+                   const std::function<bool(const Health&)>& pred);
+  /// wait_health until every rank in dead_ is declared dead.
+  bool await_declared(const std::string& what);
+  /// Check a committed save and record its golden digests.
+  void record_save(const svc::ShardReply& s);
+  /// Load and check the reply; `what` names the load in violations.
+  std::optional<svc::ShardReply> load_and_check(const std::string& what);
 
-  void do_save(bool expect_failure_ok);
-  void do_degraded_load();
+  void do_save();
+  /// Wait for the deaths' `declaration`, then load and check.
+  void do_degraded_load(const std::string& declaration);
   void do_kill(int victim, bool gray);
   void do_corrupt();
   void do_recover();
   int pick_victim(std::uint64_t pick);
-  void violation(const std::string& invariant, const std::string& msg);
   void shutdown_service();
 
   SocketCampaignConfig cfg_;
   SocketCampaignSummary summary_;
+  Oracle oracle_;  ///< golden digests, load checks, violation sink
   int world_ = 0;
   std::map<int, pid_t> worker_pids_;
   pid_t coordinator_pid_ = -1;
   std::set<int> dead_;     ///< ranks killed/stopped, not yet repaired
   std::set<int> stopped_;  ///< subset of dead_: SIGSTOP (gray) victims
   bool declared_waited_ = false;  ///< deaths already declared by coordinator
-  std::int64_t last_version_ = 0;
-  std::int64_t last_iteration_ = 0;
+  std::int64_t last_version_ = 0;  ///< newest save the client saw commit
   bool next_kill_gray_ = false;  ///< alternate SIGKILL / SIGSTOP
 };
 

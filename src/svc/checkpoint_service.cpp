@@ -9,6 +9,7 @@
 #include <limits>
 #include <sstream>
 #include <thread>
+#include <variant>
 
 #include "common/check.hpp"
 #include "common/crc64.hpp"
@@ -63,15 +64,35 @@ ParsedArgs parse_args(const std::string& args) {
   return p;
 }
 
-core::Membership members_from_csv(const std::string& csv) {
-  std::vector<int> alive;
+/// The whole wire token (a control-frame argument, a reply field) as a
+/// decimal integer in [min, max]. Throws BadRequest naming `what` and the
+/// token on garbage, trailing junk, overflow or empty input — never the
+/// foreign std::invalid_argument / std::out_of_range of std::stoi.
+std::int64_t parse_wire_int(const std::string& tok, const char* what,
+                            std::int64_t min, std::int64_t max) {
+  std::int64_t v = 0;
+  const auto [ptr, ec] =
+      std::from_chars(tok.data(), tok.data() + tok.size(), v);
+  const bool whole = ptr == tok.data() + tok.size();
+  if (ec == std::errc::result_out_of_range ||
+      (ec == std::errc() && whole && (v < min || v > max)))
+    throw BadRequest("bad " + std::string(what) + " '" + tok +
+                     "' (out of range)");
+  if (ec != std::errc() || !whole)
+    throw BadRequest("bad " + std::string(what) + " '" + tok + "'");
+  return v;
+}
+
+/// Comma-separated ranks ("0,1,3"); empty parts are skipped.
+std::vector<int> ranks_of_csv(const std::string& csv, const char* what) {
+  std::vector<int> ranks;
   std::istringstream is(csv);
   std::string part;
   while (std::getline(is, part, ','))
     if (!part.empty())
-      alive.push_back(static_cast<int>(parse_wire_int(
-          part, "alive rank", 0, std::numeric_limits<int>::max())));
-  return core::Membership::of(std::move(alive));
+      ranks.push_back(static_cast<int>(
+          parse_wire_int(part, what, 0, std::numeric_limits<int>::max())));
+  return ranks;
 }
 
 std::string csv_of(const std::vector<int>& ranks) {
@@ -86,35 +107,59 @@ std::string csv_of(const std::vector<int>& ranks) {
 std::uint64_t parse_u64(const std::map<std::string, std::string>& kv,
                         const std::string& key) {
   const auto it = kv.find(key);
-  return it == kv.end() ? 0 : parse_wire_u64(it->second, key.c_str());
+  return it == kv.end()
+             ? 0
+             : static_cast<std::uint64_t>(parse_wire_int(
+                   it->second, key.c_str(), 0,
+                   std::numeric_limits<std::int64_t>::max()));
 }
 
 }  // namespace
 
-std::int64_t parse_wire_int(const std::string& tok, const char* what,
-                            std::int64_t min, std::int64_t max) {
-  std::int64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (ec == std::errc::result_out_of_range ||
-      (ec == std::errc() && ptr == tok.data() + tok.size() &&
-       (v < min || v > max)))
-    throw BadRequest("bad " + std::string(what) + " '" + tok +
-                     "' (out of range)");
-  if (ec != std::errc() || ptr != tok.data() + tok.size())
-    throw BadRequest("bad " + std::string(what) + " '" + tok + "'");
-  return v;
+// ---------------------------------------------------------------------------
+// Save/load reply bodies.
+// ---------------------------------------------------------------------------
+
+std::string ShardReply::body() const {
+  std::ostringstream os;
+  os << "version=" << version << " iteration=" << iteration;
+  for (const auto& [w, d] : digests) os << " w" << w << ":" << hex16(d);
+  if (!lost.empty()) os << " lost=" << csv_of(lost);
+  if (!detail.empty()) os << " ; " << detail;
+  return os.str();
 }
 
-std::uint64_t parse_wire_u64(const std::string& tok, const char* what) {
-  std::uint64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (ec != std::errc() || ptr != tok.data() + tok.size())
-    throw BadRequest("bad " + std::string(what) + " '" + tok + "'" +
-                     (ec == std::errc::result_out_of_range ? " (out of range)"
-                                                           : ""));
-  return v;
+ShardReply ShardReply::parse(const std::string& body) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  ShardReply r;
+  const std::size_t semi = body.find(" ; ");
+  if (semi != std::string::npos) r.detail = body.substr(semi + 3);
+  std::istringstream is(body.substr(0, semi));
+  std::string tok;
+  while (is >> tok) {
+    const std::size_t sep = tok.find_first_of("=:");
+    const std::string key = tok.substr(0, sep);
+    const std::string val = sep == std::string::npos ? "" : tok.substr(sep + 1);
+    if (key == "version") {
+      r.version = parse_wire_int(val, "reply version", 1, kMax);
+    } else if (key == "iteration") {
+      r.iteration = parse_wire_int(val, "reply iteration", 1, kMax);
+    } else if (key == "lost") {
+      r.lost = ranks_of_csv(val, "lost rank");
+    } else if (key.size() > 1 && key[0] == 'w') {
+      std::uint64_t& d = r.digests[static_cast<int>(parse_wire_int(
+          key.substr(1), "reply worker", 0, std::numeric_limits<int>::max()))];
+      // A bad digest reads back differently; the check below rejects it.
+      (void)std::from_chars(val.data(), val.data() + val.size(), d, 16);
+    } else {
+      throw BadRequest("bad reply token '" + tok + "'");
+    }
+  }
+  // Whatever the loop let through — a missing field, a repeated key, a
+  // short or upper-case digest, stray spaces — body() writes differently.
+  if (r.body() != body)
+    throw BadRequest("reply is not in canonical form: '" + body + "'");
+  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -319,7 +364,9 @@ core::Membership WorkerDaemon::apply_epoch_and_members(
     }
   }
   const auto it = kv.find("alive");
-  return it == kv.end() ? core::Membership() : members_from_csv(it->second);
+  return it == kv.end()
+             ? core::Membership()
+             : core::Membership::of(ranks_of_csv(it->second, "alive rank"));
 }
 
 std::string WorkerDaemon::do_save(const std::string& job,
@@ -343,11 +390,12 @@ std::string WorkerDaemon::do_save(const std::string& job,
 
   session.save(ptrs);
   ++saves_ok_;
-  std::ostringstream os;
-  os << "version=" << session.latest_version();
+  ShardReply reply;
+  reply.version = session.latest_version();
+  reply.iteration = iteration;
   for (std::size_t i = 0; i < workers.size(); ++i)
-    os << " w" << workers[i] << ":" << hex16(mine[i].digest());
-  return os.str();
+    reply.digests[workers[i]] = mine[i].digest();
+  return reply.body();
 }
 
 std::string WorkerDaemon::do_load(const std::string& job,
@@ -356,17 +404,25 @@ std::string WorkerDaemon::do_load(const std::string& job,
   session.set_membership(members);
   std::vector<dnn::StateDict> out;
   const core::FabricSession::RecoverResult res = session.load(out);
-  ++loads_ok_;
+  ECC_CHECK_MSG(res.report.success, "load failed: " << res.report.detail);
   const std::vector<int> workers = session.driven_workers();
-  ECC_CHECK_MSG(out.size() == workers.size(),
+  ECC_CHECK_MSG(!out.empty() && out.size() == workers.size(),
                 "load returned " << out.size() << " shards for "
                                  << workers.size() << " driven workers");
-  std::ostringstream os;
-  os << "version=" << res.version;
+  // The shards name the iteration they were synthesized from
+  // (job_gen_config), so a client can recompute their digests.
+  const auto it = out.front().metadata().find("iteration");
+  ECC_CHECK_MSG(it != out.front().metadata().end() &&
+                    std::holds_alternative<std::int64_t>(it->second),
+                "loaded shards carry no integer iteration");
+  ++loads_ok_;
+  ShardReply reply;
+  reply.version = res.version;
+  reply.iteration = std::get<std::int64_t>(it->second);
   for (std::size_t i = 0; i < workers.size(); ++i)
-    os << " w" << workers[i] << ":" << hex16(out[i].digest());
-  os << " ; " << res.report.detail;
-  return os.str();
+    reply.digests[workers[i]] = out[i].digest();
+  reply.detail = res.report.detail;
+  return reply.body();
 }
 
 std::string WorkerDaemon::handle(const std::string& command,
@@ -534,6 +590,10 @@ Coordinator::Coordinator(CoordinatorConfig cfg)
     : cfg_(std::move(cfg)), listener_(net::listen_on(cfg_.client_ep)) {
   ECC_CHECK_MSG(!cfg_.worker_eps.empty(), "coordinator needs workers");
   ECC_CHECK_MSG(cfg_.max_queue >= 1, "max_queue must be at least 1");
+  ECC_CHECK_MSG(cfg_.data_k >= 1 &&
+                    cfg_.data_k <= static_cast<int>(cfg_.worker_eps.size()),
+                "coordinator needs 1 <= data_k <= worker count (data_k="
+                    << cfg_.data_k << ")");
   if (cfg_.liveness_ep) {
     ECC_CHECK_MSG(cfg_.parity_m >= 0 &&
                       cfg_.data_k + cfg_.parity_m ==
@@ -586,7 +646,7 @@ bool Coordinator::admit(net::Millis wait) {
       }
       continue;
     }
-    queue_.push_back({std::move(conn)});
+    queue_.push_back(std::move(conn));
   }
   max_depth_ = std::max(max_depth_, queue_.size());
   return !queue_.empty();
@@ -606,7 +666,6 @@ std::vector<ControlReply> Coordinator::fan_out(const std::string& command,
   for (std::size_t i = 0; i < cfg_.worker_eps.size(); ++i) {
     if (!wanted[i]) {
       replies[i].skipped = true;
-      replies[i].body = "skipped: not a collective member";
       continue;
     }
     threads.emplace_back([this, &replies, &command, &args, i, tc] {
@@ -789,53 +848,56 @@ std::string Coordinator::health_json(const std::string& job_filter) {
 
 namespace {
 
-/// Merge worker bodies of the form "version=V wN:digest... [; detail]":
-/// checks every reachable worker agreed on V, concatenates the shard
-/// digests in rank order, and surfaces the first worker's detail (loads).
-struct MergedBodies {
+/// The member replies of one save or load, merged into one ShardReply.
+struct Merged {
   bool ok = false;
-  std::int64_t version = 0;
-  std::string shards;  ///< "wN:digest wM:digest ..."
-  std::string detail;
+  ShardReply reply;  ///< workers' digests in rank order, first non-empty detail
   std::string error;
 };
 
-MergedBodies merge_bodies(const std::vector<ControlReply>& replies) {
-  MergedBodies m;
-  bool have_version = false;
+/// The one merge of a save's or load's fan-out. Every ok member reply must
+/// parse and name the same version and iteration. A load needs every
+/// member's reply (`quorum` = 0). A save passes quorum = k: it is committed
+/// when at least k member replies are ok, and the ranks whose reply failed
+/// are named in `lost`. That is the §III-B rule. A rank whose reply failed
+/// rolled the version back (FabricSession::save rolls back before it
+/// throws), was refused before it ran, or is dead; each ok rank holds its
+/// own chunk row and commit marker, so k ok replies mean k committed rows.
+/// A reply lost from a live rank that did commit counts as not committed,
+/// so the rule can only err toward reporting "failed". This relies on the
+/// service never setting ec.flush_to_remote: a flushed remote copy could
+/// make a version recoverable with fewer than k replies.
+Merged merge_replies(const std::vector<ControlReply>& replies, int quorum) {
+  Merged m;
+  int ok = 0;
   for (std::size_t i = 0; i < replies.size(); ++i) {
     if (replies[i].skipped) continue;  // not a member of this collective
+    const std::string who = "worker " + std::to_string(i) + ": ";
     if (!replies[i].ok) {
-      m.error = "worker " + std::to_string(i) + ": " + replies[i].body;
+      m.reply.lost.push_back(static_cast<int>(i));
+      if (m.error.empty()) m.error = who + replies[i].body;
+      continue;
+    }
+    ShardReply r;
+    try {
+      r = ShardReply::parse(replies[i].body);
+    } catch (const BadRequest& e) {
+      m.error = who + e.what();
       return m;
     }
-    std::istringstream is(replies[i].body);
-    std::string tok;
-    is >> tok;
-    std::int64_t v = 0;
-    if (tok.rfind("version=", 0) != 0 ||
-        !(std::istringstream(tok.substr(8)) >> v)) {
-      m.error = "worker " + std::to_string(i) + ": bad body '" +
-                replies[i].body + "'";
+    if (ok++ > 0 && (r.version != m.reply.version ||
+                     r.iteration != m.reply.iteration)) {
+      m.error = "workers disagree: " + m.reply.body() + " vs " + who + r.body();
       return m;
     }
-    if (have_version && v != m.version) {
-      m.error = "workers disagree on version: " + std::to_string(m.version) +
-                " vs " + std::to_string(v);
-      return m;
-    }
-    m.version = v;
-    have_version = true;
-    while (is >> tok) {
-      if (tok == ";") {
-        std::string rest;
-        std::getline(is, rest);
-        if (m.detail.empty() && !rest.empty())
-          m.detail = rest.substr(rest.find_first_not_of(' '));
-        break;
-      }
-      m.shards += (m.shards.empty() ? "" : " ") + tok;
-    }
+    m.reply.version = r.version;
+    m.reply.iteration = r.iteration;
+    m.reply.digests.insert(r.digests.begin(), r.digests.end());
+    if (m.reply.detail.empty()) m.reply.detail = r.detail;
+  }
+  if (ok == 0 || ok < quorum || (quorum == 0 && !m.reply.lost.empty())) {
+    m.error += " (" + std::to_string(ok) + " member replies ok)";
+    return m;
   }
   m.ok = true;
   return m;
@@ -1040,12 +1102,12 @@ void Coordinator::process_joins() {
   for (const auto& [job, _] : iterations_) {
     const std::vector<ControlReply> replies = fan_out(
         "load", job + (margs.empty() ? "" : " " + margs), targets);
-    const MergedBodies m = merge_bodies(replies);
+    const Merged m = merge_replies(replies, 0);
     if (!m.ok) {
       all_ok = false;
       job_stats_[job].last_error = "repair load failed: " + m.error;
     } else {
-      job_stats_[job].last_version = m.version;
+      job_stats_[job].last_version = m.reply.version;
     }
   }
   std::lock_guard<std::mutex> lock(live_mu_);
@@ -1159,12 +1221,10 @@ std::string Coordinator::handle(const std::string& command,
     }
 
     JobStats& js = job_stats_[job];
-    std::int64_t iteration = 0;
     std::string wargs = job;
     if (command == "save") {
-      iteration = ++iterations_[job];
-      js.iterations = iteration;
-      wargs += " " + std::to_string(iteration);
+      js.iterations = ++iterations_[job];
+      wargs += " " + std::to_string(js.iterations);
     } else {
       // Survivors of an earlier failure — and everyone pooling a
       // connection to a since-replaced rank — must reconnect before the
@@ -1190,41 +1250,32 @@ std::string Coordinator::handle(const std::string& command,
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    const MergedBodies m = merge_bodies(replies);
+    Merged m = merge_replies(replies, command == "save" ? cfg_.data_k : 0);
+    // A failed reply may come from a survivor of an aborted collective:
+    // reset all member fabric connections so the next collective starts
+    // clean, also after a save that committed without every reply.
+    if (!m.ok || !m.reply.lost.empty()) reset_workers(targets);
     if (!m.ok) {
-      // The collective tore: every survivor rolled the version back (save)
-      // or aborted (load); reset all member fabric connections so the next
-      // collective starts clean.
-      reset_workers(targets);
       ++(command == "save" ? js.saves_failed : js.loads_failed);
       js.last_error = m.error;
       status = kStatusError;
       return command + " failed: " + m.error;
     }
-    js.last_version = m.version;
-    std::ostringstream os;
-    os << "version=" << m.version;
+    js.last_version = m.reply.version;
     if (command == "save") {
       ++js.saves_ok;
       js.save_latency_s.observe(secs);
-      history_[job][m.version] = iteration;
-      os << " iteration=" << iteration;
+      if (dead_count > 0)
+        m.reply.detail = "degraded (" + std::to_string(dead_count) +
+                         " dead, redundancy " +
+                         std::to_string(static_cast<int>(targets.size()) -
+                                        cfg_.data_k) +
+                         "/" + std::to_string(cfg_.parity_m) + ")";
     } else {
       ++js.loads_ok;
       js.load_latency_s.observe(secs);
-      const auto jit = history_.find(job);
-      if (jit != history_.end()) {
-        const auto vit = jit->second.find(m.version);
-        if (vit != jit->second.end()) os << " iteration=" << vit->second;
-      }
     }
-    os << " " << m.shards;
-    if (command == "load" && !m.detail.empty()) os << " ; " << m.detail;
-    if (command == "save" && dead_count > 0)
-      os << " ; degraded (" << dead_count << " dead, redundancy "
-         << static_cast<int>(targets.size()) - cfg_.data_k << "/"
-         << cfg_.parity_m << ")";
-    const std::string body = os.str();
+    const std::string body = m.reply.body();
     if (!token.empty()) {
       idem_[idem_key] = {kStatusOk, body};
       idem_order_.push_back(idem_key);
@@ -1246,7 +1297,7 @@ void Coordinator::run() {
     // collective delays a tick but never loses one.
     tick();
     if (!admit(net::Millis(250))) continue;
-    net::Socket conn = std::move(queue_.front().conn);
+    net::Socket conn = std::move(queue_.front());
     queue_.erase(queue_.begin());
     try {
       ControlFrame req = recv_control(conn, net::FrameType::kRequest,

@@ -92,15 +92,27 @@ class BadRequest : public CheckFailure {
   using CheckFailure::CheckFailure;
 };
 
-/// Checked integer parsing for wire-supplied tokens (control-frame args,
-/// digest report lines): the whole token must be a decimal integer within
-/// [min, max]. Throws BadRequest naming `what` and the offending token on
-/// garbage, trailing junk, overflow, or empty input — never the foreign
-/// std::invalid_argument / std::out_of_range that raw std::stoi leaks
-/// across the protocol boundary.
-std::int64_t parse_wire_int(const std::string& tok, const char* what,
-                            std::int64_t min, std::int64_t max);
-std::uint64_t parse_wire_u64(const std::string& tok, const char* what);
+/// The body of a save or load reply, from a worker or from the coordinator:
+///
+///   version=V iteration=I w0:<16 hex> w1:<16 hex> ... [lost=r,s] [; detail]
+///
+/// `wN:` is StateDict::digest() of worker N's shard (saved, or loaded).
+/// `iteration` is the one the shards were synthesized from: the save's
+/// argument, or the `iteration` metadata of the loaded shards. `lost` names
+/// the member ranks a committed save got no reply from. `detail` is free
+/// text (the load's report, a degraded save's redundancy).
+struct ShardReply {
+  std::int64_t version = 0;
+  std::int64_t iteration = 0;
+  std::map<int, std::uint64_t> digests;  ///< worker → shard digest
+  std::vector<int> lost;
+  std::string detail;
+
+  std::string body() const;
+  /// Strict inverse of body(): accepts exactly the strings body() writes,
+  /// with version and iteration ≥ 1. Throws BadRequest otherwise.
+  static ShardReply parse(const std::string& body);
+};
 
 struct ControlReply {
   bool ok = false;            ///< response status was kStatusOk
@@ -184,9 +196,6 @@ class WorkerDaemon {
   /// waits are bounded so a wedged client cannot hang the daemon forever.
   void run();
 
-  net::SocketTransport& fabric() { return fabric_; }
-  std::uint64_t epoch() const { return epoch_.load(); }
-
  private:
   std::string handle(const std::string& command, const std::string& args,
                      std::uint32_t& status);
@@ -241,7 +250,9 @@ struct CoordinatorConfig {
   /// ec.m — how many dead ranks degraded serving can tolerate. Only used
   /// when liveness_ep is set (must then match the workers' config).
   int parity_m = 0;
-  int data_k = 0;  ///< ec.k, for redundancy reporting in `health`
+  /// ec.k, required: a save commits once k member ranks committed it, and
+  /// `health` reports redundancy against it.
+  int data_k = 0;
 };
 
 /// Serializes client requests through a FIFO admission queue (connections
@@ -257,9 +268,12 @@ struct CoordinatorConfig {
 /// estimated by ping-pong midpoint against each worker's `clock` verb),
 /// `shutdown`. The coordinator assigns iteration numbers per job, so
 /// concurrent clients saving the same job get distinct, ordered snapshots.
-/// After any failed fan-out — and before every `load` — it resets all
-/// fabric connections on every reachable worker, the synchronized point
-/// that lets survivors of an aborted collective reconnect cleanly.
+/// Save and load replies are ShardReply bodies. A save is committed when at
+/// least data_k member replies are ok and name the same version; a load
+/// needs every member's reply. After any fan-out with a failed reply — and
+/// before every `load` — it resets all fabric connections on every
+/// reachable worker, the synchronized point that lets survivors of an
+/// aborted collective reconnect cleanly.
 ///
 /// Each `save`/`load` opens a fresh distributed trace (when the global
 /// tracer is enabled) whose root span covers the whole fan-out, so one
@@ -290,9 +304,6 @@ class Coordinator {
   void run();
 
  private:
-  struct Pending {
-    net::Socket conn;
-  };
   /// Health-endpoint state per job, fed by every save/load fan-out.
   struct JobStats {
     std::int64_t last_version = -1;
@@ -347,11 +358,8 @@ class Coordinator {
 
   CoordinatorConfig cfg_;
   net::Socket listener_;
-  std::vector<Pending> queue_;
+  std::vector<net::Socket> queue_;  ///< admitted client connections
   std::map<std::string, std::int64_t> iterations_;
-  /// job → version → iteration, so `load` replies can name the iteration
-  /// whose synthetic content the recovered version must equal.
-  std::map<std::string, std::map<std::int64_t, std::int64_t>> history_;
   std::map<std::string, JobStats> job_stats_;
   std::uint64_t served_ = 0;
   std::size_t max_depth_ = 0;

@@ -1,6 +1,7 @@
 // Chaos subsystem: deterministic schedules, exact mid-operation fault
-// firing, failure-during-save fallback, the negative (tamper) control, and
-// the headline randomized campaigns with zero invariant violations.
+// firing, failure-during-save fallback, the shared oracle, the negative
+// (tamper) control, and the headline randomized campaigns with zero
+// invariant violations.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -270,6 +271,45 @@ TEST(ChaosMidSave, TornFirstSaveLeavesNothingLoadable) {
   auto r = s.load(out);
   EXPECT_FALSE(r.report.success);
   EXPECT_EQ(r.version, 0);
+}
+
+// ---- the shared oracle ----------------------------------------------------
+
+TEST(ChaosOracle, ChecksDigestsAndRangeAndReplacesReusedVersions) {
+  std::size_t violations = 0;
+  std::vector<std::string> messages;
+  std::ostringstream jsonl;
+  chaos::Oracle oracle(9, violations, messages, &jsonl);
+  oracle.set_event(3);
+  oracle.commit(1, {11, 12});
+  oracle.check_digests("load", 1, {{0, 11}, {1, 12}});
+  oracle.check_range("load", 1, 1, 1);
+  EXPECT_EQ(violations, 0u);
+
+  // A digest mismatch is not bit-exact.
+  oracle.check_digests("load", 1, {{0, 11}, {1, 99}});
+  ASSERT_EQ(violations, 1u);
+  EXPECT_NE(messages.back().find("[bitexact]"), std::string::npos);
+  EXPECT_NE(messages.back().find("seed=9 event=3"), std::string::npos);
+  EXPECT_NE(jsonl.str().find("\"violation\":\"bitexact\""), std::string::npos);
+
+  // Neither is a version that never committed.
+  oracle.check_digests("load", 2, {{0, 11}, {1, 12}});
+  ASSERT_EQ(violations, 2u);
+  EXPECT_NE(messages.back().find("[bitexact]"), std::string::npos);
+
+  // One range rule: floor <= version <= ceiling.
+  oracle.check_range("load", 1, 2, 4);
+  oracle.check_range("load", 5, 2, 4);
+  ASSERT_EQ(violations, 4u);
+  EXPECT_NE(messages.back().find("[version_range]"), std::string::npos);
+
+  // A reused version number replaces its entry.
+  oracle.commit(1, {21, 22});
+  oracle.check_digests("load", 1, {{0, 21}, {1, 22}});
+  EXPECT_EQ(violations, 4u);
+  oracle.check_digests("load", 1, {{0, 11}, {1, 12}});
+  EXPECT_EQ(violations, 6u) << "one violation per stale worker digest";
 }
 
 // ---- runner oracle: negative control --------------------------------------

@@ -3,11 +3,14 @@
 // scenario must restore bit-exact state, every unrecoverable one must fail
 // cleanly (no exceptions, no wrong data). The wire decoders of the blobs
 // ranks exchange get the same treatment: any input either decodes or is
-// refused with a CheckFailure, which the save protocol rolls back on.
+// refused with a CheckFailure, which the save protocol rolls back on. The
+// service's save/load reply bodies must parse or be refused with BadRequest.
 #include <gtest/gtest.h>
 
 #include <exception>
 #include <functional>
+#include <iterator>
+#include <limits>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -15,6 +18,7 @@
 #include "core/eccheck_engine.hpp"
 #include "dnn/checkpoint_gen.hpp"
 #include "dnn/serializer.hpp"
+#include "svc/checkpoint_service.hpp"
 
 namespace eccheck {
 namespace {
@@ -241,6 +245,55 @@ TEST(Fuzz, WireDecodersDecodeOrRefuseWithCheckFailure) {
       fill_random(noise.span(), rng.next());
       expect_decodes_or_refuses(d.decode, noise.span(), "random blob");
     }
+  }
+
+  // Save/load reply bodies: random replies round-trip; their truncations,
+  // byte mutations and appended junk tokens parse or raise BadRequest.
+  auto parse_or_refuse = [](const std::string& body, const char* what) {
+    try {
+      svc::ShardReply::parse(body);
+    } catch (const svc::BadRequest&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << " '" << body
+                    << "' threw an untyped exception: " << e.what();
+    }
+  };
+  const std::string junk[] = {
+      ";", "=", "version=", "version=0", "version=-1",
+      "version=99999999999999999999", "iteration=x", "w1", "w:0000000000000001",
+      "w-1:0000000000000001", "w1:000000000000000g", "w1:00000000000000001",
+      "w0:0000000000000000", "lost=", "lost=1,,2", "lost=-1", "garbage"};
+  const std::string details[] = {"", "workflow B decode",
+                                 "degraded (1 dead, redundancy 1/2)", "a ; b"};
+  for (int trial = 0; trial < 300; ++trial) {
+    svc::ShardReply r;
+    r.version = 1 + static_cast<std::int64_t>(rng.next_below(1u << 20));
+    r.iteration = 1 + static_cast<std::int64_t>(rng.next_below(
+                          std::numeric_limits<std::int64_t>::max()));
+    for (std::uint64_t n = rng.next_below(9); n > 0; --n)
+      r.digests[static_cast<int>(rng.next_below(16))] = rng.next();
+    for (std::uint64_t n = rng.next_below(3); n > 0; --n)
+      r.lost.push_back(static_cast<int>(rng.next_below(16)));
+    r.detail = details[rng.next_below(std::size(details))];
+    const std::string body = r.body();
+    svc::ShardReply back;
+    ASSERT_NO_THROW(back = svc::ShardReply::parse(body)) << body;
+    EXPECT_EQ(back.version, r.version) << body;
+    EXPECT_EQ(back.iteration, r.iteration) << body;
+    EXPECT_EQ(back.digests, r.digests) << body;
+    EXPECT_EQ(back.lost, r.lost) << body;
+    EXPECT_EQ(back.detail, r.detail) << body;
+    for (std::size_t n = 0; n < body.size(); ++n)
+      parse_or_refuse(body.substr(0, n), "truncation");
+    std::string mutated = body;
+    mutated[rng.next_below(mutated.size())] = static_cast<char>(rng.next());
+    parse_or_refuse(mutated, "mutation");
+    const std::string& tok = junk[rng.next_below(std::size(junk))];
+    const std::size_t semi = body.find(" ; ");
+    parse_or_refuse(semi == std::string::npos
+                        ? body + " " + tok
+                        : body.substr(0, semi) + " " + tok + body.substr(semi),
+                    "junk token");
   }
 }
 

@@ -13,7 +13,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -108,37 +107,15 @@ struct DaemonThread {
   }
 };
 
+/// The closed-form digests of (job, iteration) by worker: the
+/// bit-exactness oracle.
 std::map<int, std::uint64_t> want_digests(const std::string& job,
                                           std::int64_t iteration) {
-  const dnn::CheckpointGenConfig gen =
-      svc::job_gen_config(job, iteration, kWorld);
   std::map<int, std::uint64_t> out;
-  for (int w = 0; w < kWorld; ++w)
-    out[w] = dnn::make_worker_state_dict(gen, w).digest();
+  for (const std::uint64_t d :
+       dnn::shard_digests(svc::job_gen_config(job, iteration, kWorld)))
+    out.emplace(static_cast<int>(out.size()), d);
   return out;
-}
-
-struct ParsedBody {
-  std::int64_t version = 0;
-  std::int64_t iteration = 0;
-  std::map<int, std::uint64_t> digests;
-};
-
-ParsedBody parse_body(const std::string& body) {
-  ParsedBody p;
-  std::istringstream is(body);
-  std::string tok;
-  while (is >> tok) {
-    if (tok == ";") break;
-    if (tok.rfind("version=", 0) == 0)
-      p.version = std::stoll(tok.substr(8));
-    else if (tok.rfind("iteration=", 0) == 0)
-      p.iteration = std::stoll(tok.substr(10));
-    else if (tok[0] == 'w' && tok.find(':') != std::string::npos)
-      p.digests[std::stoi(tok.substr(1, tok.find(':') - 1))] =
-          std::stoull(tok.substr(tok.find(':') + 1), nullptr, 16);
-  }
-  return p;
 }
 
 bool poll_until(const std::function<bool()>& pred, double secs) {
@@ -318,6 +295,7 @@ TEST(SelfHealService, AdmissionQueueBoundsAndIdempotencyTokens) {
   ccfg.opts.io_timeout = net::Millis(15000);
   ccfg.opts.connect_retries = 4;
   ccfg.max_queue = 1;
+  ccfg.data_k = kK;
   svc::Coordinator coordinator(ccfg);
   std::thread coord_thread([&coordinator] { coordinator.run(); });
 
@@ -372,14 +350,14 @@ TEST(SelfHealService, AdmissionQueueBoundsAndIdempotencyTokens) {
   // outcome — exactly one version is committed.
   const svc::ControlReply first = request("save", "job token=alpha");
   ASSERT_TRUE(first.ok) << first.body;
-  const std::int64_t v = parse_body(first.body).version;
+  const std::int64_t v = svc::ShardReply::parse(first.body).version;
   const svc::ControlReply replay = request("save", "job token=alpha");
   ASSERT_TRUE(replay.ok) << replay.body;
   EXPECT_EQ(replay.body, first.body)
       << "same token must replay, not re-commit";
   const svc::ControlReply fresh = request("save", "job token=beta");
   ASSERT_TRUE(fresh.ok) << fresh.body;
-  EXPECT_EQ(parse_body(fresh.body).version, v + 1)
+  EXPECT_EQ(svc::ShardReply::parse(fresh.body).version, v + 1)
       << "a new token commits the next version";
 
   r = request("shutdown", "");
@@ -445,8 +423,8 @@ TEST(SelfHealService, DeathDeclarationDegradedServingAndRepair) {
 
   svc::ControlReply r = c.request("save", "job");
   ASSERT_TRUE(r.ok) << r.body;
-  EXPECT_EQ(parse_body(r.body).version, 1);
-  EXPECT_EQ(parse_body(r.body).digests, want_digests("job", 1));
+  EXPECT_EQ(svc::ShardReply::parse(r.body).version, 1);
+  EXPECT_EQ(svc::ShardReply::parse(r.body).digests, want_digests("job", 1));
 
   // Hard death: the daemon exits, its listener closes, probes see refused.
   const int victim = 1;
@@ -460,7 +438,7 @@ TEST(SelfHealService, DeathDeclarationDegradedServingAndRepair) {
   r = c.request("load", "job");
   ASSERT_TRUE(r.ok) << r.body;
   {
-    const ParsedBody p = parse_body(r.body);
+    const svc::ShardReply p = svc::ShardReply::parse(r.body);
     EXPECT_EQ(p.version, 1);
     EXPECT_EQ(p.digests, want_digests("job", 1));
     EXPECT_NE(r.body.find("degraded"), std::string::npos) << r.body;
@@ -470,7 +448,7 @@ TEST(SelfHealService, DeathDeclarationDegradedServingAndRepair) {
   r = c.request("save", "job");
   ASSERT_TRUE(r.ok) << r.body;
   {
-    const ParsedBody p = parse_body(r.body);
+    const svc::ShardReply p = svc::ShardReply::parse(r.body);
     EXPECT_EQ(p.version, 2);
     EXPECT_EQ(p.digests, want_digests("job", p.iteration));
     EXPECT_NE(r.body.find("degraded"), std::string::npos) << r.body;
@@ -495,7 +473,7 @@ TEST(SelfHealService, DeathDeclarationDegradedServingAndRepair) {
   r = c.request("save", "job");
   ASSERT_TRUE(r.ok) << r.body;
   {
-    const ParsedBody p = parse_body(r.body);
+    const svc::ShardReply p = svc::ShardReply::parse(r.body);
     EXPECT_EQ(p.version, 3);
     EXPECT_EQ(p.digests, want_digests("job", p.iteration));
     EXPECT_EQ(r.body.find("degraded"), std::string::npos) << r.body;
@@ -535,7 +513,7 @@ TEST(SelfHealService, GrayFreezeIsDeclaredDeadAndFencedOnWake) {
   // Served while the corpse is still technically accepting connections.
   r = c.request("load", "job");
   ASSERT_TRUE(r.ok) << r.body;
-  EXPECT_EQ(parse_body(r.body).digests, want_digests("job", 1));
+  EXPECT_EQ(svc::ShardReply::parse(r.body).digests, want_digests("job", 1));
   EXPECT_NE(r.body.find("degraded"), std::string::npos) << r.body;
 
   // On wake the corpse's first beat is answered `fenced`: it must exit
@@ -555,7 +533,7 @@ TEST(SelfHealService, GrayFreezeIsDeclaredDeadAndFencedOnWake) {
 
   r = c.request("save", "job");
   ASSERT_TRUE(r.ok) << r.body;
-  const ParsedBody p = parse_body(r.body);
+  const svc::ShardReply p = svc::ShardReply::parse(r.body);
   EXPECT_EQ(p.digests, want_digests("job", p.iteration));
   EXPECT_EQ(r.body.find("degraded"), std::string::npos) << r.body;
 

@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,45 +94,15 @@ struct DaemonThread {
   }
 };
 
-/// Expected digests for (job, iteration): the bit-exactness oracle.
+/// The closed-form digests of (job, iteration) by worker: the
+/// bit-exactness oracle.
 std::map<int, std::uint64_t> want_digests(const std::string& job,
                                           std::int64_t iteration) {
-  const dnn::CheckpointGenConfig gen =
-      svc::job_gen_config(job, iteration, kWorld);
   std::map<int, std::uint64_t> out;
-  for (int w = 0; w < kWorld; ++w)
-    out[w] = dnn::make_worker_state_dict(gen, w).digest();
+  for (const std::uint64_t d :
+       dnn::shard_digests(svc::job_gen_config(job, iteration, kWorld)))
+    out.emplace(static_cast<int>(out.size()), d);
   return out;
-}
-
-struct ParsedBody {
-  std::int64_t version = 0;
-  std::int64_t iteration = 0;
-  std::map<int, std::uint64_t> digests;
-  std::string detail;
-};
-
-ParsedBody parse_body(const std::string& body) {
-  ParsedBody p;
-  std::istringstream is(body);
-  std::string tok;
-  while (is >> tok) {
-    if (tok == ";") {
-      std::getline(is, p.detail);
-      if (!p.detail.empty() && p.detail[0] == ' ') p.detail.erase(0, 1);
-      break;
-    }
-    if (tok.rfind("version=", 0) == 0) {
-      p.version = std::stoll(tok.substr(8));
-    } else if (tok.rfind("iteration=", 0) == 0) {
-      p.iteration = std::stoll(tok.substr(10));
-    } else if (tok[0] == 'w' && tok.find(':') != std::string::npos) {
-      const auto colon = tok.find(':');
-      p.digests[std::stoi(tok.substr(1, colon - 1))] =
-          std::stoull(tok.substr(colon + 1), nullptr, 16);
-    }
-  }
-  return p;
 }
 
 // ---------------------------------------------------------------------------
@@ -255,6 +224,92 @@ TEST(ServiceProtocol, LivenessBeatsValidateRankAndEpoch) {
   coord_thread.join();
 }
 
+/// A stand-in worker control endpoint. It answers `save` with `save_body`,
+/// or closes the connection unanswered when that is empty, and answers
+/// anything else `ok` until `exit`.
+struct FakeWorker {
+  net::Socket listener;
+  std::thread thread;
+
+  FakeWorker(net::Endpoint ep, std::string save_body)
+      : listener(net::listen_on(ep)) {
+    thread = std::thread([this, body = std::move(save_body)] {
+      const net::Millis io(5000);
+      try {
+        for (;;) {
+          net::Socket conn =
+              net::accept_with_timeout(listener, net::Millis(30000), "fake");
+          const svc::ControlFrame req =
+              svc::recv_control(conn, net::FrameType::kRequest, io, "fake");
+          const std::string& cmd = req.header.key;
+          if (cmd == "save" && body.empty()) continue;  // close unanswered
+          const std::string reply = cmd == "save" ? body : "ok";
+          svc::send_control(
+              conn, net::FrameType::kResponse, "", svc::kStatusOk,
+              {reinterpret_cast<const std::byte*>(reply.data()), reply.size()},
+              io, "fake");
+          if (cmd == "exit") return;
+        }
+      } catch (const CheckFailure&) {
+        // The test gave up on this worker; nothing left to serve.
+      }
+    });
+  }
+  ~FakeWorker() { thread.join(); }
+};
+
+/// The coordinator's reply to one `save` against kNodes fake workers, where
+/// `answers[r]` says whether rank r replies ok at version 5.
+svc::ControlReply save_against_fakes(const std::vector<bool>& answers) {
+  TempDir dir;
+  svc::CoordinatorConfig ccfg;
+  ccfg.client_ep = net::Endpoint::uds(dir.path + "/client.sock");
+  ccfg.opts = fast_opts(dir);
+  ccfg.opts.connect_retries = 2;
+  ccfg.data_k = kK;
+  std::vector<std::unique_ptr<FakeWorker>> fakes;
+  for (int r = 0; r < kNodes; ++r) {
+    ccfg.worker_eps.push_back(net::Endpoint::uds(
+        dir.path + "/ctl" + std::to_string(r) + ".sock"));
+    svc::ShardReply reply;
+    reply.version = 5;
+    reply.iteration = 1;
+    reply.digests[r] = 0x1000 + static_cast<std::uint64_t>(r);
+    fakes.push_back(std::make_unique<FakeWorker>(
+        ccfg.worker_eps.back(),
+        answers[static_cast<std::size_t>(r)] ? reply.body() : ""));
+  }
+  svc::Coordinator coordinator(ccfg);
+  std::thread coord_thread([&coordinator] { coordinator.run(); });
+  const svc::ControlReply r =
+      svc::client_request(ccfg.client_ep, "save", "job", ccfg.opts);
+  svc::client_request(ccfg.client_ep, "shutdown", "", ccfg.opts);
+  coord_thread.join();
+  return r;
+}
+
+// §III-B: a version is recoverable once any k of its chunk rows are
+// committed. A save whose reply from one rank is lost after k ranks
+// committed is committed, and the reply names the rank it did not hear
+// from; with only k−1 ok replies it failed.
+TEST(ServiceProtocol, SaveCommitsOnceKRanksReplyOk) {
+  {
+    const svc::ControlReply r = save_against_fakes({true, true, false, true});
+    ASSERT_TRUE(r.ok) << r.body;
+    const svc::ShardReply s = svc::ShardReply::parse(r.body);
+    EXPECT_EQ(s.version, 5);
+    EXPECT_EQ(s.iteration, 1);
+    EXPECT_EQ(s.lost, std::vector<int>{2});
+    EXPECT_EQ(s.digests.size(), 3u);
+    EXPECT_EQ(s.digests.count(2), 0u);
+  }
+  std::vector<bool> answers(kNodes, false);
+  for (int r = 0; r < kK - 1; ++r) answers[static_cast<std::size_t>(r)] = true;
+  const svc::ControlReply r = save_against_fakes(answers);
+  EXPECT_FALSE(r.ok) << r.body;
+  EXPECT_NE(r.body.find("save failed"), std::string::npos) << r.body;
+}
+
 TEST(ServiceDaemon, MultiJobSaveLoadKillRecoverBitExact) {
   TempDir dir;
   std::vector<std::unique_ptr<DaemonThread>> daemons;
@@ -268,6 +323,7 @@ TEST(ServiceDaemon, MultiJobSaveLoadKillRecoverBitExact) {
         dir.path + "/ctl" + std::to_string(r) + ".sock"));
   ccfg.opts = fast_opts(dir);
   ccfg.opts.io_timeout = net::Millis(60000);
+  ccfg.data_k = kK;
   ccfg.opts.connect_retries = 3;
   svc::Coordinator coordinator(ccfg);
   std::thread coord_thread([&coordinator] { coordinator.run(); });
@@ -280,17 +336,17 @@ TEST(ServiceDaemon, MultiJobSaveLoadKillRecoverBitExact) {
   // Two jobs interleaved: versions advance independently per namespace.
   svc::ControlReply r = request("save", "jobA");
   ASSERT_TRUE(r.ok) << r.body;
-  EXPECT_EQ(parse_body(r.body).version, 1);
-  EXPECT_EQ(parse_body(r.body).digests, want_digests("jobA", 1));
+  EXPECT_EQ(svc::ShardReply::parse(r.body).version, 1);
+  EXPECT_EQ(svc::ShardReply::parse(r.body).digests, want_digests("jobA", 1));
 
   r = request("save", "jobB");
   ASSERT_TRUE(r.ok) << r.body;
-  EXPECT_EQ(parse_body(r.body).version, 1);
+  EXPECT_EQ(svc::ShardReply::parse(r.body).version, 1);
 
   r = request("save", "jobA");
   ASSERT_TRUE(r.ok) << r.body;
-  EXPECT_EQ(parse_body(r.body).version, 2);
-  EXPECT_EQ(parse_body(r.body).digests, want_digests("jobA", 2));
+  EXPECT_EQ(svc::ShardReply::parse(r.body).version, 2);
+  EXPECT_EQ(svc::ShardReply::parse(r.body).digests, want_digests("jobA", 2));
 
   // Orderly worker death (daemon exits, fabric listener closes): the next
   // save's collective tears; survivors roll it back and report the error.
@@ -345,7 +401,7 @@ TEST(ServiceDaemon, MultiJobSaveLoadKillRecoverBitExact) {
   r = request("load", "jobA");
   ASSERT_TRUE(r.ok) << r.body;
   {
-    const ParsedBody p = parse_body(r.body);
+    const svc::ShardReply p = svc::ShardReply::parse(r.body);
     EXPECT_EQ(p.version, 2);
     EXPECT_EQ(p.iteration, 2);
     EXPECT_EQ(p.digests, want_digests("jobA", 2));
@@ -356,15 +412,15 @@ TEST(ServiceDaemon, MultiJobSaveLoadKillRecoverBitExact) {
 
   r = request("load", "jobB");
   ASSERT_TRUE(r.ok) << r.body;
-  EXPECT_EQ(parse_body(r.body).version, 1);
-  EXPECT_EQ(parse_body(r.body).digests, want_digests("jobB", 1));
+  EXPECT_EQ(svc::ShardReply::parse(r.body).version, 1);
+  EXPECT_EQ(svc::ShardReply::parse(r.body).digests, want_digests("jobB", 1));
 
   // Training resumes: the next save agrees on version 3 (the torn version
   // was rolled back everywhere) with a fresh iteration number.
   r = request("save", "jobA");
   ASSERT_TRUE(r.ok) << r.body;
   {
-    const ParsedBody p = parse_body(r.body);
+    const svc::ShardReply p = svc::ShardReply::parse(r.body);
     EXPECT_EQ(p.version, 3);
     EXPECT_EQ(p.iteration, 4);
     EXPECT_EQ(p.digests, want_digests("jobA", 4));
@@ -496,6 +552,7 @@ TEST(ServiceDaemon, ForkedWorkersMergeTraceAndStatsAcrossProcesses) {
         dir.path + "/ctl" + std::to_string(r) + ".sock"));
   ccfg.opts = fast_opts(dir);
   ccfg.opts.io_timeout = net::Millis(60000);
+  ccfg.data_k = kK;
   svc::Coordinator coordinator(ccfg);
   // No ASSERT until the coordinator thread is joined: leaving early would
   // destroy it joinable.
@@ -506,10 +563,10 @@ TEST(ServiceDaemon, ForkedWorkersMergeTraceAndStatsAcrossProcesses) {
 
   svc::ControlReply r = request("save", "jobT");
   EXPECT_TRUE(r.ok) << r.body;
-  EXPECT_EQ(parse_body(r.body).digests, want_digests("jobT", 1));
+  EXPECT_EQ(svc::ShardReply::parse(r.body).digests, want_digests("jobT", 1));
   r = request("load", "jobT");
   EXPECT_TRUE(r.ok) << r.body;
-  EXPECT_EQ(parse_body(r.body).digests, want_digests("jobT", 1));
+  EXPECT_EQ(svc::ShardReply::parse(r.body).digests, want_digests("jobT", 1));
 
   r = request("trace", "");
   EXPECT_TRUE(r.ok);
