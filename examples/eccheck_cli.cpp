@@ -117,6 +117,26 @@ Options parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
+  // Shapes the engines refuse with a CheckFailure: refused here instead,
+  // like a malformed number. ECCheck puts one chunk on each node and k
+  // equal chunks of workers; grouped mode does so in each group of
+  // group_size nodes, with k = group_size / 2.
+  auto refuse = [&](const char* why) {
+    std::fprintf(stderr, "%s\n", why);
+    usage(argv[0]);
+  };
+  const long long world = static_cast<long long>(o.nodes) * o.gpus;
+  if (o.engine == "eccheck") {
+    if (static_cast<long long>(o.k) + o.m != o.nodes)
+      refuse("--k + --m must equal --nodes");
+    if (world % o.k != 0) refuse("--k must divide nodes x gpus");
+  } else if (o.engine == "grouped") {
+    if (o.group_size < 2 || o.nodes % o.group_size != 0)
+      refuse("--group-size must be at least 2 and divide --nodes");
+    else if (static_cast<long long>(o.group_size) * o.gpus %
+             (o.group_size / 2))
+      refuse("--group-size / 2 must divide group-size x gpus");
+  }
   return o;
 }
 

@@ -74,9 +74,10 @@ class Fabric {
   /// Semantically equivalent to calling send_buffer per pair, but a
   /// pipelining transport keeps several frames in flight and reconciles
   /// their acks once at the end, which is why batch-shaped protocol loops
-  /// (the engine's refill step) declare the batch instead of looping
-  /// themselves. No default body: a decorator that forgot to forward the
-  /// batch would silently de-batch every save.
+  /// (step 3's relocation, or the load's refill, which ships each worker's
+  /// packets one constant-size window per batch) declare the batch instead
+  /// of looping themselves. No default body: a decorator that forgot to
+  /// forward the batch would silently de-batch every save.
   virtual void send_buffers(
       int src, int dst,
       const std::vector<std::pair<std::string, std::string>>& pairs) = 0;

@@ -14,7 +14,9 @@
 //   <ns>tmp/<version>/load/rec/<s>/<j>/<b>  basis row s's packet b of stripe
 //                                        j, shipped to a decode target's site
 //   <ns>tmp/<version>/load/refill/<w>/<b> worker w's packet b, shipped from
-//                                        its data node to the worker's site
+//                                        its data node to the worker's site;
+//                                        at most one refill window of these
+//                                        (kRefillBatchBytes) exists at a time
 //
 // The SPMD flag rounds (one 16-byte flag per node, all-gathered and erased
 // again) key each node's flag as a prefix followed by "<node>":

@@ -1637,41 +1637,54 @@ void LoadOp::refill(std::vector<dnn::StateDict>& out) {
   out.clear();
   out.resize(fabric_sited_workers(fabric, g, members).size());
   auto next = out.begin();  // the sited workers fill `out` in order
+  const int window =
+      static_cast<int>(std::max<std::size_t>(1, kRefillBatchBytes / P));
   for (int w = 0; w < W; ++w) {
     const int wsite = members.site(w / g);
     const int c = plan.chunk_of_worker(w);
     const int ssite = members.site(plan.node_of_row(c));
     const int j = w - c * per_chunk;
-    // Only the worker's live packets: the padding behind them is not
-    // unpacked.
-    const int live = static_cast<int>(counts.live[static_cast<std::size_t>(w)]);
-    if (ssite != wsite && live > 0) {
-      // One (src, dst) batch per worker: a pipelining transport keeps all
-      // its packet frames in flight and reconciles their acks once, instead
-      // of paying a round trip per packet.
-      KeyPairs batch;
-      batch.reserve(static_cast<std::size_t>(live));
-      for (int b = 0; b < live; ++b)
-        batch.emplace_back(row_key(ns, version, c, j, b),
-                           keys::load_refill_key(ns, version, w, b));
-      fabric.send_buffers(ssite, wsite, batch);
+    const bool shipped = ssite != wsite;
+    const bool here = fabric.drives(wsite);
+    // The skeleton comes first, so each packet is unpacked straight into
+    // it as it lands. Only the worker's live packets are unpacked: the
+    // padding behind them is not.
+    dnn::StateDict skel;
+    std::vector<MutableByteSpan> tensors;
+    if (here) {
+      skel = dnn::make_skeleton(
+          dnn::deserialize_metadata(
+              fabric.store(wsite).get(meta_key(ns, version, w)).span()),
+          tkeys[static_cast<std::size_t>(w)]);
+      tensors = tensor_views(skel);
     }
-    if (!fabric.drives(wsite)) continue;
-    cluster::Store& store = fabric.store(wsite);
-    std::vector<ByteSpan> packet_views;
-    for (int b = 0; b < live; ++b)
-      packet_views.push_back(
-          ssite == wsite
-              ? store.get(row_key(ns, version, c, j, b)).span()
-              : store.get(keys::load_refill_key(ns, version, w, b)).span());
-    dnn::StateDict skel = dnn::make_skeleton(
-        dnn::deserialize_metadata(store.get(meta_key(ns, version, w)).span()),
-        tkeys[static_cast<std::size_t>(w)]);
-    unpack_packets(packet_views, skel);
-    *next++ = std::move(skel);
-    if (ssite != wsite)
-      for (int b = 0; b < live; ++b)
-        store.erase(keys::load_refill_key(ns, version, w, b));
+    const int live = static_cast<int>(counts.live[static_cast<std::size_t>(w)]);
+    for (int lo = 0; lo < live; lo += window) {
+      const int hi = std::min(live, lo + window);
+      if (shipped) {
+        // One (src, dst) batch per window: a pipelining transport keeps
+        // the window's frames in flight and reconciles their acks once,
+        // and the site unpacks and erases the window before the next
+        // ships, so it never stages more than one.
+        KeyPairs batch;
+        batch.reserve(static_cast<std::size_t>(hi - lo));
+        for (int b = lo; b < hi; ++b)
+          batch.emplace_back(row_key(ns, version, c, j, b),
+                             keys::load_refill_key(ns, version, w, b));
+        fabric.send_buffers(ssite, wsite, batch);
+      }
+      if (!here) continue;
+      cluster::Store& store = fabric.store(wsite);
+      for (int b = lo; b < hi; ++b) {
+        const std::string key = shipped
+                                    ? keys::load_refill_key(ns, version, w, b)
+                                    : row_key(ns, version, c, j, b);
+        unpack_packet(store.get(key).span(), static_cast<std::size_t>(b), P,
+                      tensors);
+        if (shipped) store.erase(key);
+      }
+    }
+    if (here) *next++ = std::move(skel);
   }
 }
 

@@ -129,6 +129,13 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
                              std::int64_t version,
                              const Membership& members = Membership());
 
+/// The refill step's staging budget. fabric_load ships a worker's live
+/// packets from its data node in windows of max(1, kRefillBatchBytes / P)
+/// packets, one send_buffers batch each, and the worker's site unpacks and
+/// erases a window before the next ships: a load stages at most one window,
+/// whatever the shard size, at the cost of one ack round trip per window.
+inline constexpr std::size_t kRefillBatchBytes = std::size_t{1} << 20;
+
 /// Load `version` into `out` (resized to the sited workers, same ordering
 /// as fabric_save's `shards` — so during a degraded window the adopter
 /// also reconstructs and returns the dead ranks' workers, via workflow-B

@@ -1,6 +1,5 @@
 #include "core/protocol.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
@@ -61,30 +60,33 @@ void pack_packet(const std::vector<ByteSpan>& tensor_data, std::size_t b,
     std::memset(out.data() + filled, 0, out.size() - filled);
 }
 
+std::vector<MutableByteSpan> tensor_views(dnn::StateDict& skeleton) {
+  std::vector<MutableByteSpan> views;
+  views.reserve(skeleton.tensors().size());
+  for (auto& e : skeleton.tensors()) views.push_back(e.tensor.bytes());
+  return views;
+}
+
+void unpack_packet(ByteSpan packet, std::size_t b, std::size_t packet_size,
+                   const std::vector<MutableByteSpan>& tensors) {
+  ECC_CHECK_MSG(packet.size() == packet_size,
+                "packet " << b << " holds " << packet.size()
+                          << " B, not the layout's " << packet_size);
+  std::size_t read = 0;
+  for_each_packet_piece(tensors, b, packet_size, [&](MutableByteSpan dst) {
+    std::memcpy(dst.data(), packet.data() + read, dst.size());
+    read += dst.size();
+  });
+}
+
 void unpack_packets(const std::vector<ByteSpan>& packets,
                     dnn::StateDict& skeleton) {
-  std::size_t pkt = 0, off = 0;
-  std::size_t available = 0;
-  for (const auto& p : packets) available += p.size();
-  ECC_CHECK_MSG(available >= skeleton.tensor_bytes(),
+  const std::size_t P = packets.empty() ? 0 : packets.front().size();
+  ECC_CHECK_MSG(packets.size() * P >= skeleton.tensor_bytes(),
                 "packets hold fewer bytes than the skeleton needs");
-
-  for (auto& e : skeleton.tensors()) {
-    MutableByteSpan dst = e.tensor.bytes();
-    std::size_t copied = 0;
-    while (copied < dst.size()) {
-      ECC_CHECK(pkt < packets.size());
-      const ByteSpan src = packets[pkt];
-      const std::size_t n = std::min(src.size() - off, dst.size() - copied);
-      std::memcpy(dst.data() + copied, src.data() + off, n);
-      copied += n;
-      off += n;
-      if (off == src.size()) {
-        ++pkt;
-        off = 0;
-      }
-    }
-  }
+  const std::vector<MutableByteSpan> tensors = tensor_views(skeleton);
+  for (std::size_t b = 0; b < packets.size(); ++b)
+    unpack_packet(packets[b], b, P, tensors);
 }
 
 }  // namespace eccheck::core

@@ -14,7 +14,8 @@
 // slot that is padding for every worker it covers — it only stores it.
 //
 // Reassembly is the inverse: rebuild the state_dict skeleton from the two
-// tiny components, then copy packet bytes back into the tensors in place.
+// tiny components, then copy each packet's bytes back into the tensors in
+// place, one packet at a time, along the same cursor that packed it.
 #pragma once
 
 #include <algorithm>
@@ -46,12 +47,13 @@ std::vector<Buffer> pack_packets(const std::vector<ByteSpan>& tensor_data,
                                  std::size_t packet_size,
                                  std::size_t num_packets);
 
-/// The cursor behind pack_packet: calls `piece(bytes)` for each slice of
-/// `tensor_data` that packet b of pack_packets' layout (packet size `size`)
+/// The cursor behind pack_packet and unpack_packet: calls `piece(bytes)` for
+/// each slice of `tensor_data` (read-only views to pack, writable ones to
+/// unpack into) that packet b of pack_packets' layout (packet size `size`)
 /// holds, in order. The slices fill the packet back to back from its first
 /// byte; its bytes past them are zeros. A zero-length tensor yields none.
-template <typename Piece>
-void for_each_packet_piece(const std::vector<ByteSpan>& tensor_data,
+template <typename Span, typename Piece>
+void for_each_packet_piece(const std::vector<Span>& tensor_data,
                            std::size_t b, std::size_t size, Piece&& piece) {
   ECC_CHECK(size > 0);
   ECC_CHECK_MSG(b <= SIZE_MAX / size, "packet index " << b << " overflows");
@@ -60,7 +62,7 @@ void for_each_packet_piece(const std::vector<ByteSpan>& tensor_data,
   // lies at or past it.
   const std::size_t first = b * size;
   std::size_t at = 0, filled = 0;
-  for (const ByteSpan& src : tensor_data) {
+  for (const Span& src : tensor_data) {
     if (filled == size) break;
     const std::size_t next = first + filled;
     if (at + src.size() > next) {
@@ -79,8 +81,20 @@ void for_each_packet_piece(const std::vector<ByteSpan>& tensor_data,
 void pack_packet(const std::vector<ByteSpan>& tensor_data, std::size_t b,
                  MutableByteSpan out);
 
-/// Inverse of pack_packets: copy packet bytes back into the skeleton's
-/// tensors (sizes come from the tensor keys component).
+/// Writable views of the skeleton's tensors, in order: unpack_packet's
+/// target (sizes come from the tensor keys component).
+std::vector<MutableByteSpan> tensor_views(dnn::StateDict& skeleton);
+
+/// Inverse of pack_packet: copy packet `b` of pack_packets' layout, with
+/// packet size `packet_size`, into the tensor slices it holds. A packet that
+/// is not exactly packet_size bytes is refused before any tensor byte is
+/// written. Its zero tail, and a padding packet, write nothing.
+void unpack_packet(ByteSpan packet, std::size_t b, std::size_t packet_size,
+                   const std::vector<MutableByteSpan>& tensors);
+
+/// Inverse of pack_packets: unpack_packet for each packet in turn, with the
+/// first packet's size as the layout's packet size. Packets too few to hold
+/// the skeleton's bytes are refused before any is unpacked.
 void unpack_packets(const std::vector<ByteSpan>& packets,
                     dnn::StateDict& skeleton);
 

@@ -870,6 +870,64 @@ TEST(FabricEngine, DegradedLoadShipsEachBasisPacketOncePerSite) {
             (decoded + live[6] + live[7]) * cfg.packet_size);
 }
 
+// Refill streams a worker shipped from another rank through windows of
+// max(1, kRefillBatchBytes / P) packets: each batch holds at most one
+// window, and the worker's site unpacks and erases a window before the next
+// lands, so it never stages more than one, however large the shard. Ten
+// 256 KiB packets per worker make three windows of four.
+TEST(FabricEngine, RefillStagesAtMostOneWindow) {
+  const int g = 1, W = kNodes * g;
+  dnn::SparseUpdateSpec spec;
+  spec.embedding_rows = 10000;  // 2.44 MiB of embedding per worker
+  spec.dense_tensors = 1;
+  spec.dense_elems = 100;
+  spec.seed = 23;
+  std::vector<dnn::StateDict> shards;
+  for (int w = 0; w < W; ++w)
+    shards.push_back(dnn::make_sparse_model_shard(spec, w));
+  core::ECCheckConfig cfg = engine_config();
+  cfg.packet_size = kib(256);
+  const std::size_t window =
+      std::max<std::size_t>(1, core::kRefillBatchBytes / cfg.packet_size);
+  const std::vector<std::size_t> live = live_counts(shards, cfg.packet_size);
+  const core::Placement plan = core::plan_for(kNodes, g, kK, kM);
+  auto data_node_of = [&](int w) {
+    return plan.data_nodes[static_cast<std::size_t>(plan.chunk_of_worker(w))];
+  };
+  int worker = 0;
+  while (worker < W && data_node_of(worker) == worker / g) ++worker;
+  ASSERT_LT(worker, W) << "some worker must refill from another rank";
+  ASSERT_GT(live[static_cast<std::size_t>(worker)], 2 * window);
+
+  cluster::VirtualCluster vc(vc_config(g));
+  cluster::VirtualFabric inner(vc);
+  SendBuffersTap fabric(inner);
+  core::fabric_save(fabric, cfg, pointers(shards), 1);
+  vc.kill(data_node_of(worker));
+  vc.replace(data_node_of(worker));
+
+  const std::string refill = core::keys::tmp_prefix("", 1) + "load/refill/";
+  const std::string mine = refill + std::to_string(worker) + "/";
+  std::size_t worker_batches = 0;
+  fabric.before_send_buffers = [&](int, int, const KeyPairs& pairs) {
+    if (pairs.empty() || pairs.front().second.rfind(refill, 0) != 0) return;
+    EXPECT_LE(pairs.size(), window) << pairs.front().second;
+    if (pairs.front().second.rfind(mine, 0) == 0) ++worker_batches;
+  };
+  fabric.after_send_buffers = [&](int, int dst, const KeyPairs&) {
+    EXPECT_LE(fabric.store(dst).keys_with_prefix(refill).size(), window);
+  };
+  std::vector<dnn::StateDict> out;
+  const ckpt::LoadReport l = core::fabric_load(fabric, cfg, 1, out);
+  ASSERT_TRUE(l.success) << l.detail;
+  EXPECT_NE(l.detail.find("workflow B"), std::string::npos) << l.detail;
+  EXPECT_EQ(digests_of(out), digests_of(shards));
+  EXPECT_EQ(worker_batches,
+            (live[static_cast<std::size_t>(worker)] + window - 1) / window);
+  for (int node = 0; node < kNodes; ++node)
+    EXPECT_TRUE(fabric.store(node).keys_with_prefix(refill).empty()) << node;
+}
+
 // ---------------------------------------------------------------------------
 // Row sums taken where each packet is produced: after every save and every
 // repair, each alive node's sums blob is the CRC-64 of each stored row

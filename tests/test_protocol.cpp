@@ -94,7 +94,8 @@ TEST(Protocol, PaddingPacketsAreZeroed) {
 
 // pack_packet writes one packet of pack_packets' layout: both must match
 // the zero-padded concatenation of the tensors, packet by packet, wherever
-// the tensor boundaries fall.
+// the tensor boundaries fall. unpack_packet is its inverse one packet at a
+// time: the packets unpacked alone, in reverse order, rebuild the tensors.
 TEST(Protocol, PackPacketMatchesPackPacketsLayout) {
   struct Layout {
     const char* what;
@@ -109,6 +110,7 @@ TEST(Protocol, PackPacketMatchesPackPacketsLayout) {
       {"padding slots", {10, 20}, 64, 3},
       {"no payload", {0, 0}, 64, 2},
       {"one tensor larger than many packets", {5000}, 512, 1},
+      {"short last tensor", {512, 300, 7}, 256, 0},
   };
   for (const Layout& l : layouts) {
     SCOPED_TRACE(l.what);
@@ -139,6 +141,18 @@ TEST(Protocol, PackPacketMatchesPackPacketsLayout) {
       EXPECT_EQ(scratch, expected) << "pack_packet, packet " << b;
       EXPECT_EQ(packets[b], expected) << "pack_packets, packet " << b;
     }
+
+    std::vector<Buffer> rebuilt;
+    std::vector<MutableByteSpan> targets;
+    for (std::size_t size : l.sizes) {
+      rebuilt.emplace_back(size, Buffer::Init::kUninitialized);
+      fill_random(rebuilt.back().span(), 70 + size);
+      targets.push_back(rebuilt.back().span());
+    }
+    for (std::size_t b = B; b-- > 0;)
+      unpack_packet(packets[b].span(), b, l.P, targets);
+    for (std::size_t i = 0; i < tensors.size(); ++i)
+      EXPECT_EQ(rebuilt[i], tensors[i]) << "unpack_packet, tensor " << i;
   }
 }
 
@@ -156,9 +170,23 @@ TEST(Protocol, UnpackRejectsShortPackets) {
   dnn::StateDict skel = dnn::make_skeleton(
       dnn::deserialize_metadata(d.metadata_blob.span()),
       dnn::deserialize_tensor_keys(d.keys_blob.span()));
+  const std::uint64_t blank = skel.digest();
   Buffer one(64);
   std::vector<ByteSpan> views{one.span()};
   EXPECT_THROW(unpack_packets(views, skel), CheckFailure);
+  EXPECT_EQ(skel.digest(), blank);
+
+  // A packet one byte short of or past the layout's size is refused before
+  // it writes a tensor byte.
+  const std::size_t P = 4096;
+  const std::vector<MutableByteSpan> tensors = tensor_views(skel);
+  for (std::size_t size : {P - 1, P + 1}) {
+    SCOPED_TRACE(size);
+    Buffer packet(size, Buffer::Init::kUninitialized);
+    fill_random(packet.span(), size);
+    EXPECT_THROW(unpack_packet(packet.span(), 0, P, tensors), CheckFailure);
+    EXPECT_EQ(skel.digest(), blank);
+  }
 }
 
 TEST(Protocol, TensorBoundariesCrossPackets) {
